@@ -16,9 +16,9 @@ from .config import RunConfig, derive_seed, load_config
 from .errors import (
     ConfigError,
     DataInvariantError,
+    EmptyAfterParseError,
     MtBehaveError,
     ProviderError,
-    SuiteLoadError,
     UnanswerableValueError,
 )
 from .generation import (
@@ -31,6 +31,9 @@ from .metrics import ResampleConfig, diversity_series, trend_fit
 from .model import (
     CandidateEntry,
     PropertySpec,
+    _iter_jsonl,
+    _load_records,
+    _write_jsonl,
     load_candidates,
     load_suite,
     load_translations,
@@ -188,7 +191,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             spec,
             config.target_count,
             llm,
-            seed=derive_seed(config.seed, f"generate:{spec.id}"),
             temperature=config.llm.temperature,
             presence_penalty=config.llm.presence_penalty,
         )
@@ -219,6 +221,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
             first_sentence.setdefault(case.value, case.source)
         generated = 0
         unanswerable: list[str] = []
+        empty: list[str] = []
         entries: dict[str, CandidateEntry] = dict(existing)
         for value in values:
             if value in entries:
@@ -244,6 +247,9 @@ def cmd_candidates(args: argparse.Namespace) -> int:
             except UnanswerableValueError:
                 unanswerable.append(value)
                 continue
+            except EmptyAfterParseError:
+                empty.append(value)
+                continue
             entries[value] = entry
             generated += 1
         save_candidates(entries.values(), path)
@@ -253,6 +259,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
             "already_present": len(existing),
             "generated": generated,
             "unanswerable": unanswerable,
+            "empty_after_parse": empty,
         }
         _write_json(summary, prop_dir / "candidates_summary.json")
         line = (
@@ -261,6 +268,8 @@ def cmd_candidates(args: argparse.Namespace) -> int:
         )
         if unanswerable:
             line += f"; NA for {len(unanswerable)} values: {', '.join(unanswerable)}"
+        if empty:
+            line += f"; empty after parse for {len(empty)} values: {', '.join(empty)}"
         print(line)
     return 0
 
@@ -485,9 +494,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                     row.update(entry.to_dict())
                 rows.append(row)
             path = run_dir / f"review_{spec.id}_{system_id}.jsonl"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                for row in rows:
-                    fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            _write_jsonl(rows, path)
             print(
                 f"{spec.id} / {system_id}: {len(passes)} passes + {len(fails)} fails -> {path}"
             )
@@ -497,41 +504,11 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def _load_edits(path: Path) -> list[CandidateEdit]:
     if not path.exists():
         raise ConfigError(f"edits file {path} not found")
-    edits = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SuiteLoadError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "value" not in obj:
-                raise SuiteLoadError(f"{path}:{lineno}: expected an object with a 'value' key")
-            add = obj.get("add", [])
-            remove = obj.get("remove", [])
-            if not isinstance(add, list) or not isinstance(remove, list):
-                raise SuiteLoadError(f"{path}:{lineno}: 'add'/'remove' must be lists")
-            edits.append(
-                CandidateEdit(
-                    value=str(obj["value"]),
-                    add=tuple(str(x) for x in add),
-                    remove=tuple(str(x) for x in remove),
-                )
-            )
-    return edits
+    return [edit for _, edit in _load_records(path, CandidateEdit.from_dict)]
 
 
 def _review_tallies(path: Path) -> dict:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise SuiteLoadError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-    annotated = [r for r in rows if str(r.get("annotation", "")).strip()]
+    annotated = [r for _, r in _iter_jsonl(path) if str(r.get("annotation", "")).strip()]
     fp = sum(1 for r in annotated if r.get("pass") and r["annotation"].lower() == "incorrect")
     fn = sum(1 for r in annotated if not r.get("pass") and r["annotation"].lower() == "incorrect")
     n_pass = sum(1 for r in annotated if r.get("pass"))

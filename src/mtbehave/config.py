@@ -140,12 +140,28 @@ def _expect_mapping(obj: Any, context: str) -> Mapping:
     return obj
 
 
-def _get(d: Mapping, key: str, context: str, default: Any = ...) -> Any:
-    if key in d:
-        return d[key]
-    if default is ...:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return default
+def _get(d: Mapping, key: str, context: str, default: Any = ..., kind: type = str) -> Any:
+    """The value of `key`, or `default` when absent; a present value must be a `kind`.
+
+    Integers are read as floats; YAML booleans are never numbers.
+    """
+    if key not in d:
+        if default is ...:
+            raise ConfigError(f"{context}: missing required key {key!r}")
+        return default
+    value = d[key]
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{context}: {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _language_pair(d: Mapping, context: str, default: Any = ...) -> tuple[str, str]:
+    pair = _get(d, "language_pair", context, default, list)
+    if len(pair) != 2 or not all(isinstance(tag, str) for tag in pair):
+        raise ConfigError(f"{context}: language_pair must be [source, target]")
+    return pair[0], pair[1]
 
 
 def packaged_template(name: str) -> str:
@@ -165,52 +181,45 @@ def _load_template(base_dir: Path, rel: str | None, default_name: str, context: 
 
 def _parse_property(raw: Any, base_dir: Path) -> PropertySpec:
     d = _expect_mapping(raw, "properties entry")
-    prop_id = str(_get(d, "id", "property"))
+    prop_id = _get(d, "id", "property")
     context = f"property {prop_id!r}"
-    detector = str(_get(d, "detector", context, "exhaustive"))
-    pair = _get(d, "language_pair", context)
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ConfigError(f"{context}: language_pair must be [source, target]")
-    demos = _get(d, "demos", context)
-    if not isinstance(demos, list) or not all(isinstance(x, str) for x in demos):
+    detector = _get(d, "detector", context, "exhaustive")
+    demos = _get(d, "demos", context, kind=list)
+    if not all(isinstance(x, str) for x in demos):
         raise ConfigError(f"{context}: demos must be a list of strings")
-    source_prompt = _load_template(base_dir, d.get("source_prompt"), "source.txt", context)
+
+    def template(key: str, default_name: str) -> str:
+        return _load_template(base_dir, _get(d, key, context, ""), default_name, context)
+
     candidate_default = (
         "contrastive_correct.txt" if detector == "contrastive" else "candidates.txt"
     )
-    candidate_prompt = _load_template(
-        base_dir, d.get("candidate_prompt"), candidate_default, context
-    )
-    foil_prompt = None
-    if detector == "contrastive":
-        foil_prompt = _load_template(
-            base_dir, d.get("foil_prompt"), "contrastive_foil.txt", context
-        )
     return PropertySpec(
         id=prop_id,
-        name=str(_get(d, "name", context)),
+        name=_get(d, "name", context),
         detector=detector,
-        source_prompt=source_prompt,
-        candidate_prompt=candidate_prompt,
-        foil_prompt=foil_prompt,
+        source_prompt=template("source_prompt", "source.txt"),
+        candidate_prompt=template("candidate_prompt", candidate_default),
+        foil_prompt=(
+            template("foil_prompt", "contrastive_foil.txt") if detector == "contrastive" else None
+        ),
         demos=tuple(demos),
-        language_pair=(str(pair[0]), str(pair[1])),
+        language_pair=_language_pair(d, context),
     )
 
 
 def _parse_system(raw: Any) -> AdapterSpec:
     d = _expect_mapping(raw, "systems entry")
-    system_id = str(_get(d, "id", "system"))
+    system_id = _get(d, "id", "system")
     context = f"system {system_id!r}"
-    pair = d.get("language_pair", ["", ""])
     return AdapterSpec(
         system_id=system_id,
-        kind=str(_get(d, "kind", context)),
-        endpoint=str(d.get("endpoint", "")),
-        command=str(d.get("command", "")),
-        path=str(d.get("path", "")),
-        language_pair=(str(pair[0]), str(pair[1])),
-        batch_size=int(d.get("batch_size", 32)),
+        kind=_get(d, "kind", context),
+        endpoint=_get(d, "endpoint", context, ""),
+        command=_get(d, "command", context, ""),
+        path=_get(d, "path", context, ""),
+        language_pair=_language_pair(d, context, ["", ""]),
+        batch_size=_get(d, "batch_size", context, 32, int),
     )
 
 
@@ -236,87 +245,73 @@ def load_config(path_spec: str, overrides: Mapping[str, Any] | None = None) -> R
     offline, workspace); flags win over the file.
     """
     path = resolve_config_path(path_spec)
-    overrides = dict(overrides or {})
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
-    d = _expect_mapping(raw if raw is not None else {}, str(path))
+    # Flag names never collide with other keys of the file's top level or
+    # its `stats` section, so merging them into both lets each flag win.
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    top = str(path)
+    d = {**_expect_mapping(raw if raw is not None else {}, top), **flags}
     base_dir = path.parent
 
-    stats = _expect_mapping(d.get("stats", {}), "stats")
-    tok = _expect_mapping(d.get("tokenizer", {}), "tokenizer")
-    det = _expect_mapping(d.get("detection", {}), "detection")
-    providers = _expect_mapping(d.get("providers", {}), "providers")
+    stats = {**_get(d, "stats", top, {}, Mapping), **flags}
+    tok = _get(d, "tokenizer", top, {}, Mapping)
+    det = _get(d, "detection", top, {}, Mapping)
+    providers = _get(d, "providers", top, {}, Mapping)
 
-    properties = tuple(_parse_property(p, base_dir) for p in d.get("properties", []))
-    ids = [p.id for p in properties]
-    if len(set(ids)) != len(ids):
+    properties = tuple(_parse_property(p, base_dir) for p in _get(d, "properties", top, [], list))
+    systems = tuple(_parse_system(s) for s in _get(d, "systems", top, [], list))
+    for what, ids in (("property", [p.id for p in properties]),
+                      ("system", [s.system_id for s in systems])):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ConfigError(f"duplicate property ids: {dupes}")
-    systems = tuple(_parse_system(s) for s in d.get("systems", []))
-    sys_ids = [s.system_id for s in systems]
-    if len(set(sys_ids)) != len(sys_ids):
-        dupes = sorted({i for i in sys_ids if sys_ids.count(i) > 1})
-        raise ConfigError(f"duplicate system ids: {dupes}")
+        if dupes:
+            raise ConfigError(f"duplicate {what} ids: {dupes}")
 
-    llm_cfg_raw = providers.get("llm")
-    if llm_cfg_raw is not None:
-        llm_map = _expect_mapping(llm_cfg_raw, "providers.llm")
-        llm = LlmConfig(
-            kind=str(_get(llm_map, "kind", "providers.llm")),
-            url=str(llm_map.get("url", "")),
-            model=str(llm_map.get("model", "")),
-            api_key_env=str(llm_map.get("api_key_env", "")),
-            temperature=float(llm_map.get("temperature", DEFAULT_TEMPERATURE)),
-            presence_penalty=float(llm_map.get("presence_penalty", DEFAULT_PRESENCE_PENALTY)),
-            replay_dir=str(llm_map.get("replay_dir", "")),
-        )
-    else:
-        llm = LlmConfig(kind="replay", replay_dir="replays")
+    context = "providers.llm"
+    llm_map = _get(providers, "llm", top, {"kind": "replay", "replay_dir": "replays"}, Mapping)
+    llm = LlmConfig(
+        kind=_get(llm_map, "kind", context),
+        url=_get(llm_map, "url", context, ""),
+        model=_get(llm_map, "model", context, ""),
+        api_key_env=_get(llm_map, "api_key_env", context, ""),
+        temperature=_get(llm_map, "temperature", context, DEFAULT_TEMPERATURE, float),
+        presence_penalty=_get(
+            llm_map, "presence_penalty", context, DEFAULT_PRESENCE_PENALTY, float
+        ),
+        replay_dir=_get(llm_map, "replay_dir", context, ""),
+    )
+    context = "providers.embedder"
+    emb_map = _get(providers, "embedder", top, {"kind": "hash"}, Mapping)
+    embedder = EmbedderConfig(
+        kind=_get(emb_map, "kind", context),
+        url=_get(emb_map, "url", context, ""),
+        api_key_env=_get(emb_map, "api_key_env", context, ""),
+        dim=_get(emb_map, "dim", context, 32, int),
+    )
 
-    emb_cfg_raw = providers.get("embedder")
-    if emb_cfg_raw is not None:
-        emb_map = _expect_mapping(emb_cfg_raw, "providers.embedder")
-        embedder = EmbedderConfig(
-            kind=str(_get(emb_map, "kind", "providers.embedder")),
-            url=str(emb_map.get("url", "")),
-            api_key_env=str(emb_map.get("api_key_env", "")),
-            dim=int(emb_map.get("dim", 32)),
-        )
-    else:
-        embedder = EmbedderConfig(kind="hash")
-
-    workspace_raw = overrides.get("workspace") or d.get("workspace", "workspace")
-    workspace = Path(workspace_raw)
+    workspace = Path(_get(d, "workspace", top, "workspace"))
     if not workspace.is_absolute():
         workspace = base_dir / workspace
 
     config = RunConfig(
         base_dir=base_dir,
         workspace=workspace,
-        seed=int(overrides.get("seed") if overrides.get("seed") is not None else d.get("seed", 0)),
-        target_count=int(
-            overrides.get("target_count")
-            if overrides.get("target_count") is not None
-            else d.get("target_count", 1000)
-        ),
-        k=int(overrides.get("k") if overrides.get("k") is not None else stats.get("k", 1000)),
-        alpha=float(
-            overrides.get("alpha")
-            if overrides.get("alpha") is not None
-            else stats.get("alpha", 0.05)
-        ),
+        seed=_get(d, "seed", top, 0, int),
+        target_count=_get(d, "target_count", top, 1000, int),
+        k=_get(stats, "k", "stats", 1000, int),
+        alpha=_get(stats, "alpha", "stats", 0.05, float),
         tokenizer=TokenizerConfig(
-            mode=str(tok.get("mode", "whitespace")),
-            strip_edge_punct=bool(tok.get("strip_edge_punct", True)),
+            mode=_get(tok, "mode", "tokenizer", "whitespace"),
+            strip_edge_punct=_get(tok, "strip_edge_punct", "tokenizer", True, bool),
         ),
-        token_boundary=bool(det.get("token_boundary", False)),
+        token_boundary=_get(det, "token_boundary", "detection", False, bool),
         llm=llm,
         embedder=embedder,
         properties=properties,
         systems=systems,
-        offline=bool(overrides.get("offline", False)),
+        offline=_get(flags, "offline", "flags", False, bool),
     )
     if config.seed < 0:
         raise ConfigError("seed must be >= 0")

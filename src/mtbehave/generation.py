@@ -249,7 +249,6 @@ def generate_suite(
     spec: PropertySpec,
     target_count: int,
     llm: LlmProvider,
-    seed: int = 0,
     *,
     temperature: float = DEFAULT_TEMPERATURE,
     presence_penalty: float = DEFAULT_PRESENCE_PENALTY,
@@ -257,11 +256,9 @@ def generate_suite(
 ) -> tuple[list[TestCase], GenerationLog]:
     """Generate test cases for one property until `target_count` are kept.
 
-    The identical prompt is re-issued every batch (demo rotation is a
-    possible extension; `seed` is reserved for it and for provider-side
-    sampling). Deterministic given a deterministic provider.
+    The identical prompt is re-issued every batch. Deterministic given a
+    deterministic provider.
     """
-    del seed  # reserved; generation state is fully provider-driven today
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     if max_batches is None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 from .errors import (
     DataInvariantError,
@@ -20,6 +20,8 @@ from .errors import (
 )
 
 DETECTOR_KINDS = ("exhaustive", "contrastive")
+
+T = TypeVar("T")
 
 
 def _fold(text: str) -> str:
@@ -277,17 +279,40 @@ class Verdict:
 
 
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
+    """Yield (line number, object) for each nonblank line of a JSONL file.
+
+    Lines split on LF only and are decoded per line, so a torn multi-byte
+    character fails its own line instead of the whole file.
+    """
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SuiteLoadError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "not UTF-8"
+                raise SuiteLoadError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
             if not isinstance(obj, dict):
                 raise SuiteLoadError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, obj
+
+
+def _load_records(path: Path | str, from_dict: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """Yield (line number, from_dict(object)) for each record of a JSONL file.
+
+    A KeyError (missing field), TypeError or ValueError (malformed field) from
+    `from_dict` becomes a SuiteLoadError naming path and line.
+    """
+    path = Path(path)
+    for lineno, obj in _iter_jsonl(path):
+        try:
+            record = from_dict(obj)
+        except KeyError as exc:
+            raise SuiteLoadError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SuiteLoadError(f"{path}:{lineno}: malformed record ({exc})") from exc
+        yield lineno, record
 
 
 def _write_jsonl(rows: Iterable[dict], path: Path) -> None:
@@ -304,41 +329,26 @@ def save_suite(cases: Iterable[TestCase], path: Path | str) -> None:
 
 def load_suite(path: Path | str) -> list[TestCase]:
     """Load a suite; save/load round-trips to structurally equal cases."""
-    path = Path(path)
-    cases: list[TestCase] = []
-    seen_ids: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            case = TestCase.from_dict(obj)
-        except KeyError as exc:
-            raise SuiteLoadError(f"{path}:{lineno}: missing field {exc}") from exc
-        if case.id in seen_ids:
+    cases: dict[str, TestCase] = {}
+    for lineno, case in _load_records(path, TestCase.from_dict):
+        if case.id in cases:
             raise DataInvariantError(f"{path}:{lineno}: duplicate case id {case.id!r}")
-        seen_ids.add(case.id)
-        cases.append(case)
-    return cases
+        cases[case.id] = case
+    return list(cases.values())
 
 
 def save_candidates(entries: Iterable[CandidateEntry], path: Path | str) -> None:
     _write_jsonl((e.to_dict() for e in entries), Path(path))
 
 
+def _candidate_entry(obj: Mapping) -> CandidateEntry:
+    return (CandidateSet if "candidates" in obj else ContrastivePair).from_dict(obj)
+
+
 def load_candidates(path: Path | str) -> dict[str, CandidateEntry]:
     """Load candidates keyed by property value, preserving file order."""
-    path = Path(path)
     out: dict[str, CandidateEntry] = {}
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            if "candidates" in obj:
-                entry: CandidateEntry = CandidateSet.from_dict(obj)
-            elif "correct" in obj or "foil" in obj:
-                entry = ContrastivePair.from_dict(obj)
-            else:
-                raise SuiteLoadError(
-                    f"{path}:{lineno}: neither 'candidates' nor 'correct'/'foil' present"
-                )
-        except KeyError as exc:
-            raise SuiteLoadError(f"{path}:{lineno}: missing field {exc}") from exc
+    for lineno, entry in _load_records(path, _candidate_entry):
         if entry.value in out:
             raise DataInvariantError(f"{path}:{lineno}: duplicate value {entry.value!r}")
         out[entry.value] = entry
@@ -350,14 +360,7 @@ def save_translations(records: Iterable[TranslationRecord], path: Path | str) ->
 
 
 def load_translations(path: Path | str) -> list[TranslationRecord]:
-    path = Path(path)
-    records = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            records.append(TranslationRecord.from_dict(obj))
-        except KeyError as exc:
-            raise SuiteLoadError(f"{path}:{lineno}: missing field {exc}") from exc
-    return records
+    return [record for _, record in _load_records(path, TranslationRecord.from_dict)]
 
 
 def save_verdicts(verdicts: Iterable[Verdict], path: Path | str) -> None:
@@ -365,11 +368,4 @@ def save_verdicts(verdicts: Iterable[Verdict], path: Path | str) -> None:
 
 
 def load_verdicts(path: Path | str) -> list[Verdict]:
-    path = Path(path)
-    verdicts = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            verdicts.append(Verdict.from_dict(obj))
-        except KeyError as exc:
-            raise SuiteLoadError(f"{path}:{lineno}: missing field {exc}") from exc
-    return verdicts
+    return [verdict for _, verdict in _load_records(path, Verdict.from_dict)]

@@ -66,6 +66,14 @@ def _with_retries(call, what: str):
     raise AssertionError("unreachable")
 
 
+def _json_list(body, key: str, url: str) -> list:
+    """The list under `key` in a decoded JSON response body from `url`."""
+    value = body.get(key) if isinstance(body, dict) else None
+    if not isinstance(value, list):
+        raise ProviderError(f"{url}: response has no {key!r} list")
+    return value
+
+
 def _api_key_header(api_key_env: str) -> dict[str, str]:
     if not api_key_env:
         return {}
@@ -198,7 +206,7 @@ class HttpEmbedder:
             )
             resp.raise_for_status()
             body = resp.json()
-            vectors = [tuple(float(x) for x in vec) for vec in body["vectors"]]
+            vectors = [tuple(float(x) for x in v) for v in _json_list(body, "vectors", self.url)]
             dim = body.get("dim", len(vectors[0]) if vectors else 0)
             for vec in vectors:
                 if len(vec) != dim:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import re
 import shlex
 import subprocess
 from dataclasses import dataclass, field
@@ -19,7 +21,7 @@ import numpy as np
 import requests
 
 from .detection import CachedEmbedder, Embedder, TokenizerConfig, judge_contrastive, match_exhaustive
-from .errors import AdapterError, ConfigError, DataInvariantError
+from .errors import AdapterError, ConfigError, DataInvariantError, ProviderError, SuiteLoadError
 from .metrics import (
     Interval,
     PairedResult,
@@ -37,13 +39,17 @@ from .model import (
     TestCase,
     TranslationRecord,
     Verdict,
+    _load_records,
+    load_translations,
 )
+from .providers import _json_list, _with_retries
 
 log = logging.getLogger(__name__)
 
 ADAPTER_KINDS = ("http", "command", "file")
 DEFAULT_HTTP_BATCH_SIZE = 32
-_HTTP_RETRIES = 3
+# Every character str.splitlines breaks on; each would desync the line protocol.
+_LINE_BREAKS = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -89,29 +95,24 @@ class HttpMtAdapter:
             batch = list(sources[start : start + self.batch_size])
             payload = {"texts": batch, "src": src, "tgt": tgt}
             try:
-                translations = self._post_batch(payload, len(batch))
-            except AdapterError as exc:
+                translations = _with_retries(
+                    lambda: self._post_batch(payload, len(batch)), f"MT request to {self.endpoint}"
+                )
+            except ProviderError as exc:
                 log.warning("system %s: batch at %d failed: %s", self.system_id, start, exc)
                 translations = [None] * len(batch)
             out.extend(translations)
         return out
 
     def _post_batch(self, payload: dict, expected: int) -> list[str]:
-        last_exc: Exception | None = None
-        for _ in range(_HTTP_RETRIES):
-            try:
-                resp = self._session.post(self.endpoint, json=payload, timeout=120.0)
-                resp.raise_for_status()
-                translations = resp.json()["translations"]
-                if len(translations) != expected:
-                    raise AdapterError(
-                        f"{self.endpoint} returned {len(translations)} translations "
-                        f"for {expected} texts"
-                    )
-                return [str(t) for t in translations]
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last_exc = exc
-        raise AdapterError(f"HTTP adapter failed after {_HTTP_RETRIES} attempts: {last_exc}")
+        resp = self._session.post(self.endpoint, json=payload, timeout=120.0)
+        resp.raise_for_status()
+        translations = _json_list(resp.json(), "translations", self.endpoint)
+        if len(translations) != expected:
+            raise AdapterError(
+                f"{self.endpoint} returned {len(translations)} translations for {expected} texts"
+            )
+        return [str(t) for t in translations]
 
 
 class CommandMtAdapter:
@@ -122,29 +123,32 @@ class CommandMtAdapter:
         self.argv = shlex.split(spec.command)
 
     def translate(self, sources: Sequence[str]) -> list[str | None]:
-        # Sources are single sentences; embedded newlines would desync the
-        # line protocol, so they are flattened to spaces.
-        lines = [s.replace("\n", " ") for s in sources]
+        # Sources are single sentences, so line breaks are flattened to spaces;
+        # output is split on LF alone, so no other character can add a line.
+        lines = [_LINE_BREAKS.sub(" ", s) for s in sources]
         try:
             proc = subprocess.run(
                 self.argv,
-                input="\n".join(lines) + "\n" if lines else "",
+                input="".join(line + "\n" for line in lines).encode("utf-8"),
                 capture_output=True,
-                text=True,
                 check=False,
             )
         except OSError as exc:
             raise AdapterError(f"command {self.argv!r} could not be run: {exc}") from exc
         if proc.returncode != 0:
-            raise AdapterError(
-                f"command {self.argv!r} exited {proc.returncode}: {proc.stderr.strip()[:200]}"
-            )
-        out_lines = proc.stdout.splitlines()
+            stderr = proc.stderr.decode("utf-8", "replace").strip()[:200]
+            raise AdapterError(f"command {self.argv!r} exited {proc.returncode}: {stderr}")
+        out_lines = proc.stdout.split(b"\n")
+        if out_lines[-1] == b"":
+            out_lines.pop()
         if len(out_lines) != len(lines):
             raise AdapterError(
                 f"command {self.argv!r} returned {len(out_lines)} lines for {len(lines)} inputs"
             )
-        return list(out_lines)
+        try:
+            return [line.decode("utf-8") for line in out_lines]
+        except UnicodeDecodeError as exc:
+            raise AdapterError(f"command {self.argv!r} wrote invalid UTF-8: {exc}") from exc
 
 
 class FileMtAdapter:
@@ -153,8 +157,6 @@ class FileMtAdapter:
     def __init__(self, spec: AdapterSpec, records: Sequence[TranslationRecord] | None = None) -> None:
         self.system_id = spec.system_id
         if records is None:
-            from .model import load_translations
-
             records = load_translations(spec.path)
         self._by_case = {
             r.case_id: r.translation for r in records if r.system_id == self.system_id
@@ -176,15 +178,8 @@ class TranslationCache:
 
     def _load(self, system_id: str) -> dict[str, str]:
         if system_id not in self._maps:
-            entries: dict[str, str] = {}
             path = self._path(system_id)
-            if path.exists():
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        if line.strip():
-                            obj = json.loads(line)
-                            entries[obj["source_sha256"]] = obj["translation"]
-            self._maps[system_id] = entries
+            self._maps[system_id] = _read_cache(path) if path.exists() else {}
         return self._maps[system_id]
 
     @staticmethod
@@ -206,6 +201,25 @@ class TranslationCache:
                 json.dumps({"source_sha256": key, "translation": translation}, ensure_ascii=False)
                 + "\n"
             )
+
+
+def _read_cache(path: Path) -> dict[str, str]:
+    """Read one system's cache file, truncating a torn last line.
+
+    An interrupted `put` leaves an unterminated last line; cutting it keeps
+    the next append on a line of its own. Any other bad line is an error.
+    """
+    try:
+        pairs = _load_records(path, lambda d: (d["source_sha256"], d["translation"]))
+        return dict(pair for _, pair in pairs)
+    except SuiteLoadError:
+        data = path.read_bytes()
+        keep = data.rfind(b"\n") + 1
+        if keep == len(data):
+            raise
+        log.warning("%s: dropping a torn last line; its entry will be re-translated", path)
+        os.truncate(path, keep)
+        return _read_cache(path)
 
 
 @dataclass(frozen=True)
@@ -575,6 +589,17 @@ class CandidateEdit:
     value: str
     add: tuple[str, ...] = ()
     remove: tuple[str, ...] = ()
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "CandidateEdit":
+        add, remove = d.get("add", []), d.get("remove", [])
+        if not isinstance(add, list) or not isinstance(remove, list):
+            raise TypeError("'add'/'remove' must be lists")
+        return cls(
+            value=str(d["value"]),
+            add=tuple(str(x) for x in add),
+            remove=tuple(str(x) for x in remove),
+        )
 
 
 def apply_candidate_edits(

@@ -100,6 +100,23 @@ class TestCandidates:
         )
         assert summary["unanswerable"] == ["Anna Maier"]
 
+    def test_empty_after_parse_value_flagged(self, workspace, tmp_path, capsys):
+        run_cli("generate", "--config", str(workspace))
+        config = load_config(str(workspace))
+        names = config.property_by_id("names")
+        key_prompt = render_candidate_prompt(names, "Anna Maier")
+        write_replay_responses(tmp_path / "replays", key_prompt, [" | | "])
+        assert run_cli("candidates", "--config", str(workspace), "--property", "names") == 0
+        out = capsys.readouterr().out
+        assert "empty after parse for 1 values: Anna Maier" in out
+        summary = json.loads(
+            (config.property_dir("names") / "candidates_summary.json").read_text()
+        )
+        assert summary["empty_after_parse"] == ["Anna Maier"]
+        assert "Anna Maier" not in load_candidates(
+            config.property_dir("names") / "candidates.jsonl"
+        )
+
     def test_requires_suite(self, workspace, capsys):
         assert run_cli("candidates", "--config", str(workspace)) == 1
         assert "generate" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from mtbehave.cli import main
 from mtbehave.config import derive_seed, load_config, packaged_template, resolve_config_path
 from mtbehave.errors import ConfigError
 from mtbehave.providers import HashEmbedder, ReplayProvider
@@ -94,6 +95,24 @@ systems:"""
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "absent.yaml"))
+
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("command: cat", "command: cat\n    batch_size: x", "batch_size"),
+            ("stats: {k: 150, alpha: 0.1}", "stats: {k: lots}", "k"),
+            ("seed: 3", "seed: five", "seed"),
+            ("command: cat", "command: cat\n    language_pair: 7", "language_pair"),
+            ("replay_dir: replays}", "replay_dir: replays, temperature: hot}", "temperature"),
+            ("seed: 3", 'seed: 3\ndetection: {token_boundary: "false"}', "token_boundary"),
+        ],
+        ids=["batch_size", "k", "seed", "language_pair", "temperature", "token_boundary"],
+    )
+    def test_wrong_type_exits_1_naming_the_key(self, tmp_path, capsys, old, new, key):
+        path = write_config(tmp_path, MINIMAL.replace(old, new, 1))
+        assert main(["diversity", "--config", str(path)]) == 1
+        assert repr(key) in capsys.readouterr().err
 
 
 class TestProvidersFromConfig:

@@ -180,6 +180,21 @@ class TestSuiteIO:
         with pytest.raises(SuiteLoadError, match=":2"):
             load_suite(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            json.dumps({**make_case().to_dict(), "value_span": 5}).encode(),
+            json.dumps({**make_case().to_dict(), "value_span": [1]}).encode(),
+            "{\"id\": \"f\u00fc".encode()[:-1],  # torn inside the two-byte "ü"
+        ],
+        ids=["span-not-a-list", "span-too-short", "torn-utf8"],
+    )
+    def test_malformed_record_is_a_load_error(self, tmp_path, line):
+        path = tmp_path / "suite.jsonl"
+        path.write_bytes(line + b"\n")
+        with pytest.raises(SuiteLoadError, match=":1"):
+            load_suite(path)
+
     def test_invariant_violation_names_case(self, tmp_path):
         path = tmp_path / "suite.jsonl"
         row = make_case().to_dict()

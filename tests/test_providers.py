@@ -170,6 +170,12 @@ class TestHttpEmbedder:
         with pytest.raises(ProviderError, match="dim"):
             embedder.embed(["a", "b"])
 
+    def test_body_without_vectors_rejected(self):
+        session = StubSession([StubResponse({"error": "quota"})])
+        embedder = HttpEmbedder("http://emb/embed", session=session)
+        with pytest.raises(ProviderError, match="vectors"):
+            embedder.embed(["a"])
+
     def test_retries_transport_errors(self):
         session = StubSession(
             [requests.ConnectionError("down"), StubResponse({"vectors": [[1.0]], "dim": 1})]

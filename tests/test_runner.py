@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-
-from mtbehave.errors import AdapterError, ConfigError, DataInvariantError
+import mtbehave.providers as providers
+from mtbehave.errors import AdapterError, ConfigError, DataInvariantError, SuiteLoadError
 from mtbehave.metrics import ResampleConfig
 from mtbehave.model import (
     CandidateSet,
@@ -117,6 +118,30 @@ class TestTranslateAll:
         translate_all(SUITE, other, cache)
         assert other.calls == 1
 
+    @pytest.mark.parametrize("cut", [2, 12], ids=["mid-json", "mid-utf8"])
+    def test_torn_cache_tail_is_dropped_and_retranslated(self, tmp_path, caplog, cut):
+        def german(source):
+            return source + " übersetzt"
+
+        translate_all(SUITE, CountingAdapter(fn=german), TranslationCache(tmp_path))
+        path = tmp_path / "fixture.jsonl"
+        path.write_bytes(path.read_bytes()[:-cut])  # an append interrupted mid-entry
+        adapter = CountingAdapter(fn=german)
+        result = translate_all(SUITE, adapter, TranslationCache(tmp_path))
+        assert adapter.calls == 1 and result.failures == []
+        assert "torn" in caplog.text
+        fresh = TranslationCache(tmp_path)
+        assert [fresh.get("fixture", c.source) for c in SUITE] == [german(c.source) for c in SUITE]
+
+    def test_malformed_cache_line_is_a_load_error(self, tmp_path):
+        translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
+        path = tmp_path / "fixture.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[0] = lines[0][:-3]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(SuiteLoadError, match=":1"):
+            translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
+
     def test_adapter_error_records_all_pending(self):
         class Broken(CountingAdapter):
             def translate(self, sources):
@@ -168,6 +193,19 @@ class TestCommandAdapter:
         with pytest.raises(AdapterError, match="lines"):
             adapter.translate(["a", "b", "c"])
 
+    def test_line_breaks_inside_a_source_are_flattened(self):
+        adapter = CommandMtAdapter(AdapterSpec(system_id="id", kind="command", command="cat"))
+        assert adapter.translate(["a\rb", "def"]) == ["a b", "def"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.text(), min_size=1, max_size=4))
+    def test_cat_round_trips_any_unicode(self, sources):
+        def flattened(text):
+            return "".join(" " if len(f"a{ch}b".splitlines()) > 1 else ch for ch in text)
+
+        adapter = CommandMtAdapter(AdapterSpec(system_id="id", kind="command", command="cat"))
+        assert adapter.translate(sources) == [flattened(s) for s in sources]
+
     def test_missing_binary(self):
         adapter = CommandMtAdapter(
             AdapterSpec(system_id="none", kind="command", command="definitely-not-a-binary-xyz")
@@ -197,13 +235,25 @@ class TestHttpAdapter:
         assert session.calls[0]["json"] == {"texts": ["one", "two"], "src": "en", "tgt": "de"}
         assert session.calls[1]["json"] == {"texts": ["three"], "src": "en", "tgt": "de"}
 
-    def test_failed_batch_yields_nones(self):
+    def test_failed_batch_yields_nones(self, monkeypatch):
         import requests
 
+        delays = []
+        monkeypatch.setattr(providers.time, "sleep", delays.append)
         session = StubSession([requests.ConnectionError("down")] * 3)
         spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=8)
         adapter = HttpMtAdapter(spec, session=session)
         assert adapter.translate(["a", "b"]) == [None, None]
+        assert delays == [0.5, 1.0]
+
+    def test_body_without_translations_yields_nones(self):
+        session = StubSession(
+            [StubResponse({"error": "quota"}), StubResponse({"translations": ["drei"]})]
+        )
+        spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=2)
+        adapter = HttpMtAdapter(spec, session=session)
+        assert adapter.translate(["one", "two", "three"]) == [None, None, "drei"]
+        assert len(session.calls) == 2  # a malformed body is not retried
 
 
 UNIT_CANDIDATES = {
