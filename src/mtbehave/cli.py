@@ -380,7 +380,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report_path = Path(args.report)
     if not report_path.exists():
         raise ConfigError(f"report file {report_path} not found")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    try:
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DataInvariantError(f"{report_path}: not a JSON report ({exc})") from exc
+    if not isinstance(report, dict):
+        raise DataInvariantError(f"{report_path}: expected a JSON object at the top level")
     properties = report.get("properties", {})
     if args.property:
         missing = [p for p in args.property if p not in properties]
@@ -508,6 +513,8 @@ def _load_edits(path: Path) -> list[CandidateEdit]:
 
 
 def _review_tallies(path: Path) -> dict:
+    if not path.exists():
+        raise ConfigError(f"review file {path} not found")
     annotated = [r for _, r in _iter_jsonl(path) if str(r.get("annotation", "")).strip()]
     fp = sum(1 for r in annotated if r.get("pass") and r["annotation"].lower() == "incorrect")
     fn = sum(1 for r in annotated if not r.get("pass") and r["annotation"].lower() == "incorrect")
@@ -525,6 +532,8 @@ def cmd_apply_edits(args: argparse.Namespace) -> int:
     prop_dir = config.property_dir(spec.id)
     candidates = _load_property_candidates(config, spec.id)
     edits = _load_edits(Path(args.edits))
+    # Read the review before any edit is saved, so a bad --review changes nothing.
+    tallies = _review_tallies(Path(args.review)) if args.review else None
     updated, audit = apply_candidate_edits(candidates, edits)
     save_candidates(updated.values(), prop_dir / "candidates.jsonl")
     if audit:
@@ -532,8 +541,7 @@ def cmd_apply_edits(args: argparse.Namespace) -> int:
             for line in audit:
                 fh.write(line + "\n")
     print(f"{spec.id}: applied {len(edits)} edits ({len(audit)} changes)")
-    if args.review:
-        tallies = _review_tallies(Path(args.review))
+    if tallies is not None:
         print(
             f"annotated review: FP {tallies['fp']}/{tallies['annotated_passes']} passes, "
             f"FN {tallies['fn']}/{tallies['annotated_fails']} fails"

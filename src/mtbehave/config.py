@@ -55,6 +55,8 @@ class LlmConfig:
             raise ConfigError("llm provider kind 'http' requires a url")
         if self.kind == "replay" and not self.replay_dir:
             raise ConfigError("llm provider kind 'replay' requires a replay_dir")
+        if self.temperature < 0:
+            raise ConfigError(f"providers.llm: 'temperature' must be >= 0, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,8 @@ class EmbedderConfig:
             )
         if self.kind == "http" and not self.url:
             raise ConfigError("embedder kind 'http' requires a url")
+        if self.dim < 1:
+            raise ConfigError(f"providers.embedder: 'dim' must be >= 1, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -317,4 +321,8 @@ def load_config(path_spec: str, overrides: Mapping[str, Any] | None = None) -> R
         raise ConfigError("seed must be >= 0")
     if config.target_count < 1:
         raise ConfigError("target_count must be >= 1")
+    if config.k < 1:
+        raise ConfigError(f"stats: 'k' must be >= 1, got {config.k}")
+    if not 0.0 < config.alpha < 1.0:
+        raise ConfigError(f"stats: 'alpha' must be in (0, 1), got {config.alpha}")
     return config

@@ -7,7 +7,7 @@ system comparison from joint (paired) resampling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +48,10 @@ class Sample:
     """Pass/fail sample: ordered (property value, pass bit) entries."""
 
     entries: tuple[tuple[str, int], ...]
+    # (shared resamples, row) for samples made by `cohort`.
+    _shared: tuple["_Resamples", int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         entries = tuple((str(v), int(p)) for v, p in self.entries)
@@ -59,6 +63,21 @@ class Sample:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "Sample":
         return cls(entries=tuple(pairs))
+
+    @classmethod
+    def cohort(cls, values: Sequence[str], rows: Sequence[Sequence[int]]) -> list["Sample"]:
+        """One sample per row of pass bits, all over the same ordered `values`.
+
+        The samples share their bootstrap resamples: the first CI or paired
+        comparison over any of them resamples every row in one walk of the k
+        streams, and later calls with the same k and seed reuse the result.
+        """
+        values = [str(v) for v in values]
+        samples = [cls.from_pairs(zip(values, row, strict=True)) for row in rows]
+        shared = _Resamples(values, [s.passes() for s in samples])
+        for row, sample in enumerate(samples):
+            object.__setattr__(sample, "_shared", (shared, row))
+        return samples
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -100,18 +119,81 @@ def _codes(values: Sequence[str]) -> tuple[np.ndarray, int]:
     return codes.astype(np.int64), len(uniq)
 
 
-def _mpr_from_codes(codes: np.ndarray, passes: np.ndarray, n_values: int) -> float:
-    sums = np.bincount(codes, weights=passes, minlength=n_values)
-    counts = np.bincount(codes, minlength=n_values)
-    mask = counts > 0
-    return float(np.mean(sums[mask] / counts[mask]))
-
-
 def _resample_rng(seed: int, index: int) -> np.random.Generator:
     # One generator per resample, keyed by (seed, index), so parallel and
     # serial computations of the same bootstrap agree bit-for-bit. Plain
     # seed^index would make nearby seeds permute the same resample set.
     return np.random.default_rng([seed, index])
+
+
+def resampled_mprs(
+    values: Sequence[str], passes: Sequence[Sequence[int]], cfg: ResampleConfig
+) -> np.ndarray:
+    """The (S, k) bootstrap macro pass rates of S pass rows over one value sequence.
+
+    Resample i draws one index vector from the (cfg.seed, i) stream and applies
+    it to every row, so the S systems of a property are resampled jointly, as
+    paired comparisons need. Values absent from a resample drop out of that
+    resample's denominator. Resamples are drawn one at a time, so memory is
+    O(S * n) rather than O(k * n).
+    """
+    codes, n_values = _codes(values)
+    passes = np.asarray(passes, dtype=np.float64)
+    n_rows, n = passes.shape
+    # Row s's codes are offset into bins [s * n_values, (s + 1) * n_values), so
+    # one bincount sums every row; row 0 holds the plain codes.
+    coded = codes + (np.arange(n_rows) * n_values)[:, None]
+    totals = np.empty((n_rows, cfg.k), dtype=np.float64)
+    present_values = np.empty(cfg.k, dtype=np.int64)
+    for i in range(cfg.k):
+        idx = _resample_rng(cfg.seed, i).integers(0, n, size=n)
+        coded_i = coded.take(idx, axis=1)
+        counts = np.bincount(coded_i[0], minlength=n_values)
+        present = counts > 0
+        sums = np.bincount(
+            coded_i.ravel(), weights=passes.take(idx, axis=1).ravel(),
+            minlength=n_rows * n_values,
+        )
+        ratios = sums.reshape(n_rows, n_values)[:, present] / counts[present]
+        # np.mean of a 1-D float array is np.add.reduce over it divided by its
+        # length. Reducing each contiguous row on its own keeps the summation
+        # order of a single system's resample; a 2-D reduce may differ in the
+        # last bit.
+        for row in range(n_rows):
+            totals[row, i] = np.add.reduce(ratios[row])
+        present_values[i] = ratios.shape[1]
+    return totals / present_values
+
+
+class _Resamples:
+    """The resampled MPRs of a cohort of samples, kept for the last (k, seed)."""
+
+    def __init__(self, values: list[str], passes: list[list[int]]) -> None:
+        self.values = values
+        self.passes = passes
+        self._key: tuple[int, int] | None = None
+        self._mprs = np.empty((0, 0))
+
+    def mprs(self, cfg: ResampleConfig) -> np.ndarray:
+        key = (cfg.k, cfg.seed)
+        if key != self._key:
+            self._mprs = resampled_mprs(self.values, self.passes, cfg)
+            self._mprs.flags.writeable = False
+            self._key = key
+        return self._mprs
+
+
+def _resampled(samples: Sequence[Sample], cfg: ResampleConfig) -> np.ndarray:
+    """Each sample's k resampled MPRs, one row per sample.
+
+    Samples of one cohort read its shared walk; others are resampled jointly here.
+    """
+    shared = samples[0]._shared
+    if shared is not None and all(
+        s._shared is not None and s._shared[0] is shared[0] for s in samples
+    ):
+        return shared[0].mprs(cfg)[[s._shared[1] for s in samples]]
+    return resampled_mprs(samples[0].values(), [s.passes() for s in samples], cfg)
 
 
 def bootstrap_ci(sample: Sample, cfg: ResampleConfig) -> Interval:
@@ -123,13 +205,7 @@ def bootstrap_ci(sample: Sample, cfg: ResampleConfig) -> Interval:
     given (sample order, cfg.seed, cfg.k).
     """
     _require_nonempty(sample)
-    n = len(sample)
-    codes, n_values = _codes(sample.values())
-    passes = np.asarray(sample.passes(), dtype=np.float64)
-    stats = np.empty(cfg.k, dtype=np.float64)
-    for i in range(cfg.k):
-        idx = _resample_rng(cfg.seed, i).integers(0, n, size=n)
-        stats[i] = _mpr_from_codes(codes[idx], passes[idx], n_values)
+    stats = _resampled([sample], cfg)[0]
     lo, hi = np.quantile(stats, [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0], method="linear")
     return Interval(float(lo), float(hi))
 
@@ -155,23 +231,10 @@ def paired_bootstrap(a: Sample, b: Sample, cfg: ResampleConfig) -> PairedResult:
     _require_nonempty(b)
     if a.values() != b.values():
         raise DataInvariantError("paired bootstrap requires identical case/value sequences")
-    n = len(a)
-    codes, n_values = _codes(a.values())
-    passes_a = np.asarray(a.passes(), dtype=np.float64)
-    passes_b = np.asarray(b.passes(), dtype=np.float64)
-    wins_a = wins_b = 0.0
-    for i in range(cfg.k):
-        idx = _resample_rng(cfg.seed, i).integers(0, n, size=n)
-        codes_i = codes[idx]
-        mpr_a = _mpr_from_codes(codes_i, passes_a[idx], n_values)
-        mpr_b = _mpr_from_codes(codes_i, passes_b[idx], n_values)
-        if mpr_a > mpr_b:
-            wins_a += 1.0
-        elif mpr_b > mpr_a:
-            wins_b += 1.0
-        else:
-            wins_a += 0.5
-            wins_b += 0.5
+    mpr_a, mpr_b = _resampled([a, b], cfg)
+    ties = 0.5 * int(np.count_nonzero(mpr_a == mpr_b))
+    wins_a = int(np.count_nonzero(mpr_a > mpr_b)) + ties
+    wins_b = int(np.count_nonzero(mpr_b > mpr_a)) + ties
     if wins_a > wins_b:
         winner: str | None = "a"
     elif wins_b > wins_a:

@@ -139,9 +139,12 @@ def _extract_text(body: dict) -> str:
     raise ProviderError(f"could not find completion text in response keys {sorted(body)}")
 
 
+_REPLAY_KEY_LEN = 16
+
+
 def replay_key(prompt: str) -> str:
     """Filename key under which a replay response for `prompt` is stored."""
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:_REPLAY_KEY_LEN]
 
 
 class ReplayProvider:
@@ -149,19 +152,23 @@ class ReplayProvider:
 
     Files are named `<replay_key(prompt)>.<seq>.txt`; repeated calls with the
     same prompt consume the sequence in sorted order and then stick on the
-    last file.
+    last file. The directory is listed once, when the provider is made, so
+    files added later are not seen by this provider.
     """
 
     def __init__(self, directory: Path | str) -> None:
         self.directory = Path(directory)
         if not self.directory.is_dir():
             raise ConfigError(f"replay directory {self.directory} does not exist")
+        self._files: dict[str, list[Path]] = {}
+        for path in sorted(self.directory.glob("*.txt")):
+            self._files.setdefault(path.name[:_REPLAY_KEY_LEN], []).append(path)
         self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def complete(self, request: LlmRequest) -> str:
         key = replay_key(request.prompt)
-        files = sorted(self.directory.glob(f"{key}*.txt"))
+        files = self._files.get(key)
         if not files:
             head = request.prompt.splitlines()[0][:60]
             raise ProviderError(

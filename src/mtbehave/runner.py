@@ -75,6 +75,10 @@ class AdapterSpec:
                 f"system {self.system_id}: adapter kind {self.kind!r} needs its "
                 f"{'endpoint' if self.kind == 'http' else self.kind} field"
             )
+        if self.batch_size < 1:
+            raise ConfigError(
+                f"system {self.system_id}: 'batch_size' must be >= 1, got {self.batch_size}"
+            )
         object.__setattr__(self, "language_pair", tuple(self.language_pair))
 
 
@@ -507,14 +511,15 @@ def build_report(
             {k: len(v) for k, v in dropped.items()},
         )
 
-    samples: dict[str, Sample] = {}
+    # One cohort per property: every CI and comparison below reads one shared
+    # walk of the k resamples.
+    cohort = Sample.cohort(
+        [value_of[cid] for cid in ordered_ids],
+        [[int(by_system[s][cid].passed) for cid in ordered_ids] for s in system_ids],
+    )
+    samples = dict(zip(system_ids, cohort))
     stats: list[SystemStats] = []
-    for system_id in system_ids:
-        pairs = [
-            (value_of[cid], int(by_system[system_id][cid].passed)) for cid in ordered_ids
-        ]
-        sample = Sample.from_pairs(pairs)
-        samples[system_id] = sample
+    for system_id, sample in samples.items():
         passes = sum(sample.passes())
         stats.append(
             SystemStats(

@@ -230,6 +230,14 @@ class TestCompare:
         assert "ghost" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("body", ["{bad\n", "[1, 2]\n", '"report"\n', "\xff\n"])
+    def test_malformed_report_exit_3(self, tmp_path, capsys, body):
+        report_path = tmp_path / "report.json"
+        report_path.write_bytes(body.encode("latin-1"))
+        assert run_cli("compare", "--report", str(report_path), "identity", "mangler") == 3
+        assert str(report_path) in capsys.readouterr().err
+
+
 class TestDiversity:
     def test_series_file(self, workspace, capsys):
         run_cli("generate", "--config", str(workspace))
@@ -307,6 +315,25 @@ class TestAnnotateAndApplyEdits:
         run_cli("annotate", "--config", str(workspace), "--run", str(out_dir),
                 "--property", "names", "--system", "identity", "--k", "3")
         assert review_path.read_bytes() == first
+
+    def test_missing_review_file_exit_1_before_any_edit(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        config = load_config(str(workspace))
+        candidates_path = config.property_dir("names") / "candidates.jsonl"
+        before = candidates_path.read_bytes()
+        edits_path = tmp_path / "edits.jsonl"
+        edits_path.write_text(
+            json.dumps({"value": "Rafael Ortega", "add": ["Señor Ortega"]}) + "\n",
+            encoding="utf-8",
+        )
+        missing = tmp_path / "nonexistent.jsonl"
+        assert run_cli(
+            "apply-edits", "--config", str(workspace), "--property", "names",
+            "--edits", str(edits_path), "--review", str(missing),
+        ) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert candidates_path.read_bytes() == before
+        assert not (config.property_dir("names") / "candidates_audit.log").exists()
 
     def test_malformed_edits_line_exit_3(self, workspace, tmp_path, capsys):
         prime(workspace)

@@ -114,6 +114,23 @@ systems:"""
         assert main(["diversity", "--config", str(path)]) == 1
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("replay_dir: replays}", "replay_dir: replays, temperature: -1}", "temperature"),
+            ("command: cat", "command: cat\n    batch_size: 0", "batch_size"),
+            ("dim: 16", "dim: 0", "dim"),
+            ("k: 150", "k: 0", "k"),
+            ("alpha: 0.1", "alpha: 0", "alpha"),
+            ("alpha: 0.1", "alpha: 1.5", "alpha"),
+        ],
+        ids=["temperature", "batch_size", "dim", "k", "alpha_zero", "alpha_above_one"],
+    )
+    def test_out_of_range_exits_1_naming_the_key(self, tmp_path, capsys, old, new, key):
+        path = write_config(tmp_path, MINIMAL.replace(old, new, 1))
+        assert main(["diversity", "--config", str(path)]) == 1
+        assert repr(key) in capsys.readouterr().err
+
 
 class TestProvidersFromConfig:
     def test_replay_and_hash_builders(self, tmp_path):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,13 @@ from mtbehave.metrics import (
     macro_pass_rate,
     paired_bootstrap,
     pass_rate,
+    resampled_mprs,
     trend_fit,
 )
+from mtbehave.model import TestCase, Verdict, parse_bracketed
+from mtbehave.runner import build_report
+
+from conftest import make_spec
 
 
 def bern_sample(rng: random.Random, n: int, p: float, value: str = "v") -> Sample:
@@ -171,6 +177,154 @@ class TestPairedBootstrap:
         b = Sample.from_pairs((v, rng.randint(0, 1)) for v in values)
         cfg = ResampleConfig(k=150, seed=77)
         assert paired_bootstrap(a, b, cfg) == paired_bootstrap(a, b, cfg)
+
+
+def scalar_mprs(values, rows, cfg: ResampleConfig) -> np.ndarray:
+    """Reference: one resample at a time, one system at a time, as the
+    statistics were computed before the resamples were shared."""
+    _, codes = np.unique(np.asarray(values, dtype=object), return_inverse=True)
+    n_values = int(codes.max()) + 1
+    out = np.empty((len(rows), cfg.k))
+    for i in range(cfg.k):
+        idx = np.random.default_rng([cfg.seed, i]).integers(0, len(values), size=len(values))
+        for s, row in enumerate(rows):
+            passes = np.asarray(row, dtype=np.float64)[idx]
+            sums = np.bincount(codes[idx], weights=passes, minlength=n_values)
+            counts = np.bincount(codes[idx], minlength=n_values)
+            mask = counts > 0
+            out[s, i] = float(np.mean(sums[mask] / counts[mask]))
+    return out
+
+
+def scalar_ci(row: np.ndarray, cfg: ResampleConfig) -> Interval:
+    lo, hi = np.quantile(row, [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0], method="linear")
+    return Interval(float(lo), float(hi))
+
+
+def scalar_comparison(row_a: np.ndarray, row_b: np.ndarray, cfg: ResampleConfig):
+    wins_a = wins_b = 0.0
+    for mpr_a, mpr_b in zip(row_a, row_b):
+        if mpr_a > mpr_b:
+            wins_a += 1.0
+        elif mpr_b > mpr_a:
+            wins_b += 1.0
+        else:
+            wins_a += 0.5
+            wins_b += 0.5
+    winner = "a" if wins_a > wins_b else "b" if wins_b > wins_a else None
+    return winner, 1.0 - max(wins_a, wins_b) / cfg.k
+
+
+def random_panel(rng: random.Random, n: int, n_values: int, systems: int):
+    values = [f"v{rng.randrange(n_values)}" for _ in range(n)]
+    rows = [[int(rng.random() < rng.random()) for _ in range(n)] for _ in range(systems)]
+    return values, rows
+
+
+class TestResampledMprs:
+    @pytest.mark.parametrize(
+        "n, n_values, systems",
+        [
+            (1, 1, 1),  # a single entry
+            (5, 1, 3),  # one value: MPR is the plain pass rate
+            (7, 3, 2),  # n < 8: below numpy's unrolled summation block
+            (40, 30, 4),  # most values absent from any one resample
+            (200, 8, 5),  # n_values >= 8
+            (1000, 20, 6),
+            (300, 300, 6),
+        ],
+    )
+    def test_equals_scalar_loop(self, n, n_values, systems):
+        rng = random.Random(n * 1009 + n_values * 31 + systems)
+        values, rows = random_panel(rng, n, n_values, systems)
+        cfg = ResampleConfig(k=60, seed=rng.randrange(2**16))
+        got = resampled_mprs(values, rows, cfg)
+        assert got.shape == (systems, cfg.k)
+        assert np.array_equal(got, scalar_mprs(values, rows, cfg))
+
+    def test_random_shapes_equal_scalar_loop(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            values, rows = random_panel(
+                rng, rng.randint(1, 60), rng.randint(1, 12), rng.randint(1, 6)
+            )
+            cfg = ResampleConfig(k=25, seed=rng.randrange(2**16))
+            assert np.array_equal(
+                resampled_mprs(values, rows, cfg), scalar_mprs(values, rows, cfg)
+            )
+
+    def test_cohort_matches_standalone_samples(self):
+        rng = random.Random(19)
+        values, rows = random_panel(rng, 250, 6, 4)
+        cfg = ResampleConfig(k=150, seed=3)
+        cohort = Sample.cohort(values, rows)
+        alone = [Sample.from_pairs(zip(values, row)) for row in rows]
+        assert cohort == alone
+        for i in range(4):
+            assert bootstrap_ci(cohort[i], cfg) == bootstrap_ci(alone[i], cfg)
+            for j in range(4):
+                assert paired_bootstrap(cohort[i], cohort[j], cfg) == paired_bootstrap(
+                    alone[i], alone[j], cfg
+                )
+        other = ResampleConfig(k=90, seed=4)
+        assert bootstrap_ci(cohort[1], other) == bootstrap_ci(alone[1], other)
+
+    def test_cohort_rows_must_match_values(self):
+        with pytest.raises(ValueError):
+            Sample.cohort(["a", "b"], [[1, 0], [1]])
+
+    def test_memory_is_independent_of_k(self):
+        rng = np.random.default_rng(0)
+        values = [f"v{c}" for c in rng.integers(0, 20, size=1000)]
+        rows = rng.integers(0, 2, size=(6, 1000))
+        cfg = ResampleConfig(k=1000, seed=1)
+        tracemalloc.start()
+        try:
+            resampled_mprs(values, rows, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A materialised (k, n) int64 index matrix alone would be 8 MB.
+        assert peak < 4 * 2**20
+
+
+class TestBuildReportStatistics:
+    def test_equals_per_system_and_per_pair_scalar_statistics(self):
+        rng = random.Random(23)
+        n, systems = 120, 5
+        suite = []
+        for i in range(n):
+            parsed = parse_bracketed(f"It is {i} [u{rng.randrange(7)}] long.")
+            suite.append(TestCase(
+                id=f"units-{i:05d}", property_id="units", raw=parsed.raw,
+                source=parsed.source, value=parsed.value, value_span=parsed.value_span,
+            ))
+        system_ids = [f"sys{s}" for s in range(systems)]
+        rows = [[int(rng.random() < 0.4 + 0.1 * s) for _ in range(n)] for s in range(systems)]
+        verdicts = [
+            Verdict(case_id=case.id, system_id=sid, passed=bool(p))
+            for sid, row in zip(system_ids, rows)
+            for case, p in zip(suite, row)
+        ]
+        cfg = ResampleConfig(k=200, alpha=0.05, seed=13)
+        report = build_report(make_spec(), suite, verdicts, cfg)
+
+        values = [case.value for case in suite]
+        reference = scalar_mprs(values, rows, cfg)
+        assert [s.ci for s in report.systems] == [scalar_ci(r, cfg) for r in reference]
+        assert [s.ci for s in report.systems] == [
+            bootstrap_ci(Sample.from_pairs(zip(values, row)), cfg) for row in rows
+        ]
+        expected = []
+        for i in range(systems):
+            for j in range(i + 1, systems):
+                winner, p_value = scalar_comparison(reference[i], reference[j], cfg)
+                expected.append((
+                    system_ids[i], system_ids[j],
+                    {"a": system_ids[i], "b": system_ids[j], None: None}[winner], p_value,
+                ))
+        got = [(c.a, c.b, c.winner, c.p_value) for c in report.comparisons]
+        assert got == expected
 
 
 def oracle_diversity(sentences: list[str], n: int) -> list[float | None]:

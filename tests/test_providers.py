@@ -1,6 +1,8 @@
 """Provider clients: HTTP contracts (via stub sessions), replay, retries."""
 from __future__ import annotations
 
+import os
+
 import pytest
 import requests
 
@@ -148,6 +150,23 @@ class TestReplayProvider:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ReplayProvider(tmp_path / "nope")
+
+    def test_directory_listed_once(self, tmp_path, monkeypatch):
+        prompts = [f"prompt {i}" for i in range(20)]
+        for prompt in prompts:
+            write_replay_responses(tmp_path, prompt, [prompt.upper(), "again"])
+        scans = []
+        for name in ("scandir", "listdir"):
+            original = getattr(os, name)
+            monkeypatch.setattr(
+                os, name, lambda *a, _f=original, **k: scans.append(a) or _f(*a, **k)
+            )
+        provider = ReplayProvider(tmp_path)
+        for _ in range(3):
+            for prompt in prompts:
+                provider.complete(LlmRequest(prompt=prompt))
+        assert len(scans) == 1
+        assert provider.complete(LlmRequest(prompt="prompt 7")) == "again"
 
     def test_key_is_stable(self):
         assert replay_key("abc") == replay_key("abc")
