@@ -18,7 +18,6 @@ from .errors import (
     DataInvariantError,
     EmptyAfterParseError,
     MtBehaveError,
-    ProviderError,
     UnanswerableValueError,
 )
 from .generation import (
@@ -31,8 +30,9 @@ from .metrics import ResampleConfig, diversity_series, trend_fit
 from .model import (
     CandidateEntry,
     PropertySpec,
-    _iter_jsonl,
     _load_records,
+    _write_atomic,
+    _write_json,
     _write_jsonl,
     load_candidates,
     load_suite,
@@ -60,6 +60,9 @@ log = logging.getLogger(__name__)
 
 class UsageError(MtBehaveError):
     """Raised for bad command lines; mapped to exit code 1."""
+
+    exit_code = 1
+    label = "usage error"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,11 +174,9 @@ def _load_property_candidates(config: RunConfig, prop_id: str) -> dict[str, Cand
     return load_candidates(path)
 
 
-def _write_json(obj, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+def _require_at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise UsageError(f"{flag} must be >= {minimum}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +353,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"[{stat.ci.lo:.3f}, {stat.ci.hi:.3f}] over n={stat.n}"
             )
 
-    run_dir.mkdir(parents=True, exist_ok=True)
     for system_id, records in records_by_system.items():
         save_translations(records, run_dir / "translations" / f"{system_id}.jsonl")
     save_verdicts(all_verdicts, run_dir / "verdicts.jsonl")
     _write_json({"properties": reports}, run_dir / "report.json")
-    report_txt = run_dir / "report.txt"
-    report_txt.write_text("\n".join(report_texts), encoding="utf-8", newline="\n")
+    _write_atomic(
+        run_dir / "report.txt", (("\n" if i else "") + text for i, text in enumerate(report_texts))
+    )
     # Timestamps live here, apart from the report, so re-runs stay byte-identical.
     _write_json(
         {
@@ -380,45 +381,43 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report_path = Path(args.report)
     if not report_path.exists():
         raise ConfigError(f"report file {report_path} not found")
+    # Bad JSON, bad UTF-8 and a report of the wrong shape all fail in here,
+    # on the parse, a lookup or a format spec.
     try:
         report = json.loads(report_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise DataInvariantError(f"{report_path}: not a JSON report ({exc})") from exc
-    if not isinstance(report, dict):
-        raise DataInvariantError(f"{report_path}: expected a JSON object at the top level")
-    properties = report.get("properties", {})
-    if args.property:
-        missing = [p for p in args.property if p not in properties]
-        if missing:
-            raise ConfigError(f"report has no properties {missing}")
-        properties = {p: properties[p] for p in args.property}
-    rows = []
-    for prop_id, prop_report in properties.items():
-        systems = prop_report.get("systems", {})
-        for sys_id in (args.a, args.b):
-            if sys_id not in systems:
-                raise ConfigError(f"property {prop_id!r}: unknown system id {sys_id!r}")
-        found = None
-        for comp in prop_report.get("comparisons", []):
-            if {comp["a"], comp["b"]} == {args.a, args.b}:
-                found = comp
-                break
-        if found is None:
-            raise ConfigError(f"property {prop_id!r}: no comparison between {args.a} and {args.b}")
-        rows.append((prop_id, found))
-    header = f"{'Property':<18}{'Model A':<18}{'Model B':<18}{'Winner':<18}{'p-value':>8}"
-    print(header)
-    for prop_id, comp in rows:
-        winner = comp["winner"] if comp["winner"] is not None else "(tie)"
-        verdict = "significant" if comp["significant"] else "not significant"
-        print(
-            f"{prop_id:<18}{comp['a']:<18}{comp['b']:<18}{winner:<18}"
-            f"{comp['p_value']:>8.3f}  {verdict}"
-        )
+        properties = report.get("properties", {})
+        if args.property:
+            missing = [p for p in args.property if p not in properties]
+            if missing:
+                raise ConfigError(f"report has no properties {missing}")
+            properties = {p: properties[p] for p in args.property}
+        lines = [f"{'Property':<18}{'Model A':<18}{'Model B':<18}{'Winner':<18}{'p-value':>8}"]
+        for prop_id, prop_report in properties.items():
+            systems = prop_report.get("systems", {})
+            for sys_id in (args.a, args.b):
+                if sys_id not in systems:
+                    raise ConfigError(f"property {prop_id!r}: unknown system id {sys_id!r}")
+            comps = prop_report.get("comparisons", [])
+            comp = next((c for c in comps if {c["a"], c["b"]} == {args.a, args.b}), None)
+            if comp is None:
+                raise ConfigError(
+                    f"property {prop_id!r}: no comparison between {args.a} and {args.b}"
+                )
+            winner = comp["winner"] if comp["winner"] is not None else "(tie)"
+            verdict = "significant" if comp["significant"] else "not significant"
+            lines.append(
+                f"{prop_id:<18}{comp['a']:<18}{comp['b']:<18}{winner:<18}"
+                f"{comp['p_value']:>8.3f}  {verdict}"
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataInvariantError(f"{report_path}: malformed report ({exc!r})") from exc
+    print("\n".join(lines))
     return 0
 
 
 def cmd_diversity(args: argparse.Namespace) -> int:
+    _require_at_least("--n", args.n, 1)
+    _require_at_least("--degree", args.degree, 0)
     config = load_config(args.config, _overrides(args))
     props = _select_properties(config, args.property)
     for spec in props:
@@ -445,6 +444,7 @@ def cmd_diversity(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    _require_at_least("--k", args.k, 1)
     config = load_config(args.config, _overrides(args))
     props = _select_properties(config, args.property)
     run_dir = Path(args.run)
@@ -515,10 +515,12 @@ def _load_edits(path: Path) -> list[CandidateEdit]:
 def _review_tallies(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"review file {path} not found")
-    annotated = [r for _, r in _iter_jsonl(path) if str(r.get("annotation", "")).strip()]
-    fp = sum(1 for r in annotated if r.get("pass") and r["annotation"].lower() == "incorrect")
-    fn = sum(1 for r in annotated if not r.get("pass") and r["annotation"].lower() == "incorrect")
-    n_pass = sum(1 for r in annotated if r.get("pass"))
+    # A non-string annotation has no .lower(): a malformed record naming its line.
+    rows = _load_records(path, lambda d: (bool(d.get("pass")), d.get("annotation", "").lower()))
+    annotated = [row for _, row in rows if row[1].strip()]
+    fp = sum(1 for passed, a in annotated if passed and a == "incorrect")
+    fn = sum(1 for passed, a in annotated if not passed and a == "incorrect")
+    n_pass = sum(1 for passed, _ in annotated if passed)
     n_fail = len(annotated) - n_pass
     return {"fp": fp, "fn": fn, "annotated_passes": n_pass, "annotated_fails": n_fail}
 
@@ -551,23 +553,12 @@ def cmd_apply_edits(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", level=logging.WARNING)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ProviderError as exc:
-        print(f"provider error: {exc}", file=sys.stderr)
-        return 2
-    except DataInvariantError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+    except MtBehaveError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

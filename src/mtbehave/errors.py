@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-CLI exit codes map onto this hierarchy: ConfigError -> 1,
-ProviderError (and subclasses) -> 2, DataInvariantError -> 3.
+Each class carries the CLI exit code and the stderr label it ends in:
+ConfigError -> 1, ProviderError (and subclasses) -> 2, every other error -> 3.
 """
 from __future__ import annotations
 
@@ -9,13 +9,22 @@ from __future__ import annotations
 class MtBehaveError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3
+    label = "data error"
+
 
 class ConfigError(MtBehaveError):
     """Invalid configuration or command usage."""
 
+    exit_code = 1
+    label = "error"
+
 
 class ProviderError(MtBehaveError):
     """An LLM or embedding provider failed (after retries)."""
+
+    exit_code = 2
+    label = "provider error"
 
 
 class AdapterError(ProviderError):

@@ -45,24 +45,25 @@ class Interval:
 
 @dataclass(frozen=True)
 class Sample:
-    """Pass/fail sample: ordered (property value, pass bit) entries."""
+    """Pass/fail sample: ordered (property value, pass bit) entries.
+
+    Every sample is row `_row` of a cohort, whose bootstrap resamples it reads.
+    """
 
     entries: tuple[tuple[str, int], ...]
-    # (shared resamples, row) for samples made by `cohort`.
-    _shared: tuple["_Resamples", int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _cohort: "_Resamples" = field(repr=False, compare=False)
+    _row: int = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = tuple((str(v), int(p)) for v, p in self.entries)
-        for _, p in entries:
+        for _, p in self.entries:
             if p not in (0, 1):
                 raise DataInvariantError(f"pass bit must be 0 or 1, got {p}")
-        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "Sample":
-        return cls(entries=tuple(pairs))
+        """A sample that is a cohort of one."""
+        entries = list(pairs)
+        return cls.cohort([v for v, _ in entries], [[p for _, p in entries]])[0]
 
     @classmethod
     def cohort(cls, values: Sequence[str], rows: Sequence[Sequence[int]]) -> list["Sample"]:
@@ -73,11 +74,11 @@ class Sample:
         streams, and later calls with the same k and seed reuse the result.
         """
         values = [str(v) for v in values]
-        samples = [cls.from_pairs(zip(values, row, strict=True)) for row in rows]
-        shared = _Resamples(values, [s.passes() for s in samples])
-        for row, sample in enumerate(samples):
-            object.__setattr__(sample, "_shared", (shared, row))
-        return samples
+        rows = [[int(p) for p in row] for row in rows]
+        shared = _Resamples(values, rows)
+        return [
+            cls(tuple(zip(values, row, strict=True)), shared, i) for i, row in enumerate(rows)
+        ]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -183,19 +184,6 @@ class _Resamples:
         return self._mprs
 
 
-def _resampled(samples: Sequence[Sample], cfg: ResampleConfig) -> np.ndarray:
-    """Each sample's k resampled MPRs, one row per sample.
-
-    Samples of one cohort read its shared walk; others are resampled jointly here.
-    """
-    shared = samples[0]._shared
-    if shared is not None and all(
-        s._shared is not None and s._shared[0] is shared[0] for s in samples
-    ):
-        return shared[0].mprs(cfg)[[s._shared[1] for s in samples]]
-    return resampled_mprs(samples[0].values(), [s.passes() for s in samples], cfg)
-
-
 def bootstrap_ci(sample: Sample, cfg: ResampleConfig) -> Interval:
     """Percentile bootstrap interval for the macro pass rate.
 
@@ -205,7 +193,7 @@ def bootstrap_ci(sample: Sample, cfg: ResampleConfig) -> Interval:
     given (sample order, cfg.seed, cfg.k).
     """
     _require_nonempty(sample)
-    stats = _resampled([sample], cfg)[0]
+    stats = sample._cohort.mprs(cfg)[sample._row]
     lo, hi = np.quantile(stats, [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0], method="linear")
     return Interval(float(lo), float(hi))
 
@@ -231,7 +219,10 @@ def paired_bootstrap(a: Sample, b: Sample, cfg: ResampleConfig) -> PairedResult:
     _require_nonempty(b)
     if a.values() != b.values():
         raise DataInvariantError("paired bootstrap requires identical case/value sequences")
-    mpr_a, mpr_b = _resampled([a, b], cfg)
+    # Resample i's indices depend only on (cfg.seed, i, n), so two samples
+    # from different cohorts are still resampled jointly.
+    mpr_a = a._cohort.mprs(cfg)[a._row]
+    mpr_b = b._cohort.mprs(cfg)[b._row]
     ties = 0.5 * int(np.count_nonzero(mpr_a == mpr_b))
     wins_a = int(np.count_nonzero(mpr_a > mpr_b)) + ties
     wins_b = int(np.count_nonzero(mpr_b > mpr_a)) + ties

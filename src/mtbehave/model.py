@@ -5,7 +5,9 @@ Files are UTF-8, one JSON object per line, LF endings.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
@@ -198,6 +200,8 @@ class ContrastivePair:
             raise DataInvariantError(
                 f"contrastive pair for {self.value!r} needs nonempty correct and foil lists"
             )
+        if any(not c or not c.strip() for c in self.correct + self.foil):
+            raise DataInvariantError(f"contrastive pair for {self.value!r} has a blank entry")
         folded_correct = {_fold(c) for c in self.correct}
         overlap = [f for f in self.foil if _fold(f) in folded_correct]
         if overlap:
@@ -301,8 +305,9 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
 def _load_records(path: Path | str, from_dict: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Yield (line number, from_dict(object)) for each record of a JSONL file.
 
-    A KeyError (missing field), TypeError or ValueError (malformed field) from
-    `from_dict` becomes a SuiteLoadError naming path and line.
+    A KeyError (missing field), AttributeError, TypeError or ValueError
+    (malformed field) from `from_dict` becomes a SuiteLoadError naming path
+    and line.
     """
     path = Path(path)
     for lineno, obj in _iter_jsonl(path):
@@ -310,17 +315,34 @@ def _load_records(path: Path | str, from_dict: Callable[[dict], T]) -> Iterator[
             record = from_dict(obj)
         except KeyError as exc:
             raise SuiteLoadError(f"{path}:{lineno}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise SuiteLoadError(f"{path}:{lineno}: malformed record ({exc})") from exc
         yield lineno, record
 
 
-def _write_jsonl(rows: Iterable[dict], path: Path) -> None:
-    path = Path(path)
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Stream `chunks` into `path` as UTF-8, replacing the file whole or not at all.
+
+    The chunks go to a temporary file next to `path`, which is renamed over it
+    once complete, so an interrupted write leaves the previous file intact.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_jsonl(rows: Iterable[dict], path: Path) -> None:
+    _write_atomic(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+
+
+def _write_json(obj, path: Path) -> None:
+    encoder = json.JSONEncoder(ensure_ascii=False, indent=2)
+    _write_atomic(path, itertools.chain(encoder.iterencode(obj), ["\n"]))
 
 
 def save_suite(cases: Iterable[TestCase], path: Path | str) -> None:

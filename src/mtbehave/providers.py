@@ -29,6 +29,7 @@ DEFAULT_PRESENCE_PENALTY = 2.0
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 0.5
+HTTP_TIMEOUT_S = 120.0
 
 
 @dataclass(frozen=True)
@@ -51,16 +52,33 @@ class LlmProvider(Protocol):
     def complete(self, request: LlmRequest) -> str: ...
 
 
-def _with_retries(call, what: str):
-    """Run `call` with exponential backoff on transport errors."""
+def _post_json(
+    session: requests.Session, url: str, payload: dict, what: str, api_key_env: str = ""
+):
+    """POST `payload` as JSON to `url` and return the decoded response body.
+
+    Every HTTP client of the package goes through here. Transport errors,
+    error statuses and undecodable bodies are retried with exponential
+    backoff; the last failure becomes a ProviderError naming `what` and `url`.
+    """
+    headers = {}
+    if api_key_env:
+        key = os.environ.get(api_key_env)
+        if not key:
+            raise ConfigError(f"environment variable {api_key_env} is not set")
+        headers["Authorization"] = f"Bearer {key}"
     delay = RETRY_BASE_DELAY
     for attempt in range(1, RETRY_ATTEMPTS + 1):
         try:
-            return call()
+            resp = session.post(url, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S)
+            resp.raise_for_status()
+            return resp.json()
         except requests.RequestException as exc:
             if attempt == RETRY_ATTEMPTS:
-                raise ProviderError(f"{what} failed after {attempt} attempts: {exc}") from exc
-            log.warning("%s attempt %d failed (%s); retrying", what, attempt, exc)
+                raise ProviderError(
+                    f"{what} to {url} failed after {attempt} attempts: {exc}"
+                ) from exc
+            log.warning("%s to %s attempt %d failed (%s); retrying", what, url, attempt, exc)
             time.sleep(delay)
             delay *= 2
     raise AssertionError("unreachable")
@@ -72,15 +90,6 @@ def _json_list(body, key: str, url: str) -> list:
     if not isinstance(value, list):
         raise ProviderError(f"{url}: response has no {key!r} list")
     return value
-
-
-def _api_key_header(api_key_env: str) -> dict[str, str]:
-    if not api_key_env:
-        return {}
-    key = os.environ.get(api_key_env)
-    if not key:
-        raise ConfigError(f"environment variable {api_key_env} is not set")
-    return {"Authorization": f"Bearer {key}"}
 
 
 class HttpChatProvider:
@@ -95,13 +104,11 @@ class HttpChatProvider:
         url: str,
         model: str = "",
         api_key_env: str = "",
-        timeout: float = 120.0,
         session: requests.Session | None = None,
     ) -> None:
         self.url = url
         self.model = model
         self.api_key_env = api_key_env
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def complete(self, request: LlmRequest) -> str:
@@ -112,16 +119,8 @@ class HttpChatProvider:
         }
         if self.model:
             payload["model"] = self.model
-        headers = _api_key_header(self.api_key_env)
-
-        def call() -> str:
-            resp = self._session.post(
-                self.url, json=payload, headers=headers, timeout=self.timeout
-            )
-            resp.raise_for_status()
-            return _extract_text(resp.json())
-
-        return _with_retries(call, f"LLM request to {self.url}")
+        body = _post_json(self._session, self.url, payload, "LLM request", self.api_key_env)
+        return _extract_text(body)
 
 
 def _extract_text(body: dict) -> str:
@@ -196,31 +195,22 @@ class HttpEmbedder:
         self,
         url: str,
         api_key_env: str = "",
-        timeout: float = 120.0,
         session: requests.Session | None = None,
     ) -> None:
         self.url = url
         self.api_key_env = api_key_env
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        headers = _api_key_header(self.api_key_env)
-
-        def call() -> list[EmbeddingVector]:
-            resp = self._session.post(
-                self.url, json={"texts": list(texts)}, headers=headers, timeout=self.timeout
-            )
-            resp.raise_for_status()
-            body = resp.json()
-            vectors = [tuple(float(x) for x in v) for v in _json_list(body, "vectors", self.url)]
-            dim = body.get("dim", len(vectors[0]) if vectors else 0)
-            for vec in vectors:
-                if len(vec) != dim:
-                    raise ProviderError(f"vector length {len(vec)} != declared dim {dim}")
-            return vectors
-
-        return _with_retries(call, f"embedding request to {self.url}")
+        body = _post_json(
+            self._session, self.url, {"texts": list(texts)}, "embedding request", self.api_key_env
+        )
+        vectors = [tuple(float(x) for x in v) for v in _json_list(body, "vectors", self.url)]
+        dim = body.get("dim", len(vectors[0]) if vectors else 0)
+        for vec in vectors:
+            if len(vec) != dim:
+                raise ProviderError(f"vector length {len(vec)} != declared dim {dim}")
+        return vectors
 
 
 class HashEmbedder:

@@ -42,7 +42,7 @@ from .model import (
     _load_records,
     load_translations,
 )
-from .providers import _json_list, _with_retries
+from .providers import _json_list, _post_json
 
 log = logging.getLogger(__name__)
 
@@ -99,24 +99,18 @@ class HttpMtAdapter:
             batch = list(sources[start : start + self.batch_size])
             payload = {"texts": batch, "src": src, "tgt": tgt}
             try:
-                translations = _with_retries(
-                    lambda: self._post_batch(payload, len(batch)), f"MT request to {self.endpoint}"
-                )
+                body = _post_json(self._session, self.endpoint, payload, "MT request")
+                translations = [str(t) for t in _json_list(body, "translations", self.endpoint)]
+                if len(translations) != len(batch):
+                    raise AdapterError(
+                        f"{self.endpoint} returned {len(translations)} translations "
+                        f"for {len(batch)} texts"
+                    )
             except ProviderError as exc:
                 log.warning("system %s: batch at %d failed: %s", self.system_id, start, exc)
                 translations = [None] * len(batch)
             out.extend(translations)
         return out
-
-    def _post_batch(self, payload: dict, expected: int) -> list[str]:
-        resp = self._session.post(self.endpoint, json=payload, timeout=120.0)
-        resp.raise_for_status()
-        translations = _json_list(resp.json(), "translations", self.endpoint)
-        if len(translations) != expected:
-            raise AdapterError(
-                f"{self.endpoint} returned {len(translations)} translations for {expected} texts"
-            )
-        return [str(t) for t in translations]
 
 
 class CommandMtAdapter:

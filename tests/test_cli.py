@@ -1,13 +1,18 @@
 """End-to-end CLI: generate -> candidates -> run -> report, offline."""
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import mtbehave
+from mtbehave import cli
 from mtbehave.cli import main
 from mtbehave.config import load_config
+from mtbehave.errors import ConfigError, MtBehaveError, ProviderError
 from mtbehave.generation import render_candidate_prompt
 from mtbehave.model import load_candidates, load_suite, load_verdicts
 from mtbehave.providers import write_replay_responses
@@ -230,7 +235,18 @@ class TestCompare:
         assert "ghost" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("body", ["{bad\n", "[1, 2]\n", '"report"\n', "\xff\n"])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "{bad\n",
+            "[1, 2]\n",
+            '"report"\n',
+            "\xff\n",
+            '{"properties": []}\n',
+            '{"properties": {"p": {"systems": {"identity": {}, "mangler": {}}, '
+            '"comparisons": [{"a": "identity"}]}}}\n',
+        ],
+    )
     def test_malformed_report_exit_3(self, tmp_path, capsys, body):
         report_path = tmp_path / "report.json"
         report_path.write_bytes(body.encode("latin-1"))
@@ -250,6 +266,17 @@ class TestDiversity:
         assert data["series"][0] == 1.0
         assert all(v is None or 0.0 <= v <= 1.0 for v in data["series"])
         assert data["trend"]["degree"] == 2
+
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--degree", "-1")])
+    def test_out_of_range_flag_is_a_usage_error(self, workspace, capsys, flag, value):
+        run_cli("generate", "--config", str(workspace), "--property", "names")
+        capsys.readouterr()
+        assert run_cli(
+            "diversity", "--config", str(workspace), "--property", "names", flag, value
+        ) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {flag} must be >=")
+        config = load_config(str(workspace))
+        assert not (config.property_dir("names") / "diversity.json").exists()
 
     def test_single_sentence_suite(self, workspace, tmp_path):
         run_cli("generate", "--config", str(workspace), "--property", "names", "--target", "1")
@@ -335,6 +362,39 @@ class TestAnnotateAndApplyEdits:
         assert candidates_path.read_bytes() == before
         assert not (config.property_dir("names") / "candidates_audit.log").exists()
 
+    def test_non_string_annotation_exit_3_before_any_edit(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        config = load_config(str(workspace))
+        candidates_path = config.property_dir("names") / "candidates.jsonl"
+        before = candidates_path.read_bytes()
+        edits_path = tmp_path / "edits.jsonl"
+        edits_path.write_text(
+            json.dumps({"value": "Rafael Ortega", "add": ["Señor Ortega"]}) + "\n",
+            encoding="utf-8",
+        )
+        review_path = tmp_path / "review.jsonl"
+        review_path.write_text(
+            '{"pass": true, "annotation": "correct"}\n{"pass": true, "annotation": 1}\n',
+            encoding="utf-8",
+        )
+        assert run_cli(
+            "apply-edits", "--config", str(workspace), "--property", "names",
+            "--edits", str(edits_path), "--review", str(review_path),
+        ) == 3
+        assert f"{review_path}:2" in capsys.readouterr().err
+        assert candidates_path.read_bytes() == before
+
+    def test_annotate_k_below_one_is_a_usage_error(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity",
+                "--out", str(out_dir))
+        capsys.readouterr()
+        assert run_cli("annotate", "--config", str(workspace), "--run", str(out_dir),
+                       "--property", "names", "--system", "identity", "--k", "0") == 1
+        assert capsys.readouterr().err.startswith("usage error: --k must be >= 1")
+        assert not list(out_dir.glob("review_*"))
+
     def test_malformed_edits_line_exit_3(self, workspace, tmp_path, capsys):
         prime(workspace)
         edits_path = tmp_path / "edits.jsonl"
@@ -356,6 +416,46 @@ class TestAnnotateAndApplyEdits:
             "apply-edits", "--config", str(workspace), "--property", "names",
             "--edits", str(edits_path),
         ) == 3
+
+
+def _error_classes() -> list[type]:
+    for module in pkgutil.walk_packages(mtbehave.__path__, "mtbehave."):
+        importlib.import_module(module.name)
+    found, todo = [], [MtBehaveError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(
+        (c for c in set(found) if c.__module__.startswith("mtbehave")), key=lambda c: c.__name__
+    )
+
+
+class TestExitCodes:
+    """Every package error ends in its family's exit code and label, never a traceback."""
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+    def test_every_error_class_is_mapped(self, cls, monkeypatch, capsys):
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_compare", fail)
+        code = main(["compare", "--report", "r.json", "a", "b"])
+        if issubclass(cls, cli.UsageError):
+            expected = (1, "usage error")
+        elif issubclass(cls, ConfigError):
+            expected = (1, "error")
+        elif issubclass(cls, ProviderError):
+            expected = (2, "provider error")
+        else:
+            expected = (3, "data error")
+        err = capsys.readouterr().err
+        assert (code, err) == (expected[0], f"{expected[1]}: {cls('boom')}\n")
+
+    def test_every_family_is_enumerated(self):
+        names = {c.__name__ for c in _error_classes()}
+        assert {"UsageError", "ConfigError", "AdapterError", "SuiteLoadError",
+                "EmptyAfterParseError", "UnanswerableValueError", "NoValueError"} <= names
 
 
 class TestUsage:

@@ -21,6 +21,8 @@ from mtbehave.model import (
     TestCase,
     TranslationRecord,
     Verdict,
+    _write_atomic,
+    _write_jsonl,
     load_candidates,
     load_suite,
     load_translations,
@@ -244,6 +246,62 @@ class TestCandidatesIO:
         path.write_text('{"value": "x"}\n', encoding="utf-8")
         with pytest.raises(SuiteLoadError, match=":1"):
             load_candidates(path)
+
+    def test_non_string_candidate_is_a_load_error(self, tmp_path):
+        path = tmp_path / "candidates.jsonl"
+        path.write_text('{"value": "x", "candidates": [1]}\n', encoding="utf-8")
+        with pytest.raises(SuiteLoadError, match=":1"):
+            load_candidates(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"value": "five", "correct": [""], "foil": ["x"]}',
+            '{"value": "five", "correct": ["fünf"], "foil": ["x", "  "]}',
+        ],
+    )
+    def test_blank_contrastive_entry_rejected(self, tmp_path, line):
+        path = tmp_path / "candidates.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DataInvariantError, match="blank entry"):
+            load_candidates(path)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("existing", [b'{"old": 1}\n', None])
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, existing):
+        path = tmp_path / "out" / "verdicts.jsonl"
+        if existing is not None:
+            path.parent.mkdir()
+            path.write_bytes(existing)
+
+        def rows():
+            yield {"case_id": "a"}
+            yield {"case_id": "b"}
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _write_jsonl(rows(), path)
+        if existing is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == existing
+        assert [p.name for p in path.parent.iterdir()] == ([path.name] if existing else [])
+
+    def test_chunks_are_streamed_into_a_temporary_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"old\n")
+        seen = []
+
+        def chunks():
+            yield "new "
+            seen.append(path.read_bytes())  # the target is untouched mid-write
+            yield "text\n"
+
+        _write_atomic(path, chunks())
+        assert seen == [b"old\n"]
+        assert path.read_bytes() == b"new text\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
 class TestTranslationAndVerdictIO:

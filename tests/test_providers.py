@@ -17,6 +17,7 @@ from mtbehave.providers import (
     replay_key,
     write_replay_responses,
 )
+from mtbehave.runner import AdapterSpec, HttpMtAdapter
 
 
 class StubResponse:
@@ -40,7 +41,7 @@ class StubSession:
         self.calls: list[dict] = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
+        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
@@ -201,6 +202,57 @@ class TestHttpEmbedder:
         )
         embedder = HttpEmbedder("http://emb/embed", session=session)
         assert embedder.embed(["a"]) == [(1.0,)]
+
+
+class TestSharedTransport:
+    """Every HTTP client posts through `providers._post_json`."""
+
+    CLIENTS = {
+        "llm": (
+            lambda session, key_env: HttpChatProvider("http://llm/chat", api_key_env=key_env,
+                                                      session=session),
+            lambda client: client.complete(LlmRequest(prompt="x")),
+            {"text": "ok"},
+        ),
+        "embedder": (
+            lambda session, key_env: HttpEmbedder("http://emb/embed", api_key_env=key_env,
+                                                  session=session),
+            lambda client: client.embed(["a"]),
+            {"vectors": [[1.0]]},
+        ),
+        "mt": (
+            lambda session, key_env: HttpMtAdapter(
+                AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x"), session=session
+            ),
+            lambda client: client.translate(["a"]),
+            {"translations": ["b"]},
+        ),
+    }
+
+    @pytest.mark.parametrize("client", sorted(CLIENTS))
+    def test_constant_timeout_and_key_header(self, client, monkeypatch):
+        make, call, body = self.CLIENTS[client]
+        monkeypatch.setattr(providers, "HTTP_TIMEOUT_S", 7.25)
+        monkeypatch.setenv("TEST_API_KEY", "sekrit")
+        session = StubSession([StubResponse(body)])
+        call(make(session, "TEST_API_KEY"))
+        assert session.calls[0]["timeout"] == 7.25
+        # The MT adapter has no key setting; the LLM and the embedder send theirs.
+        expected = {} if client == "mt" else {"Authorization": "Bearer sekrit"}
+        assert session.calls[0]["headers"] == expected
+
+    @pytest.mark.parametrize("client", sorted(CLIENTS))
+    def test_error_status_retried_with_backoff(self, client, monkeypatch):
+        make, call, body = self.CLIENTS[client]
+        delays = []
+        monkeypatch.setattr(providers.time, "sleep", delays.append)
+        session = StubSession([StubResponse({}, status=503)] * 2 + [StubResponse(body)])
+        call(make(session, ""))
+        assert len(session.calls) == 3
+        assert delays == [0.5, 1.0]
+
+    def test_default_timeout_is_120_s(self):
+        assert providers.HTTP_TIMEOUT_S == 120.0
 
 
 class TestHashEmbedderProperties:
