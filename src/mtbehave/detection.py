@@ -4,21 +4,34 @@ Exhaustive properties use case-insensitive substring matching against the
 candidate set. Contrastive properties compare the translation's n-grams to
 correct and foil candidates via embedding cosine similarity, where n is the
 token count of the candidate under consideration.
+
+Contrastive scoring works on a batch of cases in two phases. The plan
+tokenizes each candidate once, builds each translation's n-grams once per
+distinct n, and collects the distinct texts. `CachedEmbedder` embeds the
+texts it has not stored yet, in chunks of EMBED_BATCH_SIZE, into one array
+of L2-normalized rows. The score phase multiplies a case's gram rows by its
+candidate rows, one product per distinct n, and takes the max over grams. A
+gram whose vector equals the candidate's scores exactly 1.0, and scores are
+clipped to [-1, 1]. `max_sim` and `judge_contrastive` are one-case calls of
+the same kernel.
 """
 from __future__ import annotations
 
-import math
-import threading
 import unicodedata
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .errors import DataInvariantError
-from .model import CandidateSet, ContrastivePair, Verdict
+import numpy as np
+
+from .errors import DataInvariantError, ProviderError
+from .model import CandidateSet, ContrastivePair, TranslationRecord, Verdict
 
 EmbeddingVector = tuple[float, ...]
 
 TOKENIZER_MODES = ("whitespace", "character")
+
+# Texts per inner `embed` call when the store fills missing rows.
+EMBED_BATCH_SIZE = 256
 
 
 class Embedder(Protocol):
@@ -69,6 +82,13 @@ def tokenize(text: str, tok: TokenizerConfig = TokenizerConfig()) -> list[str]:
     return tokens
 
 
+def _windows(toks: list[str], n: int, tok: TokenizerConfig) -> list[str]:
+    sep = "" if tok.mode == "character" else " "
+    if len(toks) < n:
+        return [sep.join(toks)]
+    return [sep.join(toks[i : i + n]) for i in range(len(toks) - n + 1)]
+
+
 def ngrams(text: str, n: int, tok: TokenizerConfig = TokenizerConfig()) -> list[str]:
     """All contiguous n-token windows of text, rejoined as strings.
 
@@ -77,26 +97,7 @@ def ngrams(text: str, n: int, tok: TokenizerConfig = TokenizerConfig()) -> list[
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    toks = tokenize(text, tok)
-    sep = "" if tok.mode == "character" else " "
-    if len(toks) < n:
-        return [sep.join(toks)]
-    return [sep.join(toks[i : i + n]) for i in range(len(toks) - n + 1)]
-
-
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine similarity in [-1, 1]; normalizes regardless of input norms."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    ta, tb = tuple(a), tuple(b)
-    norm_a = sum(x * x for x in ta)
-    norm_b = sum(x * x for x in tb)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("cosine undefined for the zero vector")
-    if ta == tb:
-        return 1.0
-    dot = sum(x * y for x, y in zip(ta, tb))
-    return max(-1.0, min(1.0, dot / math.sqrt(norm_a * norm_b)))
+    return _windows(tokenize(text, tok), n, tok)
 
 
 def _is_word_char(ch: str) -> bool:
@@ -142,27 +143,158 @@ def match_exhaustive(
     return Verdict(case_id=case_id, system_id=system_id, passed=False)
 
 
+class CachedEmbedder:
+    """Array store of embeddings: one L2-normalized row per distinct text.
+
+    `embed` sends the texts not stored yet to the inner embedder in chunks of
+    EMBED_BATCH_SIZE. Rows whose raw vectors are equal share a class id, so
+    equal vectors can score exactly 1.0. A zero or non-finite vector is a
+    ProviderError naming its text.
+    """
+
+    def __init__(self, inner: Embedder) -> None:
+        self._inner = inner
+        self._row: dict[str, int] = {}
+        self._class_of: dict[bytes, int] = {}
+        self._vectors = np.empty((0, 0))
+        self._classes = np.empty(0, dtype=np.intp)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The (m, d) normalized rows, in the order texts were first stored."""
+        return self._vectors[: len(self._row)]
+
+    @property
+    def classes(self) -> np.ndarray:
+        """Per row, the id of its raw vector; equal ids mean equal vectors."""
+        return self._classes[: len(self._row)]
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """Row numbers of `texts` in `vectors`, storing every new text first."""
+        missing = [t for t in dict.fromkeys(texts) if t not in self._row]
+        for start in range(0, len(missing), EMBED_BATCH_SIZE):
+            self._append(missing[start : start + EMBED_BATCH_SIZE], len(missing) - start)
+        return np.fromiter((self._row[t] for t in texts), dtype=np.intp, count=len(texts))
+
+    def _append(self, texts: list[str], pending: int) -> None:
+        """Store the rows of `texts`, the first chunk of `pending` new texts."""
+        vectors = self._inner.embed(texts)
+        if len(vectors) != len(texts):
+            raise DataInvariantError(
+                f"embedder returned {len(vectors)} vectors for {len(texts)} texts"
+            )
+        m = len(self._row)
+        dim = self._vectors.shape[1] if m else len(vectors[0])
+        for vec in vectors:
+            if len(vec) != dim:
+                raise DataInvariantError(f"embedding dim changed from {dim} to {len(vec)}")
+        raw = np.array(vectors, dtype=np.float64) + 0.0  # -0.0 -> 0.0, as tuple equality has it
+        norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+        for i in np.flatnonzero(~(np.isfinite(norms) & (norms > 0))):
+            problem = "all zero" if norms[i] == 0 else "not finite"
+            raise ProviderError(f"embedding of {texts[i]!r} is {problem}")
+        if m + len(texts) > len(self._vectors):
+            # Room for every pending text at once: one copy per `embed` call,
+            # and at least doubling, so many small calls stay linear.
+            capacity = max(m + pending, 2 * len(self._vectors))
+            grown, classes = np.empty((capacity, dim)), np.empty(capacity, dtype=np.intp)
+            if m:
+                grown[:m], classes[:m] = self.vectors, self.classes
+            self._vectors, self._classes = grown, classes
+        self._vectors[m : m + len(texts)] = raw / norms[:, None]
+        for i, text in enumerate(texts):
+            key = raw[i].tobytes()
+            self._classes[m + i] = self._class_of.setdefault(key, len(self._class_of))
+            self._row[text] = m + i
+
+
+def max_sims(
+    translations: Sequence[str],
+    candidates: Sequence[Sequence[str]],
+    embedder: Embedder | CachedEmbedder,
+    tok: TokenizerConfig = TokenizerConfig(),
+) -> np.ndarray:
+    """`max_sim(translations[i], c)` for each i and each c in `candidates[i]`,
+    flattened in that order.
+
+    The batch makes one `embed` call on the store; a plain embedder is
+    wrapped in a store that lives for this call only.
+    """
+    n_of: dict[str, int] = {}
+    ids: dict[str, int] = {}  # distinct text -> its index in the store call
+    cand_ids: list[int] = []
+    plan: list[tuple[list[int], list[int]]] = []  # (gram ids, flat indices of their candidates)
+    for translation, cands in zip(translations, candidates, strict=True):
+        by_n: dict[int, list[int]] = {}
+        for cand in cands:
+            if not cand:
+                raise ValueError("candidate must be nonempty")
+            n = n_of.get(cand)
+            if n is None:
+                n = n_of[cand] = len(tokenize(cand, tok)) or 1
+            by_n.setdefault(n, []).append(len(cand_ids))
+            cand_ids.append(ids.setdefault(cand, len(ids)))
+        toks = tokenize(translation, tok)
+        for n, idx in by_n.items():
+            plan.append(([ids.setdefault(g, len(ids)) for g in _windows(toks, n, tok)], idx))
+    store = embedder if isinstance(embedder, CachedEmbedder) else CachedEmbedder(embedder)
+    rows = store.embed(list(ids))
+    vectors, classes = store.vectors, store.classes
+    cand_rows = rows[cand_ids]
+    out = np.empty(len(cand_ids))
+    for gram_ids, idx in plan:
+        g, c = rows[gram_ids], cand_rows[idx]
+        sims = vectors[g] @ vectors[c].T
+        sims[classes[g][:, None] == classes[c]] = 1.0
+        out[idx] = sims.max(axis=0)
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
 def max_sim(
     translation: str,
     candidate: str,
-    embedder: Embedder,
+    embedder: Embedder | CachedEmbedder,
     tok: TokenizerConfig = TokenizerConfig(),
 ) -> float:
     """Maximum cosine similarity between the candidate and any n-gram of the
     translation, with n equal to the candidate's token count."""
-    if not candidate:
-        raise ValueError("candidate must be nonempty")
-    n = len(tokenize(candidate, tok)) or 1
-    grams = ngrams(translation, n, tok)
-    vectors = embedder.embed([candidate, *grams])
-    cand_vec = vectors[0]
-    return max(cosine(vec, cand_vec) for vec in vectors[1:])
+    return float(max_sims([translation], [[candidate]], embedder, tok)[0])
+
+
+def judge_contrastive_batch(
+    records: Sequence[TranslationRecord],
+    pairs: Sequence[ContrastivePair],
+    embedder: Embedder | CachedEmbedder,
+    tok: TokenizerConfig = TokenizerConfig(),
+) -> list[Verdict]:
+    """One verdict per (record, pair): pass iff the translation is at least
+    as close to the correct candidates as to the foils; ties pass."""
+    if not records:
+        return []
+    sims = max_sims(
+        [r.translation for r in records], [p.correct + p.foil for p in pairs], embedder, tok
+    )
+    bounds: list[int] = []  # where each pair's correct and foil scores start
+    start = 0
+    for pair in pairs:
+        bounds += (start, start + len(pair.correct))
+        start += len(pair.correct) + len(pair.foil)
+    scores = np.maximum.reduceat(sims, bounds).reshape(-1, 2).tolist()
+    return [
+        Verdict(
+            case_id=record.case_id,
+            system_id=record.system_id,
+            passed=sim_correct >= sim_foil,
+            scores=(sim_correct, sim_foil),
+        )
+        for record, (sim_correct, sim_foil) in zip(records, scores, strict=True)
+    ]
 
 
 def judge_contrastive(
     translation: str,
     pair: ContrastivePair,
-    embedder: Embedder,
+    embedder: Embedder | CachedEmbedder,
     tok: TokenizerConfig = TokenizerConfig(),
     *,
     case_id: str = "",
@@ -170,47 +302,5 @@ def judge_contrastive(
 ) -> Verdict:
     """Pass iff the translation is at least as close to the correct
     candidates as to the foils; ties pass."""
-    sim_correct = max(max_sim(translation, c, embedder, tok) for c in pair.correct)
-    sim_foil = max(max_sim(translation, f, embedder, tok) for f in pair.foil)
-    return Verdict(
-        case_id=case_id,
-        system_id=system_id,
-        passed=sim_correct >= sim_foil,
-        scores=(sim_correct, sim_foil),
-    )
-
-
-class CachedEmbedder:
-    """Thread-safe embedding cache keyed by exact text.
-
-    Candidates embed once per suite and grams once per translation; repeat
-    judgements against the same texts never re-hit the provider.
-    """
-
-    def __init__(self, inner: Embedder) -> None:
-        self._inner = inner
-        self._cache: dict[str, EmbeddingVector] = {}
-        self._lock = threading.Lock()
-        self._dim: int | None = None
-
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        with self._lock:
-            missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
-        if missing:
-            vectors = self._inner.embed(missing)
-            if len(vectors) != len(missing):
-                raise DataInvariantError(
-                    f"embedder returned {len(vectors)} vectors for {len(missing)} texts"
-                )
-            with self._lock:
-                for text, vec in zip(missing, vectors):
-                    vec = tuple(vec)
-                    if self._dim is None:
-                        self._dim = len(vec)
-                    elif len(vec) != self._dim:
-                        raise DataInvariantError(
-                            f"embedding dim changed from {self._dim} to {len(vec)}"
-                        )
-                    self._cache[text] = vec
-        with self._lock:
-            return [self._cache[t] for t in texts]
+    record = TranslationRecord(case_id=case_id, system_id=system_id, translation=translation)
+    return judge_contrastive_batch([record], [pair], embedder, tok)[0]

@@ -120,21 +120,29 @@ class HttpChatProvider:
         if self.model:
             payload["model"] = self.model
         body = _post_json(self._session, self.url, payload, "LLM request", self.api_key_env)
-        return _extract_text(body)
+        return _extract_text(body, self.url)
 
 
-def _extract_text(body: dict) -> str:
+def _extract_text(body, url: str) -> str:
+    """The completion text of a decoded chat response body from `url`."""
+    if not isinstance(body, dict):
+        raise ProviderError(f"{url}: response is not a JSON object")
+    places = []
     choices = body.get("choices")
     if choices:
-        first = choices[0]
+        first = choices[0] if isinstance(choices, list) else None
+        if not isinstance(first, dict):
+            raise ProviderError(f"{url}: 'choices' is not a list of objects")
         message = first.get("message")
-        if message and "content" in message:
-            return message["content"]
-        if "text" in first:
-            return first["text"]
-    for key in ("text", "content"):
-        if key in body:
-            return body[key]
+        if isinstance(message, dict):
+            places.append((message, "content"))
+        places.append((first, "text"))
+    places += [(body, "text"), (body, "content")]
+    for place, key in places:
+        if key in place:
+            if not isinstance(place[key], str):
+                raise ProviderError(f"{url}: completion {key!r} is not a string")
+            return place[key]
     raise ProviderError(f"could not find completion text in response keys {sorted(body)}")
 
 
@@ -205,7 +213,16 @@ class HttpEmbedder:
         body = _post_json(
             self._session, self.url, {"texts": list(texts)}, "embedding request", self.api_key_env
         )
-        vectors = [tuple(float(x) for x in v) for v in _json_list(body, "vectors", self.url)]
+        vectors = _json_list(body, "vectors", self.url)
+        for vec in vectors:
+            if not isinstance(vec, list) or any(type(x) not in (int, float) for x in vec):
+                raise ProviderError(f"{self.url}: a vector is not a list of numbers: {vec!r:.80}")
+        try:
+            vectors = [tuple(map(float, v)) for v in vectors]
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ProviderError(f"{self.url}: a vector entry is out of range: {exc}") from exc
+        if len(vectors) != len(texts):
+            raise ProviderError(f"{self.url}: {len(vectors)} vectors for {len(texts)} texts")
         dim = body.get("dim", len(vectors[0]) if vectors else 0)
         for vec in vectors:
             if len(vec) != dim:

@@ -20,7 +20,13 @@ from typing import Mapping, Sequence
 import numpy as np
 import requests
 
-from .detection import CachedEmbedder, Embedder, TokenizerConfig, judge_contrastive, match_exhaustive
+from .detection import (
+    CachedEmbedder,
+    Embedder,
+    TokenizerConfig,
+    judge_contrastive_batch,
+    match_exhaustive,
+)
 from .errors import AdapterError, ConfigError, DataInvariantError, ProviderError, SuiteLoadError
 from .metrics import (
     Interval,
@@ -150,15 +156,25 @@ class CommandMtAdapter:
 
 
 class FileMtAdapter:
-    """Serves precomputed translations from a translations.jsonl file."""
+    """Serves precomputed translations from a translations.jsonl file.
+
+    Two records for the same case of this system are a data error.
+    """
 
     def __init__(self, spec: AdapterSpec, records: Sequence[TranslationRecord] | None = None) -> None:
         self.system_id = spec.system_id
         if records is None:
             records = load_translations(spec.path)
-        self._by_case = {
-            r.case_id: r.translation for r in records if r.system_id == self.system_id
-        }
+        self._by_case: dict[str, str] = {}
+        for r in records:
+            if r.system_id != self.system_id:
+                continue
+            if r.case_id in self._by_case:
+                raise DataInvariantError(
+                    f"{spec.path}: duplicate translation of case {r.case_id!r} "
+                    f"for system {self.system_id!r}"
+                )
+            self._by_case[r.case_id] = r.translation
 
     def translate_cases(self, cases: Sequence[TestCase]) -> list[str | None]:
         return [self._by_case.get(case.id) for case in cases]
@@ -290,13 +306,17 @@ def translate_all(
 
 @dataclass
 class DetectorContext:
-    """Runtime wiring for the detectors."""
+    """Runtime wiring for the detectors.
+
+    The embedder is wrapped in one `CachedEmbedder` on first use, so every
+    `evaluate` sharing this context embeds each text once.
+    """
 
     tokenizer: TokenizerConfig = TokenizerConfig()
-    embedder: Embedder | None = None
+    embedder: Embedder | CachedEmbedder | None = None
     token_boundary: bool = False
 
-    def cached_embedder(self) -> Embedder:
+    def cached_embedder(self) -> CachedEmbedder:
         if self.embedder is None:
             raise ConfigError("contrastive detection requires an embedding provider")
         if not isinstance(self.embedder, CachedEmbedder):
@@ -325,13 +345,15 @@ def evaluate(
 ) -> EvaluationResult:
     """Route each translation to the property's detector.
 
-    Cases whose value has no candidate entry are reported in the result, not
-    silently dropped.
+    Contrastive records are judged together in one batch. Cases whose value
+    has no candidate entry are reported in the result, not silently dropped.
     """
     ctx = ctx or DetectorContext()
     case_by_id = {case.id: case for case in suite}
     missing: dict[str, list[str]] = {}
     verdicts: list[Verdict] = []
+    pending: list[TranslationRecord] = []  # contrastive records, judged after the loop
+    pairs: list[ContrastivePair] = []
     for record in translations:
         case = case_by_id.get(record.case_id)
         if case is None:
@@ -346,27 +368,24 @@ def evaluate(
                     f"value {case.value!r}: exhaustive detector needs a candidate set, "
                     f"got a contrastive pair"
                 )
-            verdict = match_exhaustive(
-                record.translation,
-                entry,
-                token_boundary=ctx.token_boundary,
-                case_id=record.case_id,
-                system_id=record.system_id,
+            verdicts.append(
+                match_exhaustive(
+                    record.translation,
+                    entry,
+                    token_boundary=ctx.token_boundary,
+                    case_id=record.case_id,
+                    system_id=record.system_id,
+                )
             )
         else:
             if not isinstance(entry, ContrastivePair):
                 raise DataInvariantError(
                     f"value {case.value!r}: contrastive detector needs a contrastive pair"
                 )
-            verdict = judge_contrastive(
-                record.translation,
-                entry,
-                ctx.cached_embedder(),
-                ctx.tokenizer,
-                case_id=record.case_id,
-                system_id=record.system_id,
-            )
-        verdicts.append(verdict)
+            pending.append(record)
+            pairs.append(entry)
+    if pending:
+        verdicts = judge_contrastive_batch(pending, pairs, ctx.cached_embedder(), ctx.tokenizer)
     missing_list = [MissingCandidates(v, tuple(ids)) for v, ids in missing.items()]
     if missing_list:
         n_cases = sum(len(m.case_ids) for m in missing_list)

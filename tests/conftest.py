@@ -1,9 +1,12 @@
 """Shared fixtures: deterministic providers and property specs."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from mtbehave.config import packaged_template
+from mtbehave.detection import TokenizerConfig, ngrams, tokenize
 from mtbehave.model import PropertySpec
 from mtbehave.providers import HashEmbedder, LlmRequest
 
@@ -43,6 +46,48 @@ class ConstantEmbedder:
     def embed(self, texts):
         value = 1.0 / self.dim**0.5
         return [tuple([value] * self.dim) for _ in texts]
+
+
+class CountingEmbedder:
+    """Wraps an embedder and records the texts of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[list[str]] = []
+
+    @property
+    def texts_embedded(self) -> int:
+        return sum(map(len, self.calls))
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return self.inner.embed(texts)
+
+
+def reference_cosine(a, b) -> float:
+    """Scalar cosine in [-1, 1] over raw vectors: the reference the batched
+    contrastive kernel is checked against. Equal vectors score exactly 1."""
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    ta, tb = tuple(a), tuple(b)
+    norm_a = sum(x * x for x in ta)
+    norm_b = sum(x * x for x in tb)
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("cosine undefined for the zero vector")
+    if ta == tb:
+        return 1.0
+    dot = sum(x * y for x, y in zip(ta, tb))
+    return max(-1.0, min(1.0, dot / math.sqrt(norm_a * norm_b)))
+
+
+def reference_max_sim(translation, candidate, embedder, tok=TokenizerConfig()) -> float:
+    """Scalar loop: the best reference cosine between the candidate and any of
+    the translation's n-grams, n being the candidate's token count."""
+    n = len(tokenize(candidate, tok)) or 1
+    cand_vec = embedder.embed([candidate])[0]
+    return max(
+        reference_cosine(embedder.embed([g])[0], cand_vec) for g in ngrams(translation, n, tok)
+    )
 
 
 def make_spec(

@@ -10,10 +10,11 @@ import json
 import random
 import time
 
+import pytest
 
 from mtbehave.cli import main
 from mtbehave.config import load_config
-from mtbehave.detection import TokenizerConfig, cosine, judge_contrastive, match_exhaustive, max_sim, ngrams, tokenize
+from mtbehave.detection import TokenizerConfig, judge_contrastive, match_exhaustive, max_sim, ngrams
 from mtbehave.generation import generate_suite, generation_stats
 from mtbehave.metrics import (
     Interval,
@@ -29,7 +30,7 @@ from mtbehave.model import CandidateSet, ContrastivePair, TestCase, TranslationR
 from mtbehave.providers import HashEmbedder
 from mtbehave.runner import CandidateEdit, apply_candidate_edits, evaluate
 
-from conftest import ScriptedLlm, build_offline_workspace, make_spec
+from conftest import ScriptedLlm, build_offline_workspace, make_spec, reference_max_sim
 
 
 def criterion(number: int, name: str):
@@ -112,19 +113,15 @@ def test_algorithm_equivalence():
             foil = foil + " anders"
         pair = ContrastivePair(value="v", correct=(correct,), foil=(foil,))
 
-        def brute(candidate: str) -> float:
-            n = len(tokenize(candidate, tok)) or 1
-            cand_vec = embedder.embed([candidate])[0]
-            return max(
-                cosine(embedder.embed([g])[0], cand_vec) for g in ngrams(translation, n, tok)
-            )
-
-        sim_correct, sim_foil = brute(correct), brute(foil)
-        assert max_sim(translation, correct, embedder, tok) == sim_correct
-        assert max_sim(translation, foil, embedder, tok) == sim_foil
+        # The detector normalizes each vector once, so its scores may differ
+        # from the scalar loop's in the last bits; pass bits must not.
+        sim_correct = reference_max_sim(translation, correct, embedder, tok)
+        sim_foil = reference_max_sim(translation, foil, embedder, tok)
+        assert max_sim(translation, correct, embedder, tok) == pytest.approx(sim_correct, abs=1e-12)
+        assert max_sim(translation, foil, embedder, tok) == pytest.approx(sim_foil, abs=1e-12)
         verdict = judge_contrastive(translation, pair, embedder, tok)
         assert verdict.passed == (sim_correct >= sim_foil)
-        assert verdict.scores == (sim_correct, sim_foil)
+        assert verdict.scores == pytest.approx((sim_correct, sim_foil), abs=1e-12)
         checked_pass += verdict.passed
         checked_fail += not verdict.passed
     assert checked_pass and checked_fail, "fixture must exercise both verdicts"

@@ -3,24 +3,27 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mtbehave.detection import (
+    EMBED_BATCH_SIZE,
     CachedEmbedder,
     TokenizerConfig,
-    cosine,
     judge_contrastive,
+    judge_contrastive_batch,
     match_exhaustive,
     max_sim,
+    max_sims,
     ngrams,
     tokenize,
 )
-from mtbehave.errors import DataInvariantError
-from mtbehave.model import CandidateSet, ContrastivePair
+from mtbehave.errors import DataInvariantError, ProviderError
+from mtbehave.model import CandidateSet, ContrastivePair, TranslationRecord
 from mtbehave.providers import HashEmbedder
 
-from conftest import ConstantEmbedder
+from conftest import ConstantEmbedder, CountingEmbedder, reference_cosine, reference_max_sim
 
 WS = TokenizerConfig()
 CHARS = TokenizerConfig(mode="character")
@@ -137,29 +140,54 @@ class TestTokenizeAndNgrams:
         assert ngrams("", 2, WS) == [""]
 
 
+class VectorEmbedder:
+    """Embeds each text as the vector given for it."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, texts):
+        return [self.vectors[t] for t in texts]
+
+
+def kernel_cosine(a, b) -> float:
+    """Cosine of two vectors as the contrastive kernel computes it: the
+    one-token translation "a" against the one-token candidate "b"."""
+    return max_sim("a", "b", VectorEmbedder({"a": a, "b": b}))
+
+
 class TestCosine:
     def test_identical_is_exactly_one(self):
         v = (0.3, -0.4, 0.5)
-        assert cosine(v, v) == 1.0
+        assert kernel_cosine(v, v) == 1.0
+        assert max_sim("a", "a", VectorEmbedder({"a": v})) == 1.0
 
     def test_orthogonal_is_zero(self):
-        assert cosine((1.0, 0.0), (0.0, 1.0)) == 0.0
+        assert kernel_cosine((1.0, 0.0), (0.0, 1.0)) == 0.0
 
     def test_opposite_is_minus_one(self):
         v = (0.6, -0.8)
-        assert cosine(v, tuple(-x for x in v)) == -1.0
+        assert kernel_cosine(v, tuple(-x for x in v)) == -1.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine((1.0,), (1.0, 2.0))
+        with pytest.raises(DataInvariantError, match="dim"):
+            kernel_cosine((1.0,), (1.0, 2.0))
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine((0.0, 0.0), (1.0, 0.0))
+        with pytest.raises(ProviderError, match="all zero"):
+            kernel_cosine((0.0, 0.0), (1.0, 0.0))
 
     def test_scale_invariant(self):
         a, b = (1.0, 2.0, 3.0), (0.5, -1.0, 2.0)
-        assert cosine(a, b) == pytest.approx(cosine(tuple(4 * x for x in a), b), abs=1e-12)
+        assert kernel_cosine(a, b) == pytest.approx(kernel_cosine(tuple(4 * x for x in a), b), abs=1e-12)
+        assert kernel_cosine(a, b) == pytest.approx(reference_cosine(a, b), abs=1e-12)
+
+    def test_clipped_to_unit_interval(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            a = tuple(rng.uniform(-1, 1) for _ in range(3))
+            b = tuple(x * rng.choice((1.0, -1.0)) + rng.uniform(-1e-9, 1e-9) for x in a)
+            assert -1.0 <= kernel_cosine(a, b) <= 1.0
 
 
 class TestMaxSim:
@@ -170,11 +198,11 @@ class TestMaxSim:
         assert max_sim("ich wünsche dir viel Glück heute", "viel Glück", hash_embedder) == 1.0
 
     def test_short_translation_uses_whole_text(self, hash_embedder):
-        brute = cosine(
+        brute = reference_cosine(
             hash_embedder.embed(["kurz"])[0],
             hash_embedder.embed(["drei lange Wörter"])[0],
         )
-        assert max_sim("kurz", "drei lange Wörter", hash_embedder) == brute
+        assert max_sim("kurz", "drei lange Wörter", hash_embedder) == pytest.approx(brute, abs=1e-12)
 
     def test_equals_brute_force_randomized(self, hash_embedder):
         rng = random.Random(7)
@@ -182,17 +210,19 @@ class TestMaxSim:
         for _ in range(300):
             translation = " ".join(rng.choice(words) for _ in range(rng.randint(0, 8)))
             candidate = " ".join(rng.choice(words) for _ in range(rng.randint(1, 4)))
-            n = len(tokenize(candidate, WS))
-            cand_vec = hash_embedder.embed([candidate])[0]
-            brute = max(
-                cosine(hash_embedder.embed([g])[0], cand_vec)
-                for g in ngrams(translation, n, WS)
-            )
-            assert max_sim(translation, candidate, hash_embedder) == brute
+            brute = reference_max_sim(translation, candidate, hash_embedder, WS)
+            assert max_sim(translation, candidate, hash_embedder) == pytest.approx(brute, abs=1e-12)
 
     def test_empty_candidate_rejected(self, hash_embedder):
         with pytest.raises(ValueError):
             max_sim("text", "", hash_embedder)
+
+    def test_batch_equals_one_item_calls(self, hash_embedder):
+        translations = ["viel Glück heute", "", "brich dir ein Bein", "Glück"]
+        candidates = [["viel Glück", "Bein"], ["Glück"], ["dir ein Bein", "x"], ["a b c d"]]
+        batch = max_sims(translations, candidates, hash_embedder)
+        single = [max_sim(t, c, hash_embedder) for t, cs in zip(translations, candidates) for c in cs]
+        assert batch.tolist() == pytest.approx(single, abs=1e-12)
 
 
 class TestJudgeContrastive:
@@ -262,17 +292,8 @@ class TestHashEmbedder:
 
 
 class TestCachedEmbedder:
-    class CountingEmbedder:
-        def __init__(self):
-            self.inner = HashEmbedder(dim=8)
-            self.texts_embedded = 0
-
-        def embed(self, texts):
-            self.texts_embedded += len(texts)
-            return self.inner.embed(texts)
-
     def test_each_text_embedded_once(self):
-        counting = self.CountingEmbedder()
+        counting = CountingEmbedder(HashEmbedder(dim=8))
         cached = CachedEmbedder(counting)
         cached.embed(["a", "b", "a"])
         assert counting.texts_embedded == 2
@@ -280,9 +301,14 @@ class TestCachedEmbedder:
         assert counting.texts_embedded == 3
 
     def test_results_match_inner(self):
-        counting = self.CountingEmbedder()
+        counting = CountingEmbedder(HashEmbedder(dim=8))
         cached = CachedEmbedder(counting)
-        assert cached.embed(["x", "y"]) == HashEmbedder(dim=8).embed(["x", "y"])
+        rows = cached.embed(["x", "y", "x"])
+        assert rows.tolist() == [0, 1, 0]
+        inner = np.array(HashEmbedder(dim=8).embed(["x", "y"]))
+        expected = inner / np.linalg.norm(inner, axis=1, keepdims=True)
+        np.testing.assert_allclose(cached.vectors[rows[:2]], expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(cached.vectors, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_dim_change_rejected(self):
         class Changing:
@@ -298,3 +324,67 @@ class TestCachedEmbedder:
         cached.embed(["a"])
         with pytest.raises(DataInvariantError):
             cached.embed(["b"])
+
+    def test_filled_in_chunks(self):
+        counting = CountingEmbedder(HashEmbedder(dim=8))
+        cached = CachedEmbedder(counting)
+        texts = [f"t{i}" for i in range(2 * EMBED_BATCH_SIZE + 1)]
+        assert cached.embed(texts).tolist() == list(range(len(texts)))
+        assert [len(c) for c in counting.calls] == [EMBED_BATCH_SIZE, EMBED_BATCH_SIZE, 1]
+        cached.embed(texts[::-1])
+        assert len(counting.calls) == 3
+
+    def test_equal_vectors_share_a_class(self):
+        cached = CachedEmbedder(
+            VectorEmbedder({"a": (1.0, 2.0), "b": (1.0, 2.0), "c": (2.0, 4.0), "d": (-0.0, 1.0),
+                            "e": (0.0, 1.0)})
+        )
+        rows = cached.embed(["a", "b", "c", "d", "e"])
+        classes = cached.classes[rows].tolist()
+        assert classes[0] == classes[1] != classes[2]
+        assert classes[3] == classes[4]
+
+    def test_wrong_vector_count_rejected(self):
+        class Short:
+            def embed(self, texts):
+                return [(1.0,)]
+
+        with pytest.raises(DataInvariantError, match="1 vectors for 2 texts"):
+            CachedEmbedder(Short()).embed(["a", "b"])
+
+    @pytest.mark.parametrize(
+        "vector, problem",
+        [((0.0, 0.0), "all zero"), ((float("nan"), 1.0), "not finite"),
+         ((float("inf"), 1.0), "not finite"), ((1e200, 1e200), "not finite")],
+    )
+    def test_bad_vector_is_a_provider_error_naming_the_text(self, vector, problem):
+        # A zero vector used to end in a raw ValueError from the scalar cosine,
+        # and a NaN made that cosine return exactly 1.0: a silent pass.
+        embedder = VectorEmbedder(
+            {"viel Glück": (1.0, 0.0), "Bein": (0.0, 1.0), "Glück": vector, "viel": (1.0, 1.0)}
+        )
+        pair = ContrastivePair(value="break a leg", correct=("Glück",), foil=("Bein",))
+        with pytest.raises(ProviderError, match=f"'Glück' is {problem}"):
+            judge_contrastive("viel Glück", pair, embedder)
+
+
+class TestJudgeContrastiveBatch:
+    def test_empty_batch(self, hash_embedder):
+        assert judge_contrastive_batch([], [], hash_embedder) == []
+
+    def test_equals_one_item_calls(self, hash_embedder):
+        pairs = [
+            ContrastivePair(value="a", correct=("viel Glück", "alles Gute"), foil=("Bein",)),
+            ContrastivePair(value="b", correct=("schlafen",), foil=("den Sack", "Sack schlagen")),
+        ]
+        texts = ["ich wünsche dir viel Glück", "er will den Sack schlagen"]
+        records = [TranslationRecord(f"c{i}", "s", t) for i, t in enumerate(texts)]
+        batch = judge_contrastive_batch(records, pairs, hash_embedder)
+        single = [
+            judge_contrastive(t, p, hash_embedder, case_id=f"c{i}", system_id="s")
+            for i, (t, p) in enumerate(zip(texts, pairs))
+        ]
+        for b, s in zip(batch, single, strict=True):
+            assert (b.case_id, b.system_id, b.passed) == (s.case_id, s.system_id, s.passed)
+            assert b.scores == pytest.approx(s.scores, abs=1e-12)
+        assert [v.passed for v in batch] == [True, False]

@@ -1,12 +1,14 @@
 """Provider clients: HTTP contracts (via stub sessions), replay, retries."""
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 import requests
 
 import mtbehave.providers as providers
+from mtbehave.detection import CachedEmbedder
 from mtbehave.errors import ConfigError, ProviderError
 from mtbehave.providers import (
     HashEmbedder,
@@ -125,6 +127,26 @@ class TestHttpChatProvider:
         with pytest.raises(ProviderError, match="completion text"):
             provider.complete(LlmRequest(prompt="x"))
 
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ([1], "not a JSON object"),
+            ("text", "not a JSON object"),
+            ({"choices": {"0": {"text": "x"}}}, "'choices'"),
+            ({"choices": [1]}, "'choices'"),
+            ({"choices": [{"message": {"content": 7}}]}, "'content' is not a string"),
+            ({"choices": [{"message": {"content": None}}]}, "'content' is not a string"),
+            ({"choices": [{"text": ["x"]}]}, "'text' is not a string"),
+            ({"text": {"a": 1}}, "'text' is not a string"),
+            ({"content": 3.5}, "'content' is not a string"),
+        ],
+    )
+    def test_mistyped_body_rejected(self, body, match):
+        session = StubSession([StubResponse(body)])
+        provider = HttpChatProvider("http://llm/chat", session=session)
+        with pytest.raises(ProviderError, match=match):
+            provider.complete(LlmRequest(prompt="x"))
+
 
 class TestReplayProvider:
     def test_sequence_consumed_then_sticks(self, tmp_path):
@@ -202,6 +224,40 @@ class TestHttpEmbedder:
         )
         embedder = HttpEmbedder("http://emb/embed", session=session)
         assert embedder.embed(["a"]) == [(1.0,)]
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [[["a"]], [1], [[1.0, None]], [[True, 0.5]], ["ab"], [{"x": 1.0}], [[[1.0]]]],
+    )
+    def test_mistyped_vectors_rejected(self, vectors):
+        session = StubSession([StubResponse({"vectors": vectors})])
+        embedder = HttpEmbedder("http://emb/embed", session=session)
+        with pytest.raises(ProviderError, match="not a list of numbers"):
+            embedder.embed(["a"])
+
+    @pytest.mark.parametrize("body", ['{"vectors": [[NaN, 1.0]]}', '{"vectors": [[0, 0]]}'])
+    def test_nan_or_zero_vector_rejected_by_the_store(self, body):
+        session = StubSession([StubResponse(json.loads(body))])
+        store = CachedEmbedder(HttpEmbedder("http://emb/embed", session=session))
+        with pytest.raises(ProviderError, match="'a' is"):
+            store.embed(["a"])
+
+    def test_integer_beyond_float_range_rejected(self):
+        session = StubSession([StubResponse(json.loads('{"vectors": [[1' + "0" * 400 + "]]}"))])
+        embedder = HttpEmbedder("http://emb/embed", session=session)
+        with pytest.raises(ProviderError, match="out of range"):
+            embedder.embed(["a"])
+
+    def test_vector_count_must_match_texts(self):
+        session = StubSession([StubResponse({"vectors": [[1.0]], "dim": 1})])
+        embedder = HttpEmbedder("http://emb/embed", session=session)
+        with pytest.raises(ProviderError, match="1 vectors for 2 texts"):
+            embedder.embed(["a", "b"])
+
+    def test_integer_entries_accepted(self):
+        session = StubSession([StubResponse({"vectors": [[1, 0]], "dim": 2})])
+        embedder = HttpEmbedder("http://emb/embed", session=session)
+        assert embedder.embed(["a"]) == [(1.0, 0.0)]
 
 
 class TestSharedTransport:
