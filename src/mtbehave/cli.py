@@ -188,13 +188,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     props = _select_properties(config, args.property)
     llm = config.build_llm()
     for spec in props:
-        cases, logbook = generate_suite(
-            spec,
-            config.target_count,
-            llm,
-            temperature=config.llm.temperature,
-            presence_penalty=config.llm.presence_penalty,
-        )
+        cases, logbook = generate_suite(spec, config.target_count, llm)
         prop_dir = config.property_dir(spec.id)
         save_suite(cases, prop_dir / "suite.jsonl")
         _write_json(logbook.to_dict(), prop_dir / "genlog.json")
@@ -229,22 +223,9 @@ def cmd_candidates(args: argparse.Namespace) -> int:
                 continue
             try:
                 if spec.detector == "exhaustive":
-                    entry: CandidateEntry = generate_exhaustive_candidates(
-                        value,
-                        spec,
-                        llm,
-                        temperature=config.llm.temperature,
-                        presence_penalty=config.llm.presence_penalty,
-                    )
+                    entry: CandidateEntry = generate_exhaustive_candidates(value, spec, llm)
                 else:
-                    entry = generate_contrastive_pair(
-                        value,
-                        first_sentence[value],
-                        spec,
-                        llm,
-                        temperature=config.llm.temperature,
-                        presence_penalty=config.llm.presence_penalty,
-                    )
+                    entry = generate_contrastive_pair(value, first_sentence[value], spec, llm)
             except UnanswerableValueError:
                 unanswerable.append(value)
                 continue
@@ -305,6 +286,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     ctx = DetectorContext(
         tokenizer=config.tokenizer, embedder=embedder, token_boundary=config.token_boundary
     )
+    adapters = {s.system_id: config.build_adapter(s) for s in systems}
 
     all_verdicts = []
     reports: dict[str, dict] = {}
@@ -318,8 +300,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         prop_dir = config.property_dir(spec.id)
         prop_verdicts = []
         for sys_spec in systems:
-            adapter = config.build_adapter(sys_spec)
-            result = translate_all(suite, adapter, cache)
+            result = translate_all(suite, adapters[sys_spec.system_id], cache)
             records_by_system[sys_spec.system_id].extend(result.records)
             if result.failures:
                 failure_counts[sys_spec.system_id] = (

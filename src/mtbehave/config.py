@@ -114,7 +114,11 @@ class RunConfig:
         if self.llm.kind == "replay":
             return ReplayProvider(self._resolve(self.llm.replay_dir))
         return HttpChatProvider(
-            url=self.llm.url, model=self.llm.model, api_key_env=self.llm.api_key_env
+            url=self.llm.url,
+            model=self.llm.model,
+            api_key_env=self.llm.api_key_env,
+            temperature=self.llm.temperature,
+            presence_penalty=self.llm.presence_penalty,
         )
 
     def build_embedder(self):
@@ -172,17 +176,6 @@ def packaged_template(name: str) -> str:
     return resources.files("mtbehave.prompts").joinpath(name).read_text(encoding="utf-8")
 
 
-def _load_template(base_dir: Path, rel: str | None, default_name: str, context: str) -> str:
-    if not rel:
-        return packaged_template(default_name)
-    path = Path(rel)
-    if not path.is_absolute():
-        path = base_dir / path
-    if not path.exists():
-        raise ConfigError(f"{context}: template file {path} not found")
-    return path.read_text(encoding="utf-8")
-
-
 def _parse_property(raw: Any, base_dir: Path) -> PropertySpec:
     d = _expect_mapping(raw, "properties entry")
     prop_id = _get(d, "id", "property")
@@ -193,7 +186,16 @@ def _parse_property(raw: Any, base_dir: Path) -> PropertySpec:
         raise ConfigError(f"{context}: demos must be a list of strings")
 
     def template(key: str, default_name: str) -> str:
-        return _load_template(base_dir, _get(d, key, context, ""), default_name, context)
+        rel = _get(d, key, context, "")
+        if not rel:
+            return packaged_template(default_name)
+        path = base_dir / rel  # an absolute `rel` is kept as it is
+        if not path.is_file():
+            raise ConfigError(f"{context}: template file {path} not found")
+        text = path.read_text(encoding="utf-8")
+        if not text.strip():
+            raise ConfigError(f"{context}: {key} template file {path} is empty")
+        return text
 
     candidate_default = (
         "contrastive_correct.txt" if detector == "contrastive" else "candidates.txt"

@@ -21,7 +21,7 @@ from .errors import (
     UnanswerableValueError,
 )
 from .model import CandidateSet, ContrastivePair, ParsedSentence, PropertySpec, TestCase, parse_bracketed
-from .providers import DEFAULT_PRESENCE_PENALTY, DEFAULT_TEMPERATURE, LlmProvider, LlmRequest
+from .providers import LlmProvider
 
 log = logging.getLogger(__name__)
 
@@ -250,8 +250,6 @@ def generate_suite(
     target_count: int,
     llm: LlmProvider,
     *,
-    temperature: float = DEFAULT_TEMPERATURE,
-    presence_penalty: float = DEFAULT_PRESENCE_PENALTY,
     max_batches: int | None = None,
 ) -> tuple[list[TestCase], GenerationLog]:
     """Generate test cases for one property until `target_count` are kept.
@@ -264,12 +262,11 @@ def generate_suite(
     if max_batches is None:
         max_batches = default_max_batches(target_count)
     prompt = render_source_prompt(spec)
-    request = LlmRequest(prompt=prompt, temperature=temperature, presence_penalty=presence_penalty)
     seen: set[str] = set()
     cases: list[TestCase] = []
     logbook = GenerationLog(property_id=spec.id)
     for batch_index in range(max_batches):
-        response = llm.complete(request)
+        response = llm.complete(prompt)
         items = parse_item_list(response)
         accepted, rejections = filter_sentences(items, seen)
         reasons: dict[str, int] = {}
@@ -333,17 +330,12 @@ def generate_exhaustive_candidates(
     value: str,
     spec: PropertySpec,
     llm: LlmProvider,
-    *,
-    temperature: float = DEFAULT_TEMPERATURE,
-    presence_penalty: float = DEFAULT_PRESENCE_PENALTY,
 ) -> CandidateSet:
     """Ask the LLM for every valid translation of one property value."""
     if not value:
         raise ValueError("value must be nonempty")
     prompt = render_candidate_prompt(spec, value)
-    response = llm.complete(
-        LlmRequest(prompt=prompt, temperature=temperature, presence_penalty=presence_penalty)
-    )
+    response = llm.complete(prompt)
     return CandidateSet(value=value, candidates=tuple(_parse_pipe_list(response, value)))
 
 
@@ -352,9 +344,6 @@ def generate_contrastive_pair(
     sentence: str,
     spec: PropertySpec,
     llm: LlmProvider,
-    *,
-    temperature: float = DEFAULT_TEMPERATURE,
-    presence_penalty: float = DEFAULT_PRESENCE_PENALTY,
 ) -> ContrastivePair:
     """Ask the LLM for correct-meaning and literal-foil translation lists.
 
@@ -364,12 +353,8 @@ def generate_contrastive_pair(
     if not value:
         raise ValueError("value must be nonempty")
     correct_prompt, foil_prompt = render_contrastive_prompts(spec, value, sentence)
-    correct_resp = llm.complete(
-        LlmRequest(prompt=correct_prompt, temperature=temperature, presence_penalty=presence_penalty)
-    )
-    foil_resp = llm.complete(
-        LlmRequest(prompt=foil_prompt, temperature=temperature, presence_penalty=presence_penalty)
-    )
+    correct_resp = llm.complete(correct_prompt)
+    foil_resp = llm.complete(foil_prompt)
     correct = _parse_pipe_list(correct_resp, value, side="correct")
     foil = _parse_pipe_list(foil_resp, value, side="foil")
     folded_correct = {c.casefold() for c in correct}

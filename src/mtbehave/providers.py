@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
+import numpy as np
 import requests
 
 from .detection import EmbeddingVector
@@ -23,7 +22,7 @@ from .errors import ConfigError, ProviderError
 
 log = logging.getLogger(__name__)
 
-# Sampling parameters used for all suite/candidate generation calls.
+# Default sampling parameters of the HTTP LLM client, fixed for its lifetime.
 DEFAULT_TEMPERATURE = 0.9
 DEFAULT_PRESENCE_PENALTY = 2.0
 
@@ -32,24 +31,8 @@ RETRY_BASE_DELAY = 0.5
 HTTP_TIMEOUT_S = 120.0
 
 
-@dataclass(frozen=True)
-class LlmRequest:
-    """One text-generation request."""
-
-    prompt: str
-    temperature: float = DEFAULT_TEMPERATURE
-    presence_penalty: float = DEFAULT_PRESENCE_PENALTY
-    provider_id: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.prompt:
-            raise ValueError("prompt must be nonempty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-
-
 class LlmProvider(Protocol):
-    def complete(self, request: LlmRequest) -> str: ...
+    def complete(self, prompt: str) -> str: ...
 
 
 def _post_json(
@@ -95,8 +78,9 @@ def _json_list(body, key: str, url: str) -> list:
 class HttpChatProvider:
     """Chat-completion-style HTTP provider.
 
-    POSTs {"model", "messages", "temperature", "presence_penalty"} and reads
-    the completion text from the usual response shapes.
+    POSTs {"messages", "temperature", "presence_penalty", "model"} and reads
+    the completion text from the usual response shapes. The sampling
+    parameters are fixed for the client's lifetime.
     """
 
     def __init__(
@@ -105,17 +89,21 @@ class HttpChatProvider:
         model: str = "",
         api_key_env: str = "",
         session: requests.Session | None = None,
+        temperature: float = DEFAULT_TEMPERATURE,
+        presence_penalty: float = DEFAULT_PRESENCE_PENALTY,
     ) -> None:
         self.url = url
         self.model = model
         self.api_key_env = api_key_env
+        self.temperature = temperature
+        self.presence_penalty = presence_penalty
         self._session = session or requests.Session()
 
-    def complete(self, request: LlmRequest) -> str:
+    def complete(self, prompt: str) -> str:
         payload = {
-            "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "presence_penalty": request.presence_penalty,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": self.temperature,
+            "presence_penalty": self.presence_penalty,
         }
         if self.model:
             payload["model"] = self.model
@@ -173,11 +161,11 @@ class ReplayProvider:
         self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
 
-    def complete(self, request: LlmRequest) -> str:
-        key = replay_key(request.prompt)
+    def complete(self, prompt: str) -> str:
+        key = replay_key(prompt)
         files = self._files.get(key)
         if not files:
-            head = request.prompt.splitlines()[0][:60]
+            head = prompt.partition("\n")[0][:60]
             raise ProviderError(
                 f"no replay response for prompt key {key} ({head!r}...) in {self.directory}"
             )
@@ -244,17 +232,15 @@ class HashEmbedder:
         self.dim = dim
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        return [self._vector(t) for t in texts]
-
-    def _vector(self, text: str) -> EmbeddingVector:
-        folded = text.casefold().encode("utf-8")
-        raw = b""
-        counter = 0
-        while len(raw) < self.dim * 8:
-            raw += hashlib.sha256(folded + counter.to_bytes(4, "big")).digest()
-            counter += 1
-        values = [
-            int.from_bytes(raw[8 * i : 8 * i + 8], "big") / 2**63 - 1.0 for i in range(self.dim)
-        ]
-        norm = math.sqrt(sum(v * v for v in values))
-        return tuple(v / norm for v in values)
+        # Each text's 8-byte words come from sha256 blocks keyed by a counter.
+        blocks = [i.to_bytes(4, "big") for i in range(-(-self.dim // 4))]
+        raw = b"".join(
+            b"".join(hashlib.sha256(folded + b).digest() for b in blocks)[: 8 * self.dim]
+            for folded in (t.casefold().encode("utf-8") for t in texts)
+        )
+        values = np.frombuffer(raw, ">u8").reshape(len(texts), self.dim) / 2**63 - 1.0
+        # Summed column by column, the order of a scalar sum, so the bits match it.
+        norms = np.zeros(len(texts))
+        for column in (values * values).T:
+            norms += column
+        return [tuple(row) for row in (values / np.sqrt(norms)[:, None]).tolist()]

@@ -27,7 +27,7 @@ from .detection import (
     judge_contrastive_batch,
     match_exhaustive,
 )
-from .errors import AdapterError, ConfigError, DataInvariantError, ProviderError, SuiteLoadError
+from .errors import AdapterError, ConfigError, DataInvariantError, ProviderError
 from .metrics import (
     Interval,
     PairedResult,
@@ -220,20 +220,17 @@ class TranslationCache:
 def _read_cache(path: Path) -> dict[str, str]:
     """Read one system's cache file, truncating a torn last line.
 
-    An interrupted `put` leaves an unterminated last line; cutting it keeps
-    the next append on a line of its own. Any other bad line is an error.
+    `put` ends every entry with LF, so a tail after the last LF was cut short
+    by an interrupted `put`, whether or not it parses. Cutting it keeps the
+    next append on a line of its own. Any other bad line is an error.
     """
-    try:
-        pairs = _load_records(path, lambda d: (d["source_sha256"], d["translation"]))
-        return dict(pair for _, pair in pairs)
-    except SuiteLoadError:
-        data = path.read_bytes()
-        keep = data.rfind(b"\n") + 1
-        if keep == len(data):
-            raise
+    data = path.read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
         log.warning("%s: dropping a torn last line; its entry will be re-translated", path)
         os.truncate(path, keep)
-        return _read_cache(path)
+    pairs = _load_records(path, lambda d: (d["source_sha256"], d["translation"]))
+    return dict(pair for _, pair in pairs)
 
 
 @dataclass(frozen=True)

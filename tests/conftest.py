@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic providers and property specs."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from mtbehave.config import packaged_template
 from mtbehave.detection import TokenizerConfig, ngrams, tokenize
 from mtbehave.model import PropertySpec
-from mtbehave.providers import HashEmbedder, LlmRequest
+from mtbehave.providers import HashEmbedder
 
 
 class ScriptedLlm:
@@ -25,13 +26,13 @@ class ScriptedLlm:
             prompt: list(rs) if isinstance(rs, (list, tuple)) else [rs]
             for prompt, rs in (by_prompt or {}).items()
         }
-        self.calls: list[LlmRequest] = []
+        self.calls: list[str] = []
 
-    def complete(self, request: LlmRequest) -> str:
-        self.calls.append(request)
+    def complete(self, prompt: str) -> str:
+        self.calls.append(prompt)
         if self.by_prompt:
-            queue = self.by_prompt.get(request.prompt)
-            assert queue is not None, f"unexpected prompt: {request.prompt[:80]!r}"
+            queue = self.by_prompt.get(prompt)
+            assert queue is not None, f"unexpected prompt: {prompt[:80]!r}"
             return queue.pop(0) if len(queue) > 1 else queue[0]
         assert self.responses, "scripted responses exhausted"
         return self.responses.pop(0) if len(self.responses) > 1 else self.responses[0]
@@ -78,6 +79,19 @@ def reference_cosine(a, b) -> float:
         return 1.0
     dot = sum(x * y for x, y in zip(ta, tb))
     return max(-1.0, min(1.0, dot / math.sqrt(norm_a * norm_b)))
+
+
+def reference_hash_vector(text: str, dim: int) -> tuple[float, ...]:
+    """Scalar `HashEmbedder` vector: the reference its batch form must equal bit for bit."""
+    folded = text.casefold().encode("utf-8")
+    raw = b""
+    counter = 0
+    while len(raw) < dim * 8:
+        raw += hashlib.sha256(folded + counter.to_bytes(4, "big")).digest()
+        counter += 1
+    values = [int.from_bytes(raw[8 * i : 8 * i + 8], "big") / 2**63 - 1.0 for i in range(dim)]
+    norm = math.sqrt(sum(v * v for v in values))
+    return tuple(v / norm for v in values)
 
 
 def reference_max_sim(translation, candidate, embedder, tok=TokenizerConfig()) -> float:

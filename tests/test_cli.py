@@ -9,12 +9,19 @@ from pathlib import Path
 import pytest
 
 import mtbehave
-from mtbehave import cli
+from mtbehave import cli, runner
 from mtbehave.cli import main
 from mtbehave.config import load_config
 from mtbehave.errors import ConfigError, MtBehaveError, ProviderError
 from mtbehave.generation import render_candidate_prompt
-from mtbehave.model import load_candidates, load_suite, load_verdicts
+from mtbehave.model import (
+    TranslationRecord,
+    load_candidates,
+    load_suite,
+    load_translations,
+    load_verdicts,
+    save_translations,
+)
 from mtbehave.providers import write_replay_responses
 
 from conftest import OFFLINE_CONFIG_TEXT as CONFIG_TEXT
@@ -177,6 +184,31 @@ class TestRun:
         for name in ("verdicts.jsonl", "report.json", "report.txt",
                      "translations/identity.jsonl", "translations/mangler.jsonl"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_file_system_read_once_per_run(self, workspace, tmp_path, monkeypatch):
+        prime(workspace)
+        config = load_config(str(workspace))
+        save_translations(
+            (
+                TranslationRecord(case_id=case.id, system_id="stored", translation=case.source)
+                for spec in config.properties
+                for case in load_suite(config.property_dir(spec.id) / "suite.jsonl")
+            ),
+            tmp_path / "stored.jsonl",
+        )
+        with open(workspace, "a", encoding="utf-8") as fh:
+            fh.write("  - id: stored\n    kind: file\n    path: stored.jsonl\n")
+        loads = []
+        monkeypatch.setattr(
+            runner, "load_translations", lambda path: loads.append(path) or load_translations(path)
+        )
+        out_dir = tmp_path / "run1"
+        assert run_cli(
+            "run", "--config", str(workspace), "--system", "stored", "--out", str(out_dir)
+        ) == 0
+        assert len(loads) == 1  # two properties, one read
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["properties"]["names"]["systems"]["stored"]["mpr"] == 1.0
 
     def test_missing_candidates_exit_1(self, workspace, capsys):
         run_cli("generate", "--config", str(workspace))

@@ -65,6 +65,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="nope.txt"):
             load_config(str(write_config(tmp_path, text)))
 
+    @pytest.mark.parametrize("content", ["", " \n\t\n"], ids=["empty", "whitespace"])
+    def test_empty_template_file_exits_1_naming_it(self, tmp_path, capsys, content):
+        (tmp_path / "empty.txt").write_text(content, encoding="utf-8")
+        text = MINIMAL.replace(
+            "detector: exhaustive", "detector: exhaustive\n    source_prompt: empty.txt"
+        )
+        path = write_config(tmp_path, text)
+        (tmp_path / "replays").mkdir()
+        assert main(["generate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "'names'" in err and "source_prompt" in err
+        assert str(tmp_path / "empty.txt") in err
+
     def test_flag_overrides_win(self, tmp_path):
         config = load_config(
             str(write_config(tmp_path)),

@@ -23,7 +23,13 @@ from mtbehave.errors import DataInvariantError, ProviderError
 from mtbehave.model import CandidateSet, ContrastivePair, TranslationRecord
 from mtbehave.providers import HashEmbedder
 
-from conftest import ConstantEmbedder, CountingEmbedder, reference_cosine, reference_max_sim
+from conftest import (
+    ConstantEmbedder,
+    CountingEmbedder,
+    reference_cosine,
+    reference_hash_vector,
+    reference_max_sim,
+)
 
 WS = TokenizerConfig()
 CHARS = TokenizerConfig(mode="character")
@@ -289,6 +295,18 @@ class TestHashEmbedder:
 
     def test_dim(self):
         assert len(HashEmbedder(dim=8).embed(["x"])[0]) == 8
+
+    @pytest.mark.parametrize("dim", [1, 3, 4, 5, 16, 32, 33, 100])
+    def test_equals_scalar_reference_bit_for_bit(self, dim):
+        rng = random.Random(dim)
+        alphabet = "abc XYZ äöüß 日本語 \u0301\n\t!"
+        texts = ["", "Viel Glück"] + [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30))) for _ in range(300)
+        ]
+        assert HashEmbedder(dim).embed(texts) == [reference_hash_vector(t, dim) for t in texts]
+
+    def test_empty_batch(self, hash_embedder):
+        assert hash_embedder.embed([]) == []
 
 
 class TestCachedEmbedder:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from mtbehave.config import load_config
 from mtbehave.errors import (
     ConfigError,
     DataInvariantError,
@@ -28,6 +29,7 @@ from mtbehave.generation import (
 )
 
 from conftest import ScriptedLlm, make_spec
+from test_providers import StubResponse, StubSession
 
 
 class TestRenderSourcePrompt:
@@ -177,16 +179,23 @@ class TestGenerateSuite:
     def test_same_prompt_reissued_every_batch(self, units_spec):
         llm = ScriptedLlm([unique_batch(0), unique_batch(10), unique_batch(20)])
         generate_suite(units_spec, 25, llm)
-        prompts = {call.prompt for call in llm.calls}
+        prompts = set(llm.calls)
         assert len(prompts) == 1
         assert len(llm.calls) == 3
 
-    def test_sampling_parameters_sent(self, units_spec):
-        llm = ScriptedLlm([unique_batch(0, 10)])
+    def test_sampling_parameters_sent(self, units_spec, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            "providers:\n  llm: {kind: http, url: http://llm/chat, "
+            "temperature: 0.3, presence_penalty: 1.0}\n",
+            encoding="utf-8",
+        )
+        llm = load_config(str(path)).build_llm()
+        session = llm._session = StubSession([StubResponse({"text": unique_batch(0, 10)})])
         generate_suite(units_spec, 5, llm)
-        request = llm.calls[0]
-        assert request.temperature == 0.9
-        assert request.presence_penalty == 2.0
+        sent = session.calls[0]["json"]
+        assert list(sent) == ["messages", "temperature", "presence_penalty"]
+        assert (sent["temperature"], sent["presence_penalty"]) == (0.3, 1.0)
 
     def test_max_batches_exceeded(self, units_spec):
         llm = ScriptedLlm([unique_batch(0, 4)])  # sticks: later batches all duplicates

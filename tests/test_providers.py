@@ -14,7 +14,6 @@ from mtbehave.providers import (
     HashEmbedder,
     HttpChatProvider,
     HttpEmbedder,
-    LlmRequest,
     ReplayProvider,
     replay_key,
     write_replay_responses,
@@ -55,39 +54,25 @@ def no_sleep(monkeypatch):
     monkeypatch.setattr(providers.time, "sleep", lambda _: None)
 
 
-class TestLlmRequest:
-    def test_paper_sampling_defaults(self):
-        request = LlmRequest(prompt="hello")
-        assert request.temperature == 0.9
-        assert request.presence_penalty == 2.0
-
-    def test_empty_prompt_rejected(self):
-        with pytest.raises(ValueError):
-            LlmRequest(prompt="")
-
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            LlmRequest(prompt="x", temperature=-0.1)
-
-
 class TestHttpChatProvider:
     def test_payload_and_extraction(self):
         session = StubSession(
             [StubResponse({"choices": [{"message": {"content": "- A\n- B"}}]})]
         )
         provider = HttpChatProvider("http://llm/chat", model="m1", session=session)
-        text = provider.complete(LlmRequest(prompt="write things"))
+        text = provider.complete("write things")
         assert text == "- A\n- B"
         sent = session.calls[0]["json"]
+        assert list(sent) == ["messages", "temperature", "presence_penalty", "model"]
         assert sent["messages"] == [{"role": "user", "content": "write things"}]
-        assert sent["temperature"] == 0.9
+        assert sent["temperature"] == 0.9  # the paper's sampling, by default
         assert sent["presence_penalty"] == 2.0
         assert sent["model"] == "m1"
 
     def test_plain_text_response_shape(self):
         session = StubSession([StubResponse({"text": "hello"})])
         provider = HttpChatProvider("http://llm/chat", session=session)
-        assert provider.complete(LlmRequest(prompt="x")) == "hello"
+        assert provider.complete("x") == "hello"
 
     def test_retries_then_succeeds(self):
         session = StubSession(
@@ -97,21 +82,21 @@ class TestHttpChatProvider:
             ]
         )
         provider = HttpChatProvider("http://llm/chat", session=session)
-        assert provider.complete(LlmRequest(prompt="x")) == "ok"
+        assert provider.complete("x") == "ok"
         assert len(session.calls) == 2
 
     def test_gives_up_after_three_attempts(self):
         session = StubSession([requests.ConnectionError("down")] * 3)
         provider = HttpChatProvider("http://llm/chat", session=session)
         with pytest.raises(ProviderError, match="3 attempts"):
-            provider.complete(LlmRequest(prompt="x"))
+            provider.complete("x")
         assert len(session.calls) == 3
 
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sekrit")
         session = StubSession([StubResponse({"text": "ok"})])
         provider = HttpChatProvider("http://llm/chat", api_key_env="TEST_LLM_KEY", session=session)
-        provider.complete(LlmRequest(prompt="x"))
+        provider.complete("x")
         assert session.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
 
     def test_missing_api_key_env(self, monkeypatch):
@@ -119,13 +104,13 @@ class TestHttpChatProvider:
         provider = HttpChatProvider("http://llm/chat", api_key_env="TEST_LLM_KEY",
                                     session=StubSession([]))
         with pytest.raises(ConfigError, match="TEST_LLM_KEY"):
-            provider.complete(LlmRequest(prompt="x"))
+            provider.complete("x")
 
     def test_unrecognized_body_rejected(self):
         session = StubSession([StubResponse({"unexpected": 1})])
         provider = HttpChatProvider("http://llm/chat", session=session)
         with pytest.raises(ProviderError, match="completion text"):
-            provider.complete(LlmRequest(prompt="x"))
+            provider.complete("x")
 
     @pytest.mark.parametrize(
         "body, match",
@@ -145,30 +130,35 @@ class TestHttpChatProvider:
         session = StubSession([StubResponse(body)])
         provider = HttpChatProvider("http://llm/chat", session=session)
         with pytest.raises(ProviderError, match=match):
-            provider.complete(LlmRequest(prompt="x"))
+            provider.complete("x")
 
 
 class TestReplayProvider:
     def test_sequence_consumed_then_sticks(self, tmp_path):
         write_replay_responses(tmp_path, "the prompt", ["first", "second"])
         provider = ReplayProvider(tmp_path)
-        request = LlmRequest(prompt="the prompt")
-        assert provider.complete(request) == "first"
-        assert provider.complete(request) == "second"
-        assert provider.complete(request) == "second"
+        prompt = "the prompt"
+        assert provider.complete(prompt) == "first"
+        assert provider.complete(prompt) == "second"
+        assert provider.complete(prompt) == "second"
 
     def test_distinct_prompts_distinct_streams(self, tmp_path):
         write_replay_responses(tmp_path, "prompt a", ["A"])
         write_replay_responses(tmp_path, "prompt b", ["B"])
         provider = ReplayProvider(tmp_path)
-        assert provider.complete(LlmRequest(prompt="prompt b")) == "B"
-        assert provider.complete(LlmRequest(prompt="prompt a")) == "A"
+        assert provider.complete("prompt b") == "B"
+        assert provider.complete("prompt a") == "A"
 
     def test_missing_prompt_errors(self, tmp_path):
         write_replay_responses(tmp_path, "known", ["x"])
         provider = ReplayProvider(tmp_path)
         with pytest.raises(ProviderError, match=replay_key("unknown")):
-            provider.complete(LlmRequest(prompt="unknown"))
+            provider.complete("unknown")
+
+    def test_missing_empty_prompt_errors(self, tmp_path):
+        write_replay_responses(tmp_path, "known", ["x"])
+        with pytest.raises(ProviderError, match=replay_key("")):
+            ReplayProvider(tmp_path).complete("")
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -187,9 +177,9 @@ class TestReplayProvider:
         provider = ReplayProvider(tmp_path)
         for _ in range(3):
             for prompt in prompts:
-                provider.complete(LlmRequest(prompt=prompt))
+                provider.complete(prompt)
         assert len(scans) == 1
-        assert provider.complete(LlmRequest(prompt="prompt 7")) == "again"
+        assert provider.complete("prompt 7") == "again"
 
     def test_key_is_stable(self):
         assert replay_key("abc") == replay_key("abc")
@@ -267,7 +257,7 @@ class TestSharedTransport:
         "llm": (
             lambda session, key_env: HttpChatProvider("http://llm/chat", api_key_env=key_env,
                                                       session=session),
-            lambda client: client.complete(LlmRequest(prompt="x")),
+            lambda client: client.complete("x"),
             {"text": "ok"},
         ),
         "embedder": (

@@ -139,6 +139,19 @@ class TestTranslateAll:
         fresh = TranslationCache(tmp_path)
         assert [fresh.get("fixture", c.source) for c in SUITE] == [german(c.source) for c in SUITE]
 
+    def test_unterminated_last_line_is_torn_even_when_it_parses(self, tmp_path, caplog):
+        translate_all(SUITE[:2], CountingAdapter(), TranslationCache(tmp_path))
+        path = tmp_path / "fixture.jsonl"
+        path.write_bytes(path.read_bytes()[:-1])  # a complete entry whose LF was never written
+        adapter = CountingAdapter()
+        translate_all(SUITE, adapter, TranslationCache(tmp_path))
+        assert "torn" in caplog.text
+        assert path.read_bytes().count(b"\n") == len(SUITE)
+        again = CountingAdapter()
+        result = translate_all(SUITE, again, TranslationCache(tmp_path))
+        assert again.calls == 0
+        assert [r.translation for r in result.records] == [c.source for c in SUITE]
+
     def test_malformed_cache_line_is_a_load_error(self, tmp_path):
         translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
         path = tmp_path / "fixture.jsonl"
