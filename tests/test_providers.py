@@ -8,6 +8,7 @@ import pytest
 import requests
 
 import mtbehave.providers as providers
+from mtbehave.config import LlmConfig
 from mtbehave.detection import CachedEmbedder
 from mtbehave.errors import ConfigError, ProviderError
 from mtbehave.providers import (
@@ -52,6 +53,19 @@ class StubSession:
 @pytest.fixture(autouse=True)
 def no_sleep(monkeypatch):
     monkeypatch.setattr(providers.time, "sleep", lambda _: None)
+
+
+class TestLlmRequest:
+    """The sampling settings every LLM request carries, fixed per client."""
+
+    def test_paper_sampling_defaults(self):
+        for holder in (HttpChatProvider("http://llm/chat"), LlmConfig(kind="http", url="u")):
+            assert holder.temperature == 0.9
+            assert holder.presence_penalty == 2.0
+
+    def test_negative_temperature_rejected(self):
+        with pytest.raises(ConfigError, match="'temperature' must be >= 0"):
+            LlmConfig(kind="http", url="u", temperature=-0.1)
 
 
 class TestHttpChatProvider:
