@@ -192,7 +192,7 @@ def _parse_property(raw: Any, base_dir: Path) -> PropertySpec:
         path = base_dir / rel  # an absolute `rel` is kept as it is
         if not path.is_file():
             raise ConfigError(f"{context}: template file {path} not found")
-        text = path.read_text(encoding="utf-8")
+        text = _read_utf8(path, f"{context}: {key} template file")
         if not text.strip():
             raise ConfigError(f"{context}: {key} template file {path} is empty")
         return text
@@ -229,6 +229,13 @@ def _parse_system(raw: Any) -> AdapterSpec:
     )
 
 
+def _read_utf8(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 (byte {exc.start})") from exc
+
+
 def resolve_config_path(spec: str) -> Path:
     """Resolve a --config argument; `preset:<name>` maps to packaged configs."""
     if spec.startswith("preset:"):
@@ -252,7 +259,7 @@ def load_config(path_spec: str, overrides: Mapping[str, Any] | None = None) -> R
     """
     path = resolve_config_path(path_spec)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.safe_load(_read_utf8(path, "config file"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     # Flag names never collide with other keys of the file's top level or

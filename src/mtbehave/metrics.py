@@ -7,13 +7,20 @@ system comparison from joint (paired) resampling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .detection import TokenizerConfig, tokenize
 from .errors import DataInvariantError
+
+# Resamples are computed CHUNK // n at a time, which bounds the kernel's
+# working set to a few MiB whatever k is.
+CHUNK = 1 << 15
+# SplitMix64's increment and finaliser multipliers.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 
 @dataclass(frozen=True)
@@ -25,8 +32,9 @@ class ResampleConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DataInvariantError("resample count k must be >= 1")
+        # The resample index fills the top 32 bits of the draw's counter.
+        if not 1 <= self.k < 2**32:
+            raise DataInvariantError("resample count k must be in [1, 2**32)")
         if not (0.0 < self.alpha < 1.0):
             raise DataInvariantError("alpha must be in (0, 1)")
         if self.seed < 0:
@@ -43,21 +51,93 @@ class Interval:
             raise DataInvariantError(f"interval lo {self.lo} > hi {self.hi}")
 
 
-@dataclass(frozen=True)
-class Sample:
-    """Pass/fail sample: ordered (property value, pass bit) entries.
+def resample_key(seed: int) -> np.uint64:
+    """The 64-bit key of a seed's resamples; any seed >= 0 is accepted."""
+    return np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
 
-    Every sample is row `_row` of a cohort, whose bootstrap resamples it reads.
+
+def resample_indices(key: np.uint64, start: int, stop: int, n: int) -> np.ndarray:
+    """The entry indices of resamples start..stop-1, one row of n per resample.
+
+    Index j of resample i is a SplitMix64 mix of key + golden * ((i << 32) | j),
+    a counter-based draw after Salmon et al. (SC'11), mapped to [0, n) by
+    multiply-shift on its top 32 bits. Resample i depends only on (key, i, n),
+    so any chunking of the resamples draws the same indices.
     """
+    # golden * ((i << 32) | j) is golden * (i << 32) + golden * j, modulo 2**64.
+    z = np.arange(n, dtype=np.uint64) * _GOLDEN
+    z = z + ((np.arange(start, stop, dtype=np.uint64)[:, None] << 32) * _GOLDEN + key)
+    z ^= z >> 30
+    z *= _MIX[0]
+    z ^= z >> 27
+    z *= _MIX[1]
+    z ^= z >> 31
+    return ((z >> 32) * n >> 32).view(np.int64)
 
-    entries: tuple[tuple[str, int], ...]
-    _cohort: "_Resamples" = field(repr=False, compare=False)
-    _row: int = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        for _, p in self.entries:
-            if p not in (0, 1):
-                raise DataInvariantError(f"pass bit must be 0 or 1, got {p}")
+class _Cohort:
+    """S pass rows over one ordered value sequence, with values coded in order
+    of first appearance. Keeps the resampled MPRs of the last (k, seed)."""
+
+    def __init__(self, values: Sequence[str], rows: Sequence[Sequence[int]]) -> None:
+        self.values = tuple(str(v) for v in values)
+        index: dict[str, int] = {}
+        self.codes = np.array([index.setdefault(v, len(index)) for v in self.values], np.intp)
+        self.n_values = len(index)
+        self.counts = np.bincount(self.codes, minlength=self.n_values)
+        self.passes = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(self.values))
+        bad = self.passes[(self.passes != 0) & (self.passes != 1)]
+        if bad.size:
+            raise DataInvariantError(f"pass bit must be 0 or 1, got {bad[0]:g}")
+        self._cached: tuple[tuple[int, int] | None, np.ndarray] = (None, np.empty(0))
+
+    def resample(self, cfg: ResampleConfig) -> np.ndarray:
+        n_rows, n = self.passes.shape
+        key = resample_key(cfg.seed)
+        step = max(1, CHUNK // n)
+        out = np.empty((n_rows, cfg.k))
+        for start in range(0, cfg.k, step):
+            stop = min(start + step, cfg.k)
+            idx = resample_indices(key, start, stop, n)
+            # Resample r of the chunk counts into bins [r * V, (r + 1) * V),
+            # so one bincount covers the whole chunk.
+            size = (stop - start) * self.n_values
+            bins = (self.codes[idx] + np.arange(0, size, self.n_values)[:, None]).ravel()
+            counts = np.bincount(bins, minlength=size)
+            sums = np.stack(
+                [np.bincount(bins, weights=row[idx].ravel(), minlength=size) for row in self.passes]
+            )
+            # An absent value's sum is 0, so it adds 0 to its resample's total.
+            ratios = (sums / np.maximum(counts, 1)).reshape(n_rows, -1, self.n_values)
+            present = np.count_nonzero(counts.reshape(-1, self.n_values), axis=1)
+            out[:, start:stop] = ratios.sum(axis=2) / present
+        return out
+
+    def mprs(self, cfg: ResampleConfig) -> np.ndarray:
+        if self._cached[0] != (cfg.k, cfg.seed):
+            self._cached = ((cfg.k, cfg.seed), self.resample(cfg))
+        return self._cached[1]
+
+
+def resampled_mprs(
+    values: Sequence[str], passes: Sequence[Sequence[int]], cfg: ResampleConfig
+) -> np.ndarray:
+    """The (S, k) bootstrap macro pass rates of S pass rows over one value sequence.
+
+    Resample i applies one index vector to every row, so the S systems of a
+    property are resampled jointly, as paired comparisons need. Values absent
+    from a resample drop out of that resample's denominator. Resamples are
+    computed a chunk at a time, so memory does not grow with k.
+    """
+    return _Cohort(values, passes).resample(cfg)
+
+
+@dataclass(frozen=True, eq=False)
+class Sample:
+    """Row `_row` of a cohort: one system's pass bits over the cohort's values."""
+
+    _cohort: _Cohort
+    _row: int
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "Sample":
@@ -70,30 +150,29 @@ class Sample:
         """One sample per row of pass bits, all over the same ordered `values`.
 
         The samples share their bootstrap resamples: the first CI or paired
-        comparison over any of them resamples every row in one walk of the k
-        streams, and later calls with the same k and seed reuse the result.
+        comparison over any of them resamples every row at once, and later
+        calls with the same k and seed reuse the result.
         """
-        values = [str(v) for v in values]
-        rows = [[int(p) for p in row] for row in rows]
-        shared = _Resamples(values, rows)
-        return [
-            cls(tuple(zip(values, row, strict=True)), shared, i) for i, row in enumerate(rows)
-        ]
+        shared = _Cohort(values, rows)
+        return [cls(shared, i) for i in range(len(shared.passes))]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._cohort.values)
 
-    def values(self) -> list[str]:
-        return [v for v, _ in self.entries]
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Sample)
+            and self._cohort.values == other._cohort.values
+            and np.array_equal(self.passes, other.passes)
+        )
 
-    def passes(self) -> list[int]:
-        return [p for _, p in self.entries]
+    @property
+    def passes(self) -> np.ndarray:
+        return self._cohort.passes[self._row]
 
-    def groups(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {}
-        for value, passed in self.entries:
-            out.setdefault(value, []).append(passed)
-        return out
+    @property
+    def n_values(self) -> int:
+        return self._cohort.n_values
 
 
 def _require_nonempty(sample: Sample) -> None:
@@ -104,84 +183,16 @@ def _require_nonempty(sample: Sample) -> None:
 def pass_rate(sample: Sample) -> float:
     """Mean pass bit over all entries."""
     _require_nonempty(sample)
-    passes = sample.passes()
-    return sum(passes) / len(passes)
+    return float(sample.passes.sum()) / len(sample)
 
 
 def macro_pass_rate(sample: Sample) -> float:
     """Mean of per-value pass rates, weighting each distinct value equally."""
     _require_nonempty(sample)
-    groups = sample.groups()
-    return sum(sum(g) / len(g) for g in groups.values()) / len(groups)
-
-
-def _codes(values: Sequence[str]) -> tuple[np.ndarray, int]:
-    uniq, codes = np.unique(np.asarray(values, dtype=object), return_inverse=True)
-    return codes.astype(np.int64), len(uniq)
-
-
-def _resample_rng(seed: int, index: int) -> np.random.Generator:
-    # One generator per resample, keyed by (seed, index), so parallel and
-    # serial computations of the same bootstrap agree bit-for-bit. Plain
-    # seed^index would make nearby seeds permute the same resample set.
-    return np.random.default_rng([seed, index])
-
-
-def resampled_mprs(
-    values: Sequence[str], passes: Sequence[Sequence[int]], cfg: ResampleConfig
-) -> np.ndarray:
-    """The (S, k) bootstrap macro pass rates of S pass rows over one value sequence.
-
-    Resample i draws one index vector from the (cfg.seed, i) stream and applies
-    it to every row, so the S systems of a property are resampled jointly, as
-    paired comparisons need. Values absent from a resample drop out of that
-    resample's denominator. Resamples are drawn one at a time, so memory is
-    O(S * n) rather than O(k * n).
-    """
-    codes, n_values = _codes(values)
-    passes = np.asarray(passes, dtype=np.float64)
-    n_rows, n = passes.shape
-    # Row s's codes are offset into bins [s * n_values, (s + 1) * n_values), so
-    # one bincount sums every row; row 0 holds the plain codes.
-    coded = codes + (np.arange(n_rows) * n_values)[:, None]
-    totals = np.empty((n_rows, cfg.k), dtype=np.float64)
-    present_values = np.empty(cfg.k, dtype=np.int64)
-    for i in range(cfg.k):
-        idx = _resample_rng(cfg.seed, i).integers(0, n, size=n)
-        coded_i = coded.take(idx, axis=1)
-        counts = np.bincount(coded_i[0], minlength=n_values)
-        present = counts > 0
-        sums = np.bincount(
-            coded_i.ravel(), weights=passes.take(idx, axis=1).ravel(),
-            minlength=n_rows * n_values,
-        )
-        ratios = sums.reshape(n_rows, n_values)[:, present] / counts[present]
-        # np.mean of a 1-D float array is np.add.reduce over it divided by its
-        # length. Reducing each contiguous row on its own keeps the summation
-        # order of a single system's resample; a 2-D reduce may differ in the
-        # last bit.
-        for row in range(n_rows):
-            totals[row, i] = np.add.reduce(ratios[row])
-        present_values[i] = ratios.shape[1]
-    return totals / present_values
-
-
-class _Resamples:
-    """The resampled MPRs of a cohort of samples, kept for the last (k, seed)."""
-
-    def __init__(self, values: list[str], passes: list[list[int]]) -> None:
-        self.values = values
-        self.passes = passes
-        self._key: tuple[int, int] | None = None
-        self._mprs = np.empty((0, 0))
-
-    def mprs(self, cfg: ResampleConfig) -> np.ndarray:
-        key = (cfg.k, cfg.seed)
-        if key != self._key:
-            self._mprs = resampled_mprs(self.values, self.passes, cfg)
-            self._mprs.flags.writeable = False
-            self._key = key
-        return self._mprs
+    cohort = sample._cohort
+    sums = np.bincount(cohort.codes, weights=sample.passes, minlength=cohort.n_values)
+    # A left-to-right float sum over values in order of first appearance.
+    return sum((sums / cohort.counts).tolist()) / cohort.n_values
 
 
 def bootstrap_ci(sample: Sample, cfg: ResampleConfig) -> Interval:
@@ -217,7 +228,7 @@ def paired_bootstrap(a: Sample, b: Sample, cfg: ResampleConfig) -> PairedResult:
     """Jointly resample two systems' verdicts over the same cases."""
     _require_nonempty(a)
     _require_nonempty(b)
-    if a.values() != b.values():
+    if a._cohort.values != b._cohort.values:
         raise DataInvariantError("paired bootstrap requires identical case/value sequences")
     # Resample i's indices depend only on (cfg.seed, i, n), so two samples
     # from different cohorts are still resampled jointly.
@@ -226,20 +237,9 @@ def paired_bootstrap(a: Sample, b: Sample, cfg: ResampleConfig) -> PairedResult:
     ties = 0.5 * int(np.count_nonzero(mpr_a == mpr_b))
     wins_a = int(np.count_nonzero(mpr_a > mpr_b)) + ties
     wins_b = int(np.count_nonzero(mpr_b > mpr_a)) + ties
-    if wins_a > wins_b:
-        winner: str | None = "a"
-    elif wins_b > wins_a:
-        winner = "b"
-    else:
-        winner = None
+    winner = "a" if wins_a > wins_b else "b" if wins_b > wins_a else None
     p_value = 1.0 - max(wins_a, wins_b) / cfg.k
-    return PairedResult(
-        winner=winner,
-        p_value=p_value,
-        wins_a=wins_a,
-        wins_b=wins_b,
-        significant=p_value < cfg.alpha,
-    )
+    return PairedResult(winner, p_value, wins_a, wins_b, significant=p_value < cfg.alpha)
 
 
 def diversity_series(

@@ -336,8 +336,12 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
         tmp.unlink(missing_ok=True)
 
 
+# One encoder for every JSONL line: json.dumps builds a new one per call.
+_JSONL = json.JSONEncoder(ensure_ascii=False)
+
+
 def _write_jsonl(rows: Iterable[dict], path: Path) -> None:
-    _write_atomic(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+    _write_atomic(path, (_JSONL.encode(row) + "\n" for row in rows))
 
 
 def _write_json(obj, path: Path) -> None:

@@ -7,7 +7,6 @@ precomputed translations (for systems run elsewhere).
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
@@ -15,7 +14,7 @@ import shlex
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import requests
@@ -45,6 +44,7 @@ from .model import (
     TestCase,
     TranslationRecord,
     Verdict,
+    _JSONL,
     _load_records,
     load_translations,
 )
@@ -203,18 +203,19 @@ class TranslationCache:
     def get(self, system_id: str, source: str) -> str | None:
         return self._load(system_id).get(self._key(source))
 
-    def put(self, system_id: str, source: str, translation: str) -> None:
-        key = self._key(source)
+    def put(self, system_id: str, pairs: Iterable[tuple[str, str]]) -> None:
+        """Cache (source, translation) pairs; every new entry goes out in one append."""
         entries = self._load(system_id)
-        if key in entries:
-            return
-        entries[key] = translation
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self._path(system_id), "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                json.dumps({"source_sha256": key, "translation": translation}, ensure_ascii=False)
-                + "\n"
-            )
+        lines = []
+        for source, translation in pairs:
+            key = self._key(source)
+            if key not in entries:
+                entries[key] = translation
+                lines.append(_JSONL.encode({"source_sha256": key, "translation": translation}))
+        if lines:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            with open(self._path(system_id), "a", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
 
 
 def _read_cache(path: Path) -> dict[str, str]:
@@ -284,8 +285,9 @@ def translate_all(
                 failures.append(TranslationFailure(case.id, "no translation produced"))
             else:
                 translations[case.id] = output
-                if cache:
-                    cache.put(system_id, case.source, output)
+        if cache:
+            done = [c for c in pending if c.id in translations]
+            cache.put(system_id, [(c.source, translations[c.id]) for c in done])
     if failures:
         log.warning(
             "system %s: %d/%d cases failed translation and are excluded",
@@ -521,8 +523,8 @@ def build_report(
             {k: len(v) for k, v in dropped.items()},
         )
 
-    # One cohort per property: every CI and comparison below reads one shared
-    # walk of the k resamples.
+    # One cohort per property: every CI and comparison below reads the same k
+    # resamples.
     cohort = Sample.cohort(
         [value_of[cid] for cid in ordered_ids],
         [[int(by_system[s][cid].passed) for cid in ordered_ids] for s in system_ids],
@@ -530,14 +532,14 @@ def build_report(
     samples = dict(zip(system_ids, cohort))
     stats: list[SystemStats] = []
     for system_id, sample in samples.items():
-        passes = sum(sample.passes())
+        passes = int(sample.passes.sum())
         stats.append(
             SystemStats(
                 system_id=system_id,
                 mpr=macro_pass_rate(sample),
                 ci=bootstrap_ci(sample, cfg),
                 n=len(sample),
-                values=len(sample.groups()),
+                values=sample.n_values,
                 passes=passes,
                 fails=len(sample) - passes,
             )

@@ -78,6 +78,17 @@ class TestLoadConfig:
         assert "'names'" in err and "source_prompt" in err
         assert str(tmp_path / "empty.txt") in err
 
+    def test_non_utf8_template_file_exits_1_naming_it(self, tmp_path, capsys):
+        (tmp_path / "latin1.txt").write_bytes("Gr\u00fc\u00dfe {property}\n".encode("latin-1"))
+        text = MINIMAL.replace(
+            "detector: exhaustive", "detector: exhaustive\n    candidate_prompt: latin1.txt"
+        )
+        path = write_config(tmp_path, text)
+        assert main(["generate", "--config", str(path), "--offline"]) == 1
+        err = capsys.readouterr().err
+        assert "'names'" in err and "candidate_prompt" in err and "UTF-8" in err
+        assert str(tmp_path / "latin1.txt") in err
+
     def test_flag_overrides_win(self, tmp_path):
         config = load_config(
             str(write_config(tmp_path)),
@@ -104,6 +115,13 @@ systems:"""
     def test_invalid_yaml(self, tmp_path):
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(str(write_config(tmp_path, "a: [unclosed")))
+
+    def test_non_utf8_config_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"seed: 1\n\xff\n")
+        assert main(["generate", "--config", str(path), "--offline"]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "UTF-8" in err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mtbehave import metrics
 from mtbehave.detection import TokenizerConfig
 from mtbehave.errors import DataInvariantError
 from mtbehave.metrics import (
@@ -18,6 +19,8 @@ from mtbehave.metrics import (
     macro_pass_rate,
     paired_bootstrap,
     pass_rate,
+    resample_indices,
+    resample_key,
     resampled_mprs,
     trend_fit,
 )
@@ -180,19 +183,23 @@ class TestPairedBootstrap:
 
 
 def scalar_mprs(values, rows, cfg: ResampleConfig) -> np.ndarray:
-    """Reference: one resample at a time, one system at a time, as the
-    statistics were computed before the resamples were shared."""
-    _, codes = np.unique(np.asarray(values, dtype=object), return_inverse=True)
-    n_values = int(codes.max()) + 1
+    """Reference: one resample at a time, one system at a time. A resample's
+    MPR sums every value slot (0 for a value it misses) and divides by the
+    number of values it holds."""
+    index: dict[str, int] = {}
+    codes = np.array([index.setdefault(v, len(index)) for v in values])
+    key = resample_key(cfg.seed)
     out = np.empty((len(rows), cfg.k))
     for i in range(cfg.k):
-        idx = np.random.default_rng([cfg.seed, i]).integers(0, len(values), size=len(values))
+        idx = resample_indices(key, i, i + 1, len(values))[0]
         for s, row in enumerate(rows):
             passes = np.asarray(row, dtype=np.float64)[idx]
-            sums = np.bincount(codes[idx], weights=passes, minlength=n_values)
-            counts = np.bincount(codes[idx], minlength=n_values)
+            sums = np.bincount(codes[idx], weights=passes, minlength=len(index))
+            counts = np.bincount(codes[idx], minlength=len(index))
             mask = counts > 0
-            out[s, i] = float(np.mean(sums[mask] / counts[mask]))
+            ratios = np.zeros(len(index))
+            ratios[mask] = sums[mask] / counts[mask]
+            out[s, i] = float(np.sum(ratios)) / np.count_nonzero(mask)
     return out
 
 
@@ -286,6 +293,63 @@ class TestResampledMprs:
             tracemalloc.stop()
         # A materialised (k, n) int64 index matrix alone would be 8 MB.
         assert peak < 4 * 2**20
+
+
+def chi_squared_z(counts: np.ndarray) -> float:
+    """Pearson's chi-squared of counts against a uniform expectation, as
+    standard deviations of its null distribution from the mean (df)."""
+    expected = counts.sum() / counts.size
+    chi2 = float(((counts - expected) ** 2).sum() / expected)
+    df = counts.size - 1
+    return (chi2 - df) / np.sqrt(2 * df)
+
+
+class TestResampleDraw:
+    @pytest.mark.parametrize("n", [1, 2, 7, 97, 1000])
+    def test_indices_are_uniform_and_independent(self, n):
+        k = 200_000 // n + 2000
+        idx = resample_indices(resample_key(5), 0, k, n)
+        assert idx.shape == (k, n)
+        if n == 1:
+            assert not idx.any()
+            return
+        assert 0 <= idx.min() and idx.max() < n
+        # Pooled over every draw, at one position across resamples, and over
+        # adjacent positions of a resample (n * n cells).
+        assert abs(chi_squared_z(np.bincount(idx.ravel(), minlength=n))) < 5
+        assert abs(chi_squared_z(np.bincount(idx[:, 0], minlength=n))) < 5
+        if n <= 100:
+            pairs = (idx[:, :-1] * n + idx[:, 1:]).ravel()
+            assert abs(chi_squared_z(np.bincount(pairs, minlength=n * n))) < 5
+
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        values, rows = random_panel(random.Random(5), 50, 7, 3)
+        cfg = ResampleConfig(k=10, seed=9)
+        # 1 resample per chunk; chunks of 3 with a partial last chunk; all of k.
+        results = []
+        for chunk in (1, 50, 3 * 50, 10 * 50):
+            monkeypatch.setattr(metrics, "CHUNK", chunk)
+            results.append(resampled_mprs(values, rows, cfg))
+        assert all(np.array_equal(r, results[0]) for r in results)
+        key = resample_key(cfg.seed)
+        assert np.array_equal(resample_indices(key, 3, 7, 50), resample_indices(key, 0, 10, 50)[3:7])
+
+    def test_any_seed_works_and_adjacent_seeds_differ(self):
+        values, rows = random_panel(random.Random(6), 50, 7, 3)
+        for seed in (0, 2**63, 2**70):
+            here, there = (ResampleConfig(k=20, seed=s) for s in (seed, seed + 1))
+            got = resampled_mprs(values, rows, here)
+            assert np.isfinite(got).all() and ((0 <= got) & (got <= 1)).all()
+            assert not np.array_equal(got, resampled_mprs(values, rows, there))
+            assert not np.array_equal(
+                resample_indices(resample_key(seed), 0, 20, 50),
+                resample_indices(resample_key(seed + 1), 0, 20, 50),
+            )
+
+    def test_k_must_fit_the_counter(self):
+        ResampleConfig(k=2**32 - 1)
+        with pytest.raises(DataInvariantError):
+            ResampleConfig(k=2**32)
 
 
 class TestBuildReportStatistics:

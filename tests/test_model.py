@@ -21,6 +21,7 @@ from mtbehave.model import (
     TestCase,
     TranslationRecord,
     Verdict,
+    _JSONL,
     _write_atomic,
     _write_jsonl,
     load_candidates,
@@ -265,6 +266,21 @@ class TestCandidatesIO:
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(DataInvariantError, match="blank entry"):
             load_candidates(path)
+
+
+class TestJsonlEncoder:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"source": "Grüße, 北京 \U0001f600", "value": "€"},
+            {"text": 'quote " backslash \\ tab \t nl \n ctl \x01 ls \u2028', "": None},
+            {"scores": [0.1, 1e-300, -2.5e10, 1.0, float("nan"), float("inf")], "pass": True},
+            {"nested": [[1, [2, {"k": ["é", 3.25]}]], []], "empty": {}},
+        ],
+    )
+    def test_shared_encoder_matches_json_dumps(self, row):
+        assert _JSONL.encode(row) == json.dumps(row, ensure_ascii=False)
+        assert _JSONL.encode(row) == json.dumps(row, ensure_ascii=False)  # reusable
 
 
 class TestAtomicWrite:

@@ -1,6 +1,7 @@
 """Adapters, caching, evaluation routing, reports, and the annotation loop."""
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -151,6 +152,25 @@ class TestTranslateAll:
         result = translate_all(SUITE, again, TranslationCache(tmp_path))
         assert again.calls == 0
         assert [r.translation for r in result.records] == [c.source for c in SUITE]
+
+    def test_one_cache_append_per_batch(self, tmp_path, monkeypatch):
+        raws = [f"It is {i} [inches] long." for i in range(50)]
+        suite = make_suite(raws + raws[:1])  # a repeated source is cached once
+        path = tmp_path / "fixture.jsonl"
+        opens = []
+        real_open = open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if str(file) == str(path):
+                opens.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        translate_all(suite, CountingAdapter(), TranslationCache(tmp_path))
+        assert opens == ["a"]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 50
+        assert [json.loads(line)["translation"] for line in lines] == [c.source for c in suite[:50]]
 
     def test_malformed_cache_line_is_a_load_error(self, tmp_path):
         translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
