@@ -13,6 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import RunConfig, derive_seed, load_config
+from .detection import CachedEmbedder
 from .errors import (
     ConfigError,
     DataInvariantError,
@@ -45,7 +46,6 @@ from .model import (
 )
 from .runner import (
     CandidateEdit,
-    DetectorContext,
     TranslationCache,
     apply_candidate_edits,
     build_report,
@@ -70,13 +70,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_config_options(p: argparse.ArgumentParser, properties: bool = True) -> None:
+def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="run configuration (path or preset:<name>)")
-    if properties:
-        p.add_argument(
-            "--property", action="append", default=None, metavar="ID",
-            help="restrict to this property id (repeatable)",
-        )
+    p.add_argument(
+        "--property", action="append", default=None, metavar="ID",
+        help="restrict to this property id (repeatable)",
+    )
     p.add_argument("--seed", type=int, default=None, help="override the configured seed")
     p.add_argument("--offline", action="store_true", help="forbid network providers/adapters")
 
@@ -282,10 +281,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     cache = TranslationCache(config.workspace / "cache" / "translations")
     embedder = None
     if any(p.detector == "contrastive" for p in props):
-        embedder = config.build_embedder()
-    ctx = DetectorContext(
-        tokenizer=config.tokenizer, embedder=embedder, token_boundary=config.token_boundary
-    )
+        # One store for the whole run: each distinct text is embedded once.
+        embedder = CachedEmbedder(config.build_embedder())
     adapters = {s.system_id: config.build_adapter(s) for s in systems}
 
     all_verdicts = []
@@ -293,7 +290,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     report_texts: list[str] = []
     records_by_system: dict[str, list] = {s.system_id: [] for s in systems}
     failure_counts: dict[str, int] = {}
-    missing_by_property: dict[str, dict[str, int]] = {}
+    # Per property and value, every case some system lacked candidates for.
+    missing_by_property: dict[str, dict[str, set[str]]] = {}
     for spec in props:
         suite = _load_property_suite(config, spec.id)
         candidates = _load_property_candidates(config, spec.id)
@@ -306,12 +304,14 @@ def cmd_run(args: argparse.Namespace) -> int:
                 failure_counts[sys_spec.system_id] = (
                     failure_counts.get(sys_spec.system_id, 0) + len(result.failures)
                 )
-            evaluation = evaluate(spec, suite, candidates, result.records, ctx)
+            evaluation = evaluate(
+                spec, suite, candidates, result.records, embedder=embedder,
+                tokenizer=config.tokenizer, token_boundary=config.token_boundary,
+            )
             prop_verdicts.extend(evaluation.verdicts)
-            if evaluation.missing:
+            for m in evaluation.missing:
                 per = missing_by_property.setdefault(spec.id, {})
-                for m in evaluation.missing:
-                    per[m.value] = len(m.case_ids)
+                per.setdefault(m.value, set()).update(m.case_ids)
         cfg = ResampleConfig(
             k=config.k, alpha=config.alpha, seed=derive_seed(config.seed, f"bootstrap:{spec.id}")
         )
@@ -350,7 +350,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             "properties": [p.id for p in props],
             "systems": [s.system_id for s in systems],
             "translation_failures": failure_counts,
-            "missing_candidates": missing_by_property,
+            "missing_candidates": {
+                prop_id: {value: len(ids) for value, ids in per.items()}
+                for prop_id, per in missing_by_property.items()
+            },
         },
         run_dir / "runmeta.json",
     )

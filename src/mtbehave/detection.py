@@ -135,8 +135,8 @@ def match_exhaustive(
     where e.g. a short unit symbol matching inside a longer word is unwanted.
     """
     folded = translation.casefold()
-    for cand in candidates.candidates:
-        if _contains(folded, cand.casefold(), token_boundary):
+    for cand, key in zip(candidates.candidates, candidates.folded):
+        if _contains(folded, key, token_boundary):
             return Verdict(
                 case_id=case_id, system_id=system_id, passed=True, matched_candidate=cand
             )

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .detection import TokenizerConfig, tokenize
+from .detection import TokenizerConfig, _windows, tokenize
 from .errors import DataInvariantError
 
 # Resamples are computed CHUNK // n at a time, which bounds the kernel's
@@ -256,7 +256,6 @@ def diversity_series(
     if len(suite) == 0:
         raise DataInvariantError("diversity undefined for an empty suite")
     sentences = [item.source if hasattr(item, "source") else str(item) for item in suite]
-    sep = "" if tok.mode == "character" else " "
     seen: set[str] = set()
     series: list[float | None] = []
     for sentence in sentences:
@@ -264,7 +263,7 @@ def diversity_series(
         if len(toks) < n:
             series.append(None)
             continue
-        grams = {sep.join(toks[i : i + n]) for i in range(len(toks) - n + 1)}
+        grams = set(_windows(toks, n, tok))
         new = len(grams - seen)
         series.append(new / len(grams))
         seen |= grams

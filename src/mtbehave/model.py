@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
@@ -161,12 +161,14 @@ class CandidateSet:
 
     value: str
     candidates: tuple[str, ...]
+    # The candidates case-folded, in order; derived, so not saved or compared.
+    folded: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple(self.candidates))
         if not self.candidates:
             raise DataInvariantError(f"candidate set for {self.value!r} is empty")
-        seen: set[str] = set()
+        seen: dict[str, None] = {}  # insertion-ordered, so it is `folded` once all differ
         for cand in self.candidates:
             if not cand or not cand.strip():
                 raise DataInvariantError(f"candidate set for {self.value!r} has a blank entry")
@@ -175,7 +177,8 @@ class CandidateSet:
                 raise DataInvariantError(
                     f"candidate set for {self.value!r} has duplicate entry {cand!r}"
                 )
-            seen.add(folded)
+            seen[folded] = None
+        object.__setattr__(self, "folded", tuple(seen))
 
     def to_dict(self) -> dict:
         return {"value": self.value, "candidates": list(self.candidates)}

@@ -161,12 +161,10 @@ class FileMtAdapter:
     Two records for the same case of this system are a data error.
     """
 
-    def __init__(self, spec: AdapterSpec, records: Sequence[TranslationRecord] | None = None) -> None:
+    def __init__(self, spec: AdapterSpec) -> None:
         self.system_id = spec.system_id
-        if records is None:
-            records = load_translations(spec.path)
         self._by_case: dict[str, str] = {}
-        for r in records:
+        for r in load_translations(spec.path):
             if r.system_id != self.system_id:
                 continue
             if r.case_id in self._by_case:
@@ -255,11 +253,15 @@ def translate_all(
 
     Sources go out bracket-free (TestCase.source is already marker-stripped).
     Failed cases are recorded and excluded rather than counted as fails:
-    infrastructure failure is not a linguistic failure.
+    infrastructure failure is not a linguistic failure. An adapter with
+    `translate_cases` holds one translation per case, not per source, so it
+    bypasses the cache.
     """
     if not suite:
         raise DataInvariantError("cannot translate an empty suite")
     system_id = adapter.system_id
+    by_case = hasattr(adapter, "translate_cases")
+    cache = None if by_case else cache
     translations: dict[str, str] = {}
     failures: list[TranslationFailure] = []
     pending: list[TestCase] = []
@@ -271,7 +273,7 @@ def translate_all(
             pending.append(case)
     if pending:
         try:
-            if hasattr(adapter, "translate_cases"):
+            if by_case:
                 outputs = adapter.translate_cases(pending)
             else:
                 outputs = adapter.translate([case.source for case in pending])
@@ -303,24 +305,13 @@ def translate_all(
     return TranslationResult(records=records, failures=failures)
 
 
-@dataclass
-class DetectorContext:
-    """Runtime wiring for the detectors.
-
-    The embedder is wrapped in one `CachedEmbedder` on first use, so every
-    `evaluate` sharing this context embeds each text once.
-    """
-
-    tokenizer: TokenizerConfig = TokenizerConfig()
-    embedder: Embedder | CachedEmbedder | None = None
-    token_boundary: bool = False
-
-    def cached_embedder(self) -> CachedEmbedder:
-        if self.embedder is None:
-            raise ConfigError("contrastive detection requires an embedding provider")
-        if not isinstance(self.embedder, CachedEmbedder):
-            self.embedder = CachedEmbedder(self.embedder)
-        return self.embedder
+# Per detector: the candidate entry kind it judges, and the error for another kind.
+_DETECTOR_ENTRY = {
+    "exhaustive": (
+        CandidateSet, "exhaustive detector needs a candidate set, got a contrastive pair"
+    ),
+    "contrastive": (ContrastivePair, "contrastive detector needs a contrastive pair"),
+}
 
 
 @dataclass(frozen=True)
@@ -340,19 +331,23 @@ def evaluate(
     suite: Sequence[TestCase],
     candidates: Mapping[str, CandidateEntry],
     translations: Sequence[TranslationRecord],
-    ctx: DetectorContext | None = None,
+    *,
+    embedder: Embedder | CachedEmbedder | None = None,
+    tokenizer: TokenizerConfig = TokenizerConfig(),
+    token_boundary: bool = False,
 ) -> EvaluationResult:
-    """Route each translation to the property's detector.
+    """Judge every translation with the property's detector.
 
-    Contrastive records are judged together in one batch. Cases whose value
-    has no candidate entry are reported in the result, not silently dropped.
+    Contrastive records are judged together in one batch; a `CachedEmbedder`
+    shares its store across calls, a plain embedder gets one per call. Cases
+    whose value has no candidate entry are reported in the result, not
+    silently dropped.
     """
-    ctx = ctx or DetectorContext()
+    kind, need = _DETECTOR_ENTRY[spec.detector]
     case_by_id = {case.id: case for case in suite}
     missing: dict[str, list[str]] = {}
-    verdicts: list[Verdict] = []
-    pending: list[TranslationRecord] = []  # contrastive records, judged after the loop
-    pairs: list[ContrastivePair] = []
+    records: list[TranslationRecord] = []
+    entries: list[CandidateEntry] = []
     for record in translations:
         case = case_by_id.get(record.case_id)
         if case is None:
@@ -360,31 +355,26 @@ def evaluate(
         entry = candidates.get(case.value)
         if entry is None:
             missing.setdefault(case.value, []).append(case.id)
-            continue
-        if spec.detector == "exhaustive":
-            if not isinstance(entry, CandidateSet):
-                raise DataInvariantError(
-                    f"value {case.value!r}: exhaustive detector needs a candidate set, "
-                    f"got a contrastive pair"
-                )
-            verdicts.append(
-                match_exhaustive(
-                    record.translation,
-                    entry,
-                    token_boundary=ctx.token_boundary,
-                    case_id=record.case_id,
-                    system_id=record.system_id,
-                )
-            )
+        elif not isinstance(entry, kind):
+            raise DataInvariantError(f"value {case.value!r}: {need}")
         else:
-            if not isinstance(entry, ContrastivePair):
-                raise DataInvariantError(
-                    f"value {case.value!r}: contrastive detector needs a contrastive pair"
-                )
-            pending.append(record)
-            pairs.append(entry)
-    if pending:
-        verdicts = judge_contrastive_batch(pending, pairs, ctx.cached_embedder(), ctx.tokenizer)
+            records.append(record)
+            entries.append(entry)
+    if kind is CandidateSet:
+        verdicts = [
+            match_exhaustive(
+                r.translation,
+                entry,
+                token_boundary=token_boundary,
+                case_id=r.case_id,
+                system_id=r.system_id,
+            )
+            for r, entry in zip(records, entries)
+        ]
+    else:
+        if records and embedder is None:
+            raise ConfigError("contrastive detection requires an embedding provider")
+        verdicts = judge_contrastive_batch(records, entries, embedder, tokenizer)
     missing_list = [MissingCandidates(v, tuple(ids)) for v, ids in missing.items()]
     if missing_list:
         n_cases = sum(len(m.case_ids) for m in missing_list)

@@ -20,6 +20,7 @@ from mtbehave.model import (
     load_suite,
     load_translations,
     load_verdicts,
+    save_candidates,
     save_translations,
 )
 from mtbehave.providers import write_replay_responses
@@ -209,6 +210,37 @@ class TestRun:
         assert len(loads) == 1  # two properties, one read
         report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["properties"]["names"]["systems"]["stored"]["mpr"] == 1.0
+
+    @pytest.mark.parametrize("order", [("full", "partial"), ("partial", "full")])
+    def test_missing_candidate_count_is_the_union_over_systems(self, workspace, tmp_path, order):
+        prime(workspace)
+        config = load_config(str(workspace))
+        prop_dir = config.property_dir("idioms")
+        suite = load_suite(prop_dir / "suite.jsonl")
+        candidates = load_candidates(prop_dir / "candidates.jsonl")
+        del candidates["break a leg"]
+        save_candidates(candidates.values(), prop_dir / "candidates.jsonl")
+        # "partial" lacks the second "break a leg" case, so it misses one case, "full" two.
+        skipped = [c.id for c in suite if c.value == "break a leg"][1]
+        for system in ("full", "partial"):
+            save_translations(
+                (
+                    TranslationRecord(case_id=c.id, system_id=system, translation=c.source)
+                    for c in suite
+                    if system == "full" or c.id != skipped
+                ),
+                tmp_path / f"{system}.jsonl",
+            )
+            with open(workspace, "a", encoding="utf-8") as fh:
+                fh.write(f"  - id: {system}\n    kind: file\n    path: {system}.jsonl\n")
+        out_dir = tmp_path / "run1"
+        systems = [arg for system in order for arg in ("--system", system)]
+        assert run_cli(
+            "run", "--config", str(workspace), "--property", "idioms", *systems,
+            "--out", str(out_dir),
+        ) == 0
+        meta = json.loads((out_dir / "runmeta.json").read_text(encoding="utf-8"))
+        assert meta["missing_candidates"] == {"idioms": {"break a leg": 2}}
 
     def test_missing_candidates_exit_1(self, workspace, capsys):
         run_cli("generate", "--config", str(workspace))

@@ -55,6 +55,20 @@ class TestMatchExhaustive:
     def test_empty_translation_fails(self):
         assert not match_exhaustive("", CandidateSet(value="x", candidates=("x",))).passed
 
+    def test_only_the_translation_is_folded_per_call(self):
+        class Counted(str):
+            folds = 0
+
+            def casefold(self):
+                Counted.folds += 1
+                return str.casefold(self)
+
+        cset = CandidateSet(value="miles", candidates=(Counted("MEILEN"), Counted("Mi")))
+        translation = Counted("Ich lief 3 km.")
+        Counted.folds = 0
+        assert not match_exhaustive(translation, cset).passed
+        assert Counted.folds == 1
+
     def test_decimal_formats_both_pass(self):
         cset = CandidateSet(value="4200.4", candidates=("4200,4", "4.200,4"))
         assert match_exhaustive("Das Unternehmen erhielt 4200,4€.", cset).passed

@@ -132,6 +132,13 @@ class TestInvariants:
         with pytest.raises(DataInvariantError):
             CandidateSet(value="miles", candidates=("Meilen", "meilen"))
 
+    def test_candidate_set_folded_is_derived_not_compared(self):
+        cset = CandidateSet(value="street", candidates=("Straße", "STRASSE-Ecke", "ß"))
+        assert cset.folded == ("strasse", "strasse-ecke", "ss")
+        assert cset == CandidateSet(value="street", candidates=("Straße", "STRASSE-Ecke", "ß"))
+        assert "folded" not in repr(cset)
+        assert cset.to_dict() == {"value": "street", "candidates": ["Straße", "STRASSE-Ecke", "ß"]}
+
     def test_candidate_set_rejects_blank(self):
         with pytest.raises(DataInvariantError):
             CandidateSet(value="miles", candidates=("Meilen", "  "))

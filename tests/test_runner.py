@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mtbehave.providers as providers
-from mtbehave.detection import EMBED_BATCH_SIZE, TokenizerConfig, ngrams, tokenize
+from mtbehave.detection import EMBED_BATCH_SIZE, CachedEmbedder, TokenizerConfig, ngrams, tokenize
 from mtbehave.errors import AdapterError, ConfigError, DataInvariantError, SuiteLoadError
 from mtbehave.metrics import ResampleConfig
 from mtbehave.model import (
@@ -28,7 +28,6 @@ from mtbehave.runner import (
     AdapterSpec,
     CandidateEdit,
     CommandMtAdapter,
-    DetectorContext,
     FileMtAdapter,
     HttpMtAdapter,
     TranslationCache,
@@ -205,6 +204,37 @@ class TestTranslateAll:
         with pytest.raises(DataInvariantError):
             translate_all([], CountingAdapter())
 
+    def test_file_adapter_edit_is_read_despite_the_cache(self, tmp_path):
+        path = tmp_path / "translations.jsonl"
+        spec = AdapterSpec(system_id="offline", kind="file", path=str(path))
+        for texts in (["old A", "old B"], ["new A", "new B"]):
+            save_translations(
+                [TranslationRecord(c.id, "offline", t) for c, t in zip(SUITE[:2], texts)], path
+            )
+            cache = TranslationCache(tmp_path / "cache")
+            result = translate_all(SUITE[:2], FileMtAdapter(spec), cache)
+            assert [r.translation for r in result.records] == texts
+        assert not (tmp_path / "cache").exists()
+
+    def test_file_adapter_cases_with_one_source_keep_their_own_text(self, tmp_path):
+        suite = make_suite(["I ran 3 [miles] today.", "I ran 3 [miles] today."])
+        path = tmp_path / "translations.jsonl"
+        save_translations(
+            [
+                TranslationRecord(suite[0].id, "offline", "Ich lief 3 Meilen."),
+                TranslationRecord(suite[1].id, "offline", "Ich bin 3 Meilen gelaufen."),
+            ],
+            path,
+        )
+        spec = AdapterSpec(system_id="offline", kind="file", path=str(path))
+        for _ in range(2):
+            cache = TranslationCache(tmp_path / "cache")
+            result = translate_all(suite, FileMtAdapter(spec), cache)
+            assert [r.translation for r in result.records] == [
+                "Ich lief 3 Meilen.",
+                "Ich bin 3 Meilen gelaufen.",
+            ]
+
     def test_file_adapter_duplicate_case_rejected(self, tmp_path):
         path = tmp_path / "translations.jsonl"
         save_translations(
@@ -366,8 +396,7 @@ class TestEvaluate:
             )
         }
         translations = records_for(suite, ["ich wünsche dir viel Glück"])
-        ctx = DetectorContext(embedder=hash_embedder)
-        result = evaluate(idioms_spec, suite, candidates, translations, ctx)
+        result = evaluate(idioms_spec, suite, candidates, translations, embedder=hash_embedder)
         assert result.verdicts[0].scores is not None
         assert result.verdicts[0].passed
 
@@ -380,7 +409,7 @@ class TestEvaluate:
         }
         translations = records_for(suite, ["whatever"])
         with pytest.raises(ConfigError):
-            evaluate(idioms_spec, suite, candidates, translations, DetectorContext())
+            evaluate(idioms_spec, suite, candidates, translations)
 
     def test_wrong_candidate_kind_rejected(self, units_spec):
         candidates = {
@@ -459,10 +488,11 @@ class TestContrastiveBatch:
         tok = TokenizerConfig(mode=mode)
         suite, candidates, per_system = contrastive_fixture(random.Random(f"{mode}"), 120)
         value_of = {case.id: case.value for case in suite}
-        ctx = DetectorContext(tokenizer=tok, embedder=embedder)
         seen = {"tie": 0, "pass": 0, "fail": 0, "short": 0}
         for records in per_system:
-            result = evaluate(idioms_spec, suite, candidates, records, ctx)
+            result = evaluate(
+                idioms_spec, suite, candidates, records, embedder=embedder, tokenizer=tok
+            )
             assert [v.case_id for v in result.verdicts] == [r.case_id for r in records]
             for verdict, record in zip(result.verdicts, records):
                 pair = candidates[value_of[record.case_id]]
@@ -482,7 +512,7 @@ class TestContrastiveBatch:
         suite, candidates, per_system = contrastive_fixture(random.Random(3), 300)
         value_of = {case.id: case.value for case in suite}
         counting = CountingEmbedder(HashEmbedder(dim=8))
-        ctx = DetectorContext(embedder=counting)
+        store = CachedEmbedder(counting)
         stored: set[str] = set()
         for records in per_system:
             texts = set()
@@ -493,7 +523,7 @@ class TestContrastiveBatch:
                     texts.update(ngrams(record.translation, len(tokenize(cand)) or 1))
             new = texts - stored
             before = len(counting.calls)
-            evaluate(idioms_spec, suite, candidates, records, ctx)
+            evaluate(idioms_spec, suite, candidates, records, embedder=store)
             calls = counting.calls[before:]
             assert sorted(t for call in calls for t in call) == sorted(new)
             assert len(calls) <= math.ceil(len(new) / EMBED_BATCH_SIZE)
@@ -502,10 +532,10 @@ class TestContrastiveBatch:
 
     def test_peak_memory_of_a_1000_case_evaluate(self, idioms_spec):
         suite, candidates, (records,) = contrastive_fixture(random.Random(9), 1000, ("a",))
-        ctx = DetectorContext(embedder=HashEmbedder(dim=32))
+        embedder = HashEmbedder(dim=32)
         tracemalloc.start()
         try:
-            evaluate(idioms_spec, suite, candidates, records, ctx)
+            evaluate(idioms_spec, suite, candidates, records, embedder=embedder)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
