@@ -5,6 +5,7 @@ Files are UTF-8, one JSON object per line, LF endings.
 """
 from __future__ import annotations
 
+import codecs
 import itertools
 import json
 import os
@@ -285,24 +286,42 @@ class Verdict:
 # JSONL serialization
 
 
+# One decoder for every JSONL line; json.loads(bytes) would detect the encoding
+# and run two whitespace regexes on each line again.
+_DECODER = json.JSONDecoder()
+
+
+def _read_bytes(path: Path) -> bytes:
+    """The contents of `path`; an unreadable path is a SuiteLoadError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SuiteLoadError(f"{path}: cannot read ({exc.strerror})") from exc
+
+
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each nonblank line of a JSONL file.
 
-    Lines split on LF only and are decoded per line, so a torn multi-byte
-    character fails its own line instead of the whole file.
+    Lines split on LF only and are decoded per line as UTF-8 with an optional
+    BOM, so a torn multi-byte character fails its own line instead of the
+    whole file. JSON whitespace, CR included, may pad an object.
     """
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "not UTF-8"
-                raise SuiteLoadError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
-            if not isinstance(obj, dict):
-                raise SuiteLoadError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
+    for lineno, line in enumerate(_read_bytes(path).split(b"\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            # The "utf-8-sig" codec, without its per-call Python wrapper.
+            text = line.removeprefix(codecs.BOM_UTF8).decode("utf-8").strip(" \t\r")
+            obj, end = _DECODER.raw_decode(text)
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "not UTF-8"
+            raise SuiteLoadError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
+        if not isinstance(obj, dict):
+            raise SuiteLoadError(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, obj
 
 
 def _load_records(path: Path | str, from_dict: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
@@ -339,12 +358,21 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-# One encoder for every JSONL line: json.dumps builds a new one per call.
-_JSONL = json.JSONEncoder(ensure_ascii=False)
+# One C encoder for every JSONL row, with json.dumps(row, ensure_ascii=False)'s
+# settings; JSONEncoder.encode would build a new one per row. markers=None skips
+# the cycle check: rows are acyclic to_dict output.
+_encode_row = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring, None,
+    ": ", ", ", False, False, True,
+)
+
+
+def _jsonl_line(row: dict) -> str:
+    return "".join(_encode_row(row, 0)) + "\n"
 
 
 def _write_jsonl(rows: Iterable[dict], path: Path) -> None:
-    _write_atomic(path, (_JSONL.encode(row) + "\n" for row in rows))
+    _write_atomic(path, map(_jsonl_line, rows))
 
 
 def _write_json(obj, path: Path) -> None:

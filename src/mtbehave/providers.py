@@ -12,13 +12,15 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .detection import EmbeddingVector
 from .errors import ConfigError, ProviderError
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +37,14 @@ class LlmProvider(Protocol):
     def complete(self, prompt: str) -> str: ...
 
 
+def _session() -> requests.Session:
+    """A new HTTP session. `requests` is imported only when an HTTP client is
+    built, so offline commands never pay for the import."""
+    import requests
+
+    return requests.Session()
+
+
 def _post_json(
     session: requests.Session, url: str, payload: dict, what: str, api_key_env: str = ""
 ):
@@ -44,6 +54,8 @@ def _post_json(
     error statuses and undecodable bodies are retried with exponential
     backoff; the last failure becomes a ProviderError naming `what` and `url`.
     """
+    import requests
+
     headers = {}
     if api_key_env:
         key = os.environ.get(api_key_env)
@@ -97,7 +109,7 @@ class HttpChatProvider:
         self.api_key_env = api_key_env
         self.temperature = temperature
         self.presence_penalty = presence_penalty
-        self._session = session or requests.Session()
+        self._session = session or _session()
 
     def complete(self, prompt: str) -> str:
         payload = {
@@ -195,7 +207,7 @@ class HttpEmbedder:
     ) -> None:
         self.url = url
         self.api_key_env = api_key_env
-        self._session = session or requests.Session()
+        self._session = session or _session()
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         body = _post_json(

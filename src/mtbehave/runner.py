@@ -7,6 +7,7 @@ precomputed translations (for systems run elsewhere).
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
 import re
@@ -14,10 +15,9 @@ import shlex
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-import requests
 
 from .detection import (
     CachedEmbedder,
@@ -44,11 +44,15 @@ from .model import (
     TestCase,
     TranslationRecord,
     Verdict,
-    _JSONL,
+    _jsonl_line,
     _load_records,
+    _read_bytes,
     load_translations,
 )
-from .providers import _json_list, _post_json
+from .providers import _json_list, _post_json, _session
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -87,16 +91,31 @@ class AdapterSpec:
             )
         object.__setattr__(self, "language_pair", tuple(self.language_pair))
 
+    @property
+    def cache_name(self) -> str:
+        """The stem of this system's translation cache file: the system id and
+        16 hex chars of a sha256 over every field that can change a translation,
+        so an edited system never reads its old entries."""
+        fields = {
+            "kind": self.kind,
+            "endpoint": self.endpoint,
+            "command": self.command,
+            "language_pair": list(self.language_pair),
+        }
+        canonical = json.dumps(fields, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+        return f"{self.system_id}.{hashlib.sha256(canonical.encode('utf-8')).hexdigest()[:16]}"
+
 
 class HttpMtAdapter:
     """Batched POST {"texts": [...], "src", "tgt"} -> {"translations": [...]}."""
 
     def __init__(self, spec: AdapterSpec, session: requests.Session | None = None) -> None:
         self.system_id = spec.system_id
+        self.cache_name = spec.cache_name
         self.endpoint = spec.endpoint
         self.language_pair = spec.language_pair
         self.batch_size = spec.batch_size
-        self._session = session or requests.Session()
+        self._session = session or _session()
 
     def translate(self, sources: Sequence[str]) -> list[str | None]:
         out: list[str | None] = []
@@ -124,6 +143,7 @@ class CommandMtAdapter:
 
     def __init__(self, spec: AdapterSpec) -> None:
         self.system_id = spec.system_id
+        self.cache_name = spec.cache_name
         self.argv = shlex.split(spec.command)
 
     def translate(self, sources: Sequence[str]) -> list[str | None]:
@@ -179,51 +199,57 @@ class FileMtAdapter:
 
 
 class TranslationCache:
-    """Disk cache keyed by (system_id, sha256 of source); JSONL per system."""
+    """Disk cache keyed by (adapter cache name, sha256 of source); JSONL per name.
+
+    Each distinct source is hashed once for the cache's lifetime.
+    """
 
     def __init__(self, directory: Path | str) -> None:
         self.directory = Path(directory)
         self._maps: dict[str, dict[str, str]] = {}
+        self._keys: dict[str, str] = {}
 
-    def _path(self, system_id: str) -> Path:
-        return self.directory / f"{system_id}.jsonl"
+    def _path(self, name: str) -> Path:
+        return self.directory / f"{name}.jsonl"
 
-    def _load(self, system_id: str) -> dict[str, str]:
-        if system_id not in self._maps:
-            path = self._path(system_id)
-            self._maps[system_id] = _read_cache(path) if path.exists() else {}
-        return self._maps[system_id]
+    def _load(self, name: str) -> dict[str, str]:
+        if name not in self._maps:
+            path = self._path(name)
+            self._maps[name] = _read_cache(path) if path.exists() else {}
+        return self._maps[name]
 
-    @staticmethod
-    def _key(source: str) -> str:
-        return hashlib.sha256(source.encode("utf-8")).hexdigest()
+    def _key(self, source: str) -> str:
+        key = self._keys.get(source)
+        if key is None:
+            key = self._keys[source] = hashlib.sha256(source.encode("utf-8")).hexdigest()
+        return key
 
-    def get(self, system_id: str, source: str) -> str | None:
-        return self._load(system_id).get(self._key(source))
+    def get(self, name: str, source: str) -> str | None:
+        return self._load(name).get(self._key(source))
 
-    def put(self, system_id: str, pairs: Iterable[tuple[str, str]]) -> None:
+    def put(self, name: str, pairs: Iterable[tuple[str, str]]) -> None:
         """Cache (source, translation) pairs; every new entry goes out in one append."""
-        entries = self._load(system_id)
+        entries = self._load(name)
         lines = []
         for source, translation in pairs:
             key = self._key(source)
             if key not in entries:
                 entries[key] = translation
-                lines.append(_JSONL.encode({"source_sha256": key, "translation": translation}))
+                lines.append(_jsonl_line({"source_sha256": key, "translation": translation}))
         if lines:
             self.directory.mkdir(parents=True, exist_ok=True)
-            with open(self._path(system_id), "a", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
+            with open(self._path(name), "a", encoding="utf-8", newline="\n") as fh:
+                fh.write("".join(lines))
 
 
 def _read_cache(path: Path) -> dict[str, str]:
-    """Read one system's cache file, truncating a torn last line.
+    """Read one cache file, truncating a torn last line.
 
     `put` ends every entry with LF, so a tail after the last LF was cut short
     by an interrupted `put`, whether or not it parses. Cutting it keeps the
     next append on a line of its own. Any other bad line is an error.
     """
-    data = path.read_bytes()
+    data = _read_bytes(path)
     keep = data.rfind(b"\n") + 1
     if keep < len(data):
         log.warning("%s: dropping a torn last line; its entry will be re-translated", path)
@@ -253,20 +279,21 @@ def translate_all(
 
     Sources go out bracket-free (TestCase.source is already marker-stripped).
     Failed cases are recorded and excluded rather than counted as fails:
-    infrastructure failure is not a linguistic failure. An adapter with
-    `translate_cases` holds one translation per case, not per source, so it
-    bypasses the cache.
+    infrastructure failure is not a linguistic failure. The cache keeps each
+    adapter's entries under its `cache_name`. An adapter with `translate_cases`
+    holds one translation per case, not per source, so it bypasses the cache.
     """
     if not suite:
         raise DataInvariantError("cannot translate an empty suite")
     system_id = adapter.system_id
     by_case = hasattr(adapter, "translate_cases")
     cache = None if by_case else cache
+    cache_name = adapter.cache_name if cache else ""
     translations: dict[str, str] = {}
     failures: list[TranslationFailure] = []
     pending: list[TestCase] = []
     for case in suite:
-        cached = cache.get(system_id, case.source) if cache else None
+        cached = cache.get(cache_name, case.source) if cache else None
         if cached is not None:
             translations[case.id] = cached
         else:
@@ -289,7 +316,7 @@ def translate_all(
                 translations[case.id] = output
         if cache:
             done = [c for c in pending if c.id in translations]
-            cache.put(system_id, [(c.source, translations[c.id]) for c in done])
+            cache.put(cache_name, [(c.source, translations[c.id]) for c in done])
     if failures:
         log.warning(
             "system %s: %d/%d cases failed translation and are excluded",

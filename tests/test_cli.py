@@ -1,9 +1,12 @@
 """End-to-end CLI: generate -> candidates -> run -> report, offline."""
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,6 +213,37 @@ class TestRun:
         assert len(loads) == 1  # two properties, one read
         report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["properties"]["names"]["systems"]["stored"]["mpr"] == 1.0
+
+    def test_missing_file_system_path_exit_3(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        with open(workspace, "a", encoding="utf-8") as fh:
+            fh.write("  - id: stored\n    kind: file\n    path: absent.jsonl\n")
+        assert run_cli(
+            "run", "--config", str(workspace), "--system", "stored", "--out", str(tmp_path / "r")
+        ) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'absent.jsonl'}: cannot read (No such file or directory)" in err
+
+    def test_warm_run_hashes_each_source_once(self, workspace, tmp_path, monkeypatch):
+        prime(workspace)
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "cold")) == 0
+        config = load_config(str(workspace))
+        sources = {
+            case.source.encode("utf-8")
+            for spec in config.properties
+            for case in load_suite(config.property_dir(spec.id) / "suite.jsonl")
+        }
+        hashed = []
+        real_sha256 = hashlib.sha256
+
+        def counting_sha256(data=b"", **kwargs):
+            hashed.append(data)
+            return real_sha256(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "warm")) == 0
+        assert len(config.systems) == 2
+        assert sorted(d for d in hashed if d in sources) == sorted(sources)
 
     @pytest.mark.parametrize("order", [("full", "partial"), ("partial", "full")])
     def test_missing_candidate_count_is_the_union_over_systems(self, workspace, tmp_path, order):
@@ -459,6 +493,26 @@ class TestAnnotateAndApplyEdits:
         assert capsys.readouterr().err.startswith("usage error: --k must be >= 1")
         assert not list(out_dir.glob("review_*"))
 
+    def test_missing_translations_file_exit_3(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--out", str(out_dir))
+        (out_dir / "translations" / "identity.jsonl").unlink()
+        assert run_cli(
+            "annotate", "--config", str(workspace), "--property", "names",
+            "--system", "identity", "--run", str(out_dir),
+        ) == 3
+        err = capsys.readouterr().err
+        assert f"{out_dir / 'translations' / 'identity.jsonl'}: cannot read (" in err
+
+    def test_edits_directory_exit_3(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        assert run_cli(
+            "apply-edits", "--config", str(workspace), "--property", "names",
+            "--edits", str(tmp_path),
+        ) == 3
+        assert f"{tmp_path}: cannot read (Is a directory)" in capsys.readouterr().err
+
     def test_malformed_edits_line_exit_3(self, workspace, tmp_path, capsys):
         prime(workspace)
         edits_path = tmp_path / "edits.jsonl"
@@ -523,6 +577,15 @@ class TestExitCodes:
 
 
 class TestUsage:
+    def test_cli_import_leaves_requests_out(self):
+        code = "import sys, mtbehave.cli; print('requests' in sys.modules)"
+        src = str(Path(mtbehave.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_no_command_exit_1(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err.lower()

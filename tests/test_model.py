@@ -21,7 +21,7 @@ from mtbehave.model import (
     TestCase,
     TranslationRecord,
     Verdict,
-    _JSONL,
+    _iter_jsonl,
     _write_atomic,
     _write_jsonl,
     load_candidates,
@@ -281,13 +281,107 @@ class TestJsonlEncoder:
         [
             {"source": "Grüße, 北京 \U0001f600", "value": "€"},
             {"text": 'quote " backslash \\ tab \t nl \n ctl \x01 ls \u2028', "": None},
-            {"scores": [0.1, 1e-300, -2.5e10, 1.0, float("nan"), float("inf")], "pass": True},
+            {"scores": [0.1, 1e-300, -2.5e10, 1.0, float("nan"), float("inf"), float("-inf")],
+             "pass": True},
             {"nested": [[1, [2, {"k": ["é", 3.25]}]], []], "empty": {}},
         ],
     )
-    def test_shared_encoder_matches_json_dumps(self, row):
-        assert _JSONL.encode(row) == json.dumps(row, ensure_ascii=False)
-        assert _JSONL.encode(row) == json.dumps(row, ensure_ascii=False)  # reusable
+    def test_shared_encoder_matches_json_dumps(self, tmp_path, row):
+        path = tmp_path / "rows.jsonl"
+        _write_jsonl([row, {"n": 1}, row], path)  # the bound encoder is reusable
+        expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in [row, {"n": 1}, row])
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def reference_records(blob: bytes, path) -> list:
+    """What a per-line json.loads(bytes) makes of a JSONL file."""
+    out = []
+    for lineno, line in enumerate(blob.split(b"\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "not UTF-8"
+            raise SuiteLoadError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
+        if not isinstance(obj, dict):
+            raise SuiteLoadError(f"{path}:{lineno}: expected a JSON object")
+        out.append((lineno, obj))
+    return out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+JSON_PADDING = st.text(alphabet=" \t\r", max_size=3)
+
+
+class TestJsonlDecoder:
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.booleans(),
+                JSON_PADDING,
+                st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+                st.booleans(),
+                JSON_PADDING,
+                st.sampled_from(["\n", "\r\n"]),
+            ),
+            max_size=6,
+        ),
+        blank=st.sampled_from(["", "\n", " \t\r\n", "\x0b\x0c\n"]),
+    )
+    def test_matches_per_line_json_loads(self, tmp_path_factory, lines, blank):
+        blob = "".join(
+            ("\ufeff" if bom else "") + left + json.dumps(obj, ensure_ascii=ascii) + right + end
+            for bom, left, obj, ascii, right, end in lines
+        ).encode("utf-8") + blank.encode("utf-8")
+        path = tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
+        path.write_bytes(blob)
+        assert list(_iter_jsonl(path)) == reference_records(blob, path)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b'{"a": 1}\n\xff{"b": 2}\n',
+            b'{"a": "f\xc3"}\n',  # torn inside the two-byte "\u00fc"
+            b"\xef\xbb\xbf\n",
+            b'{"a": 1} {"b": 2}\n',
+            b'{"a": 1}\x0c\n',
+            b'{"a": [{}\n{}]}\n{}, {}\n',  # valid only if the lines were joined
+            b'{"a": 1}\n{"b": \n',
+            b"[1, 2]\n",
+            b'"text"\n',
+        ],
+        ids=["not-utf8", "torn-utf8", "bom-only", "extra-data", "extra-form-feed",
+             "unsound-join", "truncated", "array", "string"],
+    )
+    def test_errors_match_per_line_json_loads(self, tmp_path, blob):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(blob)
+        with pytest.raises(SuiteLoadError) as expected:
+            reference_records(blob, path)
+        with pytest.raises(SuiteLoadError) as info:
+            list(_iter_jsonl(path))
+        assert str(info.value) == str(expected.value)
+
+    def test_lone_surrogate_is_not_utf8(self, tmp_path):
+        # json.loads(bytes) lets an encoded lone surrogate through; no UTF-8
+        # writer could save the string again.
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"a": "\xed\xa0\x80"}\n')
+        with pytest.raises(SuiteLoadError, match=r"bad.jsonl:1: invalid JSON \(not UTF-8\)"):
+            list(_iter_jsonl(path))
+
+    @pytest.mark.parametrize("make", ["missing", "directory"])
+    def test_unreadable_path_is_a_load_error(self, tmp_path, make):
+        path = tmp_path / "suite.jsonl"
+        if make == "directory":
+            path.mkdir()
+        with pytest.raises(SuiteLoadError, match=rf"{path}: cannot read \(\w"):
+            load_suite(path)
 
 
 class TestAtomicWrite:

@@ -1,9 +1,11 @@
 """Adapters, caching, evaluation routing, reports, and the annotation loop."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -62,6 +64,7 @@ def make_suite(raws: list[str], prop_id: str = "units") -> list[TestCase]:
 class CountingAdapter:
     def __init__(self, system_id="fixture", fn=None):
         self.system_id = system_id
+        self.cache_name = system_id
         self.fn = fn or (lambda s: s)
         self.calls = 0
 
@@ -252,6 +255,46 @@ class TestTranslateAll:
         # The same case for another system is not a duplicate.
         other = FileMtAdapter(AdapterSpec(system_id="other", kind="file", path=str(path)))
         assert other.translate_cases(SUITE[:1]) == ["Ich lief 3 km."]
+
+
+class TestCacheFingerprint:
+    HTTP = AdapterSpec(
+        system_id="mt", kind="http", endpoint="http://mt/x", language_pair=("en", "de")
+    )
+
+    def test_cache_file_is_named_by_system_and_fingerprint(self, tmp_path):
+        spec = AdapterSpec(system_id="sys", kind="command", command="cat")
+        translate_all(SUITE, CommandMtAdapter(spec), TranslationCache(tmp_path))
+        [path] = tmp_path.iterdir()
+        assert re.fullmatch(r"sys\.[0-9a-f]{16}\.jsonl", path.name)
+        assert path.name == f"{spec.cache_name}.jsonl"
+
+    def test_editing_a_command_retranslates(self, tmp_path):
+        spec = AdapterSpec(system_id="sys", kind="command", command="cat")
+        translate_all(SUITE, CommandMtAdapter(spec), TranslationCache(tmp_path))
+        edited = dataclasses.replace(spec, command="tr a-z A-Z")
+        result = translate_all(SUITE, CommandMtAdapter(edited), TranslationCache(tmp_path))
+        assert [r.translation for r in result.records] == [c.source.upper() for c in SUITE]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("kind", "command"), ("endpoint", "http://mt/y"), ("command", "tac"),
+         ("language_pair", ("en", "fr"))],
+    )
+    def test_every_output_field_changes_the_name(self, field, value):
+        base = dataclasses.replace(self.HTTP, command="cat")
+        edited = dataclasses.replace(base, **{field: value})
+        assert edited.cache_name != base.cache_name
+        assert edited.cache_name.startswith("mt.")
+
+    def test_editing_batch_size_still_hits_the_cache(self, tmp_path):
+        session = StubSession([StubResponse({"translations": ["eins", "zwei", "drei"]})])
+        translate_all(SUITE, HttpMtAdapter(self.HTTP, session), TranslationCache(tmp_path))
+        edited = dataclasses.replace(self.HTTP, batch_size=1)
+        offline = StubSession([])  # any request would fail on the empty script
+        result = translate_all(SUITE, HttpMtAdapter(edited, offline), TranslationCache(tmp_path))
+        assert offline.calls == []
+        assert [r.translation for r in result.records] == ["eins", "zwei", "drei"]
 
 
 class TestCommandAdapter:
