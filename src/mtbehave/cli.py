@@ -279,6 +279,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("no systems configured")
     run_dir = _run_directory(config, args.out)
     cache = TranslationCache(config.workspace / "cache" / "translations")
+    stale = cache.superseded(config.systems)
+    if stale:
+        log.warning(
+            "%s: no configured system reads %s any more; they may be deleted",
+            cache.directory, ", ".join(stale),
+        )
     embedder = None
     if any(p.detector == "contrastive" for p in props):
         # One store for the whole run: each distinct text is embedded once.

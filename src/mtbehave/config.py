@@ -27,6 +27,10 @@ from .providers import (
 )
 from .runner import AdapterSpec, CommandMtAdapter, FileMtAdapter, HttpMtAdapter
 
+# libyaml's parser when PyYAML was built with it, else the pure-Python one;
+# both build the same safe types, but their error wording differs.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 LLM_KINDS = ("http", "replay")
 EMBEDDER_KINDS = ("http", "hash")
 
@@ -259,7 +263,7 @@ def load_config(path_spec: str, overrides: Mapping[str, Any] | None = None) -> R
     """
     path = resolve_config_path(path_spec)
     try:
-        raw = yaml.safe_load(_read_utf8(path, "config file"))
+        raw = yaml.load(_read_utf8(path, "config file"), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     # Flag names never collide with other keys of the file's top level or

@@ -7,6 +7,7 @@ system comparison from joint (paired) resampling.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -204,9 +205,23 @@ def bootstrap_ci(sample: Sample, cfg: ResampleConfig) -> Interval:
     given (sample order, cfg.seed, cfg.k).
     """
     _require_nonempty(sample)
-    stats = sample._cohort.mprs(cfg)[sample._row]
-    lo, hi = np.quantile(stats, [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0], method="linear")
-    return Interval(float(lo), float(hi))
+    ordered = np.sort(sample._cohort.mprs(cfg)[sample._row])
+    return Interval(
+        _linear_quantile(ordered, cfg.alpha / 2.0), _linear_quantile(ordered, 1.0 - cfg.alpha / 2.0)
+    )
+
+
+def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """`np.quantile(ordered, q, method="linear")` of a sorted array, bit for bit,
+    without np.quantile's import of numpy.ma."""
+    v = (len(ordered) - 1) * q
+    # As in numpy, a virtual index at or past the last order statistic reads
+    # it at index -1 for both ends, which makes the weight v + 1.
+    i = math.floor(v) if v < len(ordered) - 1 else -1
+    a = float(ordered[i])
+    b = float(ordered[i + 1]) if i >= 0 else a
+    g = v - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ class ReplayProvider:
     """Reads canned responses from a directory, for offline runs and tests.
 
     Files are named `<replay_key(prompt)>.<seq>.txt`; repeated calls with the
-    same prompt consume the sequence in sorted order and then stick on the
+    same prompt consume the sequence in name order and then stick on the
     last file. The directory is listed once, when the provider is made, so
     files added later are not seen by this provider.
     """
@@ -167,9 +167,11 @@ class ReplayProvider:
         self.directory = Path(directory)
         if not self.directory.is_dir():
             raise ConfigError(f"replay directory {self.directory} does not exist")
-        self._files: dict[str, list[Path]] = {}
-        for path in sorted(self.directory.glob("*.txt")):
-            self._files.setdefault(path.name[:_REPLAY_KEY_LEN], []).append(path)
+        with os.scandir(self.directory) as entries:
+            names = sorted(e.name for e in entries if e.name.endswith(".txt"))
+        self._files: dict[str, list[str]] = {}
+        for name in names:
+            self._files.setdefault(name[:_REPLAY_KEY_LEN], []).append(name)
         self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -184,7 +186,13 @@ class ReplayProvider:
         with self._lock:
             idx = self._counts.get(key, 0)
             self._counts[key] = idx + 1
-        return files[min(idx, len(files) - 1)].read_text(encoding="utf-8")
+        path = self.directory / files[min(idx, len(files) - 1)]
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProviderError(f"replay file {path} is not UTF-8 (byte {exc.start})") from exc
+        except OSError as exc:
+            raise ProviderError(f"replay file {path}: cannot read ({exc.strerror})") from exc
 
 
 def write_replay_responses(directory: Path | str, prompt: str, responses: Sequence[str]) -> None:

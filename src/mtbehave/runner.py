@@ -227,6 +227,20 @@ class TranslationCache:
     def get(self, name: str, source: str) -> str | None:
         return self._load(name).get(self._key(source))
 
+    def superseded(self, specs: Iterable[AdapterSpec]) -> list[str]:
+        """The files in the directory that a command or http system among `specs`
+        wrote under another fingerprint, or as a pre-fingerprint `<system_id>.jsonl`,
+        and no longer reads; file systems bypass the cache and are not looked at."""
+        cached = [s for s in specs if s.kind in ("command", "http")]
+        try:
+            names = os.listdir(self.directory) if cached else []
+        except FileNotFoundError:
+            return []
+        ids = "|".join(re.escape(s.system_id) for s in cached)
+        own = re.compile(rf"(?:{ids})(?:\.[0-9a-f]{{16}})?\.jsonl")
+        live = {f"{s.cache_name}.jsonl" for s in cached}
+        return sorted(n for n in names if n not in live and own.fullmatch(n))
+
     def put(self, name: str, pairs: Iterable[tuple[str, str]]) -> None:
         """Cache (source, translation) pairs; every new entry goes out in one append."""
         entries = self._load(name)

@@ -16,7 +16,7 @@ from mtbehave import cli, runner
 from mtbehave.cli import main
 from mtbehave.config import load_config
 from mtbehave.errors import ConfigError, MtBehaveError, ProviderError
-from mtbehave.generation import render_candidate_prompt
+from mtbehave.generation import render_candidate_prompt, render_source_prompt
 from mtbehave.model import (
     TranslationRecord,
     load_candidates,
@@ -26,7 +26,7 @@ from mtbehave.model import (
     save_candidates,
     save_translations,
 )
-from mtbehave.providers import write_replay_responses
+from mtbehave.providers import replay_key, write_replay_responses
 
 from conftest import OFFLINE_CONFIG_TEXT as CONFIG_TEXT
 from conftest import build_offline_workspace
@@ -74,6 +74,15 @@ class TestGenerate:
         config_path.write_text(CONFIG_TEXT, encoding="utf-8")
         (tmp_path / "replays").mkdir()
         assert run_cli("generate", "--config", str(config_path)) == 2
+
+    def test_non_utf8_replay_file_exit_2_naming_it(self, workspace, capsys):
+        config = load_config(str(workspace))
+        names = config.property_by_id("names")
+        replays = workspace.parent / "replays"
+        path = replays / f"{replay_key(render_source_prompt(names))}.000.txt"
+        path.write_bytes(b"- [Anna \xff] kam.\n")
+        assert run_cli("generate", "--config", str(workspace), "--property", "names") == 2
+        assert f"{path} is not UTF-8" in capsys.readouterr().err
 
     def test_target_flag_override(self, workspace):
         assert run_cli("generate", "--config", str(workspace), "--target", "4",
@@ -188,6 +197,47 @@ class TestRun:
         for name in ("verdicts.jsonl", "report.json", "report.txt",
                      "translations/identity.jsonl", "translations/mangler.jsonl"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_superseded_cache_files_named_in_one_warning(self, workspace, tmp_path, caplog):
+        prime(workspace)
+        config = load_config(str(workspace))
+        cache_dir = config.workspace / "cache" / "translations"
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "r1")) == 0
+        old = f"{config.system_by_id('mangler').cache_name}.jsonl"
+        legacy = cache_dir / "identity.jsonl"
+        legacy.write_text("", encoding="utf-8")
+        workspace.write_text(
+            workspace.read_text(encoding="utf-8").replace("s/a/x/g", "s/e/x/g"), encoding="utf-8"
+        )
+        caplog.clear()
+        # Only identity runs, but mangler's file is judged against its new command.
+        assert run_cli(
+            "run", "--config", str(workspace), "--system", "identity", "--out", str(tmp_path / "r2")
+        ) == 0
+        [warning] = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert f"identity.jsonl, {old}" in warning.getMessage()
+        assert "may be deleted" in warning.getMessage()
+        assert (cache_dir / old).exists() and legacy.exists()
+
+    def test_current_cache_files_raise_no_warning(self, workspace, tmp_path, caplog):
+        prime(workspace)
+        for run in ("r1", "r2"):
+            assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / run)) == 0
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+    def test_run_leaves_numpy_ma_unimported(self, workspace, tmp_path):
+        prime(workspace)
+        argv = ["run", "--config", str(workspace), "--offline", "--out", str(tmp_path / "r")]
+        code = (
+            "import sys; from mtbehave.cli import main; "
+            f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
+        )
+        src = str(Path(mtbehave.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_file_system_read_once_per_run(self, workspace, tmp_path, monkeypatch):
         prime(workspace)

@@ -1,8 +1,12 @@
 """Run-configuration loading, presets, overrides, offline enforcement."""
 from __future__ import annotations
 
-import pytest
+from importlib import resources
 
+import pytest
+import yaml
+
+from mtbehave import config as config_module
 from mtbehave.cli import main
 from mtbehave.config import derive_seed, load_config, packaged_template, resolve_config_path
 from mtbehave.errors import ConfigError
@@ -27,6 +31,10 @@ systems:
     kind: command
     command: cat
 """
+
+
+# Both loaders PyYAML may provide; libyaml's only when it was built with it.
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
 def write_config(tmp_path, text=MINIMAL):
@@ -112,9 +120,11 @@ systems:"""
         with pytest.raises(ConfigError, match="unknown property id"):
             config.property_by_id("nope")
 
-    def test_invalid_yaml(self, tmp_path):
-        with pytest.raises(ConfigError, match="invalid YAML"):
-            load_config(str(write_config(tmp_path, "a: [unclosed")))
+    def test_invalid_yaml(self, tmp_path, monkeypatch):
+        for loader in LOADERS:
+            monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+            with pytest.raises(ConfigError, match="invalid YAML"):
+                load_config(str(write_config(tmp_path, "a: [unclosed")))
 
     def test_non_utf8_config_exits_1_naming_it(self, tmp_path, capsys):
         path = tmp_path / "config.yaml"
@@ -126,6 +136,24 @@ systems:"""
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "absent.yaml"))
+
+
+class TestYamlLoader:
+    def test_libyaml_used_when_pyyaml_has_it(self):
+        assert config_module._YAML_LOADER is LOADERS[-1]
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_presets_parse_equal_under_both_loaders(self):
+        presets = [
+            path for path in resources.files("mtbehave.presets").iterdir()
+            if path.name.endswith(".yaml")
+        ]
+        assert presets
+        for path in presets:
+            text = path.read_text(encoding="utf-8")
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(
+                text, Loader=yaml.SafeLoader
+            ), path.name
 
 
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mtbehave import metrics
 from mtbehave.detection import TokenizerConfig
@@ -126,6 +127,54 @@ class TestBootstrapCi:
             ci = bootstrap_ci(sample, ResampleConfig(k=200, seed=rng.randrange(2**16)))
             hits += ci.lo <= 0.7 <= ci.hi
         assert hits / trials >= 0.8
+
+
+# Alphas for which a CI's lower virtual index is 0 and its upper one k - 1,
+# alongside ordinary and near-1 ones.
+ALPHAS = st.one_of(
+    st.sampled_from([1e-300, 1e-17, 0.05, 0.5, 1.0 - 2**-53]),
+    st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
+)
+
+
+def numpy_ci(stats, alpha):
+    lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0], method="linear")
+    return float(lo), float(hi)
+
+
+class TestQuantileParity:
+    """bootstrap_ci reads its quantiles from a sorted copy of the statistics;
+    np.quantile's linear method is the reference, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=2000),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        ALPHAS,
+    )
+    @example(k=1, pool=[0.5], seed=0, alpha=0.05)
+    @example(k=3, pool=[0.1, 0.2, 0.7], seed=0, alpha=1e-300)
+    def test_linear_quantile_matches_numpy(self, k, pool, seed, alpha):
+        # k draws from a pool of at most 50 values, so most arrays hold ties.
+        stats = np.random.default_rng(seed).choice(np.asarray(pool), size=k)
+        ordered = np.sort(stats)
+        got = tuple(metrics._linear_quantile(ordered, q) for q in (alpha / 2.0, 1.0 - alpha / 2.0))
+        assert [x.hex() for x in got] == [x.hex() for x in numpy_ci(stats, alpha)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 1)), min_size=1, max_size=30),
+        st.integers(min_value=1, max_value=2000),
+        ALPHAS,
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_bootstrap_ci_matches_numpy(self, pairs, k, alpha, seed):
+        sample = Sample.from_pairs(pairs)
+        cfg = ResampleConfig(k=k, alpha=alpha, seed=seed)
+        stats = resampled_mprs([v for v, _ in pairs], [[p for _, p in pairs]], cfg)[0]
+        ci = bootstrap_ci(sample, cfg)
+        assert [ci.lo.hex(), ci.hi.hex()] == [x.hex() for x in numpy_ci(stats, alpha)]
 
 
 class TestPairedBootstrap:

@@ -195,6 +195,36 @@ class TestReplayProvider:
         assert len(scans) == 1
         assert provider.complete("prompt 7") == "again"
 
+    def test_sequence_in_name_order(self, tmp_path):
+        key = replay_key("p")
+        for seq in ("1000", "010", "000", "002"):
+            (tmp_path / f"{key}.{seq}.txt").write_text(seq, encoding="utf-8")
+        # The order sorting the files' Paths gave before names were indexed.
+        expected = [path.read_text(encoding="utf-8") for path in sorted(tmp_path.glob("*.txt"))]
+        assert expected == ["000", "002", "010", "1000"]
+        provider = ReplayProvider(tmp_path)
+        assert [provider.complete("p") for _ in range(5)] == expected + ["1000"]
+
+    def test_non_utf8_file_is_provider_error(self, tmp_path):
+        path = tmp_path / f"{replay_key('p')}.000.txt"
+        path.write_bytes(b"ok \xff")
+        with pytest.raises(ProviderError, match=f"{path}.*not UTF-8"):
+            ReplayProvider(tmp_path).complete("p")
+
+    def test_directory_named_like_a_file_is_provider_error(self, tmp_path):
+        path = tmp_path / f"{replay_key('p')}.000.txt"
+        path.mkdir()
+        with pytest.raises(ProviderError, match=f"{path}: cannot read"):
+            ReplayProvider(tmp_path).complete("p")
+
+    def test_file_removed_after_listing_is_provider_error(self, tmp_path):
+        write_replay_responses(tmp_path, "p", ["x"])
+        provider = ReplayProvider(tmp_path)
+        path = tmp_path / f"{replay_key('p')}.000.txt"
+        path.unlink()
+        with pytest.raises(ProviderError, match=f"{path}: cannot read"):
+            provider.complete("p")
+
     def test_key_is_stable(self):
         assert replay_key("abc") == replay_key("abc")
         assert replay_key("abc") != replay_key("abd")

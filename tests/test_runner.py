@@ -287,6 +287,29 @@ class TestCacheFingerprint:
         assert edited.cache_name != base.cache_name
         assert edited.cache_name.startswith("mt.")
 
+    def test_superseded_matches_system_ids_exactly(self, tmp_path):
+        a = AdapterSpec(system_id="a", kind="command", command="cat")
+        ab = AdapterSpec(system_id="a.b", kind="command", command="cat")
+        stored = AdapterSpec(system_id="f", kind="file", path="f.jsonl")
+        other = dataclasses.replace(ab, command="tac").cache_name
+        names = [
+            f"{a.cache_name}.jsonl", f"{ab.cache_name}.jsonl",  # read now
+            f"{other}.jsonl", "a.jsonl", "a.0123456789abcdef.jsonl",  # superseded
+            "a.b.jsonl.bak", "a.0123456789ABCDEF.jsonl", "a.012345.jsonl",  # not cache names
+            "f.jsonl", "f.0123456789abcdef.jsonl", "z.0123456789abcdef.jsonl",  # not cached ids
+        ]
+        for name in names:
+            (tmp_path / name).write_text("", encoding="utf-8")
+        cache = TranslationCache(tmp_path)
+        assert cache.superseded([a, ab, stored]) == sorted(names[2:5])
+        # With only `a` configured, a.b's files are another system's, not a's.
+        assert cache.superseded([a]) == ["a.0123456789abcdef.jsonl", "a.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+    def test_superseded_without_a_cache_directory(self, tmp_path):
+        spec = AdapterSpec(system_id="a", kind="command", command="cat")
+        assert TranslationCache(tmp_path / "absent").superseded([spec]) == []
+
     def test_editing_batch_size_still_hits_the_cache(self, tmp_path):
         session = StubSession([StubResponse({"translations": ["eins", "zwei", "drei"]})])
         translate_all(SUITE, HttpMtAdapter(self.HTTP, session), TranslationCache(tmp_path))
