@@ -137,25 +137,6 @@ systems:"""
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "absent.yaml"))
 
-
-class TestYamlLoader:
-    def test_libyaml_used_when_pyyaml_has_it(self):
-        assert config_module._YAML_LOADER is LOADERS[-1]
-
-    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
-    def test_presets_parse_equal_under_both_loaders(self):
-        presets = [
-            path for path in resources.files("mtbehave.presets").iterdir()
-            if path.name.endswith(".yaml")
-        ]
-        assert presets
-        for path in presets:
-            text = path.read_text(encoding="utf-8")
-            assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(
-                text, Loader=yaml.SafeLoader
-            ), path.name
-
-
     @pytest.mark.parametrize(
         "old, new, key",
         [
@@ -189,6 +170,24 @@ class TestYamlLoader:
         path = write_config(tmp_path, MINIMAL.replace(old, new, 1))
         assert main(["diversity", "--config", str(path)]) == 1
         assert repr(key) in capsys.readouterr().err
+
+
+class TestYamlLoader:
+    def test_libyaml_used_when_pyyaml_has_it(self):
+        assert config_module._YAML_LOADER is LOADERS[-1]
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_presets_parse_equal_under_both_loaders(self):
+        presets = [
+            path for path in resources.files("mtbehave.presets").iterdir()
+            if path.name.endswith(".yaml")
+        ]
+        assert presets
+        for path in presets:
+            text = path.read_text(encoding="utf-8")
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(
+                text, Loader=yaml.SafeLoader
+            ), path.name
 
 
 class TestProvidersFromConfig:
