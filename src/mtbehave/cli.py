@@ -31,7 +31,9 @@ from .metrics import ResampleConfig, diversity_series, trend_fit
 from .model import (
     CandidateEntry,
     PropertySpec,
+    _append,
     _load_records,
+    _read_text,
     _write_atomic,
     _write_json,
     _write_jsonl,
@@ -371,10 +373,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report_path = Path(args.report)
     if not report_path.exists():
         raise ConfigError(f"report file {report_path} not found")
-    # Bad JSON, bad UTF-8 and a report of the wrong shape all fail in here,
-    # on the parse, a lookup or a format spec.
+    text = _read_text(report_path)
+    # Bad JSON and a report of the wrong shape both fail in here, on the
+    # parse, a lookup or a format spec.
     try:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report = json.loads(text)
         properties = report.get("properties", {})
         if args.property:
             missing = [p for p in args.property if p not in properties]
@@ -529,9 +532,7 @@ def cmd_apply_edits(args: argparse.Namespace) -> int:
     updated, audit = apply_candidate_edits(candidates, edits)
     save_candidates(updated.values(), prop_dir / "candidates.jsonl")
     if audit:
-        with open(prop_dir / "candidates_audit.log", "a", encoding="utf-8", newline="\n") as fh:
-            for line in audit:
-                fh.write(line + "\n")
+        _append(prop_dir / "candidates_audit.log", "".join(line + "\n" for line in audit))
     print(f"{spec.id}: applied {len(edits)} edits ({len(audit)} changes)")
     if tallies is not None:
         print(

@@ -15,8 +15,9 @@ from typing import Any, Mapping
 import yaml
 
 from .detection import TokenizerConfig
-from .errors import ConfigError
-from .model import PropertySpec
+from .errors import ConfigError, DataInvariantError
+from .metrics import ResampleConfig
+from .model import PropertySpec, _read_text
 from .providers import (
     DEFAULT_PRESENCE_PENALTY,
     DEFAULT_TEMPERATURE,
@@ -196,7 +197,7 @@ def _parse_property(raw: Any, base_dir: Path) -> PropertySpec:
         path = base_dir / rel  # an absolute `rel` is kept as it is
         if not path.is_file():
             raise ConfigError(f"{context}: template file {path} not found")
-        text = _read_utf8(path, f"{context}: {key} template file")
+        text = _read_text(path, ConfigError, f"{context}: {key} template file ")
         if not text.strip():
             raise ConfigError(f"{context}: {key} template file {path} is empty")
         return text
@@ -233,13 +234,6 @@ def _parse_system(raw: Any) -> AdapterSpec:
     )
 
 
-def _read_utf8(path: Path, what: str) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not UTF-8 (byte {exc.start})") from exc
-
-
 def resolve_config_path(spec: str) -> Path:
     """Resolve a --config argument; `preset:<name>` maps to packaged configs."""
     if spec.startswith("preset:"):
@@ -259,16 +253,24 @@ def load_config(path_spec: str, overrides: Mapping[str, Any] | None = None) -> R
     """Parse and validate a run configuration.
 
     `overrides` carries CLI flag values (seed, k, alpha, target_count,
-    offline, workspace); flags win over the file.
+    offline, workspace); flags win over the file. A value a domain type
+    rejects is a ConfigError naming the file.
     """
     path = resolve_config_path(path_spec)
     try:
-        raw = yaml.load(_read_utf8(path, "config file"), Loader=_YAML_LOADER)
+        raw = yaml.load(_read_text(path, ConfigError, "config file "), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     # Flag names never collide with other keys of the file's top level or
     # its `stats` section, so merging them into both lets each flag win.
     flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    try:
+        return _run_config(raw, path, flags)
+    except DataInvariantError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _run_config(raw: Any, path: Path, flags: Mapping[str, Any]) -> RunConfig:
     top = str(path)
     d = {**_expect_mapping(raw if raw is not None else {}, top), **flags}
     base_dir = path.parent
@@ -338,4 +340,5 @@ def load_config(path_spec: str, overrides: Mapping[str, Any] | None = None) -> R
         raise ConfigError(f"stats: 'k' must be >= 1, got {config.k}")
     if not 0.0 < config.alpha < 1.0:
         raise ConfigError(f"stats: 'alpha' must be in (0, 1), got {config.alpha}")
+    ResampleConfig(k=config.k, alpha=config.alpha)  # the bootstrap's own bounds on k
     return config

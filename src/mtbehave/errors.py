@@ -2,6 +2,9 @@
 
 Each class carries the CLI exit code and the stderr label it ends in:
 ConfigError -> 1, ProviderError (and subclasses) -> 2, every other error -> 3.
+A file that cannot be read or written is one of these, naming the path and the
+reason: the config file and prompt templates 1, replay files 2, every other read
+and every write 3 (see `model._file_errors`).
 """
 from __future__ import annotations
 
@@ -54,7 +57,7 @@ class DataInvariantError(MtBehaveError):
 
 
 class SuiteLoadError(DataInvariantError):
-    """A serialized file could not be parsed; message carries path and line."""
+    """A file could not be read, written or parsed; the message names the path."""
 
 
 class BracketParseError(MtBehaveError, ValueError):

@@ -9,6 +9,7 @@ import codecs
 import itertools
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
@@ -16,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 from .errors import (
     DataInvariantError,
     EmptyValueError,
+    MtBehaveError,
     MultipleValuesError,
     NoValueError,
     SuiteLoadError,
@@ -25,11 +27,6 @@ from .errors import (
 DETECTOR_KINDS = ("exhaustive", "contrastive")
 
 T = TypeVar("T")
-
-
-def _fold(text: str) -> str:
-    """Full Unicode case folding; the single definition of "case-insensitive"."""
-    return text.casefold()
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,7 @@ class CandidateSet:
         for cand in self.candidates:
             if not cand or not cand.strip():
                 raise DataInvariantError(f"candidate set for {self.value!r} has a blank entry")
-            folded = _fold(cand)
+            folded = cand.casefold()
             if folded in seen:
                 raise DataInvariantError(
                     f"candidate set for {self.value!r} has duplicate entry {cand!r}"
@@ -206,8 +203,8 @@ class ContrastivePair:
             )
         if any(not c or not c.strip() for c in self.correct + self.foil):
             raise DataInvariantError(f"contrastive pair for {self.value!r} has a blank entry")
-        folded_correct = {_fold(c) for c in self.correct}
-        overlap = [f for f in self.foil if _fold(f) in folded_correct]
+        folded_correct = {c.casefold() for c in self.correct}
+        overlap = [f for f in self.foil if f.casefold() in folded_correct]
         if overlap:
             raise DataInvariantError(
                 f"contrastive pair for {self.value!r}: correct/foil overlap {overlap!r}"
@@ -283,21 +280,79 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
+# The file boundary: the package reads and writes files only through these, and
+# only here does an OSError or UnicodeDecodeError become an error naming the path:
+# a read raises the caller's `error`, a write always a SuiteLoadError (exit 3).
+
+
+@contextmanager
+def _file_errors(path: Path, action: str, error: type[MtBehaveError], what: str) -> Iterator[None]:
+    """Re-raise an OSError or UnicodeDecodeError from the block as `error`: as
+    `<what><path>: cannot <action> (<reason>)` or `<what><path> is not UTF-8 (byte N)`."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{what}{path} is not UTF-8 (byte {exc.start})") from exc
+    except OSError as exc:
+        raise error(f"{what}{path}: cannot {action} ({exc.strerror})") from exc
+
+
+def _read_bytes(path: Path, error: type[MtBehaveError] = SuiteLoadError, what: str = "") -> bytes:
+    with _file_errors(path, "read", error, what), open(path, "rb") as fh:
+        return fh.read()
+
+
+def _read_text(path: Path, error: type[MtBehaveError] = SuiteLoadError, what: str = "") -> str:
+    """The UTF-8 text of `path`, CRLF and CR read as LF as `Path.read_text` does."""
+    with _file_errors(path, "read", error, what):
+        return path.read_text(encoding="utf-8")
+
+
+def _list_dir(path: Path, error: type[MtBehaveError] = SuiteLoadError, what: str = "") -> list[str]:
+    """The names in directory `path`; a directory that does not exist has none."""
+    with _file_errors(path, "read", error, what):
+        try:
+            return os.listdir(path)
+        except FileNotFoundError:
+            return []
+
+
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Stream `chunks` into `path` as UTF-8, replacing the file whole or not at all.
+
+    The chunks go to a temporary file next to `path`, which is renamed over it
+    once complete, so an interrupted write leaves the previous file intact.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    with _file_errors(path, "write", SuiteLoadError, ""):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+
+def _append(path: Path, text: str) -> None:
+    with _file_errors(path, "write", SuiteLoadError, ""):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "a", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
+def _truncate(path: Path, size: int) -> None:
+    with _file_errors(path, "write", SuiteLoadError, ""):
+        os.truncate(path, size)
+
+
+# ---------------------------------------------------------------------------
 # JSONL serialization
 
 
 # One decoder for every JSONL line; json.loads(bytes) would detect the encoding
 # and run two whitespace regexes on each line again.
 _DECODER = json.JSONDecoder()
-
-
-def _read_bytes(path: Path) -> bytes:
-    """The contents of `path`; an unreadable path is a SuiteLoadError naming it."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise SuiteLoadError(f"{path}: cannot read ({exc.strerror})") from exc
 
 
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
@@ -340,22 +395,6 @@ def _load_records(path: Path | str, from_dict: Callable[[dict], T]) -> Iterator[
         except (AttributeError, TypeError, ValueError) as exc:
             raise SuiteLoadError(f"{path}:{lineno}: malformed record ({exc})") from exc
         yield lineno, record
-
-
-def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
-    """Stream `chunks` into `path` as UTF-8, replacing the file whole or not at all.
-
-    The chunks go to a temporary file next to `path`, which is renamed over it
-    once complete, so an interrupted write leaves the previous file intact.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 # One C encoder for every JSONL row, with json.dumps(row, ensure_ascii=False)'s

@@ -18,6 +18,7 @@ import numpy as np
 
 from .detection import EmbeddingVector
 from .errors import ConfigError, ProviderError
+from .model import _list_dir, _read_text, _write_atomic
 
 if TYPE_CHECKING:
     import requests
@@ -167,8 +168,8 @@ class ReplayProvider:
         self.directory = Path(directory)
         if not self.directory.is_dir():
             raise ConfigError(f"replay directory {self.directory} does not exist")
-        with os.scandir(self.directory) as entries:
-            names = sorted(e.name for e in entries if e.name.endswith(".txt"))
+        listing = _list_dir(self.directory, ProviderError, "replay directory ")
+        names = sorted(name for name in listing if name.endswith(".txt"))
         self._files: dict[str, list[str]] = {}
         for name in names:
             self._files.setdefault(name[:_REPLAY_KEY_LEN], []).append(name)
@@ -187,21 +188,14 @@ class ReplayProvider:
             idx = self._counts.get(key, 0)
             self._counts[key] = idx + 1
         path = self.directory / files[min(idx, len(files) - 1)]
-        try:
-            return path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProviderError(f"replay file {path} is not UTF-8 (byte {exc.start})") from exc
-        except OSError as exc:
-            raise ProviderError(f"replay file {path}: cannot read ({exc.strerror})") from exc
+        return _read_text(path, ProviderError, "replay file ")
 
 
 def write_replay_responses(directory: Path | str, prompt: str, responses: Sequence[str]) -> None:
     """Store a response sequence for `prompt` in a replay directory."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     key = replay_key(prompt)
     for i, resp in enumerate(responses):
-        (directory / f"{key}.{i:03d}.txt").write_text(resp, encoding="utf-8")
+        _write_atomic(Path(directory) / f"{key}.{i:03d}.txt", [resp])
 
 
 class HttpEmbedder:

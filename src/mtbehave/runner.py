@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import re
 import shlex
 import subprocess
@@ -44,9 +43,12 @@ from .model import (
     TestCase,
     TranslationRecord,
     Verdict,
+    _append,
     _jsonl_line,
+    _list_dir,
     _load_records,
     _read_bytes,
+    _truncate,
     load_translations,
 )
 from .providers import _json_list, _post_json, _session
@@ -232,10 +234,7 @@ class TranslationCache:
         wrote under another fingerprint, or as a pre-fingerprint `<system_id>.jsonl`,
         and no longer reads; file systems bypass the cache and are not looked at."""
         cached = [s for s in specs if s.kind in ("command", "http")]
-        try:
-            names = os.listdir(self.directory) if cached else []
-        except FileNotFoundError:
-            return []
+        names = _list_dir(self.directory) if cached else []
         ids = "|".join(re.escape(s.system_id) for s in cached)
         own = re.compile(rf"(?:{ids})(?:\.[0-9a-f]{{16}})?\.jsonl")
         live = {f"{s.cache_name}.jsonl" for s in cached}
@@ -251,9 +250,7 @@ class TranslationCache:
                 entries[key] = translation
                 lines.append(_jsonl_line({"source_sha256": key, "translation": translation}))
         if lines:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with open(self._path(name), "a", encoding="utf-8", newline="\n") as fh:
-                fh.write("".join(lines))
+            _append(self._path(name), "".join(lines))
 
 
 def _read_cache(path: Path) -> dict[str, str]:
@@ -267,7 +264,7 @@ def _read_cache(path: Path) -> dict[str, str]:
     keep = data.rfind(b"\n") + 1
     if keep < len(data):
         log.warning("%s: dropping a torn last line; its entry will be re-translated", path)
-        os.truncate(path, keep)
+        _truncate(path, keep)
     pairs = _load_records(path, lambda d: (d["source_sha256"], d["translation"]))
     return dict(pair for _, pair in pairs)
 
@@ -692,4 +689,4 @@ def apply_candidate_edits(
 
 
 def file_sha256(path: Path | str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(_read_bytes(Path(path))).hexdigest()

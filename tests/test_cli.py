@@ -331,6 +331,16 @@ class TestRun:
         assert run_cli("run", "--config", str(workspace)) == 1
         assert "candidates" in capsys.readouterr().err
 
+    def test_k_beyond_the_bootstrap_bound_exit_1_before_translating(
+        self, workspace, tmp_path, capsys
+    ):
+        prime(workspace)
+        out = tmp_path / "run1"
+        assert run_cli("run", "--config", str(workspace), "--k", str(2**32), "--out", str(out)) == 1
+        assert "k must be in [1, 2**32)" in capsys.readouterr().err
+        assert not (load_config(str(workspace)).workspace / "cache").exists()
+        assert not out.exists()
+
     def test_runmeta_holds_timestamp_not_report(self, workspace, tmp_path):
         prime(workspace)
         out_dir = tmp_path / "run1"
@@ -597,6 +607,59 @@ def _error_classes() -> list[type]:
     return sorted(
         (c for c in set(found) if c.__module__.startswith("mtbehave")), key=lambda c: c.__name__
     )
+
+
+class TestFileFailures:
+    """A path that cannot be read or written ends in an exit code naming it."""
+
+    def test_translation_cache_a_file_exit_3_before_translating(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        prime(workspace)
+        cache_dir = load_config(str(workspace)).workspace / "cache" / "translations"
+        cache_dir.parent.mkdir()
+        cache_dir.write_bytes(b"x")
+        monkeypatch.setattr(cli, "translate_all", lambda *a, **k: pytest.fail("translated"))
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "run1")) == 3
+        assert f"data error: {cache_dir}: cannot read (Not a directory)" in capsys.readouterr().err
+
+    def test_run_out_a_file_exit_3(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        out = tmp_path / "out"
+        out.write_bytes(b"")
+        assert run_cli("run", "--config", str(workspace), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {out / 'translations'}" in err and "cannot write (" in err
+
+    def test_property_directory_a_file_exit_3(self, workspace, capsys):
+        prop_dir = load_config(str(workspace)).property_dir("names")
+        prop_dir.parent.mkdir()
+        prop_dir.write_bytes(b"")
+        assert run_cli("generate", "--config", str(workspace), "--property", "names") == 3
+        err = capsys.readouterr().err
+        assert f"data error: {prop_dir / 'suite.jsonl'}: cannot write (" in err
+
+    def test_config_a_directory_exit_1(self, tmp_path, capsys):
+        assert run_cli("generate", "--config", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config file {tmp_path}: cannot read (Is a directory)\n"
+
+    def test_compare_report_a_directory_exit_3(self, tmp_path, capsys):
+        assert run_cli("compare", "--report", str(tmp_path), "a", "b") == 3
+        assert capsys.readouterr().err == f"data error: {tmp_path}: cannot read (Is a directory)\n"
+
+    def test_audit_log_a_directory_exit_3(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        audit = load_config(str(workspace)).property_dir("names") / "candidates_audit.log"
+        audit.mkdir()
+        edits_path = tmp_path / "edits.jsonl"
+        edits_path.write_text('{"value": "Rafael Ortega", "add": ["Ortega"]}\n', encoding="utf-8")
+        assert run_cli(
+            "apply-edits", "--config", str(workspace), "--property", "names",
+            "--edits", str(edits_path),
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.endswith(f"data error: {audit}: cannot write (Is a directory)\n")
 
 
 class TestExitCodes:

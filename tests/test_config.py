@@ -171,6 +171,21 @@ systems:"""
         assert main(["diversity", "--config", str(path)]) == 1
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, reason",
+        [
+            ("seed: 3", "seed: 3\ntokenizer: {mode: foo}", "unknown tokenizer mode 'foo'"),
+            ("detector: exhaustive", "detector: bogus", "unknown detector 'bogus'"),
+            ('demos: ["a [b] c.", "d [e] f.", "g [h] i."]', "demos: []", "at least one demo"),
+        ],
+        ids=["tokenizer_mode", "detector", "empty_demos"],
+    )
+    def test_value_a_domain_type_rejects_exits_1(self, tmp_path, capsys, old, new, reason):
+        path = write_config(tmp_path, MINIMAL.replace(old, new, 1))
+        assert main(["diversity", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and reason in err
+
 
 class TestYamlLoader:
     def test_libyaml_used_when_pyyaml_has_it(self):

@@ -1,12 +1,16 @@
-"""Domain types: bracket parsing, invariants, JSONL round-trips."""
+"""Domain types: bracket parsing, invariants, JSONL round-trips, the file boundary."""
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import mtbehave
 from mtbehave.errors import (
+    ConfigError,
     DataInvariantError,
     EmptyValueError,
     MultipleValuesError,
@@ -21,7 +25,10 @@ from mtbehave.model import (
     TestCase,
     TranslationRecord,
     Verdict,
+    _append,
     _iter_jsonl,
+    _list_dir,
+    _read_text,
     _write_atomic,
     _write_jsonl,
     load_candidates,
@@ -459,3 +466,96 @@ class TestPropertySpecRoundtrip:
     def test_spec_is_immutable(self, units_spec):
         with pytest.raises(AttributeError):
             units_spec.id = "other"
+
+
+# Calls that reach the filesystem: the `open` builtin, these methods on any
+# object but a packaged resource, and these `os` functions.
+_FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes", "mkdir", "unlink"}
+_OS_FUNCTIONS = {"listdir", "scandir", "truncate", "replace"}
+
+
+def _is_packaged_resource(node: ast.AST) -> bool:
+    """Whether an expression reads through `importlib.resources.files(...)`."""
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "files"
+        and isinstance(n.value, ast.Name) and n.value.id == "resources"
+        for n in ast.walk(node)
+    )
+
+
+def _file_calls(tree: ast.AST) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"from os import {a.name}") for a in node.names
+                      if a.name in _OS_FUNCTIONS]
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Name) and fn.id == "open":
+            found.append((node.lineno, "open"))
+        elif isinstance(fn, ast.Attribute):
+            is_os = isinstance(fn.value, ast.Name) and fn.value.id == "os"
+            if is_os and fn.attr in _OS_FUNCTIONS:
+                found.append((node.lineno, f"os.{fn.attr}"))
+            elif fn.attr in _FILE_METHODS and not _is_packaged_resource(fn.value):
+                found.append((node.lineno, f".{fn.attr}"))
+    return found
+
+
+class TestFileBoundary:
+    def test_only_model_calls_the_filesystem(self):
+        package = Path(mtbehave.__file__).parent
+        found = [
+            f"{path.name}:{lineno}: {call}"
+            for path in sorted(package.glob("*.py")) if path.name != "model.py"
+            for lineno, call in _file_calls(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert found == []
+
+    def test_the_check_sees_each_kind_of_call(self):
+        source = (
+            "from os import scandir\n"
+            "open(p)\np.read_text()\np.mkdir()\nos.listdir(d)\nos.truncate(p, 0)\n"
+            "resources.files('x').joinpath('y').read_text()\ns.replace('a', 'b')\n"
+        )
+        assert [call for _, call in _file_calls(ast.parse(source))] == [
+            "from os import scandir", "open", ".read_text", ".mkdir", "os.listdir", "os.truncate",
+        ]
+
+    def test_read_text_reads_line_endings_as_lf(self, tmp_path):
+        path = tmp_path / "template.txt"
+        path.write_bytes(b"a\r\nb\rc\n")
+        assert _read_text(path) == path.read_text(encoding="utf-8") == "a\nb\nc\n"
+
+    def test_read_errors_take_the_callers_class_and_label(self, tmp_path):
+        with pytest.raises(ConfigError, match=rf"^config file {tmp_path}: cannot read \(Is a"):
+            _read_text(tmp_path, ConfigError, "config file ")
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"ab\xff")
+        with pytest.raises(SuiteLoadError, match=rf"^{path} is not UTF-8 \(byte 2\)$"):
+            _read_text(path)
+
+    def test_list_dir(self, tmp_path):
+        (tmp_path / "a.txt").write_bytes(b"")
+        assert _list_dir(tmp_path) == ["a.txt"]
+        assert _list_dir(tmp_path / "absent") == []
+        with pytest.raises(SuiteLoadError, match=r"a.txt: cannot read \(Not a directory\)"):
+            _list_dir(tmp_path / "a.txt")
+
+    def test_append_to_a_directory_is_a_load_error(self, tmp_path):
+        path = tmp_path / "audit.log"
+        _append(path, "one\n")
+        _append(path, "two\n")
+        assert path.read_bytes() == b"one\ntwo\n"
+        with pytest.raises(SuiteLoadError, match=rf"^{tmp_path}: cannot write \(Is a directory\)"):
+            _append(tmp_path, "x\n")
+
+    @pytest.mark.parametrize("parent", ["file", "file/sub"])
+    def test_write_under_a_file_is_a_load_error(self, tmp_path, parent):
+        (tmp_path / "file").write_bytes(b"keep")
+        path = tmp_path / parent / "report.json"
+        with pytest.raises(SuiteLoadError, match=rf"^{path}: cannot write \("):
+            _write_atomic(path, ["{}"])
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_bytes() == b"keep"
