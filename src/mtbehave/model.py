@@ -297,8 +297,8 @@ def _file_errors(path: Path, action: str, error: type[MtBehaveError], what: str)
         raise error(f"{what}{path}: cannot {action} ({exc.strerror})") from exc
 
 
-def _read_bytes(path: Path, error: type[MtBehaveError] = SuiteLoadError, what: str = "") -> bytes:
-    with _file_errors(path, "read", error, what), open(path, "rb") as fh:
+def _read_bytes(path: Path) -> bytes:
+    with _file_errors(path, "read", SuiteLoadError, ""), open(path, "rb") as fh:
         return fh.read()
 
 

@@ -469,9 +469,15 @@ class TestPropertySpecRoundtrip:
 
 
 # Calls that reach the filesystem: the `open` builtin, these methods on any
-# object but a packaged resource, and these `os` functions.
-_FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes", "mkdir", "unlink"}
-_OS_FUNCTIONS = {"listdir", "scandir", "truncate", "replace"}
+# object but a packaged resource, these `os` functions and anything of `shutil`.
+_FILE_METHODS = {
+    "open", "read_text", "read_bytes", "write_text", "write_bytes", "mkdir", "unlink",
+    "touch", "rename", "rmdir", "iterdir", "glob", "rglob",
+}
+_OS_FUNCTIONS = {
+    "listdir", "scandir", "truncate", "replace", "remove", "unlink", "rename",
+    "mkdir", "makedirs", "rmdir", "walk",
+}
 
 
 def _is_packaged_resource(node: ast.AST) -> bool:
@@ -489,6 +495,9 @@ def _file_calls(tree: ast.AST) -> list[tuple[int, str]]:
         if isinstance(node, ast.ImportFrom) and node.module == "os":
             found += [(node.lineno, f"from os import {a.name}") for a in node.names
                       if a.name in _OS_FUNCTIONS]
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            found += [(node.lineno, "import shutil") for name in names if name == "shutil"]
         if not isinstance(node, ast.Call):
             continue
         fn = node.func
@@ -500,7 +509,7 @@ def _file_calls(tree: ast.AST) -> list[tuple[int, str]]:
                 found.append((node.lineno, f"os.{fn.attr}"))
             elif fn.attr in _FILE_METHODS and not _is_packaged_resource(fn.value):
                 found.append((node.lineno, f".{fn.attr}"))
-    return found
+    return sorted(found)
 
 
 class TestFileBoundary:
@@ -518,9 +527,13 @@ class TestFileBoundary:
             "from os import scandir\n"
             "open(p)\np.read_text()\np.mkdir()\nos.listdir(d)\nos.truncate(p, 0)\n"
             "resources.files('x').joinpath('y').read_text()\ns.replace('a', 'b')\n"
+            "import shutil\nfrom shutil import rmtree\nos.makedirs(d)\nos.remove(p)\n"
+            "p.touch()\np.rename(q)\nd.rmdir()\nd.iterdir()\nd.glob('*')\n"
         )
         assert [call for _, call in _file_calls(ast.parse(source))] == [
             "from os import scandir", "open", ".read_text", ".mkdir", "os.listdir", "os.truncate",
+            "import shutil", "import shutil", "os.makedirs", "os.remove",
+            ".touch", ".rename", ".rmdir", ".iterdir", ".glob",
         ]
 
     def test_read_text_reads_line_endings_as_lf(self, tmp_path):
