@@ -33,6 +33,7 @@ from .model import (
     PropertySpec,
     _append,
     _load_records,
+    _make_dir,
     _read_text,
     _write_atomic,
     _write_json,
@@ -280,6 +281,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not systems:
         raise ConfigError("no systems configured")
     run_dir = _run_directory(config, args.out)
+    # An output that cannot be written fails here, before any system is run.
+    _make_dir(run_dir / "translations")
     cache = TranslationCache(config.workspace / "cache" / "translations")
     stale = cache.superseded(config.systems)
     if stale:
@@ -530,9 +533,13 @@ def cmd_apply_edits(args: argparse.Namespace) -> int:
     # Read the review before any edit is saved, so a bad --review changes nothing.
     tallies = _review_tallies(Path(args.review)) if args.review else None
     updated, audit = apply_candidate_edits(candidates, edits)
+    audit_path = prop_dir / "candidates_audit.log"
+    if audit:
+        # An empty append first, so an audit log that cannot be written fails before the save.
+        _append(audit_path, "")
     save_candidates(updated.values(), prop_dir / "candidates.jsonl")
     if audit:
-        _append(prop_dir / "candidates_audit.log", "".join(line + "\n" for line in audit))
+        _append(audit_path, "".join(line + "\n" for line in audit))
     print(f"{spec.id}: applied {len(edits)} edits ({len(audit)} changes)")
     if tallies is not None:
         print(

@@ -26,8 +26,6 @@ import numpy as np
 from .errors import DataInvariantError, ProviderError
 from .model import CandidateSet, ContrastivePair, TranslationRecord, Verdict
 
-EmbeddingVector = tuple[float, ...]
-
 TOKENIZER_MODES = ("whitespace", "character")
 
 # Texts per inner `embed` call when the store fills missing rows.
@@ -35,9 +33,9 @@ EMBED_BATCH_SIZE = 256
 
 
 class Embedder(Protocol):
-    """Maps texts to fixed-dimension vectors; dim is constant per session."""
+    """Maps m texts to one (m, d) float64 array; d is constant per session."""
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
+    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -184,11 +182,10 @@ class CachedEmbedder:
                 f"embedder returned {len(vectors)} vectors for {len(texts)} texts"
             )
         m = len(self._row)
-        dim = self._vectors.shape[1] if m else len(vectors[0])
-        for vec in vectors:
-            if len(vec) != dim:
-                raise DataInvariantError(f"embedding dim changed from {dim} to {len(vec)}")
-        raw = np.array(vectors, dtype=np.float64) + 0.0  # -0.0 -> 0.0, as tuple equality has it
+        dim = self._vectors.shape[1] if m else vectors.shape[1]
+        if vectors.shape[1] != dim:
+            raise DataInvariantError(f"embedding dim changed from {dim} to {vectors.shape[1]}")
+        raw = np.add(vectors, 0.0, order="C")  # C order for the row view; -0.0 -> 0.0
         norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
         for i in np.flatnonzero(~(np.isfinite(norms) & (norms > 0))):
             problem = "all zero" if norms[i] == 0 else "not finite"
@@ -202,10 +199,10 @@ class CachedEmbedder:
                 grown[:m], classes[:m] = self.vectors, self.classes
             self._vectors, self._classes = grown, classes
         self._vectors[m : m + len(texts)] = raw / norms[:, None]
-        for i, text in enumerate(texts):
-            key = raw[i].tobytes()
-            self._classes[m + i] = self._class_of.setdefault(key, len(self._class_of))
-            self._row[text] = m + i
+        class_of = self._class_of
+        keys = raw.view(f"V{raw.itemsize * dim}").ravel().tolist()  # each row's bytes
+        self._classes[m : m + len(texts)] = [class_of.setdefault(k, len(class_of)) for k in keys]
+        self._row.update(zip(texts, range(m, m + len(texts))))
 
 
 def max_sims(

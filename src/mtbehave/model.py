@@ -334,6 +334,11 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def _make_dir(path: Path) -> None:
+    with _file_errors(path, "write", SuiteLoadError, ""):
+        path.mkdir(parents=True, exist_ok=True)
+
+
 def _append(path: Path, text: str) -> None:
     with _file_errors(path, "write", SuiteLoadError, ""):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -355,14 +360,17 @@ def _truncate(path: Path, size: int) -> None:
 _DECODER = json.JSONDecoder()
 
 
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each nonblank line of a JSONL file.
+def _iter_jsonl(path: Path, data: bytes | None = None) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each nonblank line of a JSONL file, or
+    of its bytes `data` when the caller has read them already.
 
     Lines split on LF only and are decoded per line as UTF-8 with an optional
     BOM, so a torn multi-byte character fails its own line instead of the
     whole file. JSON whitespace, CR included, may pad an object.
     """
-    for lineno, line in enumerate(_read_bytes(path).split(b"\n"), start=1):
+    if data is None:
+        data = _read_bytes(path)
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -379,15 +387,18 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
-def _load_records(path: Path | str, from_dict: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
-    """Yield (line number, from_dict(object)) for each record of a JSONL file.
+def _load_records(
+    path: Path | str, from_dict: Callable[[dict], T], data: bytes | None = None
+) -> Iterator[tuple[int, T]]:
+    """Yield (line number, from_dict(object)) for each record of a JSONL file,
+    parsed from `data` when given.
 
     A KeyError (missing field), AttributeError, TypeError or ValueError
     (malformed field) from `from_dict` becomes a SuiteLoadError naming path
     and line.
     """
     path = Path(path)
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in _iter_jsonl(path, data):
         try:
             record = from_dict(obj)
         except KeyError as exc:

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
-from .detection import EmbeddingVector
 from .errors import ConfigError, ProviderError
 from .model import _list_dir, _read_text, _write_atomic
 
@@ -211,25 +210,26 @@ class HttpEmbedder:
         self.api_key_env = api_key_env
         self._session = session or _session()
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         body = _post_json(
             self._session, self.url, {"texts": list(texts)}, "embedding request", self.api_key_env
         )
         vectors = _json_list(body, "vectors", self.url)
+        # Checked first: numpy reads true as 1.0, "1.5" as 1.5, ragged rows as a bare ValueError.
         for vec in vectors:
             if not isinstance(vec, list) or any(type(x) not in (int, float) for x in vec):
                 raise ProviderError(f"{self.url}: a vector is not a list of numbers: {vec!r:.80}")
-        try:
-            vectors = [tuple(map(float, v)) for v in vectors]
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ProviderError(f"{self.url}: a vector entry is out of range: {exc}") from exc
         if len(vectors) != len(texts):
             raise ProviderError(f"{self.url}: {len(vectors)} vectors for {len(texts)} texts")
-        dim = body.get("dim", len(vectors[0]) if vectors else 0)
+        width = len(vectors[0]) if vectors else 0
+        dim = body.get("dim", width)
         for vec in vectors:
             if len(vec) != dim:
                 raise ProviderError(f"vector length {len(vec)} != declared dim {dim}")
-        return vectors
+        try:
+            return np.array(vectors, dtype=np.float64).reshape(len(vectors), width)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ProviderError(f"{self.url}: a vector entry is out of range: {exc}") from exc
 
 
 class HashEmbedder:
@@ -245,7 +245,7 @@ class HashEmbedder:
             raise ValueError("dim must be >= 1")
         self.dim = dim
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         # Each text's 8-byte words come from sha256 blocks keyed by a counter.
         blocks = [i.to_bytes(4, "big") for i in range(-(-self.dim // 4))]
         raw = b"".join(
@@ -257,4 +257,4 @@ class HashEmbedder:
         norms = np.zeros(len(texts))
         for column in (values * values).T:
             norms += column
-        return [tuple(row) for row in (values / np.sqrt(norms)[:, None]).tolist()]
+        return values / np.sqrt(norms)[:, None]

@@ -265,7 +265,7 @@ def _read_cache(path: Path) -> dict[str, str]:
     if keep < len(data):
         log.warning("%s: dropping a torn last line; its entry will be re-translated", path)
         _truncate(path, keep)
-    pairs = _load_records(path, lambda d: (d["source_sha256"], d["translation"]))
+    pairs = _load_records(path, lambda d: (d["source_sha256"], d["translation"]), data[:keep])
     return dict(pair for _, pair in pairs)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from mtbehave.config import packaged_template
@@ -45,8 +46,7 @@ class ConstantEmbedder:
         self.dim = dim
 
     def embed(self, texts):
-        value = 1.0 / self.dim**0.5
-        return [tuple([value] * self.dim) for _ in texts]
+        return np.full((len(texts), self.dim), 1.0 / self.dim**0.5)
 
 
 class CountingEmbedder:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mtbehave
-from mtbehave import cli, runner
+from mtbehave import cli, model, runner
 from mtbehave.cli import main
 from mtbehave.config import load_config
 from mtbehave.errors import ConfigError, MtBehaveError, ProviderError
@@ -294,6 +294,23 @@ class TestRun:
         assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "warm")) == 0
         assert len(config.systems) == 2
         assert sorted(d for d in hashed if d in sources) == sorted(sources)
+
+    def test_warm_run_reads_each_cache_file_once(self, workspace, tmp_path, monkeypatch):
+        prime(workspace)
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "cold")) == 0
+        cache_dir = load_config(str(workspace)).workspace / "cache" / "translations"
+        reads = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                reads.append(Path(file))
+            return open(file, mode, *args, **kwargs)
+
+        # Every file read of the package goes through `model`.
+        monkeypatch.setattr(model, "open", counting_open, raising=False)
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "warm")) == 0
+        cached = sorted(path for path in reads if path.parent == cache_dir)
+        assert len(cached) == 2 and cached == sorted(cache_dir.glob("*.jsonl"))
 
     @pytest.mark.parametrize("order", [("full", "partial"), ("partial", "full")])
     def test_missing_candidate_count_is_the_union_over_systems(self, workspace, tmp_path, order):
@@ -630,6 +647,9 @@ class TestFileFailures:
         assert run_cli("run", "--config", str(workspace), "--out", str(out)) == 3
         err = capsys.readouterr().err
         assert f"data error: {out / 'translations'}" in err and "cannot write (" in err
+        # It fails before any system is translated, so nothing reached the cache.
+        cache_dir = load_config(str(workspace)).workspace / "cache" / "translations"
+        assert list(cache_dir.glob("*")) == []
 
     def test_property_directory_a_file_exit_3(self, workspace, capsys):
         prop_dir = load_config(str(workspace)).property_dir("names")
@@ -650,8 +670,10 @@ class TestFileFailures:
 
     def test_audit_log_a_directory_exit_3(self, workspace, tmp_path, capsys):
         prime(workspace)
-        audit = load_config(str(workspace)).property_dir("names") / "candidates_audit.log"
+        prop_dir = load_config(str(workspace)).property_dir("names")
+        audit = prop_dir / "candidates_audit.log"
         audit.mkdir()
+        before = (prop_dir / "candidates.jsonl").read_bytes()
         edits_path = tmp_path / "edits.jsonl"
         edits_path.write_text('{"value": "Rafael Ortega", "add": ["Ortega"]}\n', encoding="utf-8")
         assert run_cli(
@@ -660,6 +682,8 @@ class TestFileFailures:
         ) == 3
         err = capsys.readouterr().err
         assert err.endswith(f"data error: {audit}: cannot write (Is a directory)\n")
+        # No edit is saved without its audit lines.
+        assert (prop_dir / "candidates.jsonl").read_bytes() == before
 
 
 class TestExitCodes:

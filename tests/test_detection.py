@@ -167,7 +167,7 @@ class VectorEmbedder:
         self.vectors = vectors
 
     def embed(self, texts):
-        return [self.vectors[t] for t in texts]
+        return np.array([self.vectors[t] for t in texts], dtype=np.float64)
 
 
 def kernel_cosine(a, b) -> float:
@@ -190,8 +190,10 @@ class TestCosine:
         assert kernel_cosine(v, tuple(-x for x in v)) == -1.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DataInvariantError, match="dim"):
-            kernel_cosine((1.0,), (1.0, 2.0))
+        store = CachedEmbedder(VectorEmbedder({"a": (1.0,), "b": (1.0, 2.0)}))
+        store.embed(["a"])
+        with pytest.raises(DataInvariantError, match="dim changed from 1 to 2"):
+            max_sim("a", "b", store)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ProviderError, match="all zero"):
@@ -297,11 +299,11 @@ class TestJudgeContrastive:
 class TestHashEmbedder:
     def test_fold_equal_texts_identical_vectors(self, hash_embedder):
         a, b = hash_embedder.embed(["Viel Glück", "viel glück"])
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_fold_distinct_texts_distinct_vectors(self, hash_embedder):
         a, b = hash_embedder.embed(["viel Glück", "brich dir ein Bein"])
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_unit_norm(self, hash_embedder):
         (vec,) = hash_embedder.embed(["irgendwas"])
@@ -310,6 +312,12 @@ class TestHashEmbedder:
     def test_dim(self):
         assert len(HashEmbedder(dim=8).embed(["x"])[0]) == 8
 
+    @pytest.mark.parametrize("texts", [[], ["x"], ["a", "b", "a"]])
+    def test_one_float64_row_per_text(self, texts):
+        vectors = HashEmbedder(dim=5).embed(texts)
+        assert isinstance(vectors, np.ndarray) and vectors.dtype == np.float64
+        assert vectors.shape == (len(texts), 5)
+
     @pytest.mark.parametrize("dim", [1, 3, 4, 5, 16, 32, 33, 100])
     def test_equals_scalar_reference_bit_for_bit(self, dim):
         rng = random.Random(dim)
@@ -317,10 +325,11 @@ class TestHashEmbedder:
         texts = ["", "Viel Glück"] + [
             "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30))) for _ in range(300)
         ]
-        assert HashEmbedder(dim).embed(texts) == [reference_hash_vector(t, dim) for t in texts]
+        expected = np.array([reference_hash_vector(t, dim) for t in texts])
+        assert np.array_equal(HashEmbedder(dim).embed(texts), expected)
 
     def test_empty_batch(self, hash_embedder):
-        assert hash_embedder.embed([]) == []
+        assert np.array_equal(hash_embedder.embed([]), np.empty((0, hash_embedder.dim)))
 
 
 class TestCachedEmbedder:
@@ -350,7 +359,7 @@ class TestCachedEmbedder:
             def embed(self, texts):
                 self.calls += 1
                 dim = 4 if self.calls == 1 else 5
-                return [tuple([1.0] * dim) for _ in texts]
+                return np.ones((len(texts), dim))
 
         cached = CachedEmbedder(Changing())
         cached.embed(["a"])
@@ -379,7 +388,7 @@ class TestCachedEmbedder:
     def test_wrong_vector_count_rejected(self):
         class Short:
             def embed(self, texts):
-                return [(1.0,)]
+                return np.ones((1, 1))
 
         with pytest.raises(DataInvariantError, match="1 vectors for 2 texts"):
             CachedEmbedder(Short()).embed(["a", "b"])

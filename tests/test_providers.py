@@ -1,9 +1,12 @@
 """Provider clients: HTTP contracts (via stub sessions), replay, retries."""
 from __future__ import annotations
 
+import ast
 import json
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
 
@@ -237,7 +240,7 @@ class TestHttpEmbedder:
         )
         embedder = HttpEmbedder("http://emb/embed", session=session)
         vectors = embedder.embed(["a", "b"])
-        assert vectors == [(1.0, 0.0), (0.0, 1.0)]
+        assert np.array_equal(vectors, [[1.0, 0.0], [0.0, 1.0]])
         assert session.calls[0]["json"] == {"texts": ["a", "b"]}
 
     def test_dim_mismatch_rejected(self):
@@ -257,7 +260,7 @@ class TestHttpEmbedder:
             [requests.ConnectionError("down"), StubResponse({"vectors": [[1.0]], "dim": 1})]
         )
         embedder = HttpEmbedder("http://emb/embed", session=session)
-        assert embedder.embed(["a"]) == [(1.0,)]
+        assert np.array_equal(embedder.embed(["a"]), [[1.0]])
 
     @pytest.mark.parametrize(
         "vectors",
@@ -291,7 +294,25 @@ class TestHttpEmbedder:
     def test_integer_entries_accepted(self):
         session = StubSession([StubResponse({"vectors": [[1, 0]], "dim": 2})])
         embedder = HttpEmbedder("http://emb/embed", session=session)
-        assert embedder.embed(["a"]) == [(1.0, 0.0)]
+        assert np.array_equal(embedder.embed(["a"]), [[1.0, 0.0]])
+
+    def test_one_float64_row_per_text(self):
+        session = StubSession([StubResponse({"vectors": [[1, 0, 2], [0.5, -1, 0]]})])
+        vectors = HttpEmbedder("http://emb/embed", session=session).embed(["a", "b"])
+        assert isinstance(vectors, np.ndarray) and vectors.dtype == np.float64
+        assert vectors.shape == (2, 3)
+
+
+def test_providers_does_not_import_detection():
+    # The embedders' contract is a plain array, so the provider layer needs
+    # nothing from the detector layer above it.
+    names = []
+    for node in ast.walk(ast.parse(Path(providers.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert not [name for name in names if "detection" in name.split(".")]
 
 
 class TestSharedTransport:
@@ -347,7 +368,7 @@ class TestSharedTransport:
 
 class TestHashEmbedderProperties:
     def test_deterministic_across_instances(self):
-        assert HashEmbedder(dim=16).embed(["x"]) == HashEmbedder(dim=16).embed(["x"])
+        assert np.array_equal(HashEmbedder(dim=16).embed(["x"]), HashEmbedder(dim=16).embed(["x"]))
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):

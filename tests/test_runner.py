@@ -8,6 +8,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -503,7 +504,7 @@ class CoarseEmbedder:
     TABLE = ((1.0, 0.0, 0.5), (0.2, 1.0, -0.3), (-0.7, 0.4, 1.0))
 
     def embed(self, texts):
-        return [self.TABLE[sum(map(ord, t.casefold())) % 3] for t in texts]
+        return np.array([self.TABLE[sum(map(ord, t.casefold())) % 3] for t in texts])
 
 
 WORDS = ("viel", "Glück", "GLÜCK", "Bein", "brich", "dir", "ein", "heute", "gut!", "«läuft»", "猫が")
