@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/config error, 2 provider/adapter failure,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import sys
@@ -31,9 +32,12 @@ from .metrics import ResampleConfig, diversity_series, trend_fit
 from .model import (
     CandidateEntry,
     PropertySpec,
+    TestCase,
     _append,
+    _check_write_targets,
     _load_records,
     _make_dir,
+    _read_bytes,
     _read_text,
     _write_atomic,
     _write_json,
@@ -53,9 +57,8 @@ from .runner import (
     apply_candidate_edits,
     build_report,
     evaluate,
-    file_sha256,
     sample_for_annotation,
-    translate_all,
+    translate_systems,
 )
 
 log = logging.getLogger(__name__)
@@ -154,26 +157,36 @@ def _select_properties(config: RunConfig, ids: list[str] | None) -> list[Propert
     return list(config.properties)
 
 
-def _load_property_suite(config: RunConfig, prop_id: str):
-    path = config.property_dir(prop_id) / "suite.jsonl"
+def _read_property_file(
+    config: RunConfig, prop_id: str, name: str, stage: str
+) -> tuple[Path, bytes]:
+    path = config.property_dir(prop_id) / name
     if not path.exists():
-        raise ConfigError(f"no suite for property {prop_id!r} at {path}; run `generate` first")
-    suite = load_suite(path)
+        raise ConfigError(
+            f"no {name.removesuffix('.jsonl')} for property {prop_id!r} at {path}; "
+            f"run `{stage}` first"
+        )
+    return path, _read_bytes(path)
+
+
+def _load_property_suite(config: RunConfig, prop_id: str) -> tuple[list[TestCase], str]:
+    """The property's suite and the sha256 of the bytes it was read from."""
+    path, data = _read_property_file(config, prop_id, "suite.jsonl", "generate")
+    suite = load_suite(path, data)
     strays = [c.id for c in suite if c.property_id != prop_id]
     if strays:
         raise DataInvariantError(
             f"{path}: cases {strays[:3]} do not belong to property {prop_id!r}"
         )
-    return suite
+    return suite, hashlib.sha256(data).hexdigest()
 
 
-def _load_property_candidates(config: RunConfig, prop_id: str) -> dict[str, CandidateEntry]:
-    path = config.property_dir(prop_id) / "candidates.jsonl"
-    if not path.exists():
-        raise ConfigError(
-            f"no candidates for property {prop_id!r} at {path}; run `candidates` first"
-        )
-    return load_candidates(path)
+def _load_property_candidates(
+    config: RunConfig, prop_id: str
+) -> tuple[dict[str, CandidateEntry], str]:
+    """The property's candidates by value and the sha256 of the bytes they were read from."""
+    path, data = _read_property_file(config, prop_id, "candidates.jsonl", "candidates")
+    return load_candidates(path, data), hashlib.sha256(data).hexdigest()
 
 
 def _require_at_least(flag: str, value: int, minimum: int) -> None:
@@ -208,7 +221,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
     props = _select_properties(config, args.property)
     llm = config.build_llm()
     for spec in props:
-        suite = _load_property_suite(config, spec.id)
+        suite, _ = _load_property_suite(config, spec.id)
         prop_dir = config.property_dir(spec.id)
         path = prop_dir / "candidates.jsonl"
         existing = load_candidates(path) if path.exists() else {}
@@ -283,6 +296,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     run_dir = _run_directory(config, args.out)
     # An output that cannot be written fails here, before any system is run.
     _make_dir(run_dir / "translations")
+    _check_write_targets(
+        [run_dir / name for name in ("verdicts.jsonl", "report.json", "report.txt", "runmeta.json")]
+        + [run_dir / "translations" / f"{s.system_id}.jsonl" for s in systems]
+    )
     cache = TranslationCache(config.workspace / "cache" / "translations")
     stale = cache.superseded(config.systems)
     if stale:
@@ -294,59 +311,64 @@ def cmd_run(args: argparse.Namespace) -> int:
     if any(p.detector == "contrastive" for p in props):
         # One store for the whole run: each distinct text is embedded once.
         embedder = CachedEmbedder(config.build_embedder())
-    adapters = {s.system_id: config.build_adapter(s) for s in systems}
+    adapters = [config.build_adapter(s) for s in systems]
+    # Per property: (suite, its sha256, candidates, their sha256).
+    inputs = [
+        (*_load_property_suite(config, spec.id), *_load_property_candidates(config, spec.id))
+        for spec in props
+    ]
 
+    # Translate: one adapter call per system, covering every property.
+    results = translate_systems([suite for suite, *_ in inputs], adapters, cache)
+    failure_counts = {
+        s.system_id: n
+        for s, per_suite in zip(systems, results)
+        if (n := sum(len(result.failures) for result in per_suite))
+    }
+
+    # Judge: one batch per property over every system's records, in system order.
     all_verdicts = []
     reports: dict[str, dict] = {}
     report_texts: list[str] = []
-    records_by_system: dict[str, list] = {s.system_id: [] for s in systems}
-    failure_counts: dict[str, int] = {}
-    # Per property and value, every case some system lacked candidates for.
-    missing_by_property: dict[str, dict[str, set[str]]] = {}
-    for spec in props:
-        suite = _load_property_suite(config, spec.id)
-        candidates = _load_property_candidates(config, spec.id)
-        prop_dir = config.property_dir(spec.id)
-        prop_verdicts = []
-        for sys_spec in systems:
-            result = translate_all(suite, adapters[sys_spec.system_id], cache)
-            records_by_system[sys_spec.system_id].extend(result.records)
-            if result.failures:
-                failure_counts[sys_spec.system_id] = (
-                    failure_counts.get(sys_spec.system_id, 0) + len(result.failures)
-                )
-            evaluation = evaluate(
-                spec, suite, candidates, result.records, embedder=embedder,
-                tokenizer=config.tokenizer, token_boundary=config.token_boundary,
-            )
-            prop_verdicts.extend(evaluation.verdicts)
-            for m in evaluation.missing:
-                per = missing_by_property.setdefault(spec.id, {})
-                per.setdefault(m.value, set()).update(m.case_ids)
+    # Per property and value, how many cases some system lacked candidates for.
+    missing_by_property: dict[str, dict[str, int]] = {}
+    for j, spec in enumerate(props):
+        # Dropped from `inputs`, so each property's suite and candidates are freed once judged.
+        suite, suite_sha256, candidates, candidates_sha256 = inputs[j]
+        inputs[j] = None
+        evaluation = evaluate(
+            spec, suite, candidates, [r for per_suite in results for r in per_suite[j].records],
+            embedder=embedder, tokenizer=config.tokenizer, token_boundary=config.token_boundary,
+        )
+        if evaluation.missing:
+            missing_by_property[spec.id] = {m.value: len(m.case_ids) for m in evaluation.missing}
         cfg = ResampleConfig(
             k=config.k, alpha=config.alpha, seed=derive_seed(config.seed, f"bootstrap:{spec.id}")
         )
         metadata = {
-            "suite_sha256": file_sha256(prop_dir / "suite.jsonl"),
-            "candidates_sha256": file_sha256(prop_dir / "candidates.jsonl"),
+            "suite_sha256": suite_sha256,
+            "candidates_sha256": candidates_sha256,
             "tokenizer": {
                 "mode": config.tokenizer.mode,
                 "strip_edge_punct": config.tokenizer.strip_edge_punct,
             },
             "token_boundary": config.token_boundary,
         }
-        report = build_report(spec, suite, prop_verdicts, cfg, metadata)
+        report = build_report(spec, suite, evaluation.verdicts, cfg, metadata)
         reports[spec.id] = report.to_dict()
         report_texts.append(report.render_text())
-        all_verdicts.extend(prop_verdicts)
+        all_verdicts.extend(evaluation.verdicts)
         for stat in report.systems:
             print(
                 f"{spec.id} / {stat.system_id}: MPR {stat.mpr:.3f} "
                 f"[{stat.ci.lo:.3f}, {stat.ci.hi:.3f}] over n={stat.n}"
             )
 
-    for system_id, records in records_by_system.items():
-        save_translations(records, run_dir / "translations" / f"{system_id}.jsonl")
+    for s, per_suite in zip(systems, results):
+        save_translations(
+            (r for result in per_suite for r in result.records),
+            run_dir / "translations" / f"{s.system_id}.jsonl",
+        )
     save_verdicts(all_verdicts, run_dir / "verdicts.jsonl")
     _write_json({"properties": reports}, run_dir / "report.json")
     _write_atomic(
@@ -361,10 +383,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "properties": [p.id for p in props],
             "systems": [s.system_id for s in systems],
             "translation_failures": failure_counts,
-            "missing_candidates": {
-                prop_id: {value: len(ids) for value, ids in per.items()}
-                for prop_id, per in missing_by_property.items()
-            },
+            "missing_candidates": missing_by_property,
         },
         run_dir / "runmeta.json",
     )
@@ -417,7 +436,7 @@ def cmd_diversity(args: argparse.Namespace) -> int:
     config = load_config(args.config, _overrides(args))
     props = _select_properties(config, args.property)
     for spec in props:
-        suite = _load_property_suite(config, spec.id)
+        suite, _ = _load_property_suite(config, spec.id)
         series = diversity_series(suite, args.n, config.tokenizer)
         usable = [v for v in series if v is not None]
         trend = None
@@ -449,8 +468,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         raise ConfigError(f"{verdicts_path} not found; point --run at a run directory")
     verdicts = load_verdicts(verdicts_path)
     for spec in props:
-        suite = _load_property_suite(config, spec.id)
-        candidates = _load_property_candidates(config, spec.id)
+        suite, _ = _load_property_suite(config, spec.id)
+        candidates, _ = _load_property_candidates(config, spec.id)
         case_by_id = {c.id: c for c in suite}
         prop_verdicts = [v for v in verdicts if v.case_id in case_by_id]
         system_ids = sorted({v.system_id for v in prop_verdicts})
@@ -528,7 +547,7 @@ def cmd_apply_edits(args: argparse.Namespace) -> int:
         raise ConfigError("apply-edits works on exactly one property; pass --property ID")
     spec = props[0]
     prop_dir = config.property_dir(spec.id)
-    candidates = _load_property_candidates(config, spec.id)
+    candidates, _ = _load_property_candidates(config, spec.id)
     edits = _load_edits(Path(args.edits))
     # Read the review before any edit is saved, so a bad --review changes nothing.
     tallies = _review_tallies(Path(args.review)) if args.review else None

@@ -6,14 +6,14 @@ correct and foil candidates via embedding cosine similarity, where n is the
 token count of the candidate under consideration.
 
 Contrastive scoring works on a batch of cases in two phases. The plan
-tokenizes each candidate once, builds each translation's n-grams once per
-distinct n, and collects the distinct texts. `CachedEmbedder` embeds the
-texts it has not stored yet, in chunks of EMBED_BATCH_SIZE, into one array
-of L2-normalized rows. The score phase multiplies a case's gram rows by its
-candidate rows, one product per distinct n, and takes the max over grams. A
-gram whose vector equals the candidate's scores exactly 1.0, and scores are
-clipped to [-1, 1]. `max_sim` and `judge_contrastive` are one-case calls of
-the same kernel.
+tokenizes each candidate once, builds each distinct translation's n-grams
+once per distinct n (twin systems often share outputs), and collects the
+distinct texts. `CachedEmbedder` embeds the texts it has not stored yet, in
+chunks of EMBED_BATCH_SIZE, into one array of L2-normalized rows. The
+score phase multiplies a case's gram rows by its candidate rows, one product
+per distinct n, and takes the max over grams. A gram whose vector equals the
+candidate's scores exactly 1.0, and scores are clipped to [-1, 1]. `max_sim`
+and `judge_contrastive` are one-case calls of the same kernel.
 """
 from __future__ import annotations
 
@@ -59,6 +59,9 @@ def _is_punct(ch: str) -> bool:
 
 
 def _strip_edges(token: str) -> str:
+    # Letters and numbers, which is all isalnum() accepts, are never punctuation.
+    if token[:1].isalnum() and token[-1:].isalnum():
+        return token
     start, end = 0, len(token)
     while start < end and _is_punct(token[start]):
         start += 1
@@ -219,6 +222,7 @@ def max_sims(
     """
     n_of: dict[str, int] = {}
     ids: dict[str, int] = {}  # distinct text -> its index in the store call
+    grams: dict[tuple[str, int], list[int]] = {}  # (translation, n) -> gram ids; twins share
     cand_ids: list[int] = []
     plan: list[tuple[list[int], list[int]]] = []  # (gram ids, flat indices of their candidates)
     for translation, cands in zip(translations, candidates, strict=True):
@@ -231,9 +235,16 @@ def max_sims(
                 n = n_of[cand] = len(tokenize(cand, tok)) or 1
             by_n.setdefault(n, []).append(len(cand_ids))
             cand_ids.append(ids.setdefault(cand, len(ids)))
-        toks = tokenize(translation, tok)
+        toks = None  # tokenized at most once, and only for a translation not seen before
         for n, idx in by_n.items():
-            plan.append(([ids.setdefault(g, len(ids)) for g in _windows(toks, n, tok)], idx))
+            gram_ids = grams.get((translation, n))
+            if gram_ids is None:
+                if toks is None:
+                    toks = tokenize(translation, tok)
+                gram_ids = grams[translation, n] = [
+                    ids.setdefault(g, len(ids)) for g in _windows(toks, n, tok)
+                ]
+            plan.append((gram_ids, idx))
     store = embedder if isinstance(embedder, CachedEmbedder) else CachedEmbedder(embedder)
     rows = store.embed(list(ids))
     vectors, classes = store.vectors, store.classes

@@ -6,6 +6,7 @@ Files are UTF-8, one JSON object per line, LF endings.
 from __future__ import annotations
 
 import codecs
+import errno
 import itertools
 import json
 import os
@@ -334,6 +335,14 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def _check_write_targets(paths: Iterable[Path]) -> None:
+    """Fail now, as a later write would: a directory where one of `paths` goes."""
+    for path in paths:
+        with _file_errors(path, "write", SuiteLoadError, ""):
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+
+
 def _make_dir(path: Path) -> None:
     with _file_errors(path, "write", SuiteLoadError, ""):
         path.mkdir(parents=True, exist_ok=True)
@@ -434,10 +443,11 @@ def save_suite(cases: Iterable[TestCase], path: Path | str) -> None:
     _write_jsonl((c.to_dict() for c in cases), Path(path))
 
 
-def load_suite(path: Path | str) -> list[TestCase]:
-    """Load a suite; save/load round-trips to structurally equal cases."""
+def load_suite(path: Path | str, data: bytes | None = None) -> list[TestCase]:
+    """Load a suite, from its bytes `data` when already read; save/load
+    round-trips to structurally equal cases."""
     cases: dict[str, TestCase] = {}
-    for lineno, case in _load_records(path, TestCase.from_dict):
+    for lineno, case in _load_records(path, TestCase.from_dict, data):
         if case.id in cases:
             raise DataInvariantError(f"{path}:{lineno}: duplicate case id {case.id!r}")
         cases[case.id] = case
@@ -452,10 +462,11 @@ def _candidate_entry(obj: Mapping) -> CandidateEntry:
     return (CandidateSet if "candidates" in obj else ContrastivePair).from_dict(obj)
 
 
-def load_candidates(path: Path | str) -> dict[str, CandidateEntry]:
-    """Load candidates keyed by property value, preserving file order."""
+def load_candidates(path: Path | str, data: bytes | None = None) -> dict[str, CandidateEntry]:
+    """Load candidates keyed by property value, preserving file order, from
+    the file's bytes `data` when already read."""
     out: dict[str, CandidateEntry] = {}
-    for lineno, entry in _load_records(path, _candidate_entry):
+    for lineno, entry in _load_records(path, _candidate_entry, data):
         if entry.value in out:
             raise DataInvariantError(f"{path}:{lineno}: duplicate value {entry.value!r}")
         out[entry.value] = entry

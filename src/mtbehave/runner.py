@@ -283,64 +283,106 @@ class TranslationResult:
     failures: list[TranslationFailure] = field(default_factory=list)
 
 
-def translate_all(
-    suite: Sequence[TestCase], adapter, cache: TranslationCache | None = None
-) -> TranslationResult:
-    """Translate every case, serving repeats from the cache.
+def _adapter_call(adapter, cases: Sequence[TestCase]) -> list[str | None] | AdapterError:
+    """The adapter's outputs for `cases`, or the AdapterError it raised."""
+    try:
+        if hasattr(adapter, "translate_cases"):
+            return adapter.translate_cases(cases)
+        return adapter.translate([case.source for case in cases])
+    except AdapterError as exc:
+        return exc
+
+
+def translate_systems(
+    suites: Sequence[Sequence[TestCase]], adapters: Sequence, cache: TranslationCache | None = None
+) -> list[list[TranslationResult]]:
+    """Translate every suite with every adapter: entry [i][j] is adapter i's
+    result on suite j.
 
     Sources go out bracket-free (TestCase.source is already marker-stripped).
     Failed cases are recorded and excluded rather than counted as fails:
     infrastructure failure is not a linguistic failure. The cache keeps each
     adapter's entries under its `cache_name`. An adapter with `translate_cases`
     holds one translation per case, not per source, so it bypasses the cache.
+
+    The calling thread looks each case up in the cache once. Every adapter
+    with cases left gets one call covering all suites, and two or more such
+    calls run side by side, one thread each. Outputs, failures and cache
+    appends are then committed in adapter order by the calling thread, so no
+    file depends on which call finished first.
     """
-    if not suite:
+    if not all(suites):
         raise DataInvariantError("cannot translate an empty suite")
-    system_id = adapter.system_id
-    by_case = hasattr(adapter, "translate_cases")
-    cache = None if by_case else cache
-    cache_name = adapter.cache_name if cache else ""
-    translations: dict[str, str] = {}
-    failures: list[TranslationFailure] = []
-    pending: list[TestCase] = []
-    for case in suite:
-        cached = cache.get(cache_name, case.source) if cache else None
-        if cached is not None:
-            translations[case.id] = cached
-        else:
-            pending.append(case)
-    if pending:
-        try:
-            if by_case:
-                outputs = adapter.translate_cases(pending)
-            else:
-                outputs = adapter.translate([case.source for case in pending])
-        except AdapterError as exc:
-            outputs = [None] * len(pending)
-            log.warning("system %s: %s", system_id, exc)
-            failures.extend(TranslationFailure(c.id, str(exc)) for c in pending)
-            pending = []
-        for case, output in zip(pending, outputs):
-            if output is None:
-                failures.append(TranslationFailure(case.id, "no translation produced"))
-            else:
-                translations[case.id] = output
-        if cache:
-            done = [c for c in pending if c.id in translations]
-            cache.put(cache_name, [(c.source, translations[c.id]) for c in done])
-    if failures:
-        log.warning(
-            "system %s: %d/%d cases failed translation and are excluded",
-            system_id,
-            len(failures),
-            len(suite),
-        )
-    records = [
-        TranslationRecord(case_id=c.id, system_id=system_id, translation=translations[c.id])
-        for c in suite
-        if c.id in translations
+    plans = []  # per adapter: (cache or None, per suite its translations or None, pending (j, k))
+    for adapter in adapters:
+        store = None if hasattr(adapter, "translate_cases") else cache
+        found: list[list[str | None]] = [
+            [store.get(adapter.cache_name, case.source) if store else None for case in suite]
+            for suite in suites
+        ]
+        pending = [(j, k) for j, row in enumerate(found) for k, t in enumerate(row) if t is None]
+        plans.append((store, found, pending))
+    calls = [
+        (adapter, [suites[j][k] for j, k in pending])
+        for adapter, (_, _, pending) in zip(adapters, plans)
+        if pending
     ]
-    return TranslationResult(records=records, failures=failures)
+    if len(calls) > 1:
+        # Imported here, so a run with every translation cached never loads it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            outputs = list(pool.map(_adapter_call, *zip(*calls)))
+    else:
+        outputs = [_adapter_call(*call) for call in calls]
+    called = iter(outputs)
+    n_cases = sum(map(len, suites))
+    results = []
+    for adapter, (store, found, pending) in zip(adapters, plans):
+        failures: list[list[TranslationFailure]] = [[] for _ in suites]
+        output = next(called) if pending else []
+        reason = "no translation produced"
+        if isinstance(output, AdapterError):
+            log.warning("system %s: %s", adapter.system_id, output)
+            output, reason = [None] * len(pending), str(output)
+        for (j, k), translation in zip(pending, output):
+            if translation is None:
+                failures[j].append(TranslationFailure(suites[j][k].id, reason))
+            else:
+                found[j][k] = translation
+        if store and pending:
+            store.put(
+                adapter.cache_name,
+                [(suites[j][k].source, found[j][k]) for j, k in pending if found[j][k] is not None],
+            )
+        n_failed = sum(map(len, failures))
+        if n_failed:
+            log.warning(
+                "system %s: %d/%d cases failed translation and are excluded",
+                adapter.system_id,
+                n_failed,
+                n_cases,
+            )
+        results.append([
+            TranslationResult(
+                records=[
+                    TranslationRecord(case_id=c.id, system_id=adapter.system_id, translation=t)
+                    for c, t in zip(suite, row)
+                    if t is not None
+                ],
+                failures=failed,
+            )
+            for suite, row, failed in zip(suites, found, failures)
+        ])
+    return results
+
+
+def translate_all(
+    suite: Sequence[TestCase], adapter, cache: TranslationCache | None = None
+) -> TranslationResult:
+    """Translate every case of one suite with one adapter, serving repeats from
+    the cache; `translate_systems` for one suite and one adapter."""
+    return translate_systems([suite], [adapter], cache)[0][0]
 
 
 # Per detector: the candidate entry kind it judges, and the error for another kind.
@@ -376,14 +418,15 @@ def evaluate(
 ) -> EvaluationResult:
     """Judge every translation with the property's detector.
 
-    Contrastive records are judged together in one batch; a `CachedEmbedder`
-    shares its store across calls, a plain embedder gets one per call. Cases
-    whose value has no candidate entry are reported in the result, not
-    silently dropped.
+    `translations` may hold several systems' records; verdicts keep their
+    order. Contrastive records are judged together in one batch; a
+    `CachedEmbedder` shares its store across calls, a plain embedder gets one
+    per call. Cases whose value has no candidate entry are reported in the
+    result, each once however many systems lack it, not silently dropped.
     """
     kind, need = _DETECTOR_ENTRY[spec.detector]
     case_by_id = {case.id: case for case in suite}
-    missing: dict[str, list[str]] = {}
+    missing: dict[str, dict[str, None]] = {}  # value -> its case ids, once each over systems
     records: list[TranslationRecord] = []
     entries: list[CandidateEntry] = []
     for record in translations:
@@ -392,7 +435,7 @@ def evaluate(
             raise DataInvariantError(f"translation references unknown case {record.case_id!r}")
         entry = candidates.get(case.value)
         if entry is None:
-            missing.setdefault(case.value, []).append(case.id)
+            missing.setdefault(case.value, {})[case.id] = None
         elif not isinstance(entry, kind):
             raise DataInvariantError(f"value {case.value!r}: {need}")
         else:
@@ -687,6 +730,3 @@ def apply_candidate_edits(
         out[edit.value] = CandidateSet(value=edit.value, candidates=tuple(current))
     return out, audit
 
-
-def file_sha256(path: Path | str) -> str:
-    return hashlib.sha256(_read_bytes(Path(path))).hexdigest()

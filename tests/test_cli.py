@@ -1,12 +1,15 @@
 """End-to-end CLI: generate -> candidates -> run -> report, offline."""
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import importlib
 import json
 import pkgutil
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ import pytest
 import mtbehave
 from mtbehave import cli, model, runner
 from mtbehave.cli import main
-from mtbehave.config import load_config
+from mtbehave.config import RunConfig, load_config
 from mtbehave.errors import ConfigError, MtBehaveError, ProviderError
 from mtbehave.generation import render_candidate_prompt, render_source_prompt
 from mtbehave.model import (
@@ -298,7 +301,8 @@ class TestRun:
     def test_warm_run_reads_each_cache_file_once(self, workspace, tmp_path, monkeypatch):
         prime(workspace)
         assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "cold")) == 0
-        cache_dir = load_config(str(workspace)).workspace / "cache" / "translations"
+        config = load_config(str(workspace))
+        cache_dir = config.workspace / "cache" / "translations"
         reads = []
 
         def counting_open(file, mode="r", *args, **kwargs):
@@ -311,6 +315,14 @@ class TestRun:
         assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "warm")) == 0
         cached = sorted(path for path in reads if path.parent == cache_dir)
         assert len(cached) == 2 and cached == sorted(cache_dir.glob("*.jsonl"))
+        # Each input is read once too: its sha256 in the report comes from the loaded bytes.
+        inputs = [
+            config.property_dir(spec.id) / name
+            for spec in config.properties
+            for name in ("suite.jsonl", "candidates.jsonl")
+        ]
+        assert set(inputs) <= set(reads)
+        assert len(reads) == len(set(reads)), sorted(map(str, reads))
 
     @pytest.mark.parametrize("order", [("full", "partial"), ("partial", "full")])
     def test_missing_candidate_count_is_the_union_over_systems(self, workspace, tmp_path, order):
@@ -366,6 +378,143 @@ class TestRun:
         assert "timestamp_utc" in meta
         report_text = (out_dir / "report.json").read_text(encoding="utf-8")
         assert "timestamp" not in report_text
+
+
+def add_system(workspace, system_id: str, command: str) -> None:
+    with open(workspace, "a", encoding="utf-8") as fh:
+        fh.write(f"  - id: {system_id}\n    kind: command\n    command: \"{command}\"\n")
+
+
+class Hooked:
+    """A built adapter whose `translate` goes through `hook(system_id, call)`."""
+
+    def __init__(self, inner, hook):
+        self.system_id, self.cache_name = inner.system_id, inner.cache_name
+        self._inner, self._hook = inner, hook
+
+    def translate(self, sources):
+        return self._hook(self.system_id, lambda: self._inner.translate(sources))
+
+
+def hook_adapters(monkeypatch, hook) -> None:
+    real = RunConfig.build_adapter
+    monkeypatch.setattr(
+        RunConfig, "build_adapter", lambda self, spec: Hooked(real(self, spec), hook)
+    )
+
+
+class SerialExecutor:
+    """A stand-in for ThreadPoolExecutor that makes each call in turn, in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+RUN_ARTIFACTS = ("report.json", "verdicts.jsonl") + tuple(
+    f"translations/{s}.jsonl" for s in ("identity", "mangler", "upper")
+)
+
+
+class TestRunTwoPhases:
+    """`run` makes one adapter call per system, all side by side, then judges."""
+
+    def test_adapter_calls_overlap(self, workspace, tmp_path, monkeypatch):
+        prime(workspace)
+        add_system(workspace, "upper", "tr a-z A-Z")
+        barrier = threading.Barrier(3, timeout=5)
+        calls = []
+
+        def hook(system_id, call):
+            calls.append(system_id)
+            barrier.wait()  # broken, so raising, unless all three calls are in flight
+            return call()
+
+        hook_adapters(monkeypatch, hook)
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "r")) == 0
+        assert sorted(calls) == ["identity", "mangler", "upper"]  # one call per system
+
+    def test_reverse_finish_order_changes_no_file(self, workspace, tmp_path, monkeypatch):
+        prime(workspace)
+        add_system(workspace, "upper", "tr a-z A-Z")
+        cache_dir = load_config(str(workspace)).workspace / "cache" / "translations"
+        order = ["identity", "mangler", "upper"]
+        finished = {system_id: threading.Event() for system_id in order}
+        done = []
+
+        def hook(system_id, call):
+            position = order.index(system_id)
+            if position + 1 < len(order):
+                assert finished[order[position + 1]].wait(5)  # the next system ends first
+            try:
+                return call()
+            finally:
+                done.append(system_id)
+                finished[system_id].set()
+
+        with monkeypatch.context() as m:
+            hook_adapters(m, hook)
+            out = tmp_path / "reversed"
+            assert run_cli("run", "--config", str(workspace), "--out", str(out)) == 0
+        assert done == order[::-1]
+        reversed_files = {name: (out / name).read_bytes() for name in RUN_ARTIFACTS}
+        reversed_cache = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+        shutil.rmtree(cache_dir)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
+        out = tmp_path / "serial"
+        assert run_cli("run", "--config", str(workspace), "--out", str(out)) == 0
+        assert {name: (out / name).read_bytes() for name in RUN_ARTIFACTS} == reversed_files
+        assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == reversed_cache
+
+    def test_failing_command_system_is_recorded_and_excluded(
+        self, workspace, tmp_path, caplog
+    ):
+        prime(workspace)
+        good = tmp_path / "good"
+        assert run_cli("run", "--config", str(workspace), "--out", str(good)) == 0
+        add_system(workspace, "broken", "false")
+        caplog.clear()
+        out = tmp_path / "with-broken"
+        assert run_cli("run", "--config", str(workspace), "--out", str(out)) == 0
+        meta = json.loads((out / "runmeta.json").read_text(encoding="utf-8"))
+        assert meta["translation_failures"] == {"broken": 12}  # both properties' cases
+        assert (out / "translations" / "broken.jsonl").read_bytes() == b""
+        for name in RUN_ARTIFACTS[:4]:
+            assert (out / name).read_bytes() == (good / name).read_bytes(), name
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert [m for m in messages if "failed translation" in m] == [
+            "system broken: 12/12 cases failed translation and are excluded"
+        ]
+
+    def test_warm_run_starts_no_thread(self, workspace, tmp_path, monkeypatch):
+        prime(workspace)
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "cold")) == 0
+        monkeypatch.setattr(
+            concurrent.futures, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("pool")
+        )
+        threads = threading.active_count()
+        seen = []
+
+        def hook(system_id, call):
+            seen.append((system_id, threading.active_count()))
+            return call()
+
+        hook_adapters(monkeypatch, hook)
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "warm")) == 0
+        assert seen == []
+        # One system with cases left is called from the calling thread.
+        add_system(workspace, "upper", "tr a-z A-Z")
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "one")) == 0
+        assert seen == [("upper", threads)]
 
 
 class TestCompare:
@@ -636,7 +785,7 @@ class TestFileFailures:
         cache_dir = load_config(str(workspace)).workspace / "cache" / "translations"
         cache_dir.parent.mkdir()
         cache_dir.write_bytes(b"x")
-        monkeypatch.setattr(cli, "translate_all", lambda *a, **k: pytest.fail("translated"))
+        monkeypatch.setattr(cli, "translate_systems", lambda *a, **k: pytest.fail("translated"))
         assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "run1")) == 3
         assert f"data error: {cache_dir}: cannot read (Not a directory)" in capsys.readouterr().err
 
@@ -650,6 +799,24 @@ class TestFileFailures:
         # It fails before any system is translated, so nothing reached the cache.
         cache_dir = load_config(str(workspace)).workspace / "cache" / "translations"
         assert list(cache_dir.glob("*")) == []
+
+    @pytest.mark.parametrize(
+        "name",
+        ["runmeta.json", "report.json", "report.txt", "verdicts.jsonl", "translations/mangler.jsonl"],
+    )
+    def test_run_artifact_a_directory_exit_3_before_translating(
+        self, workspace, tmp_path, capsys, name
+    ):
+        prime(workspace)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run_cli("run", "--config", str(workspace), "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {out / name}: cannot write (Is a directory)\n"
+        )
+        cache_dir = load_config(str(workspace)).workspace / "cache" / "translations"
+        assert not cache_dir.exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted({name.split("/")[0], "translations"})
 
     def test_property_directory_a_file_exit_3(self, workspace, capsys):
         prop_dir = load_config(str(workspace)).property_dir("names")

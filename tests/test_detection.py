@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
@@ -158,6 +160,41 @@ class TestTokenizeAndNgrams:
 
     def test_empty_text_single_empty_gram(self):
         assert ngrams("", 2, WS) == [""]
+
+    def test_no_alphanumeric_character_is_punctuation(self):
+        # The edge-stripping fast path keeps a token whose first and last
+        # characters are isalnum(); that is exact only if none of them is P*.
+        both = [
+            f"U+{cp:04X}"
+            for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+        ]
+        assert both == []
+
+    @pytest.mark.parametrize("mode", ["whitespace", "character"])
+    def test_tokens_equal_the_character_by_character_strip(self, mode):
+        texts = [
+            "«Hallo», sagte er. (3.5) ¿Qué? ¡Sí! 'tis x' -- ...",
+            "naïve café e\u0301 \u0301abc a\u0301, Ωmega² ½ ٣٤٥ ²³",
+            "Привет,мир 東京タワー。 日本語「テスト」 abcДЖ中文 x_y _x_ 3rd",
+            "\u00a0a\u200bb\u200b \u2018quoted\u2019 \u05d0\u05b8,",
+        ]
+
+        def reference(token):
+            start, end = 0, len(token)
+            while start < end and unicodedata.category(token[start]).startswith("P"):
+                start += 1
+            while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+                end -= 1
+            return token[start:end]
+
+        tok = TokenizerConfig(mode=mode)
+        for text in texts:
+            if mode == "character":
+                expected = list(reference(text.strip()))
+            else:
+                expected = [s for t in text.split() if (s := reference(t))]
+            assert tokenize(text, tok) == expected
 
 
 class VectorEmbedder:

@@ -39,6 +39,7 @@ from mtbehave.runner import (
     evaluate,
     sample_for_annotation,
     translate_all,
+    translate_systems,
 )
 
 from conftest import CountingEmbedder, make_spec, reference_max_sim
@@ -256,6 +257,57 @@ class TestTranslateAll:
         # The same case for another system is not a duplicate.
         other = FileMtAdapter(AdapterSpec(system_id="other", kind="file", path=str(path)))
         assert other.translate_cases(SUITE[:1]) == ["Ich lief 3 km."]
+
+
+class TestTranslateSystems:
+    SUITES = [SUITE, make_suite(["Add 2 [cups] of flour.", "Walk 4 [blocks] north."], "recipes")]
+
+    def test_one_call_per_adapter_covers_every_suite(self, tmp_path):
+        adapters = [CountingAdapter("a"), CountingAdapter("b", fn=str.upper)]
+        results = translate_systems(self.SUITES, adapters, TranslationCache(tmp_path / "c1"))
+        assert [a.calls for a in adapters] == [1, 1]
+        for adapter, per_suite in zip(adapters, results):
+            for suite, result in zip(self.SUITES, per_suite):
+                alone = translate_all(suite, CountingAdapter(adapter.system_id, adapter.fn))
+                assert result == alone
+
+    def test_cache_lines_follow_suite_then_case_order_in_one_append(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.jsonl"
+        opens = []
+        real_open = open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if str(file) == str(path):
+                opens.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        translate_systems(self.SUITES, [CountingAdapter("a")], TranslationCache(tmp_path))
+        assert opens == ["a"]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["translation"] for line in lines] == [
+            case.source for suite in self.SUITES for case in suite
+        ]
+
+    def test_adapter_error_fails_that_system_in_every_suite(self, caplog):
+        class Broken(CountingAdapter):
+            def translate(self, sources):
+                raise AdapterError("boom")
+
+        good, broken = translate_systems(self.SUITES, [CountingAdapter("good"), Broken("bad")])
+        assert [len(r.records) for r in good] == [len(s) for s in self.SUITES]
+        assert [r.records for r in broken] == [[], []]
+        assert [[f.case_id for f in r.failures] for r in broken] == [
+            [c.id for c in suite] for suite in self.SUITES
+        ]
+        assert all(f.reason == "boom" for r in broken for f in r.failures)
+        # One failure line for the system, over both suites.
+        [line] = [r.getMessage() for r in caplog.records if "failed translation" in r.getMessage()]
+        assert line == "system bad: 5/5 cases failed translation and are excluded"
+
+    def test_any_empty_suite_rejected(self):
+        with pytest.raises(DataInvariantError):
+            translate_systems([SUITE, []], [CountingAdapter()])
 
 
 class TestCacheFingerprint:
