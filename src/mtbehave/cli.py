@@ -437,7 +437,7 @@ def cmd_diversity(args: argparse.Namespace) -> int:
     props = _select_properties(config, args.property)
     for spec in props:
         suite, _ = _load_property_suite(config, spec.id)
-        series = diversity_series(suite, args.n, config.tokenizer)
+        series = diversity_series([c.source for c in suite], args.n, config.tokenizer)
         usable = [v for v in series if v is not None]
         trend = None
         if len(usable) > args.degree:

@@ -1,15 +1,16 @@
-"""Pass-rate statistics.
+"""Pass-rate statistics over plain arrays.
 
-Pass rate (PR) is the plain mean over test cases. Macro pass rate (MPR)
-averages per-property-value means so frequent values do not dominate.
-Uncertainty comes from percentile bootstrap resampling at the entry level;
-system comparison from joint (paired) resampling.
+Macro pass rate (MPR) averages per-property-value pass rates so frequent
+values do not dominate. `resampled_mprs` resamples a property's entries
+once for every system, giving one (systems, k) array of bootstrap MPRs;
+`bootstrap_ci` reads a percentile interval from one row of it, and
+`paired_bootstrap` compares two rows, which were resampled jointly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,136 +77,73 @@ def resample_indices(key: np.uint64, start: int, stop: int, n: int) -> np.ndarra
     return ((z >> 32) * n >> 32).view(np.int64)
 
 
-class _Cohort:
-    """S pass rows over one ordered value sequence, with values coded in order
-    of first appearance. Keeps the resampled MPRs of the last (k, seed)."""
-
-    def __init__(self, values: Sequence[str], rows: Sequence[Sequence[int]]) -> None:
-        self.values = tuple(str(v) for v in values)
-        index: dict[str, int] = {}
-        self.codes = np.array([index.setdefault(v, len(index)) for v in self.values], np.intp)
-        self.n_values = len(index)
-        self.counts = np.bincount(self.codes, minlength=self.n_values)
-        self.passes = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(self.values))
-        bad = self.passes[(self.passes != 0) & (self.passes != 1)]
-        if bad.size:
-            raise DataInvariantError(f"pass bit must be 0 or 1, got {bad[0]:g}")
-        self._cached: tuple[tuple[int, int] | None, np.ndarray] = (None, np.empty(0))
-
-    def resample(self, cfg: ResampleConfig) -> np.ndarray:
-        n_rows, n = self.passes.shape
-        key = resample_key(cfg.seed)
-        step = max(1, CHUNK // n)
-        out = np.empty((n_rows, cfg.k))
-        for start in range(0, cfg.k, step):
-            stop = min(start + step, cfg.k)
-            idx = resample_indices(key, start, stop, n)
-            # Resample r of the chunk counts into bins [r * V, (r + 1) * V),
-            # so one bincount covers the whole chunk.
-            size = (stop - start) * self.n_values
-            bins = (self.codes[idx] + np.arange(0, size, self.n_values)[:, None]).ravel()
-            counts = np.bincount(bins, minlength=size)
-            sums = np.stack(
-                [np.bincount(bins, weights=row[idx].ravel(), minlength=size) for row in self.passes]
-            )
-            # An absent value's sum is 0, so it adds 0 to its resample's total.
-            ratios = (sums / np.maximum(counts, 1)).reshape(n_rows, -1, self.n_values)
-            present = np.count_nonzero(counts.reshape(-1, self.n_values), axis=1)
-            out[:, start:stop] = ratios.sum(axis=2) / present
-        return out
-
-    def mprs(self, cfg: ResampleConfig) -> np.ndarray:
-        if self._cached[0] != (cfg.k, cfg.seed):
-            self._cached = ((cfg.k, cfg.seed), self.resample(cfg))
-        return self._cached[1]
+def _codes(values: Sequence[str]) -> tuple[np.ndarray, int]:
+    """Each value's code, in order of first appearance, and the number of codes."""
+    if len(values) == 0:
+        raise DataInvariantError("statistic undefined for no values")
+    index: dict[str, int] = {}
+    codes = np.array([index.setdefault(v, len(index)) for v in values], np.intp)
+    return codes, len(index)
 
 
 def resampled_mprs(
-    values: Sequence[str], passes: Sequence[Sequence[int]], cfg: ResampleConfig
+    values: Sequence[str], rows: Sequence[Sequence[int]], cfg: ResampleConfig
 ) -> np.ndarray:
     """The (S, k) bootstrap macro pass rates of S pass rows over one value sequence.
 
     Resample i applies one index vector to every row, so the S systems of a
-    property are resampled jointly, as paired comparisons need. Values absent
-    from a resample drop out of that resample's denominator. Resamples are
-    computed a chunk at a time, so memory does not grow with k.
+    property are resampled jointly, as paired comparisons need; since the
+    indices depend only on (cfg.seed, i, n), row s of this array equals a
+    one-row call on rows[s]. Values absent from a resample drop out of that
+    resample's denominator. Resamples are computed a chunk at a time, so
+    memory does not grow with k.
     """
-    return _Cohort(values, passes).resample(cfg)
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """Row `_row` of a cohort: one system's pass bits over the cohort's values."""
-
-    _cohort: _Cohort
-    _row: int
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "Sample":
-        """A sample that is a cohort of one."""
-        entries = list(pairs)
-        return cls.cohort([v for v, _ in entries], [[p for _, p in entries]])[0]
-
-    @classmethod
-    def cohort(cls, values: Sequence[str], rows: Sequence[Sequence[int]]) -> list["Sample"]:
-        """One sample per row of pass bits, all over the same ordered `values`.
-
-        The samples share their bootstrap resamples: the first CI or paired
-        comparison over any of them resamples every row at once, and later
-        calls with the same k and seed reuse the result.
-        """
-        shared = _Cohort(values, rows)
-        return [cls(shared, i) for i in range(len(shared.passes))]
-
-    def __len__(self) -> int:
-        return len(self._cohort.values)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Sample)
-            and self._cohort.values == other._cohort.values
-            and np.array_equal(self.passes, other.passes)
+    codes, n_values = _codes(values)
+    n = len(codes)
+    if any(len(row) != n for row in rows):
+        raise DataInvariantError(f"every pass row must hold {n} bits, one per value")
+    passes = np.asarray(rows, dtype=np.float64).reshape(len(rows), n)
+    bad = passes[(passes != 0) & (passes != 1)]
+    if bad.size:
+        raise DataInvariantError(f"pass bit must be 0 or 1, got {bad[0]:g}")
+    n_rows = len(passes)
+    key = resample_key(cfg.seed)
+    step = max(1, CHUNK // n)
+    out = np.empty((n_rows, cfg.k))
+    for start in range(0, cfg.k, step):
+        stop = min(start + step, cfg.k)
+        idx = resample_indices(key, start, stop, n)
+        # Resample r of the chunk counts into bins [r * V, (r + 1) * V),
+        # so one bincount covers the whole chunk.
+        size = (stop - start) * n_values
+        bins = (codes[idx] + np.arange(0, size, n_values)[:, None]).ravel()
+        counts = np.bincount(bins, minlength=size)
+        sums = np.stack(
+            [np.bincount(bins, weights=row[idx].ravel(), minlength=size) for row in passes]
         )
-
-    @property
-    def passes(self) -> np.ndarray:
-        return self._cohort.passes[self._row]
-
-    @property
-    def n_values(self) -> int:
-        return self._cohort.n_values
+        # An absent value's sum is 0, so it adds 0 to its resample's total.
+        ratios = (sums / np.maximum(counts, 1)).reshape(n_rows, -1, n_values)
+        present = np.count_nonzero(counts.reshape(-1, n_values), axis=1)
+        out[:, start:stop] = ratios.sum(axis=2) / present
+    return out
 
 
-def _require_nonempty(sample: Sample) -> None:
-    if len(sample) == 0:
-        raise DataInvariantError("statistic undefined for an empty sample")
-
-
-def pass_rate(sample: Sample) -> float:
-    """Mean pass bit over all entries."""
-    _require_nonempty(sample)
-    return float(sample.passes.sum()) / len(sample)
-
-
-def macro_pass_rate(sample: Sample) -> float:
+def macro_pass_rate(values: Sequence[str], passes: Sequence[int]) -> float:
     """Mean of per-value pass rates, weighting each distinct value equally."""
-    _require_nonempty(sample)
-    cohort = sample._cohort
-    sums = np.bincount(cohort.codes, weights=sample.passes, minlength=cohort.n_values)
+    codes, n_values = _codes(values)
+    sums = np.bincount(codes, weights=np.asarray(passes, dtype=np.float64), minlength=n_values)
     # A left-to-right float sum over values in order of first appearance.
-    return sum((sums / cohort.counts).tolist()) / cohort.n_values
+    return sum((sums / np.bincount(codes, minlength=n_values)).tolist()) / n_values
 
 
-def bootstrap_ci(sample: Sample, cfg: ResampleConfig) -> Interval:
-    """Percentile bootstrap interval for the macro pass rate.
+def bootstrap_ci(mprs: np.ndarray, cfg: ResampleConfig) -> Interval:
+    """Percentile bootstrap interval for the macro pass rate, from one row of
+    `resampled_mprs`.
 
-    Entries are resampled with replacement, keeping each entry's value label;
-    values absent from a resample drop out of that resample's denominator.
-    Quantiles interpolate linearly between order statistics. Deterministic
-    given (sample order, cfg.seed, cfg.k).
+    Quantiles interpolate linearly between order statistics, so the interval
+    is deterministic given the row.
     """
-    _require_nonempty(sample)
-    ordered = np.sort(sample._cohort.mprs(cfg)[sample._row])
+    ordered = np.sort(mprs)
     return Interval(
         _linear_quantile(ordered, cfg.alpha / 2.0), _linear_quantile(ordered, 1.0 - cfg.alpha / 2.0)
     )
@@ -239,38 +177,29 @@ class PairedResult:
     significant: bool
 
 
-def paired_bootstrap(a: Sample, b: Sample, cfg: ResampleConfig) -> PairedResult:
-    """Jointly resample two systems' verdicts over the same cases."""
-    _require_nonempty(a)
-    _require_nonempty(b)
-    if a._cohort.values != b._cohort.values:
-        raise DataInvariantError("paired bootstrap requires identical case/value sequences")
-    # Resample i's indices depend only on (cfg.seed, i, n), so two samples
-    # from different cohorts are still resampled jointly.
-    mpr_a = a._cohort.mprs(cfg)[a._row]
-    mpr_b = b._cohort.mprs(cfg)[b._row]
-    ties = 0.5 * int(np.count_nonzero(mpr_a == mpr_b))
-    wins_a = int(np.count_nonzero(mpr_a > mpr_b)) + ties
-    wins_b = int(np.count_nonzero(mpr_b > mpr_a)) + ties
+def paired_bootstrap(mprs_a: np.ndarray, mprs_b: np.ndarray, cfg: ResampleConfig) -> PairedResult:
+    """Compare two systems from two rows of one `resampled_mprs` call, which
+    resampled them jointly over the same cases."""
+    ties = 0.5 * int(np.count_nonzero(mprs_a == mprs_b))
+    wins_a = int(np.count_nonzero(mprs_a > mprs_b)) + ties
+    wins_b = int(np.count_nonzero(mprs_b > mprs_a)) + ties
     winner = "a" if wins_a > wins_b else "b" if wins_b > wins_a else None
     p_value = 1.0 - max(wins_a, wins_b) / cfg.k
     return PairedResult(winner, p_value, wins_a, wins_b, significant=p_value < cfg.alpha)
 
 
 def diversity_series(
-    suite: Sequence, n: int, tok: TokenizerConfig = TokenizerConfig()
+    sentences: Sequence[str], n: int, tok: TokenizerConfig = TokenizerConfig()
 ) -> list[float | None]:
     """Per-sentence fraction of n-grams unseen in all earlier sentences.
 
-    Accepts test cases (their source sentences are used) or plain strings,
-    in generation order. Sentences with fewer than n tokens contribute no
-    n-grams and yield None rather than a 0/0 entry.
+    Sentences are taken in generation order. Sentences with fewer than n
+    tokens contribute no n-grams and yield None rather than a 0/0 entry.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if len(suite) == 0:
+    if len(sentences) == 0:
         raise DataInvariantError("diversity undefined for an empty suite")
-    sentences = [item.source if hasattr(item, "source") else str(item) for item in suite]
     seen: set[str] = set()
     series: list[float | None] = []
     for sentence in sentences:

@@ -154,6 +154,13 @@ class TestCase:
         )
 
 
+def _str_list(value, field: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; a string is not split into characters."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError(f"{field!r} must be a list of strings")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """All (practically all) valid target-language translations of one value."""
@@ -184,7 +191,7 @@ class CandidateSet:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CandidateSet":
-        return cls(value=d["value"], candidates=tuple(d["candidates"]))
+        return cls(value=d["value"], candidates=_str_list(d["candidates"], "candidates"))
 
 
 @dataclass(frozen=True)
@@ -216,7 +223,11 @@ class ContrastivePair:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ContrastivePair":
-        return cls(value=d["value"], correct=tuple(d["correct"]), foil=tuple(d["foil"]))
+        return cls(
+            value=d["value"],
+            correct=_str_list(d["correct"], "correct"),
+            foil=_str_list(d["foil"], "foil"),
+        )
 
 
 CandidateEntry = Union[CandidateSet, ContrastivePair]

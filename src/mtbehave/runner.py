@@ -30,10 +30,10 @@ from .metrics import (
     Interval,
     PairedResult,
     ResampleConfig,
-    Sample,
     bootstrap_ci,
     macro_pass_rate,
     paired_bootstrap,
+    resampled_mprs,
 )
 from .model import (
     CandidateEntry,
@@ -48,6 +48,7 @@ from .model import (
     _list_dir,
     _load_records,
     _read_bytes,
+    _str_list,
     _truncate,
     load_translations,
 )
@@ -127,7 +128,9 @@ class HttpMtAdapter:
             payload = {"texts": batch, "src": src, "tgt": tgt}
             try:
                 body = _post_json(self._session, self.endpoint, payload, "MT request")
-                translations = [str(t) for t in _json_list(body, "translations", self.endpoint)]
+                translations = _json_list(body, "translations", self.endpoint)
+                if not all(isinstance(t, str) for t in translations):
+                    raise AdapterError(f"{self.endpoint}: a translation is not a string")
                 if len(translations) != len(batch):
                     raise AdapterError(
                         f"{self.endpoint} returned {len(translations)} translations "
@@ -594,25 +597,24 @@ def build_report(
             {k: len(v) for k, v in dropped.items()},
         )
 
-    # One cohort per property: every CI and comparison below reads the same k
-    # resamples.
-    cohort = Sample.cohort(
-        [value_of[cid] for cid in ordered_ids],
-        [[int(by_system[s][cid].passed) for cid in ordered_ids] for s in system_ids],
-    )
-    samples = dict(zip(system_ids, cohort))
+    # One resample set per property: every CI and comparison below reads a row
+    # of the same (systems, k) array.
+    values = [value_of[cid] for cid in ordered_ids]
+    rows = [[int(by_system[s][cid].passed) for cid in ordered_ids] for s in system_ids]
+    mprs = resampled_mprs(values, rows, cfg)
+    n_values = len(set(values))
     stats: list[SystemStats] = []
-    for system_id, sample in samples.items():
-        passes = int(sample.passes.sum())
+    for i, (system_id, row) in enumerate(zip(system_ids, rows)):
+        passes = sum(row)
         stats.append(
             SystemStats(
                 system_id=system_id,
-                mpr=macro_pass_rate(sample),
-                ci=bootstrap_ci(sample, cfg),
-                n=len(sample),
-                values=sample.n_values,
+                mpr=macro_pass_rate(values, row),
+                ci=bootstrap_ci(mprs[i], cfg),
+                n=len(row),
+                values=n_values,
                 passes=passes,
-                fails=len(sample) - passes,
+                fails=len(row) - passes,
             )
         )
 
@@ -620,7 +622,7 @@ def build_report(
     for i in range(len(system_ids)):
         for j in range(i + 1, len(system_ids)):
             a, b = system_ids[i], system_ids[j]
-            result: PairedResult = paired_bootstrap(samples[a], samples[b], cfg)
+            result: PairedResult = paired_bootstrap(mprs[i], mprs[j], cfg)
             winner = {"a": a, "b": b, None: None}[result.winner]
             comparisons.append(
                 Comparison(
@@ -680,13 +682,12 @@ class CandidateEdit:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CandidateEdit":
-        add, remove = d.get("add", []), d.get("remove", [])
-        if not isinstance(add, list) or not isinstance(remove, list):
-            raise TypeError("'add'/'remove' must be lists")
+        if not isinstance(d["value"], str):
+            raise TypeError("'value' must be a string")
         return cls(
-            value=str(d["value"]),
-            add=tuple(str(x) for x in add),
-            remove=tuple(str(x) for x in remove),
+            value=d["value"],
+            add=_str_list(d.get("add", []), "add"),
+            remove=_str_list(d.get("remove", []), "remove"),
         )
 
 

@@ -19,12 +19,11 @@ from mtbehave.generation import generate_suite, generation_stats
 from mtbehave.metrics import (
     Interval,
     ResampleConfig,
-    Sample,
     bootstrap_ci,
     diversity_series,
     macro_pass_rate,
     paired_bootstrap,
-    pass_rate,
+    resampled_mprs,
 )
 from mtbehave.model import CandidateSet, ContrastivePair, TestCase, TranslationRecord, parse_bracketed
 from mtbehave.providers import HashEmbedder
@@ -150,21 +149,15 @@ def test_worked_paper_examples():
 @criterion(4, "metrics identities: MPR/PR relations and bounds (10k samples)")
 def test_metrics_identities():
     rng = random.Random(15485863)
-    sample = Sample.from_pairs([("A", 1), ("A", 0), ("B", 1), ("B", 1), ("B", 1), ("B", 1)])
-    assert macro_pass_rate(sample) == 0.75
-    assert pass_rate(sample) == 5 / 6
+    assert macro_pass_rate(["A", "A", "B", "B", "B", "B"], [1, 0, 1, 1, 1, 1]) == 0.75
 
     for _ in range(10_000):
         n = rng.randint(1, 12)
         values = [f"v{rng.randint(0, 5)}" for _ in range(n)]
-        pairs = [(v, rng.randint(0, 1)) for v in values]
-        s = Sample.from_pairs(pairs)
-        pr, mpr = pass_rate(s), macro_pass_rate(s)
-        assert 0.0 <= pr <= 1.0 and 0.0 <= mpr <= 1.0
-        singleton = Sample.from_pairs(
-            [(f"u{i}", p) for i, (_, p) in enumerate(pairs)]
-        )
-        assert macro_pass_rate(singleton) == pass_rate(singleton)
+        row = [rng.randint(0, 1) for _ in values]
+        assert 0.0 <= macro_pass_rate(values, row) <= 1.0
+        singleton = [f"u{i}" for i in range(n)]
+        assert macro_pass_rate(singleton, row) == sum(row) / n
 
 
 # -- 5 ----------------------------------------------------------------------
@@ -179,10 +172,9 @@ def test_bootstrap_coverage():
         hits = 0
         for i in range(datasets):
             rng = random.Random(900_001 + 7919 * case_index + i)
-            sample = Sample.from_pairs(
-                ("v", 1 if rng.random() < p else 0) for _ in range(n)
-            )
-            ci = bootstrap_ci(sample, ResampleConfig(k=1000, alpha=0.05, seed=i))
+            row = [1 if rng.random() < p else 0 for _ in range(n)]
+            cfg = ResampleConfig(k=1000, alpha=0.05, seed=i)
+            ci = bootstrap_ci(resampled_mprs(["v"] * n, [row], cfg)[0], cfg)
             hits += ci.lo <= p <= ci.hi
         coverage = hits / datasets
         assert 0.91 <= coverage <= 0.99, f"coverage {coverage:.3f} at p={p}"
@@ -197,14 +189,14 @@ def test_bootstrap_coverage():
 def test_paired_bootstrap_sanity():
     cfg = ResampleConfig(k=500, alpha=0.05, seed=31)
     rng = random.Random(32452843)
-    identical = Sample.from_pairs(("v", rng.randint(0, 1)) for _ in range(200))
-    result = paired_bootstrap(identical, identical, cfg)
+    identical = [rng.randint(0, 1) for _ in range(200)]
+    mprs = resampled_mprs(["v"] * 200, [identical, identical], cfg)
+    result = paired_bootstrap(mprs[0], mprs[1], cfg)
     assert result.p_value == 0.5
     assert result.winner is None
 
     n = 100
-    all_pass = Sample.from_pairs([("v", 1)] * n)
-    all_fail = Sample.from_pairs([("v", 0)] * n)
+    all_pass, all_fail = resampled_mprs(["v"] * n, [[1] * n, [0] * n], cfg)
     separated = paired_bootstrap(all_pass, all_fail, cfg)
     assert separated.winner == "a" and separated.p_value == 0.0
 
@@ -212,8 +204,8 @@ def test_paired_bootstrap_sanity():
     for _ in range(100):
         n = rng.randint(4, 30)
         values = [rng.choice("abc") for _ in range(n)]
-        a = Sample.from_pairs((v, rng.randint(0, 1)) for v in values)
-        b = Sample.from_pairs((v, rng.randint(0, 1)) for v in values)
+        rows = [[rng.randint(0, 1) for _ in values] for _ in range(2)]
+        a, b = resampled_mprs(values, rows, small)
         fwd = paired_bootstrap(a, b, small)
         rev = paired_bootstrap(b, a, small)
         assert fwd.p_value == rev.p_value

@@ -749,6 +749,32 @@ class TestAnnotateAndApplyEdits:
         ) == 3
         assert ":2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"value": "Rafael Ortega", "add": [None, 7]},
+            {"value": "Rafael Ortega", "remove": [None]},
+            {"value": 7, "add": ["Señor Ortega"]},
+        ],
+    )
+    def test_non_string_edit_entry_exit_3(self, workspace, tmp_path, capsys, bad):
+        prime(workspace)
+        prop_dir = load_config(str(workspace)).property_dir("names")
+        edits_path = tmp_path / "edits.jsonl"
+        good = json.dumps({"value": "Rafael Ortega", "add": ["Señor Ortega"]}) + "\n"
+        edits_path.write_text(good, encoding="utf-8")
+        args = ("apply-edits", "--config", str(workspace), "--property", "names",
+                "--edits", str(edits_path))
+        assert run_cli(*args) == 0
+        files = [prop_dir / "candidates.jsonl", prop_dir / "candidates_audit.log"]
+        before = [path.read_bytes() for path in files]
+        lines = [{"value": "Rafael Ortega", "add": ["R. Ortega"]}, bad]
+        edits_path.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(*args) == 3
+        assert f"{edits_path}:2: malformed record" in capsys.readouterr().err
+        assert [path.read_bytes() for path in files] == before
+
     def test_removal_of_last_candidate_exit_3(self, workspace, tmp_path):
         prime(workspace)
         edits_path = tmp_path / "edits.jsonl"

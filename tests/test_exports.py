@@ -1,6 +1,8 @@
 """The package's public names: every export resolves."""
 from __future__ import annotations
 
+import types
+
 import mtbehave
 
 
@@ -14,3 +16,11 @@ def test_star_import_succeeds():
     namespace: dict = {}
     exec("from mtbehave import *", namespace)
     assert set(mtbehave.__all__) <= set(namespace)
+
+
+def test_public_names_equal_all():
+    public = {
+        name for name, value in vars(mtbehave).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(mtbehave.__all__)

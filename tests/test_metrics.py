@@ -1,4 +1,4 @@
-"""Statistics: PR/MPR, bootstrap CI, paired bootstrap, diversity, trend fit."""
+"""Statistics: MPR, resampled MPRs, bootstrap CI, paired bootstrap, diversity, trend fit."""
 from __future__ import annotations
 
 import random
@@ -14,12 +14,10 @@ from mtbehave.errors import DataInvariantError
 from mtbehave.metrics import (
     Interval,
     ResampleConfig,
-    Sample,
     bootstrap_ci,
     diversity_series,
     macro_pass_rate,
     paired_bootstrap,
-    pass_rate,
     resample_indices,
     resample_key,
     resampled_mprs,
@@ -31,89 +29,80 @@ from mtbehave.runner import build_report
 from conftest import make_spec
 
 
-def bern_sample(rng: random.Random, n: int, p: float, value: str = "v") -> Sample:
-    return Sample.from_pairs((value, 1 if rng.random() < p else 0) for _ in range(n))
+def bern_row(rng: random.Random, n: int, p: float) -> list[int]:
+    return [1 if rng.random() < p else 0 for _ in range(n)]
+
+
+def ci_of(values, row, cfg: ResampleConfig) -> Interval:
+    return bootstrap_ci(resampled_mprs(values, [row], cfg)[0], cfg)
+
+
+def compare(values, row_a, row_b, cfg: ResampleConfig):
+    mprs = resampled_mprs(values, [row_a, row_b], cfg)
+    return paired_bootstrap(mprs[0], mprs[1], cfg)
 
 
 class TestPassRates:
-    def test_pass_rate_examples(self):
-        assert pass_rate(Sample.from_pairs([("a", 1), ("a", 1), ("a", 0), ("a", 1)])) == 0.75
-        assert pass_rate(Sample.from_pairs([("a", 1)] * 5)) == 1.0
-        assert pass_rate(Sample.from_pairs([("a", 0)] * 5)) == 0.0
-
     def test_mpr_worked_example(self):
-        sample = Sample.from_pairs(
-            [("A", 1), ("A", 0), ("B", 1), ("B", 1), ("B", 1), ("B", 1)]
-        )
-        assert macro_pass_rate(sample) == 0.75
-        assert pass_rate(sample) == pytest.approx(5 / 6)
+        assert macro_pass_rate(list("AABBBB"), [1, 0, 1, 1, 1, 1]) == 0.75
 
     def test_mpr_equals_pr_for_singleton_groups(self):
-        sample = Sample.from_pairs([("a", 1), ("b", 0), ("c", 1)])
-        assert macro_pass_rate(sample) == pass_rate(sample)
+        row = [1, 0, 1]
+        assert macro_pass_rate(["a", "b", "c"], row) == sum(row) / len(row)
 
     def test_mpr_equals_pr_single_value(self):
-        sample = Sample.from_pairs([("v", 1), ("v", 0), ("v", 0)])
-        assert macro_pass_rate(sample) == pytest.approx(pass_rate(sample))
+        assert macro_pass_rate(["v"] * 3, [1, 0, 0]) == pytest.approx(1 / 3)
 
     def test_empty_sample_rejected(self):
-        empty = Sample.from_pairs([])
         with pytest.raises(DataInvariantError):
-            pass_rate(empty)
+            macro_pass_rate([], [])
         with pytest.raises(DataInvariantError):
-            macro_pass_rate(empty)
+            resampled_mprs([], [[]], ResampleConfig(k=10))
 
     def test_non_binary_pass_rejected(self):
         with pytest.raises(DataInvariantError):
-            Sample.from_pairs([("a", 2)])
+            resampled_mprs(["a"], [[2]], ResampleConfig(k=10))
 
     def test_bounds_random(self):
         rng = random.Random(3)
         for _ in range(500):
             n = rng.randint(1, 30)
-            sample = Sample.from_pairs(
-                (rng.choice("abcd"), rng.randint(0, 1)) for _ in range(n)
-            )
-            assert 0.0 <= pass_rate(sample) <= 1.0
-            assert 0.0 <= macro_pass_rate(sample) <= 1.0
+            values = [rng.choice("abcd") for _ in range(n)]
+            assert 0.0 <= macro_pass_rate(values, [rng.randint(0, 1) for _ in range(n)]) <= 1.0
 
 
 class TestBootstrapCi:
     def test_all_ones(self):
-        sample = Sample.from_pairs([("v", 1)] * 20)
-        assert bootstrap_ci(sample, ResampleConfig(k=200, seed=1)) == Interval(1.0, 1.0)
+        assert ci_of(["v"] * 20, [1] * 20, ResampleConfig(k=200, seed=1)) == Interval(1.0, 1.0)
 
     def test_all_zeros(self):
-        sample = Sample.from_pairs([("v", 0)] * 20)
-        assert bootstrap_ci(sample, ResampleConfig(k=200, seed=1)) == Interval(0.0, 0.0)
+        assert ci_of(["v"] * 20, [0] * 20, ResampleConfig(k=200, seed=1)) == Interval(0.0, 0.0)
 
     def test_deterministic_given_seed(self):
         rng = random.Random(11)
-        sample = bern_sample(rng, 100, 0.6)
+        row = bern_row(rng, 100, 0.6)
         cfg = ResampleConfig(k=300, seed=42)
-        assert bootstrap_ci(sample, cfg) == bootstrap_ci(sample, cfg)
+        assert ci_of(["v"] * 100, row, cfg) == ci_of(["v"] * 100, row, cfg)
 
     def test_seed_changes_interval(self):
         rng = random.Random(11)
-        sample = bern_sample(rng, 60, 0.6)
-        a = bootstrap_ci(sample, ResampleConfig(k=100, seed=1))
-        b = bootstrap_ci(sample, ResampleConfig(k=100, seed=2))
+        row = bern_row(rng, 60, 0.6)
+        a = ci_of(["v"] * 60, row, ResampleConfig(k=100, seed=1))
+        b = ci_of(["v"] * 60, row, ResampleConfig(k=100, seed=2))
         assert (a.lo, a.hi) != (b.lo, b.hi)
 
     def test_interval_within_unit_range_and_ordered(self):
         rng = random.Random(5)
         for _ in range(20):
-            sample = Sample.from_pairs(
-                (rng.choice("ab"), rng.randint(0, 1)) for _ in range(rng.randint(2, 40))
-            )
-            ci = bootstrap_ci(sample, ResampleConfig(k=100, seed=7))
+            n = rng.randint(2, 40)
+            values = [rng.choice("ab") for _ in range(n)]
+            ci = ci_of(values, [rng.randint(0, 1) for _ in range(n)], ResampleConfig(k=100, seed=7))
             assert 0.0 <= ci.lo <= ci.hi <= 1.0
 
     def test_groups_absent_from_resample_are_excluded(self):
         # One dominant all-pass value plus one rare all-fail value: resamples
         # that miss the rare value have MPR 1.0, so the upper bound reaches 1.
-        sample = Sample.from_pairs([("common", 1)] * 30 + [("rare", 0)])
-        ci = bootstrap_ci(sample, ResampleConfig(k=500, seed=3))
+        ci = ci_of(["common"] * 30 + ["rare"], [1] * 30 + [0], ResampleConfig(k=500, seed=3))
         assert ci.hi == 1.0
         assert ci.lo < 1.0
 
@@ -123,8 +112,8 @@ class TestBootstrapCi:
         hits = 0
         trials = 40
         for _ in range(trials):
-            sample = bern_sample(rng, 400, 0.7)
-            ci = bootstrap_ci(sample, ResampleConfig(k=200, seed=rng.randrange(2**16)))
+            row = bern_row(rng, 400, 0.7)
+            ci = ci_of(["v"] * 400, row, ResampleConfig(k=200, seed=rng.randrange(2**16)))
             hits += ci.lo <= 0.7 <= ci.hi
         assert hits / trials >= 0.8
 
@@ -170,26 +159,23 @@ class TestQuantileParity:
         st.integers(min_value=0, max_value=2**32),
     )
     def test_bootstrap_ci_matches_numpy(self, pairs, k, alpha, seed):
-        sample = Sample.from_pairs(pairs)
         cfg = ResampleConfig(k=k, alpha=alpha, seed=seed)
         stats = resampled_mprs([v for v, _ in pairs], [[p for _, p in pairs]], cfg)[0]
-        ci = bootstrap_ci(sample, cfg)
+        ci = bootstrap_ci(stats, cfg)
         assert [ci.lo.hex(), ci.hi.hex()] == [x.hex() for x in numpy_ci(stats, alpha)]
 
 
 class TestPairedBootstrap:
     def test_identical_samples_p_half(self):
         rng = random.Random(2)
-        sample = bern_sample(rng, 50, 0.5)
-        result = paired_bootstrap(sample, sample, ResampleConfig(k=400, seed=9))
+        row = bern_row(rng, 50, 0.5)
+        result = compare(["v"] * 50, row, row, ResampleConfig(k=400, seed=9))
         assert result.p_value == 0.5
         assert result.winner is None
         assert not result.significant
 
     def test_all_pass_vs_all_fail(self):
-        a = Sample.from_pairs([("v", 1)] * 30)
-        b = Sample.from_pairs([("v", 0)] * 30)
-        result = paired_bootstrap(a, b, ResampleConfig(k=400, seed=9))
+        result = compare(["v"] * 30, [1] * 30, [0] * 30, ResampleConfig(k=400, seed=9))
         assert result.winner == "a"
         assert result.p_value == 0.0
         assert result.significant
@@ -197,9 +183,9 @@ class TestPairedBootstrap:
     def test_large_gap_p_zero(self):
         rng = random.Random(13)
         values = [rng.choice("abcdefgh") for _ in range(1000)]
-        a = Sample.from_pairs((v, 1 if rng.random() < 0.95 else 0) for v in values)
-        b = Sample.from_pairs((v, 1 if rng.random() < 0.55 else 0) for v in values)
-        result = paired_bootstrap(a, b, ResampleConfig(k=300, seed=4))
+        a = [1 if rng.random() < 0.95 else 0 for _ in values]
+        b = [1 if rng.random() < 0.55 else 0 for _ in values]
+        result = compare(values, a, b, ResampleConfig(k=300, seed=4))
         assert result.winner == "a"
         assert result.p_value == 0.0
 
@@ -209,26 +195,20 @@ class TestPairedBootstrap:
         for _ in range(30):
             n = rng.randint(5, 40)
             values = [rng.choice("abc") for _ in range(n)]
-            a = Sample.from_pairs((v, rng.randint(0, 1)) for v in values)
-            b = Sample.from_pairs((v, rng.randint(0, 1)) for v in values)
-            fwd = paired_bootstrap(a, b, cfg)
-            rev = paired_bootstrap(b, a, cfg)
+            rows = [[rng.randint(0, 1) for _ in values] for _ in range(2)]
+            mprs = resampled_mprs(values, rows, cfg)
+            fwd = paired_bootstrap(mprs[0], mprs[1], cfg)
+            rev = paired_bootstrap(mprs[1], mprs[0], cfg)
             assert fwd.p_value == rev.p_value
             assert {"a": "b", "b": "a", None: None}[fwd.winner] == rev.winner
-
-    def test_mismatched_values_rejected(self):
-        a = Sample.from_pairs([("x", 1), ("y", 0)])
-        b = Sample.from_pairs([("x", 1), ("z", 0)])
-        with pytest.raises(DataInvariantError):
-            paired_bootstrap(a, b, ResampleConfig(k=10, seed=0))
 
     def test_deterministic(self):
         rng = random.Random(31)
         values = [rng.choice("ab") for _ in range(40)]
-        a = Sample.from_pairs((v, rng.randint(0, 1)) for v in values)
-        b = Sample.from_pairs((v, rng.randint(0, 1)) for v in values)
+        a = [rng.randint(0, 1) for _ in values]
+        b = [rng.randint(0, 1) for _ in values]
         cfg = ResampleConfig(k=150, seed=77)
-        assert paired_bootstrap(a, b, cfg) == paired_bootstrap(a, b, cfg)
+        assert compare(values, a, b, cfg) == compare(values, a, b, cfg)
 
 
 def scalar_mprs(values, rows, cfg: ResampleConfig) -> np.ndarray:
@@ -309,25 +289,17 @@ class TestResampledMprs:
                 resampled_mprs(values, rows, cfg), scalar_mprs(values, rows, cfg)
             )
 
-    def test_cohort_matches_standalone_samples(self):
+    def test_rows_equal_one_row_calls(self):
         rng = random.Random(19)
         values, rows = random_panel(rng, 250, 6, 4)
-        cfg = ResampleConfig(k=150, seed=3)
-        cohort = Sample.cohort(values, rows)
-        alone = [Sample.from_pairs(zip(values, row)) for row in rows]
-        assert cohort == alone
-        for i in range(4):
-            assert bootstrap_ci(cohort[i], cfg) == bootstrap_ci(alone[i], cfg)
-            for j in range(4):
-                assert paired_bootstrap(cohort[i], cohort[j], cfg) == paired_bootstrap(
-                    alone[i], alone[j], cfg
-                )
-        other = ResampleConfig(k=90, seed=4)
-        assert bootstrap_ci(cohort[1], other) == bootstrap_ci(alone[1], other)
+        for cfg in (ResampleConfig(k=150, seed=3), ResampleConfig(k=90, seed=4)):
+            together = resampled_mprs(values, rows, cfg)
+            for i, row in enumerate(rows):
+                assert np.array_equal(together[i], resampled_mprs(values, [row], cfg)[0])
 
     def test_cohort_rows_must_match_values(self):
-        with pytest.raises(ValueError):
-            Sample.cohort(["a", "b"], [[1, 0], [1]])
+        with pytest.raises(DataInvariantError):
+            resampled_mprs(["a", "b"], [[1, 0], [1]], ResampleConfig(k=10))
 
     def test_memory_is_independent_of_k(self):
         rng = np.random.default_rng(0)
@@ -425,9 +397,7 @@ class TestBuildReportStatistics:
         values = [case.value for case in suite]
         reference = scalar_mprs(values, rows, cfg)
         assert [s.ci for s in report.systems] == [scalar_ci(r, cfg) for r in reference]
-        assert [s.ci for s in report.systems] == [
-            bootstrap_ci(Sample.from_pairs(zip(values, row)), cfg) for row in rows
-        ]
+        assert [s.ci for s in report.systems] == [ci_of(values, row, cfg) for row in rows]
         expected = []
         for i in range(systems):
             for j in range(i + 1, systems):
@@ -499,16 +469,6 @@ class TestDiversity:
         ]
         for entry in diversity_series(sentences, 2):
             assert entry is None or 0.0 <= entry <= 1.0
-
-    def test_accepts_test_cases(self):
-        from mtbehave.model import parse_bracketed, TestCase
-
-        parsed = parse_bracketed("I ran 3 [miles] today.")
-        case = TestCase(
-            id="u-0", property_id="u", raw=parsed.raw, source=parsed.source,
-            value=parsed.value, value_span=parsed.value_span,
-        )
-        assert diversity_series([case], 2) == [1.0]
 
     def test_empty_suite_rejected(self):
         with pytest.raises(DataInvariantError):

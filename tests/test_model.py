@@ -271,6 +271,21 @@ class TestCandidatesIO:
     @pytest.mark.parametrize(
         "line",
         [
+            '{"value": "km", "candidates": "km"}',
+            '{"value": "five", "correct": "fünf", "foil": ["fünf Dollar"]}',
+            '{"value": "five", "correct": ["fünf"], "foil": "x"}',
+        ],
+    )
+    def test_string_in_place_of_a_list_is_a_load_error(self, tmp_path, line):
+        # A string would otherwise be split into its characters.
+        path = tmp_path / "candidates.jsonl"
+        path.write_text('{"value": "m", "candidates": ["Meter"]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(SuiteLoadError, match=f"{path}:2: malformed record"):
+            load_candidates(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
             '{"value": "five", "correct": [""], "foil": ["x"]}',
             '{"value": "five", "correct": ["fünf"], "foil": ["x", "  "]}',
         ],

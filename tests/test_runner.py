@@ -461,6 +461,19 @@ class TestHttpAdapter:
         assert adapter.translate(["one", "two", "three"]) == [None, None, "drei"]
         assert len(session.calls) == 2  # a malformed body is not retried
 
+    def test_non_string_translation_fails_its_batch_uncached(self, tmp_path, caplog):
+        session = StubSession(
+            [StubResponse({"translations": [None, 3]}), StubResponse({"translations": ["drei"]})]
+        )
+        spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=2)
+        with caplog.at_level("WARNING", logger="mtbehave.runner"):
+            result = translate_all(SUITE, HttpMtAdapter(spec, session), TranslationCache(tmp_path))
+        assert [r.translation for r in result.records] == ["drei"]
+        assert [f.case_id for f in result.failures] == [c.id for c in SUITE[:2]]
+        assert "a translation is not a string" in caplog.text
+        cache = TranslationCache(tmp_path)
+        assert [cache.get(spec.cache_name, c.source) for c in SUITE] == [None, None, "drei"]
+
 
 UNIT_CANDIDATES = {
     "miles": CandidateSet(value="miles", candidates=("Meilen", "mi")),
