@@ -23,6 +23,8 @@ CHUNK = 1 << 15
 # SplitMix64's increment and finaliser multipliers.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+# A float64 holds every integer below 2**53 exactly.
+_EXACT_BITS = 53
 
 
 @dataclass(frozen=True)
@@ -67,14 +69,24 @@ def resample_indices(key: np.uint64, start: int, stop: int, n: int) -> np.ndarra
     so any chunking of the resamples draws the same indices.
     """
     # golden * ((i << 32) | j) is golden * (i << 32) + golden * j, modulo 2**64.
-    z = np.arange(n, dtype=np.uint64) * _GOLDEN
-    z = z + ((np.arange(start, stop, dtype=np.uint64)[:, None] << 32) * _GOLDEN + key)
-    z ^= z >> 30
+    # Every step after the first sum works in place in z, through one scratch t.
+    rows = np.arange(start, stop, dtype=np.uint64)[:, None]
+    rows <<= 32
+    rows *= _GOLDEN
+    rows += key
+    z = np.arange(n, dtype=np.uint64)
+    z *= _GOLDEN
+    z = np.add(z, rows)
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, 30, out=t)
     z *= _MIX[0]
-    z ^= z >> 27
+    z ^= np.right_shift(z, 27, out=t)
     z *= _MIX[1]
-    z ^= z >> 31
-    return ((z >> 32) * n >> 32).view(np.int64)
+    z ^= np.right_shift(z, 31, out=t)
+    z >>= 32
+    z *= np.uint64(n)
+    z >>= 32
+    return z.view(np.int64)
 
 
 def _codes(values: Sequence[str]) -> tuple[np.ndarray, int]:
@@ -107,8 +119,23 @@ def resampled_mprs(
     if bad.size:
         raise DataInvariantError(f"pass bit must be 0 or 1, got {bad[0]:g}")
     n_rows = len(passes)
+    # One weighted bincount per pack of fields tallies, in each (resample,
+    # value) bin, the draws (field 0) and every system's passes (field s + 1).
+    # A bin holds at most n draws, so each field's count fits in `width` bits
+    # and every partial sum is an integer below 2**53, which float64 holds
+    # exactly: the fields unpack to the counts one bincount per row would give.
+    width = _field_width(n)
+    per_pack = _EXACT_BITS // width
+    n_fields = n_rows + 1
+    weights = np.zeros((-(-n_fields // per_pack), n))
+    weights[0] = 1.0
+    for f, row in enumerate(passes, start=1):
+        weights[f // per_pack] += row * float(1 << (f % per_pack) * width)
     key = resample_key(cfg.seed)
     step = max(1, CHUNK // n)
+    # The unpacked tally of a chunk: one row per field, one column per bin.
+    tally = np.empty((n_fields, step * n_values), np.int64)
+    mask = (1 << width) - 1
     out = np.empty((n_rows, cfg.k))
     for start in range(0, cfg.k, step):
         stop = min(start + step, cfg.k)
@@ -116,16 +143,28 @@ def resampled_mprs(
         # Resample r of the chunk counts into bins [r * V, (r + 1) * V),
         # so one bincount covers the whole chunk.
         size = (stop - start) * n_values
-        bins = (codes[idx] + np.arange(0, size, n_values)[:, None]).ravel()
-        counts = np.bincount(bins, minlength=size)
-        sums = np.stack(
-            [np.bincount(bins, weights=row[idx].ravel(), minlength=size) for row in passes]
-        )
+        bins = np.take(codes, idx)
+        bins += np.arange(0, size, n_values)[:, None]
+        bins = bins.ravel()
+        packs = [
+            np.bincount(bins, weights=np.take(w, idx).ravel(), minlength=size).astype(np.int64)
+            for w in weights
+        ]
+        fields = tally[:, :size]
+        for f in range(n_fields):
+            np.right_shift(packs[f // per_pack], (f % per_pack) * width, out=fields[f])
+        fields &= mask
+        counts = fields[0]
         # An absent value's sum is 0, so it adds 0 to its resample's total.
-        ratios = (sums / np.maximum(counts, 1)).reshape(n_rows, -1, n_values)
+        ratios = (fields[1:] / np.maximum(counts, 1)).reshape(n_rows, -1, n_values)
         present = np.count_nonzero(counts.reshape(-1, n_values), axis=1)
         out[:, start:stop] = ratios.sum(axis=2) / present
     return out
+
+
+def _field_width(n: int) -> int:
+    """Bits per tally field: enough for a count of up to n draws."""
+    return n.bit_length()
 
 
 def macro_pass_rate(values: Sequence[str], passes: Sequence[int]) -> float:

@@ -9,6 +9,7 @@ import codecs
 import errno
 import itertools
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -145,13 +146,21 @@ class TestCase:
     @classmethod
     def from_dict(cls, d: Mapping) -> "TestCase":
         return cls(
-            id=d["id"],
+            id=_str_field(d, "id"),
             property_id=d["property_id"],
             raw=d["raw"],
             source=d["source"],
             value=d["value"],
             value_span=tuple(d["value_span"]),
         )
+
+
+def _str_field(d: Mapping, key: str) -> str:
+    """Field `key` of a record, which must be a JSON string."""
+    value = d[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string")
+    return value
 
 
 def _str_list(value, field: str) -> tuple[str, ...]:
@@ -241,16 +250,13 @@ class TranslationRecord:
     system_id: str
     translation: str
 
-    def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "system_id": self.system_id,
-            "translation": self.translation,
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "TranslationRecord":
-        return cls(case_id=d["case_id"], system_id=d["system_id"], translation=d["translation"])
+        return cls(
+            case_id=_str_field(d, "case_id"),
+            system_id=_str_field(d, "system_id"),
+            translation=_str_field(d, "translation"),
+        )
 
 
 @dataclass(frozen=True)
@@ -271,21 +277,15 @@ class Verdict:
         if self.scores is not None:
             object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
 
-    def to_dict(self) -> dict:
-        d: dict = {"case_id": self.case_id, "system_id": self.system_id, "pass": self.passed}
-        if self.matched_candidate is not None:
-            d["matched_candidate"] = self.matched_candidate
-        if self.scores is not None:
-            d["scores"] = list(self.scores)
-        return d
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "Verdict":
         scores = d.get("scores")
+        if not isinstance(d["pass"], bool):
+            raise TypeError("'pass' must be true or false")
         return cls(
             case_id=d["case_id"],
             system_id=d["system_id"],
-            passed=bool(d["pass"]),
+            passed=d["pass"],
             matched_candidate=d.get("matched_candidate"),
             scores=tuple(scores) if scores is not None else None,
         )
@@ -441,6 +441,46 @@ def _jsonl_line(row: dict) -> str:
     return "".join(_encode_row(row, 0)) + "\n"
 
 
+# Rows written once per (case, system) are formatted from their fields, with no
+# dict and no generic encoder. Strings and floats are written as _encode_row writes
+# them, so a line is json.dumps(row, ensure_ascii=False) of a dict of its keys in order.
+_json_str = json.encoder.encode_basestring
+
+
+def _json_float(x: float) -> str:
+    """`x` as json writes a float: its repr when finite."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _translation_line(r: TranslationRecord) -> str:
+    return (
+        f'{{"case_id": {_json_str(r.case_id)}, "system_id": {_json_str(r.system_id)}, '
+        f'"translation": {_json_str(r.translation)}}}\n'
+    )
+
+
+def _verdict_line(v: Verdict) -> str:
+    line = (
+        f'{{"case_id": {_json_str(v.case_id)}, "system_id": {_json_str(v.system_id)}, '
+        f'"pass": {"true" if v.passed else "false"}'
+    )
+    if v.matched_candidate is not None:
+        line += f', "matched_candidate": {_json_str(v.matched_candidate)}'
+    if v.scores is not None:
+        line += f', "scores": [{", ".join(map(_json_float, v.scores))}]'
+    return line + "}\n"
+
+
+def _cache_line(source_sha256: str, translation: str) -> str:
+    """One line of a translation cache file."""
+    return (
+        f'{{"source_sha256": {_json_str(source_sha256)}, '
+        f'"translation": {_json_str(translation)}}}\n'
+    )
+
+
 def _write_jsonl(rows: Iterable[dict], path: Path) -> None:
     _write_atomic(path, map(_jsonl_line, rows))
 
@@ -485,7 +525,7 @@ def load_candidates(path: Path | str, data: bytes | None = None) -> dict[str, Ca
 
 
 def save_translations(records: Iterable[TranslationRecord], path: Path | str) -> None:
-    _write_jsonl((r.to_dict() for r in records), Path(path))
+    _write_atomic(Path(path), map(_translation_line, records))
 
 
 def load_translations(path: Path | str) -> list[TranslationRecord]:
@@ -493,7 +533,7 @@ def load_translations(path: Path | str) -> list[TranslationRecord]:
 
 
 def save_verdicts(verdicts: Iterable[Verdict], path: Path | str) -> None:
-    _write_jsonl((v.to_dict() for v in verdicts), Path(path))
+    _write_atomic(Path(path), map(_verdict_line, verdicts))
 
 
 def load_verdicts(path: Path | str) -> list[Verdict]:

@@ -44,10 +44,11 @@ from .model import (
     TranslationRecord,
     Verdict,
     _append,
-    _jsonl_line,
+    _cache_line,
     _list_dir,
     _load_records,
     _read_bytes,
+    _str_field,
     _str_list,
     _truncate,
     load_translations,
@@ -251,7 +252,7 @@ class TranslationCache:
             key = self._key(source)
             if key not in entries:
                 entries[key] = translation
-                lines.append(_jsonl_line({"source_sha256": key, "translation": translation}))
+                lines.append(_cache_line(key, translation))
         if lines:
             _append(self._path(name), "".join(lines))
 
@@ -268,7 +269,9 @@ def _read_cache(path: Path) -> dict[str, str]:
     if keep < len(data):
         log.warning("%s: dropping a torn last line; its entry will be re-translated", path)
         _truncate(path, keep)
-    pairs = _load_records(path, lambda d: (d["source_sha256"], d["translation"]), data[:keep])
+    pairs = _load_records(
+        path, lambda d: (d["source_sha256"], _str_field(d, "translation")), data[:keep]
+    )
     return dict(pair for _, pair in pairs)
 
 

@@ -719,6 +719,22 @@ class TestAnnotateAndApplyEdits:
         assert capsys.readouterr().err.startswith("usage error: --k must be >= 1")
         assert not list(out_dir.glob("review_*"))
 
+    def test_string_pass_in_verdicts_exit_3(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity",
+                "--out", str(out_dir))
+        verdicts_path = out_dir / "verdicts.jsonl"
+        lines = verdicts_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[2])
+        lines[2] = json.dumps({**row, "pass": "false"}) + "\n"
+        verdicts_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("annotate", "--config", str(workspace), "--run", str(out_dir),
+                       "--property", "names", "--system", "identity", "--k", "2") == 3
+        assert f"{verdicts_path}:3: " in capsys.readouterr().err
+        assert not list(out_dir.glob("review_*"))
+
     def test_missing_translations_file_exit_3(self, workspace, tmp_path, capsys):
         prime(workspace)
         out_dir = tmp_path / "run1"
@@ -814,6 +830,21 @@ class TestFileFailures:
         monkeypatch.setattr(cli, "translate_systems", lambda *a, **k: pytest.fail("translated"))
         assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "run1")) == 3
         assert f"data error: {cache_dir}: cannot read (Not a directory)" in capsys.readouterr().err
+
+    def test_non_string_cached_translation_exit_3(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "run1")) == 0
+        config = load_config(str(workspace))
+        cache_path = (
+            config.workspace / "cache" / "translations"
+            / f"{config.system_by_id('identity').cache_name}.jsonl"
+        )
+        lines = cache_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[0] = json.dumps({**json.loads(lines[0]), "translation": 3}) + "\n"
+        cache_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "run2")) == 3
+        assert f"data error: {cache_path}:1: " in capsys.readouterr().err
 
     def test_run_out_a_file_exit_3(self, workspace, tmp_path, capsys):
         prime(workspace)

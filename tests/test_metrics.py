@@ -316,6 +316,62 @@ class TestResampledMprs:
         assert peak < 4 * 2**20
 
 
+def one_bincount_per_row_mprs(values, rows, cfg: ResampleConfig) -> np.ndarray:
+    """Reference: the chunked kernel with one float-weighted bincount per pass
+    row and one unweighted bincount for the draws, as it was before packing."""
+    index: dict[str, int] = {}
+    codes = np.array([index.setdefault(v, len(index)) for v in values], np.intp)
+    n, n_values = len(codes), len(index)
+    passes = np.asarray(rows, dtype=np.float64).reshape(len(rows), n)
+    key = resample_key(cfg.seed)
+    step = max(1, metrics.CHUNK // n)
+    out = np.empty((len(passes), cfg.k))
+    for start in range(0, cfg.k, step):
+        stop = min(start + step, cfg.k)
+        idx = resample_indices(key, start, stop, n)
+        size = (stop - start) * n_values
+        bins = (codes[idx] + np.arange(0, size, n_values)[:, None]).ravel()
+        counts = np.bincount(bins, minlength=size)
+        sums = np.stack(
+            [np.bincount(bins, weights=row[idx].ravel(), minlength=size) for row in passes]
+        )
+        ratios = (sums / np.maximum(counts, 1)).reshape(len(passes), -1, n_values)
+        present = np.count_nonzero(counts.reshape(-1, n_values), axis=1)
+        out[:, start:stop] = ratios.sum(axis=2) / present
+    return out
+
+
+def packed_panel(n: int, systems: int):
+    """A panel whose k spans two full chunks and a partial one."""
+    rng = random.Random(n * 131 + systems)
+    values, rows = random_panel(rng, n, rng.randint(1, n), systems)
+    rows[0] = [1] * n  # a pass field as large as the draw count
+    step = max(1, metrics.CHUNK // n)
+    return values, rows, ResampleConfig(k=2 * step + 3, seed=rng.randrange(2**16))
+
+
+class TestPackedTally:
+    @pytest.mark.parametrize("systems", [1, 4, 5, 6, 12, 13])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 127, 128, 1023, 1024])
+    def test_equals_one_bincount_per_row(self, n, systems):
+        values, rows, cfg = packed_panel(n, systems)
+        assert np.array_equal(
+            resampled_mprs(values, rows, cfg), one_bincount_per_row_mprs(values, rows, cfg)
+        )
+
+    @pytest.mark.parametrize("systems", [1, 6, 13])
+    @pytest.mark.parametrize("n", [1, 7, 1024])
+    def test_one_field_per_weight(self, monkeypatch, n, systems):
+        # From n = 2**26 on a field is 27 bits wide and a float64 holds one;
+        # forcing that width covers the path without 2**26 entries.
+        assert metrics._field_width(2**26) == 27 and metrics._EXACT_BITS // 27 == 1
+        monkeypatch.setattr(metrics, "_field_width", lambda n: 27)
+        values, rows, cfg = packed_panel(n, systems)
+        assert np.array_equal(
+            resampled_mprs(values, rows, cfg), one_bincount_per_row_mprs(values, rows, cfg)
+        )
+
+
 def chi_squared_z(counts: np.ndarray) -> float:
     """Pearson's chi-squared of counts against a uniform expectation, as
     standard deviations of its null distribution from the mean (df)."""

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import mtbehave
 from mtbehave.errors import (
@@ -26,9 +27,12 @@ from mtbehave.model import (
     TranslationRecord,
     Verdict,
     _append,
+    _cache_line,
     _iter_jsonl,
     _list_dir,
     _read_text,
+    _translation_line,
+    _verdict_line,
     _write_atomic,
     _write_jsonl,
     load_candidates,
@@ -203,8 +207,9 @@ class TestSuiteIO:
             json.dumps({**make_case().to_dict(), "value_span": 5}).encode(),
             json.dumps({**make_case().to_dict(), "value_span": [1]}).encode(),
             "{\"id\": \"f\u00fc".encode()[:-1],  # torn inside the two-byte "ü"
+            json.dumps({**make_case().to_dict(), "id": 5}).encode(),
         ],
-        ids=["span-not-a-list", "span-too-short", "torn-utf8"],
+        ids=["span-not-a-list", "span-too-short", "torn-utf8", "id-not-a-string"],
     )
     def test_malformed_record_is_a_load_error(self, tmp_path, line):
         path = tmp_path / "suite.jsonl"
@@ -340,6 +345,54 @@ JSON_VALUES = st.recursive(
 JSON_PADDING = st.text(alphabet=" \t\r", max_size=3)
 
 
+# Text for every case of the JSON string writer: quotes, backslashes, C0 controls,
+# DEL, U+2028 and U+2029, and characters outside the BMP.
+ROW_TEXT = st.text(
+    st.sampled_from('"\\\x7f\u2028\u2029\U0001f600\U0010ffffaé北')
+    | st.characters(max_codepoint=0x1F)
+    | st.characters(exclude_categories=("Cs",)),
+    max_size=12,
+)
+SCORES = st.sampled_from([-0.0, 0.0, 5e-324, 1.0, -1.0, 0.1 + 0.2]) | st.floats()
+
+
+def dumps_line(row: dict) -> str:
+    return json.dumps(row, ensure_ascii=False) + "\n"
+
+
+class TestRowFormatters:
+    """The rows written per (case, system) are the lines json.dumps would give."""
+
+    @given(case_id=ROW_TEXT, system_id=ROW_TEXT, translation=ROW_TEXT)
+    def test_translation_row(self, case_id, system_id, translation):
+        row = {"case_id": case_id, "system_id": system_id, "translation": translation}
+        assert _translation_line(TranslationRecord(**row)) == dumps_line(row)
+
+    @given(key=ROW_TEXT, translation=ROW_TEXT)
+    def test_cache_row(self, key, translation):
+        row = {"source_sha256": key, "translation": translation}
+        assert _cache_line(key, translation) == dumps_line(row)
+
+    @example(case_id="c", passed=True, matched='"M"\\', scores=None)
+    @example(case_id="c", passed=False, matched=None, scores=(-0.0, 5e-324))
+    @example(case_id="c", passed=True, matched=None, scores=(1.0, -1.0))
+    @example(case_id="c", passed=False, matched="x", scores=(0.1 + 0.2, float("nan")))
+    @given(
+        case_id=ROW_TEXT,
+        passed=st.booleans(),
+        matched=st.none() | ROW_TEXT,
+        scores=st.none() | st.tuples(SCORES, SCORES),
+    )
+    def test_verdict_row(self, case_id, passed, matched, scores):
+        row = {"case_id": case_id, "system_id": "sys", "pass": passed}
+        if matched is not None:
+            row["matched_candidate"] = matched
+        if scores is not None:
+            row["scores"] = list(scores)
+        verdict = Verdict(case_id, "sys", passed, matched_candidate=matched, scores=scores)
+        assert _verdict_line(verdict) == dumps_line(row)
+
+
 class TestJsonlDecoder:
     @given(
         lines=st.lists(
@@ -467,9 +520,33 @@ class TestTranslationAndVerdictIO:
         assert loaded == verdicts
         assert loaded[0].scores == (0.9, 0.4)
 
+    @pytest.mark.parametrize("translation", ["3", "null", '["x"]', "{}"])
+    def test_non_string_translation_is_a_load_error(self, tmp_path, translation):
+        path = tmp_path / "translations.jsonl"
+        path.write_text(
+            '{"case_id": "a", "system_id": "s", "translation": "ok"}\n'
+            f'{{"case_id": "b", "system_id": "s", "translation": {translation}}}\n',
+            encoding="utf-8",
+        )
+        expected = re.escape(f"{path}:2: ") + ".*'translation' must be a string"
+        with pytest.raises(SuiteLoadError, match=expected):
+            load_translations(path)
+
+    @pytest.mark.parametrize("passed", ['"false"', '"true"', "0", "1", "null"])
+    def test_pass_must_be_a_json_boolean(self, tmp_path, passed):
+        path = tmp_path / "verdicts.jsonl"
+        path.write_text(
+            '{"case_id": "a", "system_id": "s", "pass": false}\n'
+            f'{{"case_id": "b", "system_id": "s", "pass": {passed}}}\n',
+            encoding="utf-8",
+        )
+        expected = re.escape(f"{path}:2: ") + ".*'pass' must be true or false"
+        with pytest.raises(SuiteLoadError, match=expected):
+            load_verdicts(path)
+
     def test_verdict_json_uses_pass_key(self):
         verdict = Verdict("c", "s", passed=True, matched_candidate="x")
-        assert verdict.to_dict() == {
+        assert json.loads(_verdict_line(verdict)) == {
             "case_id": "c",
             "system_id": "s",
             "pass": True,

@@ -185,6 +185,17 @@ class TestTranslateAll:
         with pytest.raises(SuiteLoadError, match=":1"):
             translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
 
+    @pytest.mark.parametrize("translation", [3, None, ["x"]])
+    def test_non_string_cached_translation_is_a_load_error(self, tmp_path, translation):
+        translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
+        path = tmp_path / "fixture.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        lines[1] = json.dumps({**row, "translation": translation}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(SuiteLoadError, match=re.escape(f"{path}:2: ")):
+            translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
+
     def test_adapter_error_records_all_pending(self):
         class Broken(CountingAdapter):
             def translate(self, sources):
@@ -208,6 +219,14 @@ class TestTranslateAll:
     def test_empty_suite_rejected(self):
         with pytest.raises(DataInvariantError):
             translate_all([], CountingAdapter())
+
+    @pytest.mark.parametrize("translation", [3, None])
+    def test_file_adapter_non_string_translation_is_a_load_error(self, tmp_path, translation):
+        path = tmp_path / "translations.jsonl"
+        row = {"case_id": SUITE[0].id, "system_id": "offline", "translation": translation}
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(SuiteLoadError, match=re.escape(f"{path}:1: ")):
+            FileMtAdapter(AdapterSpec(system_id="offline", kind="file", path=str(path)))
 
     def test_file_adapter_edit_is_read_despite_the_cache(self, tmp_path):
         path = tmp_path / "translations.jsonl"
