@@ -34,6 +34,7 @@ from .model import (
     PropertySpec,
     TestCase,
     _append,
+    _bool_field,
     _check_write_targets,
     _load_records,
     _make_dir,
@@ -225,34 +226,29 @@ def cmd_candidates(args: argparse.Namespace) -> int:
         prop_dir = config.property_dir(spec.id)
         path = prop_dir / "candidates.jsonl"
         existing = load_candidates(path) if path.exists() else {}
-        values = list(dict.fromkeys(case.value for case in suite))
-        first_sentence = {}
+        first_sentence: dict[str, str] = {}  # per value, in suite order: its first source
         for case in suite:
             first_sentence.setdefault(case.value, case.source)
-        generated = 0
         unanswerable: list[str] = []
         empty: list[str] = []
         entries: dict[str, CandidateEntry] = dict(existing)
-        for value in values:
+        for value, sentence in first_sentence.items():
             if value in entries:
                 continue
             try:
                 if spec.detector == "exhaustive":
-                    entry: CandidateEntry = generate_exhaustive_candidates(value, spec, llm)
+                    entries[value] = generate_exhaustive_candidates(value, spec, llm)
                 else:
-                    entry = generate_contrastive_pair(value, first_sentence[value], spec, llm)
+                    entries[value] = generate_contrastive_pair(value, sentence, spec, llm)
             except UnanswerableValueError:
                 unanswerable.append(value)
-                continue
             except EmptyAfterParseError:
                 empty.append(value)
-                continue
-            entries[value] = entry
-            generated += 1
+        generated = len(entries) - len(existing)
         save_candidates(entries.values(), path)
         summary = {
             "property_id": spec.id,
-            "values_total": len(values),
+            "values_total": len(first_sentence),
             "already_present": len(existing),
             "generated": generated,
             "unanswerable": unanswerable,
@@ -261,7 +257,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
         _write_json(summary, prop_dir / "candidates_summary.json")
         line = (
             f"{spec.id}: {generated} new candidate sets "
-            f"({len(existing)} kept, {len(values)} values) -> {path}"
+            f"({len(existing)} kept, {len(first_sentence)} values) -> {path}"
         )
         if unanswerable:
             line += f"; NA for {len(unanswerable)} values: {', '.join(unanswerable)}"
@@ -371,9 +367,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     save_verdicts(all_verdicts, run_dir / "verdicts.jsonl")
     _write_json({"properties": reports}, run_dir / "report.json")
-    _write_atomic(
-        run_dir / "report.txt", (("\n" if i else "") + text for i, text in enumerate(report_texts))
-    )
+    _write_atomic(run_dir / "report.txt", ["\n".join(report_texts)])
     # Timestamps live here, apart from the report, so re-runs stay byte-identical.
     _write_json(
         {
@@ -530,8 +524,9 @@ def _load_edits(path: Path) -> list[CandidateEdit]:
 def _review_tallies(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"review file {path} not found")
-    # A non-string annotation has no .lower(): a malformed record naming its line.
-    rows = _load_records(path, lambda d: (bool(d.get("pass")), d.get("annotation", "").lower()))
+    # A non-boolean "pass" and a non-string annotation (no .lower()) are malformed
+    # records naming their line.
+    rows = _load_records(path, lambda d: (_bool_field(d, "pass"), d.get("annotation", "").lower()))
     annotated = [row for _, row in rows if row[1].strip()]
     fp = sum(1 for passed, a in annotated if passed and a == "incorrect")
     fn = sum(1 for passed, a in annotated if not passed and a == "incorrect")

@@ -282,11 +282,9 @@ def judge_contrastive_batch(
     sims = max_sims(
         [r.translation for r in records], [p.correct + p.foil for p in pairs], embedder, tok
     )
-    bounds: list[int] = []  # where each pair's correct and foil scores start
-    start = 0
-    for pair in pairs:
-        bounds += (start, start + len(pair.correct))
-        start += len(pair.correct) + len(pair.foil)
+    # Where each pair's correct and foil scores start: the running sum of the list sizes.
+    sizes = [n for pair in pairs for n in (len(pair.correct), len(pair.foil))]
+    bounds = np.cumsum(sizes) - sizes
     scores = np.maximum.reduceat(sims, bounds).reshape(-1, 2).tolist()
     return [
         Verdict(

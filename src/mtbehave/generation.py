@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -120,22 +121,22 @@ def render_contrastive_prompts(spec: PropertySpec, value: str, sentence: str) ->
     return correct, foil
 
 
-def parse_item_list(response: str) -> list[str]:
-    """Extract "- " items from a response, dropping chatter and blank lines."""
+def _split_items(response: str) -> tuple[list[str], int]:
+    """The "- " items of a response and how many other nonblank (chatter) lines it has."""
     items = []
+    chatter = 0
     for line in response.splitlines():
         stripped = line.strip()
         if stripped.startswith("- "):
             items.append(stripped[2:].strip())
-    return items
+        elif stripped:
+            chatter += 1
+    return items, chatter
 
 
-def _count_chatter(response: str) -> int:
-    return sum(
-        1
-        for line in response.splitlines()
-        if line.strip() and not line.strip().startswith("- ")
-    )
+def parse_item_list(response: str) -> list[str]:
+    """Extract "- " items from a response, dropping chatter and blank lines."""
+    return _split_items(response)[0]
 
 
 def normalize_sentence(text: str) -> str:
@@ -201,7 +202,7 @@ class GenerationLog:
     property_id: str
     batches: list[BatchStats] = field(default_factory=list)
     accepted: list[dict] = field(default_factory=list)
-    value_counts: dict[str, int] = field(default_factory=dict)
+    value_counts: Counter[str] = field(default_factory=Counter)
     truncated: int = 0
 
     @property
@@ -213,11 +214,10 @@ class GenerationLog:
         return sum(b.kept for b in self.batches)
 
     def rejected_totals(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
+        totals: Counter[str] = Counter()
         for batch in self.batches:
-            for reason, count in batch.rejected_by_reason.items():
-                totals[reason] = totals.get(reason, 0) + count
-        return totals
+            totals.update(batch.rejected_by_reason)
+        return dict(totals)
 
     def to_dict(self) -> dict:
         return {
@@ -266,24 +266,18 @@ def generate_suite(
     cases: list[TestCase] = []
     logbook = GenerationLog(property_id=spec.id)
     for batch_index in range(max_batches):
-        response = llm.complete(prompt)
-        items = parse_item_list(response)
+        items, chatter = _split_items(llm.complete(prompt))
         accepted, rejections = filter_sentences(items, seen)
-        reasons: dict[str, int] = {}
-        for _, reason in rejections:
-            reasons[reason] = reasons.get(reason, 0) + 1
         logbook.batches.append(
             BatchStats(
                 emitted=len(items),
                 kept=len(accepted),
-                rejected_by_reason=reasons,
-                chatter=_count_chatter(response),
+                rejected_by_reason=dict(Counter(reason for _, reason in rejections)),
+                chatter=chatter,
             )
         )
         for fragment in accepted:
-            logbook.value_counts[fragment.value] = (
-                logbook.value_counts.get(fragment.value, 0) + 1
-            )
+            logbook.value_counts[fragment.value] += 1
             if len(cases) >= target_count:
                 logbook.truncated += 1
                 continue
@@ -304,21 +298,15 @@ def generate_suite(
     )
 
 
-def _parse_pipe_list(response: str, value: str, side: str = "") -> list[str]:
+def _parse_pipe_list(response: str, value: str, side: str = "") -> dict[str, str]:
+    """The distinct entries of a "|"-separated response, keyed by their case
+    fold, each spelled as it first appears."""
     text = response.strip()
     if text == "NA":
         raise UnanswerableValueError(value, side)
-    entries = []
-    seen: set[str] = set()
-    for part in text.split("|"):
-        part = part.strip()
-        if not part:
-            continue
-        folded = part.casefold()
-        if folded in seen:
-            continue
-        seen.add(folded)
-        entries.append(part)
+    entries: dict[str, str] = {}
+    for part in filter(None, (p.strip() for p in text.split("|"))):
+        entries.setdefault(part.casefold(), part)
     if not entries:
         raise EmptyAfterParseError(
             f"candidate response for {value!r} parsed to an empty list: {response!r}"
@@ -336,7 +324,7 @@ def generate_exhaustive_candidates(
         raise ValueError("value must be nonempty")
     prompt = render_candidate_prompt(spec, value)
     response = llm.complete(prompt)
-    return CandidateSet(value=value, candidates=tuple(_parse_pipe_list(response, value)))
+    return CandidateSet(value=value, candidates=tuple(_parse_pipe_list(response, value).values()))
 
 
 def generate_contrastive_pair(
@@ -356,14 +344,14 @@ def generate_contrastive_pair(
     correct_resp = llm.complete(correct_prompt)
     foil_resp = llm.complete(foil_prompt)
     correct = _parse_pipe_list(correct_resp, value, side="correct")
-    foil = _parse_pipe_list(foil_resp, value, side="foil")
-    folded_correct = {c.casefold() for c in correct}
-    foil = [f for f in foil if f.casefold() not in folded_correct]
+    foils = _parse_pipe_list(foil_resp, value, side="foil")
+    foil = [f for key, f in foils.items() if key not in correct]
     if not foil:
-        raise DataInvariantError(
-            f"contrastive pair for {value!r}: every foil overlaps the correct list"
+        raise EmptyAfterParseError(
+            f"foil candidates for {value!r} parsed to an empty list: "
+            f"every foil overlaps the correct list"
         )
-    return ContrastivePair(value=value, correct=tuple(correct), foil=tuple(foil))
+    return ContrastivePair(value=value, correct=tuple(correct.values()), foil=tuple(foil))
 
 
 def generation_stats(logbook: GenerationLog) -> tuple[float, float]:

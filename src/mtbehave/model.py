@@ -163,6 +163,14 @@ def _str_field(d: Mapping, key: str) -> str:
     return value
 
 
+def _bool_field(d: Mapping, key: str) -> bool:
+    """Field `key` of a record, which must be a JSON true or false."""
+    value = d[key]
+    if not isinstance(value, bool):
+        raise TypeError(f"{key!r} must be true or false")
+    return value
+
+
 def _str_list(value, field: str) -> tuple[str, ...]:
     """A JSON list of strings as a tuple; a string is not split into characters."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -280,12 +288,11 @@ class Verdict:
     @classmethod
     def from_dict(cls, d: Mapping) -> "Verdict":
         scores = d.get("scores")
-        if not isinstance(d["pass"], bool):
-            raise TypeError("'pass' must be true or false")
+        passed = _bool_field(d, "pass")
         return cls(
             case_id=d["case_id"],
             system_id=d["system_id"],
-            passed=d["pass"],
+            passed=passed,
             matched_candidate=d.get("matched_candidate"),
             scores=tuple(scores) if scores is not None else None,
         )

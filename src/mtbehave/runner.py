@@ -13,6 +13,7 @@ import re
 import shlex
 import subprocess
 from dataclasses import dataclass, field
+from itertools import accumulate, combinations, pairwise
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -28,7 +29,6 @@ from .detection import (
 from .errors import AdapterError, ConfigError, DataInvariantError, ProviderError
 from .metrics import (
     Interval,
-    PairedResult,
     ResampleConfig,
     bootstrap_ci,
     macro_pass_rate,
@@ -289,12 +289,10 @@ class TranslationResult:
     failures: list[TranslationFailure] = field(default_factory=list)
 
 
-def _adapter_call(adapter, cases: Sequence[TestCase]) -> list[str | None] | AdapterError:
-    """The adapter's outputs for `cases`, or the AdapterError it raised."""
+def _adapter_call(translate, inputs: list) -> list[str | None] | AdapterError:
+    """`translate(inputs)`, or the AdapterError it raised."""
     try:
-        if hasattr(adapter, "translate_cases"):
-            return adapter.translate_cases(cases)
-        return adapter.translate([case.source for case in cases])
+        return translate(inputs)
     except AdapterError as exc:
         return exc
 
@@ -311,28 +309,27 @@ def translate_systems(
     adapter's entries under its `cache_name`. An adapter with `translate_cases`
     holds one translation per case, not per source, so it bypasses the cache.
 
-    The calling thread looks each case up in the cache once. Every adapter
-    with cases left gets one call covering all suites, and two or more such
-    calls run side by side, one thread each. Outputs, failures and cache
-    appends are then committed in adapter order by the calling thread, so no
-    file depends on which call finished first.
+    The suites are translated as one case list, one row of outputs per
+    adapter. The calling thread looks each case up in the cache once. Every
+    adapter with cases left gets one call covering all suites, and two or
+    more such calls run side by side, one thread each. Outputs, failures and
+    cache appends are then committed in adapter order by the calling thread,
+    so no file depends on which call finished first.
     """
     if not all(suites):
         raise DataInvariantError("cannot translate an empty suite")
-    plans = []  # per adapter: (cache or None, per suite its translations or None, pending (j, k))
+    cases = [case for suite in suites for case in suite]
+    plans = []  # per adapter: (cache or None, its translation of each case or None, pending k)
+    calls = []  # per adapter with cases left: (its translate method, those cases or sources)
     for adapter in adapters:
-        store = None if hasattr(adapter, "translate_cases") else cache
-        found: list[list[str | None]] = [
-            [store.get(adapter.cache_name, case.source) if store else None for case in suite]
-            for suite in suites
-        ]
-        pending = [(j, k) for j, row in enumerate(found) for k, t in enumerate(row) if t is None]
-        plans.append((store, found, pending))
-    calls = [
-        (adapter, [suites[j][k] for j, k in pending])
-        for adapter, (_, _, pending) in zip(adapters, plans)
-        if pending
-    ]
+        by_case = getattr(adapter, "translate_cases", None)
+        store = None if by_case else cache
+        row = [store.get(adapter.cache_name, c.source) if store else None for c in cases]
+        pending = [k for k, t in enumerate(row) if t is None]
+        if pending:
+            inputs = [cases[k] if by_case else cases[k].source for k in pending]
+            calls.append((by_case or adapter.translate, inputs))
+        plans.append((store, row, pending))
     if len(calls) > 1:
         # Imported here, so a run with every translation cached never loads it.
         from concurrent.futures import ThreadPoolExecutor
@@ -342,43 +339,31 @@ def translate_systems(
     else:
         outputs = [_adapter_call(*call) for call in calls]
     called = iter(outputs)
-    n_cases = sum(map(len, suites))
+    spans = list(pairwise(accumulate(map(len, suites), initial=0)))  # each suite's cases
     results = []
-    for adapter, (store, found, pending) in zip(adapters, plans):
-        failures: list[list[TranslationFailure]] = [[] for _ in suites]
+    for adapter, (store, row, pending) in zip(adapters, plans):
         output = next(called) if pending else []
-        reason = "no translation produced"
+        reason = "no translation produced"  # every failure of one system has one reason
         if isinstance(output, AdapterError):
             log.warning("system %s: %s", adapter.system_id, output)
-            output, reason = [None] * len(pending), str(output)
-        for (j, k), translation in zip(pending, output):
-            if translation is None:
-                failures[j].append(TranslationFailure(suites[j][k].id, reason))
-            else:
-                found[j][k] = translation
+            output, reason = [], str(output)
+        for k, translation in zip(pending, output):
+            row[k] = translation
         if store and pending:
-            store.put(
-                adapter.cache_name,
-                [(suites[j][k].source, found[j][k]) for j, k in pending if found[j][k] is not None],
-            )
-        n_failed = sum(map(len, failures))
+            done = [(cases[k].source, row[k]) for k in pending if row[k] is not None]
+            store.put(adapter.cache_name, done)
+        n_failed = row.count(None)
         if n_failed:
             log.warning(
                 "system %s: %d/%d cases failed translation and are excluded",
-                adapter.system_id,
-                n_failed,
-                n_cases,
+                adapter.system_id, n_failed, len(cases),
             )
         results.append([
             TranslationResult(
-                records=[
-                    TranslationRecord(case_id=c.id, system_id=adapter.system_id, translation=t)
-                    for c, t in zip(suite, row)
-                    if t is not None
-                ],
-                failures=failed,
+                [TranslationRecord(c.id, adapter.system_id, t) for c, t in part if t is not None],
+                [TranslationFailure(c.id, reason) for c, t in part if t is None],
             )
-            for suite, row, failed in zip(suites, found, failures)
+            for part in [list(zip(s, row[lo:hi])) for s, (lo, hi) in zip(suites, spans)]
         ])
     return results
 
@@ -575,71 +560,57 @@ def build_report(
     if not verdicts:
         raise DataInvariantError("cannot build a report from zero verdicts")
     value_of = {case.id: case.value for case in suite}
-    by_system: dict[str, dict[str, Verdict]] = {}
+    bits: dict[str, dict[str, bool]] = {}  # per system: case id -> pass bit
     for verdict in verdicts:
         if verdict.case_id not in value_of:
             raise DataInvariantError(f"verdict references unknown case {verdict.case_id!r}")
-        per = by_system.setdefault(verdict.system_id, {})
+        per = bits.setdefault(verdict.system_id, {})
         if verdict.case_id in per:
             raise DataInvariantError(
                 f"duplicate verdict for case {verdict.case_id!r}, system {verdict.system_id!r}"
             )
-        per[verdict.case_id] = verdict
-    system_ids = list(by_system)
-    common = set.intersection(*(set(m) for m in by_system.values()))
+        per[verdict.case_id] = verdict.passed
+    system_ids = list(bits)
+    common = set(bits[system_ids[0]]).intersection(*bits.values())
     ordered_ids = [case.id for case in suite if case.id in common]
     if not ordered_ids:
         raise DataInvariantError("no case is covered by every system")
-    dropped = {
-        sys: sorted(set(m) - common) for sys, m in by_system.items() if set(m) - common
-    }
+    # Every system's cases include the common ones, so the rest are the dropped ones.
+    dropped = {sys: len(per) - len(common) for sys, per in bits.items() if len(per) > len(common)}
     if dropped:
         log.warning(
             "report restricted to %d common cases; dropped per system: %s",
             len(ordered_ids),
-            {k: len(v) for k, v in dropped.items()},
+            dropped,
         )
 
     # One resample set per property: every CI and comparison below reads a row
     # of the same (systems, k) array.
     values = [value_of[cid] for cid in ordered_ids]
-    rows = [[int(by_system[s][cid].passed) for cid in ordered_ids] for s in system_ids]
+    rows = [[int(per[cid]) for cid in ordered_ids] for per in bits.values()]
     mprs = resampled_mprs(values, rows, cfg)
     n_values = len(set(values))
-    stats: list[SystemStats] = []
-    for i, (system_id, row) in enumerate(zip(system_ids, rows)):
-        passes = sum(row)
-        stats.append(
-            SystemStats(
-                system_id=system_id,
-                mpr=macro_pass_rate(values, row),
-                ci=bootstrap_ci(mprs[i], cfg),
-                n=len(row),
-                values=n_values,
-                passes=passes,
-                fails=len(row) - passes,
-            )
+    stats = [
+        SystemStats(
+            system_id=system_id,
+            mpr=macro_pass_rate(values, row),
+            ci=bootstrap_ci(mprs[i], cfg),
+            n=len(row),
+            values=n_values,
+            passes=sum(row),
+            fails=row.count(0),
         )
-
-    comparisons: list[Comparison] = []
-    for i in range(len(system_ids)):
-        for j in range(i + 1, len(system_ids)):
-            a, b = system_ids[i], system_ids[j]
-            result: PairedResult = paired_bootstrap(mprs[i], mprs[j], cfg)
-            winner = {"a": a, "b": b, None: None}[result.winner]
-            comparisons.append(
-                Comparison(
-                    a=a,
-                    b=b,
-                    winner=winner,
-                    p_value=result.p_value,
-                    significant=result.significant,
-                )
-            )
+        for i, (system_id, row) in enumerate(zip(system_ids, rows))
+    ]
+    comparisons = []
+    for (i, a), (j, b) in combinations(enumerate(system_ids), 2):
+        result = paired_bootstrap(mprs[i], mprs[j], cfg)
+        winner = {"a": a, "b": b, None: None}[result.winner]
+        comparisons.append(Comparison(a, b, winner, result.p_value, result.significant))
 
     meta = dict(metadata or {})
     if dropped:
-        meta["excluded_case_counts"] = {k: len(v) for k, v in dropped.items()}
+        meta["excluded_case_counts"] = dropped
     return SuiteReport(
         property_id=spec.id,
         detector=spec.detector,

@@ -19,7 +19,11 @@ from mtbehave import cli, model, runner
 from mtbehave.cli import main
 from mtbehave.config import RunConfig, load_config
 from mtbehave.errors import ConfigError, MtBehaveError, ProviderError
-from mtbehave.generation import render_candidate_prompt, render_source_prompt
+from mtbehave.generation import (
+    render_candidate_prompt,
+    render_contrastive_prompts,
+    render_source_prompt,
+)
 from mtbehave.model import (
     TranslationRecord,
     load_candidates,
@@ -144,6 +148,25 @@ class TestCandidates:
         assert "Anna Maier" not in load_candidates(
             config.property_dir("names") / "candidates.jsonl"
         )
+
+    def test_all_foils_overlapping_is_empty_after_parse(self, workspace, tmp_path, capsys):
+        run_cli("generate", "--config", str(workspace))
+        config = load_config(str(workspace))
+        idioms = config.property_by_id("idioms")
+        _, foil_prompt = render_contrastive_prompts(
+            idioms, "hit the sack", "He decided to hit the sack early."
+        )
+        # The only foil is a correct entry in other case, so no foil is left.
+        write_replay_responses(tmp_path / "replays", foil_prompt, ["Hit The Sack"])
+        assert run_cli("candidates", "--config", str(workspace), "--property", "idioms") == 0
+        assert "empty after parse for 1 values: hit the sack" in capsys.readouterr().out
+        summary = json.loads(
+            (config.property_dir("idioms") / "candidates_summary.json").read_text()
+        )
+        assert summary["empty_after_parse"] == ["hit the sack"]
+        assert summary["generated"] == 2
+        saved = load_candidates(config.property_dir("idioms") / "candidates.jsonl")
+        assert list(saved) == ["break a leg", "spill the beans"]
 
     def test_requires_suite(self, workspace, capsys):
         assert run_cli("candidates", "--config", str(workspace)) == 1
@@ -707,6 +730,36 @@ class TestAnnotateAndApplyEdits:
         ) == 3
         assert f"{review_path}:2" in capsys.readouterr().err
         assert candidates_path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "row",
+        ['{"pass": "false", "annotation": "incorrect"}', '{"annotation": "incorrect"}'],
+        ids=["string", "missing"],
+    )
+    def test_non_boolean_review_pass_exit_3_before_any_edit(
+        self, workspace, tmp_path, capsys, row
+    ):
+        prime(workspace)
+        config = load_config(str(workspace))
+        candidates_path = config.property_dir("names") / "candidates.jsonl"
+        before = candidates_path.read_bytes()
+        edits_path = tmp_path / "edits.jsonl"
+        edits_path.write_text(
+            json.dumps({"value": "Rafael Ortega", "add": ["Señor Ortega"]}) + "\n",
+            encoding="utf-8",
+        )
+        review_path = tmp_path / "review.jsonl"
+        review_path.write_text(
+            '{"pass": false, "annotation": "incorrect"}\n' + row + "\n", encoding="utf-8"
+        )
+        assert run_cli(
+            "apply-edits", "--config", str(workspace), "--property", "names",
+            "--edits", str(edits_path), "--review", str(review_path),
+        ) == 3
+        err = capsys.readouterr().err
+        assert f"{review_path}:2" in err and "'pass'" in err
+        assert candidates_path.read_bytes() == before
+        assert not (config.property_dir("names") / "candidates_audit.log").exists()
 
     def test_annotate_k_below_one_is_a_usage_error(self, workspace, tmp_path, capsys):
         prime(workspace)

@@ -302,7 +302,7 @@ class TestContrastivePairs:
         sentence = "Some sentence."
         correct_prompt, foil_prompt = render_contrastive_prompts(idioms_spec, "x y", sentence)
         llm = ScriptedLlm(by_prompt={correct_prompt: "same", foil_prompt: "SAME"})
-        with pytest.raises(DataInvariantError):
+        with pytest.raises(EmptyAfterParseError):
             generate_contrastive_pair("x y", sentence, idioms_spec, llm)
 
 

@@ -122,6 +122,18 @@ class TestTranslateAll:
         assert again.calls == 0
         assert [r.translation for r in result.records] == [c.source for c in SUITE]
 
+    def test_empty_translation_is_a_record_cached_and_served_warm(self, tmp_path):
+        adapter = CountingAdapter(fn=lambda source: "")
+        result = translate_all(SUITE[:1], adapter, TranslationCache(tmp_path))
+        assert [r.translation for r in result.records] == [""]
+        assert result.failures == []
+        [line] = (tmp_path / "fixture.jsonl").read_text(encoding="utf-8").splitlines()
+        assert json.loads(line)["translation"] == ""
+        again = CountingAdapter()
+        result = translate_all(SUITE[:1], again, TranslationCache(tmp_path))
+        assert again.calls == 0
+        assert [r.translation for r in result.records] == [""]
+
     def test_cache_keyed_by_system(self, tmp_path):
         cache = TranslationCache(tmp_path)
         translate_all(SUITE, CountingAdapter(system_id="a"), cache)
@@ -204,6 +216,15 @@ class TestTranslateAll:
         result = translate_all(SUITE, Broken())
         assert result.records == []
         assert len(result.failures) == len(SUITE)
+
+    def test_short_adapter_output_fails_the_cases_left(self):
+        class Short(CountingAdapter):
+            def translate(self, sources):
+                return list(sources[:1])
+
+        result = translate_all(SUITE, Short())
+        assert [r.case_id for r in result.records] == [SUITE[0].id]
+        assert [f.case_id for f in result.failures] == [c.id for c in SUITE[1:]]
 
     def test_file_adapter_missing_case_recorded(self, tmp_path):
         path = tmp_path / "translations.jsonl"
