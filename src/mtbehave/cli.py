@@ -11,6 +11,7 @@ import json
 import logging
 import sys
 from datetime import datetime, timezone
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 from .config import RunConfig, derive_seed, load_config
@@ -40,6 +41,8 @@ from .model import (
     _make_dir,
     _read_bytes,
     _read_text,
+    _translation_line,
+    _verdict_line,
     _write_atomic,
     _write_json,
     _write_jsonl,
@@ -49,8 +52,6 @@ from .model import (
     load_verdicts,
     save_candidates,
     save_suite,
-    save_translations,
-    save_verdicts,
 )
 from .runner import (
     CandidateEdit,
@@ -315,25 +316,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     ]
 
     # Translate: one adapter call per system, covering every property.
-    results = translate_systems([suite for suite, *_ in inputs], adapters, cache)
-    failure_counts = {
-        s.system_id: n
-        for s, per_suite in zip(systems, results)
-        if (n := sum(len(result.failures) for result in per_suite))
-    }
+    rows = [row for row, _ in translate_systems([suite for suite, *_ in inputs], adapters, cache)]
+    system_ids = [s.system_id for s in systems]
+    failure_counts = {sid: n for sid, row in zip(system_ids, rows) if (n := row.count(None))}
+    case_ids = [case.id for suite, *_ in inputs for case in suite]
+    spans = pairwise(accumulate((len(suite) for suite, *_ in inputs), initial=0))  # per property
 
-    # Judge: one batch per property over every system's records, in system order.
-    all_verdicts = []
+    # Judge: one table per property, every system's row over its cases.
+    verdict_lines: list[str] = []
     reports: dict[str, dict] = {}
     report_texts: list[str] = []
     # Per property and value, how many cases some system lacked candidates for.
     missing_by_property: dict[str, dict[str, int]] = {}
-    for j, spec in enumerate(props):
+    for j, (spec, (lo, hi)) in enumerate(zip(props, spans)):
         # Dropped from `inputs`, so each property's suite and candidates are freed once judged.
         suite, suite_sha256, candidates, candidates_sha256 = inputs[j]
         inputs[j] = None
         evaluation = evaluate(
-            spec, suite, candidates, [r for per_suite in results for r in per_suite[j].records],
+            spec, suite, candidates, [row[lo:hi] for row in rows],
             embedder=embedder, tokenizer=config.tokenizer, token_boundary=config.token_boundary,
         )
         if evaluation.missing:
@@ -350,22 +350,28 @@ def cmd_run(args: argparse.Namespace) -> int:
             },
             "token_boundary": config.token_boundary,
         }
-        report = build_report(spec, suite, evaluation.verdicts, cfg, metadata)
+        report = build_report(spec, suite, dict(zip(system_ids, evaluation.passes)), cfg, metadata)
         reports[spec.id] = report.to_dict()
         report_texts.append(report.render_text())
-        all_verdicts.extend(evaluation.verdicts)
+        exhaustive = spec.detector == "exhaustive"  # its detail is the matched candidate
+        for sid, bits, details in zip(system_ids, evaluation.passes, evaluation.details):
+            verdict_lines += [
+                _verdict_line(c, sid, p, d) if exhaustive else _verdict_line(c, sid, p, None, d)
+                for c, p, d in zip(case_ids[lo:hi], bits, details)
+                if p is not None
+            ]
         for stat in report.systems:
             print(
                 f"{spec.id} / {stat.system_id}: MPR {stat.mpr:.3f} "
                 f"[{stat.ci.lo:.3f}, {stat.ci.hi:.3f}] over n={stat.n}"
             )
 
-    for s, per_suite in zip(systems, results):
-        save_translations(
-            (r for result in per_suite for r in result.records),
-            run_dir / "translations" / f"{s.system_id}.jsonl",
+    for sid, row in zip(system_ids, rows):
+        _write_atomic(
+            run_dir / "translations" / f"{sid}.jsonl",
+            (_translation_line(cid, sid, t) for cid, t in zip(case_ids, row) if t is not None),
         )
-    save_verdicts(all_verdicts, run_dir / "verdicts.jsonl")
+    _write_atomic(run_dir / "verdicts.jsonl", verdict_lines)
     _write_json({"properties": reports}, run_dir / "report.json")
     _write_atomic(run_dir / "report.txt", ["\n".join(report_texts)])
     # Timestamps live here, apart from the report, so re-runs stay byte-identical.
@@ -521,13 +527,26 @@ def _load_edits(path: Path) -> list[CandidateEdit]:
     return [edit for _, edit in _load_records(path, CandidateEdit.from_dict)]
 
 
+# The annotations a review row may hold, after strip and case-fold; blank is unreviewed.
+_ANNOTATIONS = ("", "correct", "incorrect")
+
+
+def _review_row(d: dict) -> tuple[bool, str]:
+    """A review row's pass bit and annotation; a non-boolean "pass", a non-string
+    annotation (no .strip()) or one outside _ANNOTATIONS is a malformed record."""
+    passed = _bool_field(d, "pass")
+    annotation = d.get("annotation", "").strip().casefold()
+    if annotation not in _ANNOTATIONS:
+        raise ValueError(
+            f"'annotation' must be blank, 'correct' or 'incorrect', got {d['annotation']!r}"
+        )
+    return passed, annotation
+
+
 def _review_tallies(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"review file {path} not found")
-    # A non-boolean "pass" and a non-string annotation (no .lower()) are malformed
-    # records naming their line.
-    rows = _load_records(path, lambda d: (_bool_field(d, "pass"), d.get("annotation", "").lower()))
-    annotated = [row for _, row in rows if row[1].strip()]
+    annotated = [row for _, row in _load_records(path, _review_row) if row[1]]
     fp = sum(1 for passed, a in annotated if passed and a == "incorrect")
     fn = sum(1 for passed, a in annotated if not passed and a == "incorrect")
     n_pass = sum(1 for passed, _ in annotated if passed)

@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import DataInvariantError, ProviderError
-from .model import CandidateSet, ContrastivePair, TranslationRecord, Verdict
+from .model import CandidateSet, ContrastivePair, Verdict
 
 TOKENIZER_MODES = ("whitespace", "character")
 
@@ -121,6 +121,26 @@ def _contains(haystack: str, needle: str, token_boundary: bool) -> bool:
         start = i + 1
 
 
+def match_exhaustive_batch(
+    entries: Sequence[CandidateSet | None],
+    translations: Sequence[str | None],
+    *,
+    token_boundary: bool = False,
+) -> tuple[list[bool | None], list[str | None]]:
+    """`match_exhaustive` of one system's translations of the cases of `entries`:
+    each case's pass bit and matched candidate, None where either input is None."""
+    passes, matched = [None] * len(entries), [None] * len(entries)
+    for k, (entry, text) in enumerate(zip(entries, translations, strict=True)):
+        if entry is not None and text is not None:
+            folded = text.casefold()
+            passes[k] = False
+            for i, key in enumerate(entry.folded):
+                if key in folded and (not token_boundary or _contains(folded, key, True)):
+                    passes[k], matched[k] = True, entry.candidates[i]
+                    break
+    return passes, matched
+
+
 def match_exhaustive(
     translation: str,
     candidates: CandidateSet,
@@ -135,13 +155,10 @@ def match_exhaustive(
     requiring non-word characters (or edges) around the match, for suites
     where e.g. a short unit symbol matching inside a longer word is unwanted.
     """
-    folded = translation.casefold()
-    for cand, key in zip(candidates.candidates, candidates.folded):
-        if _contains(folded, key, token_boundary):
-            return Verdict(
-                case_id=case_id, system_id=system_id, passed=True, matched_candidate=cand
-            )
-    return Verdict(case_id=case_id, system_id=system_id, passed=False)
+    [passed], [matched] = match_exhaustive_batch(
+        [candidates], [translation], token_boundary=token_boundary
+    )
+    return Verdict(case_id, system_id, passed, matched_candidate=matched)
 
 
 class CachedEmbedder:
@@ -270,31 +287,21 @@ def max_sim(
 
 
 def judge_contrastive_batch(
-    records: Sequence[TranslationRecord],
+    translations: Sequence[str],
     pairs: Sequence[ContrastivePair],
     embedder: Embedder | CachedEmbedder,
     tok: TokenizerConfig = TokenizerConfig(),
-) -> list[Verdict]:
-    """One verdict per (record, pair): pass iff the translation is at least
-    as close to the correct candidates as to the foils; ties pass."""
-    if not records:
+) -> list[list[float]]:
+    """One [sim_correct, sim_foil] score pair per (translation, pair): the
+    translation's closest similarity to the correct candidates and to the
+    foils. It passes iff sim_correct >= sim_foil; ties pass."""
+    if not translations:
         return []
-    sims = max_sims(
-        [r.translation for r in records], [p.correct + p.foil for p in pairs], embedder, tok
-    )
+    sims = max_sims(translations, [p.correct + p.foil for p in pairs], embedder, tok)
     # Where each pair's correct and foil scores start: the running sum of the list sizes.
     sizes = [n for pair in pairs for n in (len(pair.correct), len(pair.foil))]
     bounds = np.cumsum(sizes) - sizes
-    scores = np.maximum.reduceat(sims, bounds).reshape(-1, 2).tolist()
-    return [
-        Verdict(
-            case_id=record.case_id,
-            system_id=record.system_id,
-            passed=sim_correct >= sim_foil,
-            scores=(sim_correct, sim_foil),
-        )
-        for record, (sim_correct, sim_foil) in zip(records, scores, strict=True)
-    ]
+    return np.maximum.reduceat(sims, bounds).reshape(-1, 2).tolist()
 
 
 def judge_contrastive(
@@ -308,5 +315,5 @@ def judge_contrastive(
 ) -> Verdict:
     """Pass iff the translation is at least as close to the correct
     candidates as to the foils; ties pass."""
-    record = TranslationRecord(case_id=case_id, system_id=system_id, translation=translation)
-    return judge_contrastive_batch([record], [pair], embedder, tok)[0]
+    [(sim_correct, sim_foil)] = judge_contrastive_batch([translation], [pair], embedder, tok)
+    return Verdict(case_id, system_id, sim_correct >= sim_foil, scores=(sim_correct, sim_foil))

@@ -25,6 +25,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 # A float64 holds every integer below 2**53 exactly.
 _EXACT_BITS = 53
+_M32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,47 @@ class Interval:
 
 
 def resample_key(seed: int) -> np.uint64:
-    """The 64-bit key of a seed's resamples; any seed >= 0 is accepted."""
-    return np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
+    """The 64-bit key of a seed's resamples; any seed >= 0 is accepted.
+
+    It equals `np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]`,
+    computed on Python ints with SeedSequence's constants, so that a run never
+    imports numpy.random.
+    """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    words = [seed >> 32 * i & _M32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    # mix_entropy: hash the seed's words, low first, into a pool of four (zeros
+    # past the last word), mix every pool word into every other, then mix each
+    # word past the fourth into all four.
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        pool = [_mix(value, hashmix(word)) for value in pool]
+    # generate_state: two hashed pool words, the low half first.
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    return np.uint64(out(pool[0]) | out(pool[1]) << 32)
+
+
+def _hasher(mult: int, step: int):
+    """SeedSequence's hashmix, whose multiplier starts at `mult` and steps by `step`."""
+
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = mult * step & _M32
+        value = value * mult & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return value ^ value >> 16
 
 
 def resample_indices(key: np.uint64, start: int, stop: int, n: int) -> np.ndarray:

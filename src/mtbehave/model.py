@@ -461,22 +461,22 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _translation_line(r: TranslationRecord) -> str:
+def _translation_line(case_id: str, system_id: str, translation: str) -> str:
     return (
-        f'{{"case_id": {_json_str(r.case_id)}, "system_id": {_json_str(r.system_id)}, '
-        f'"translation": {_json_str(r.translation)}}}\n'
+        f'{{"case_id": {_json_str(case_id)}, "system_id": {_json_str(system_id)}, '
+        f'"translation": {_json_str(translation)}}}\n'
     )
 
 
-def _verdict_line(v: Verdict) -> str:
+def _verdict_line(case_id: str, system_id: str, passed: bool, matched=None, scores=None) -> str:
     line = (
-        f'{{"case_id": {_json_str(v.case_id)}, "system_id": {_json_str(v.system_id)}, '
-        f'"pass": {"true" if v.passed else "false"}'
+        f'{{"case_id": {_json_str(case_id)}, "system_id": {_json_str(system_id)}, '
+        f'"pass": {"true" if passed else "false"}'
     )
-    if v.matched_candidate is not None:
-        line += f', "matched_candidate": {_json_str(v.matched_candidate)}'
-    if v.scores is not None:
-        line += f', "scores": [{", ".join(map(_json_float, v.scores))}]'
+    if matched is not None:
+        line += f', "matched_candidate": {_json_str(matched)}'
+    if scores is not None:
+        line += f', "scores": [{", ".join(map(_json_float, scores))}]'
     return line + "}\n"
 
 
@@ -532,7 +532,8 @@ def load_candidates(path: Path | str, data: bytes | None = None) -> dict[str, Ca
 
 
 def save_translations(records: Iterable[TranslationRecord], path: Path | str) -> None:
-    _write_atomic(Path(path), map(_translation_line, records))
+    rows = ((r.case_id, r.system_id, r.translation) for r in records)
+    _write_atomic(Path(path), itertools.starmap(_translation_line, rows))
 
 
 def load_translations(path: Path | str) -> list[TranslationRecord]:
@@ -540,7 +541,8 @@ def load_translations(path: Path | str) -> list[TranslationRecord]:
 
 
 def save_verdicts(verdicts: Iterable[Verdict], path: Path | str) -> None:
-    _write_atomic(Path(path), map(_verdict_line, verdicts))
+    rows = ((v.case_id, v.system_id, v.passed, v.matched_candidate, v.scores) for v in verdicts)
+    _write_atomic(Path(path), itertools.starmap(_verdict_line, rows))
 
 
 def load_verdicts(path: Path | str) -> list[Verdict]:

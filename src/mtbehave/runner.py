@@ -13,7 +13,7 @@ import re
 import shlex
 import subprocess
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, pairwise
+from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -24,7 +24,7 @@ from .detection import (
     Embedder,
     TokenizerConfig,
     judge_contrastive_batch,
-    match_exhaustive,
+    match_exhaustive_batch,
 )
 from .errors import AdapterError, ConfigError, DataInvariantError, ProviderError
 from .metrics import (
@@ -41,7 +41,6 @@ from .model import (
     ContrastivePair,
     PropertySpec,
     TestCase,
-    TranslationRecord,
     Verdict,
     _append,
     _cache_line,
@@ -233,6 +232,18 @@ class TranslationCache:
     def get(self, name: str, source: str) -> str | None:
         return self._load(name).get(self._key(source))
 
+    def lookup(self, name: str, sources: Sequence[str]) -> list[str | None]:
+        """`get` of each of `sources`, hashing each new source once. Hits, all of a
+        warm run, take one pass; a miss also goes through `get`, so instrumentation
+        wrapping `get` counts every miss."""
+        entries, keys = self._load(name), self._keys
+        for source in set(sources).difference(keys):
+            self._key(source)
+        return [
+            entries[key] if (key := keys[source]) in entries else self.get(name, source)
+            for source in sources
+        ]
+
     def superseded(self, specs: Iterable[AdapterSpec]) -> list[str]:
         """The files in the directory that a command or http system among `specs`
         wrote under another fingerprint, or as a pre-fingerprint `<system_id>.jsonl`,
@@ -275,20 +286,6 @@ def _read_cache(path: Path) -> dict[str, str]:
     return dict(pair for _, pair in pairs)
 
 
-@dataclass(frozen=True)
-class TranslationFailure:
-    case_id: str
-    reason: str
-
-
-@dataclass
-class TranslationResult:
-    """Per-case translations plus failures excluded from statistics."""
-
-    records: list[TranslationRecord]
-    failures: list[TranslationFailure] = field(default_factory=list)
-
-
 def _adapter_call(translate, inputs: list) -> list[str | None] | AdapterError:
     """`translate(inputs)`, or the AdapterError it raised."""
     try:
@@ -299,9 +296,10 @@ def _adapter_call(translate, inputs: list) -> list[str | None] | AdapterError:
 
 def translate_systems(
     suites: Sequence[Sequence[TestCase]], adapters: Sequence, cache: TranslationCache | None = None
-) -> list[list[TranslationResult]]:
-    """Translate every suite with every adapter: entry [i][j] is adapter i's
-    result on suite j.
+) -> list[tuple[list[str | None], str]]:
+    """Translate every suite with every adapter: per adapter, its row of
+    translations over the suites' cases in order, None where a case failed,
+    and the one reason all its failures share.
 
     Sources go out bracket-free (TestCase.source is already marker-stripped).
     Failed cases are recorded and excluded rather than counted as fails:
@@ -309,25 +307,26 @@ def translate_systems(
     adapter's entries under its `cache_name`. An adapter with `translate_cases`
     holds one translation per case, not per source, so it bypasses the cache.
 
-    The suites are translated as one case list, one row of outputs per
-    adapter. The calling thread looks each case up in the cache once. Every
-    adapter with cases left gets one call covering all suites, and two or
-    more such calls run side by side, one thread each. Outputs, failures and
-    cache appends are then committed in adapter order by the calling thread,
-    so no file depends on which call finished first.
+    The calling thread looks each adapter's row up in the cache in one call.
+    Every adapter with cases left gets one call covering all suites, and two
+    or more such calls run side by side, one thread each. An adapter that
+    returns more outputs than it got inputs fails all those cases. Outputs,
+    failures and cache appends are then committed in adapter order by the
+    calling thread, so no file depends on which call finished first.
     """
     if not all(suites):
         raise DataInvariantError("cannot translate an empty suite")
     cases = [case for suite in suites for case in suite]
+    sources = [case.source for case in cases]
     plans = []  # per adapter: (cache or None, its translation of each case or None, pending k)
     calls = []  # per adapter with cases left: (its translate method, those cases or sources)
     for adapter in adapters:
         by_case = getattr(adapter, "translate_cases", None)
         store = None if by_case else cache
-        row = [store.get(adapter.cache_name, c.source) if store else None for c in cases]
+        row = store.lookup(adapter.cache_name, sources) if store else [None] * len(cases)
         pending = [k for k, t in enumerate(row) if t is None]
         if pending:
-            inputs = [cases[k] if by_case else cases[k].source for k in pending]
+            inputs = [cases[k] if by_case else sources[k] for k in pending]
             calls.append((by_case or adapter.translate, inputs))
         plans.append((store, row, pending))
     if len(calls) > 1:
@@ -339,18 +338,19 @@ def translate_systems(
     else:
         outputs = [_adapter_call(*call) for call in calls]
     called = iter(outputs)
-    spans = list(pairwise(accumulate(map(len, suites), initial=0)))  # each suite's cases
     results = []
     for adapter, (store, row, pending) in zip(adapters, plans):
         output = next(called) if pending else []
         reason = "no translation produced"  # every failure of one system has one reason
+        if not isinstance(output, AdapterError) and len(output) > len(pending):
+            output = AdapterError(f"returned {len(output)} translations for {len(pending)} inputs")
         if isinstance(output, AdapterError):
             log.warning("system %s: %s", adapter.system_id, output)
             output, reason = [], str(output)
         for k, translation in zip(pending, output):
             row[k] = translation
         if store and pending:
-            done = [(cases[k].source, row[k]) for k in pending if row[k] is not None]
+            done = [(sources[k], row[k]) for k in pending if row[k] is not None]
             store.put(adapter.cache_name, done)
         n_failed = row.count(None)
         if n_failed:
@@ -358,22 +358,16 @@ def translate_systems(
                 "system %s: %d/%d cases failed translation and are excluded",
                 adapter.system_id, n_failed, len(cases),
             )
-        results.append([
-            TranslationResult(
-                [TranslationRecord(c.id, adapter.system_id, t) for c, t in part if t is not None],
-                [TranslationFailure(c.id, reason) for c, t in part if t is None],
-            )
-            for part in [list(zip(s, row[lo:hi])) for s, (lo, hi) in zip(suites, spans)]
-        ])
+        results.append((row, reason))
     return results
 
 
 def translate_all(
     suite: Sequence[TestCase], adapter, cache: TranslationCache | None = None
-) -> TranslationResult:
+) -> tuple[list[str | None], str]:
     """Translate every case of one suite with one adapter, serving repeats from
     the cache; `translate_systems` for one suite and one adapter."""
-    return translate_systems([suite], [adapter], cache)[0][0]
+    return translate_systems([suite], [adapter], cache)[0]
 
 
 # Per detector: the candidate entry kind it judges, and the error for another kind.
@@ -393,7 +387,11 @@ class MissingCandidates:
 
 @dataclass
 class EvaluationResult:
-    verdicts: list[Verdict]
+    """Per system, over the suite's cases: pass bits, None where excluded, and details:
+    an exhaustive pass's matched candidate or a contrastive [sim_correct, sim_foil]."""
+
+    passes: list[list[bool | None]]
+    details: list[list]
     missing: list[MissingCandidates] = field(default_factory=list)
 
 
@@ -401,52 +399,50 @@ def evaluate(
     spec: PropertySpec,
     suite: Sequence[TestCase],
     candidates: Mapping[str, CandidateEntry],
-    translations: Sequence[TranslationRecord],
+    rows: Sequence[Sequence[str | None]],
     *,
     embedder: Embedder | CachedEmbedder | None = None,
     tokenizer: TokenizerConfig = TokenizerConfig(),
     token_boundary: bool = False,
 ) -> EvaluationResult:
-    """Judge every translation with the property's detector.
+    """Judge a (system x case) table with the property's detector.
 
-    `translations` may hold several systems' records; verdicts keep their
-    order. Contrastive records are judged together in one batch; a
-    `CachedEmbedder` shares its store across calls, a plain embedder gets one
-    per call. Cases whose value has no candidate entry are reported in the
-    result, each once however many systems lack it, not silently dropped.
+    `rows` holds one translation row per system over the suite's cases, None
+    where the system has no translation. Each case's candidate entry is looked
+    up once for all systems. Contrastive cells are judged together in one
+    batch, system by system; a `CachedEmbedder` shares its store across calls,
+    a plain embedder gets one per call. Translated cases whose value has no
+    candidate entry are reported in the result, not silently dropped.
     """
     kind, need = _DETECTOR_ENTRY[spec.detector]
-    case_by_id = {case.id: case for case in suite}
-    missing: dict[str, dict[str, None]] = {}  # value -> its case ids, once each over systems
-    records: list[TranslationRecord] = []
-    entries: list[CandidateEntry] = []
-    for record in translations:
-        case = case_by_id.get(record.case_id)
-        if case is None:
-            raise DataInvariantError(f"translation references unknown case {record.case_id!r}")
-        entry = candidates.get(case.value)
-        if entry is None:
-            missing.setdefault(case.value, {})[case.id] = None
-        elif not isinstance(entry, kind):
-            raise DataInvariantError(f"value {case.value!r}: {need}")
-        else:
-            records.append(record)
-            entries.append(entry)
+    if any(len(row) != len(suite) for row in rows):
+        raise DataInvariantError(f"every translation row must hold {len(suite)} cases")
+    missing: dict[str, list[str]] = {}  # value -> the ids of its translated cases
+    entries: list[CandidateEntry | None] = []  # per case, None if nothing is judged
+    for case, *texts in zip(suite, *rows):
+        entry = None
+        if texts.count(None) < len(texts):
+            entry = candidates.get(case.value)
+            if entry is None:
+                missing.setdefault(case.value, []).append(case.id)
+            elif not isinstance(entry, kind):
+                raise DataInvariantError(f"value {case.value!r}: {need}")
+        entries.append(entry)
     if kind is CandidateSet:
-        verdicts = [
-            match_exhaustive(
-                r.translation,
-                entry,
-                token_boundary=token_boundary,
-                case_id=r.case_id,
-                system_id=r.system_id,
-            )
-            for r, entry in zip(records, entries)
-        ]
+        table = [match_exhaustive_batch(entries, r, token_boundary=token_boundary) for r in rows]
+        passes, details = [hits for hits, _ in table], [found for _, found in table]
     else:
-        if records and embedder is None:
+        passes, details = [[None] * len(suite) for _ in rows], [[None] * len(suite) for _ in rows]
+        judged = [k for k, entry in enumerate(entries) if entry is not None]
+        cells = [(s, k) for s, row in enumerate(rows) for k in judged if row[k] is not None]
+        if cells and embedder is None:
             raise ConfigError("contrastive detection requires an embedding provider")
-        verdicts = judge_contrastive_batch(records, entries, embedder, tokenizer)
+        scores = judge_contrastive_batch(
+            [rows[s][k] for s, k in cells], [entries[k] for _, k in cells], embedder, tokenizer
+        )
+        for (s, k), pair in zip(cells, scores):
+            passes[s][k] = pair[0] >= pair[1]
+            details[s][k] = pair
     missing_list = [MissingCandidates(v, tuple(ids)) for v, ids in missing.items()]
     if missing_list:
         n_cases = sum(len(m.case_ids) for m in missing_list)
@@ -456,7 +452,7 @@ def evaluate(
             len(missing_list),
             n_cases,
         )
-    return EvaluationResult(verdicts=verdicts, missing=missing_list)
+    return EvaluationResult(passes, details, missing_list)
 
 
 @dataclass(frozen=True)
@@ -548,46 +544,36 @@ class SuiteReport:
 def build_report(
     spec: PropertySpec,
     suite: Sequence[TestCase],
-    verdicts: Sequence[Verdict],
+    passes: Mapping[str, Sequence[bool | None]],
     cfg: ResampleConfig,
     metadata: dict | None = None,
 ) -> SuiteReport:
-    """Aggregate verdicts into per-system MPR + CI and pairwise comparisons.
+    """Aggregate pass rows into per-system MPR + CI and pairwise comparisons.
 
-    Statistics are computed over the cases every system has a verdict for, so
-    n is identical across systems and comparisons stay properly paired.
+    `passes` maps each system to its pass bits over the suite's cases, None
+    where a case is excluded; a system with no pass bit is left out. Statistics
+    are computed over the cases every system has a bit for, so n is identical
+    across systems and comparisons stay properly paired.
     """
-    if not verdicts:
+    if any(len(row) != len(suite) for row in passes.values()):
+        raise DataInvariantError(f"every pass row must hold {len(suite)} cases")
+    judged = {sys: row for sys, row in passes.items() if row.count(None) < len(row)}
+    if not judged:
         raise DataInvariantError("cannot build a report from zero verdicts")
-    value_of = {case.id: case.value for case in suite}
-    bits: dict[str, dict[str, bool]] = {}  # per system: case id -> pass bit
-    for verdict in verdicts:
-        if verdict.case_id not in value_of:
-            raise DataInvariantError(f"verdict references unknown case {verdict.case_id!r}")
-        per = bits.setdefault(verdict.system_id, {})
-        if verdict.case_id in per:
-            raise DataInvariantError(
-                f"duplicate verdict for case {verdict.case_id!r}, system {verdict.system_id!r}"
-            )
-        per[verdict.case_id] = verdict.passed
-    system_ids = list(bits)
-    common = set(bits[system_ids[0]]).intersection(*bits.values())
-    ordered_ids = [case.id for case in suite if case.id in common]
-    if not ordered_ids:
+    common = [k for k, bits in enumerate(zip(*judged.values())) if None not in bits]
+    if not common:
         raise DataInvariantError("no case is covered by every system")
     # Every system's cases include the common ones, so the rest are the dropped ones.
-    dropped = {sys: len(per) - len(common) for sys, per in bits.items() if len(per) > len(common)}
+    dropped = {s: n for s, row in judged.items() if (n := len(row) - row.count(None) - len(common))}
     if dropped:
         log.warning(
-            "report restricted to %d common cases; dropped per system: %s",
-            len(ordered_ids),
-            dropped,
+            "report restricted to %d common cases; dropped per system: %s", len(common), dropped
         )
 
     # One resample set per property: every CI and comparison below reads a row
     # of the same (systems, k) array.
-    values = [value_of[cid] for cid in ordered_ids]
-    rows = [[int(per[cid]) for cid in ordered_ids] for per in bits.values()]
+    values = [suite[k].value for k in common]
+    rows = [[row[k] for k in common] for row in judged.values()]
     mprs = resampled_mprs(values, rows, cfg)
     n_values = len(set(values))
     stats = [
@@ -600,10 +586,10 @@ def build_report(
             passes=sum(row),
             fails=row.count(0),
         )
-        for i, (system_id, row) in enumerate(zip(system_ids, rows))
+        for i, (system_id, row) in enumerate(zip(judged, rows))
     ]
     comparisons = []
-    for (i, a), (j, b) in combinations(enumerate(system_ids), 2):
+    for (i, a), (j, b) in combinations(enumerate(judged), 2):
         result = paired_bootstrap(mprs[i], mprs[j], cfg)
         winner = {"a": a, "b": b, None: None}[result.winner]
         comparisons.append(Comparison(a, b, winner, result.p_value, result.significant))

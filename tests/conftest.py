@@ -3,14 +3,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mtbehave.config import packaged_template
 from mtbehave.detection import TokenizerConfig, ngrams, tokenize
-from mtbehave.model import PropertySpec
+from mtbehave.model import PropertySpec, Verdict
 from mtbehave.providers import HashEmbedder
+from mtbehave.runner import evaluate
 
 
 class ScriptedLlm:
@@ -102,6 +104,23 @@ def reference_max_sim(translation, candidate, embedder, tok=TokenizerConfig()) -
     return max(
         reference_cosine(embedder.embed([g])[0], cand_vec) for g in ngrams(translation, n, tok)
     )
+
+
+def evaluate_records(spec, suite, candidates, records, **kwargs):
+    """`evaluate` on TranslationRecords: one row per system, in order of first
+    appearance, and the table's judged cells as Verdicts, system by system."""
+    index = {case.id: k for k, case in enumerate(suite)}
+    rows: dict[str, list] = {}
+    for r in records:
+        rows.setdefault(r.system_id, [None] * len(suite))[index[r.case_id]] = r.translation
+    result = evaluate(spec, suite, candidates, list(rows.values()), **kwargs)
+    verdicts = [
+        Verdict(case.id, system_id, passed, *((d, None) if isinstance(d, str) else (None, d)))
+        for system_id, passes, details in zip(rows, result.passes, result.details)
+        for case, passed, d in zip(suite, passes, details)
+        if passed is not None
+    ]
+    return SimpleNamespace(verdicts=verdicts, missing=result.missing)
 
 
 def make_spec(

@@ -27,9 +27,15 @@ from mtbehave.metrics import (
 )
 from mtbehave.model import CandidateSet, ContrastivePair, TestCase, TranslationRecord, parse_bracketed
 from mtbehave.providers import HashEmbedder
-from mtbehave.runner import CandidateEdit, apply_candidate_edits, evaluate
+from mtbehave.runner import CandidateEdit, apply_candidate_edits
 
-from conftest import ScriptedLlm, build_offline_workspace, make_spec, reference_max_sim
+from conftest import (
+    ScriptedLlm,
+    build_offline_workspace,
+    evaluate_records,
+    make_spec,
+    reference_max_sim,
+)
 
 
 def criterion(number: int, name: str):
@@ -316,7 +322,7 @@ def test_annotation_monotonicity(units_spec):
     def pass_counts(cands):
         return {
             system: sum(
-                v.passed for v in evaluate(units_spec, suite, cands, recs).verdicts
+                v.passed for v in evaluate_records(units_spec, suite, cands, recs).verdicts
             )
             for system, recs in translations.items()
         }

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import random
 import shutil
 import subprocess
 import sys
@@ -24,16 +25,23 @@ from mtbehave.generation import (
     render_contrastive_prompts,
     render_source_prompt,
 )
+from mtbehave.detection import judge_contrastive, match_exhaustive
 from mtbehave.model import (
+    CandidateSet,
+    ContrastivePair,
+    TestCase,
     TranslationRecord,
     load_candidates,
     load_suite,
     load_translations,
     load_verdicts,
+    parse_bracketed,
     save_candidates,
+    save_suite,
     save_translations,
+    save_verdicts,
 )
-from mtbehave.providers import replay_key, write_replay_responses
+from mtbehave.providers import HashEmbedder, replay_key, write_replay_responses
 
 from conftest import OFFLINE_CONFIG_TEXT as CONFIG_TEXT
 from conftest import build_offline_workspace
@@ -254,16 +262,18 @@ class TestRun:
     def test_run_leaves_numpy_ma_unimported(self, workspace, tmp_path):
         prime(workspace)
         argv = ["run", "--config", str(workspace), "--offline", "--out", str(tmp_path / "r")]
+        # Modules `import numpy` loads by itself (numpy 1.x loads both) are not run's doing.
         code = (
-            "import sys; from mtbehave.cli import main; "
-            f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
+            "import sys, numpy; from mtbehave.cli import main; "
+            "absent = [m for m in ('numpy.ma', 'numpy.random') if m not in sys.modules]; "
+            f"code = main({argv!r}); print(code, [m for m in absent if m in sys.modules])"
         )
         src = str(Path(mtbehave.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
             capture_output=True, text=True, check=True, timeout=120,
         )
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_file_system_read_once_per_run(self, workspace, tmp_path, monkeypatch):
         prime(workspace)
@@ -540,6 +550,111 @@ class TestRunTwoPhases:
         assert seen == [("upper", threads)]
 
 
+TABLE_WORDS = ("Meilen", "mi", "Milch", "km", "viel", "Glück", "Bein", "brich", "dir", "gut!", "3")
+
+
+def _table_config(token_boundary: bool, systems: list[str]) -> str:
+    system_lines = "".join(
+        f"  - id: {s}\n    kind: file\n    path: {s}.jsonl\n" for s in systems
+    )
+    return (
+        "workspace: workspace\nseed: 9\nstats: {k: 40, alpha: 0.05}\n"
+        "providers:\n  embedder: {kind: hash, dim: 16}\n"
+        f"detection: {{token_boundary: {str(token_boundary).lower()}}}\n"
+        "properties:\n"
+        "  - id: units\n    name: unit\n    detector: exhaustive\n    language_pair: [en, de]\n"
+        "    demos: ['I ran 3 [miles] today.']\n"
+        "  - id: idioms\n    name: idiom\n    detector: contrastive\n    language_pair: [en, de]\n"
+        "    demos: ['Good [break a leg] now.']\n"
+        f"systems:\n{system_lines}"
+    )
+
+
+class TestRunTable:
+    """`run` judges each property as one (system x case) table; its verdicts
+    equal the one-case detectors' run cell by cell, system by system."""
+
+    @pytest.mark.parametrize("token_boundary", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_verdicts_equal_one_case_calls(self, tmp_path, seed, token_boundary):
+        rng = random.Random(f"table:{seed}:{token_boundary}")
+        systems = [f"sys{i}" for i in range(4)]
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(_table_config(token_boundary, systems), encoding="utf-8")
+        config = load_config(str(config_path))
+
+        def phrase(lo, hi):
+            return " ".join(rng.choices(TABLE_WORDS, k=rng.randint(lo, hi)))
+
+        suites, entries = {}, {}
+        for spec in config.properties:
+            values = [f"v{i}" for i in range(8)]
+            raws = [f"Case {i} is [{v}] here." for i, v in enumerate(rng.choices(values, k=40))]
+            parsed = [parse_bracketed(raw) for raw in raws]
+            suite = [
+                TestCase(f"{spec.id}-{i:05d}", spec.id, p.raw, p.source, p.value, p.value_span)
+                for i, p in enumerate(parsed)
+            ]
+            by_value = {}
+            for value in values[:6]:  # the last two values have no candidates
+                if spec.detector == "exhaustive":
+                    cands = tuple(dict.fromkeys(rng.sample(TABLE_WORDS, rng.randint(1, 3))))
+                    by_value[value] = CandidateSet(value, cands)
+                else:
+                    words = rng.sample(TABLE_WORDS, 4)
+                    by_value[value] = ContrastivePair(value, (words[0], words[1]), tuple(words[2:]))
+            save_suite(suite, config.property_dir(spec.id) / "suite.jsonl")
+            save_candidates(by_value.values(), config.property_dir(spec.id) / "candidates.jsonl")
+            suites[spec.id], entries[spec.id] = suite, by_value
+        # Each system leaves some cases untranslated; sys3 translates no idiom.
+        translations = {
+            system: {
+                case.id: phrase(0, 6)
+                for spec in config.properties
+                for case in suites[spec.id]
+                if rng.random() < 0.8 and not (system == "sys3" and spec.id == "idioms")
+            }
+            for system in systems
+        }
+        for system, texts in translations.items():
+            save_translations(
+                [TranslationRecord(cid, system, t) for cid, t in texts.items()],
+                tmp_path / f"{system}.jsonl",
+            )
+
+        out = tmp_path / "run"
+        assert run_cli("run", "--config", str(config_path), "--offline", "--out", str(out)) == 0
+
+        embedder = HashEmbedder(dim=16)
+        expected = []
+        for spec in config.properties:
+            for system in systems:
+                for case in suites[spec.id]:
+                    text = translations[system].get(case.id)
+                    entry = entries[spec.id].get(case.value)
+                    if text is None or entry is None:
+                        continue
+                    if spec.detector == "exhaustive":
+                        verdict = match_exhaustive(text, entry, token_boundary=token_boundary,
+                                                   case_id=case.id, system_id=system)
+                    else:
+                        verdict = judge_contrastive(text, entry, embedder, config.tokenizer,
+                                                    case_id=case.id, system_id=system)
+                    expected.append(verdict)
+        save_verdicts(expected, tmp_path / "expected.jsonl")
+        assert (out / "verdicts.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        passes = {v.passed for v in expected}
+        assert passes == {True, False}
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert list(report["properties"]["idioms"]["systems"]) == systems[:3]
+        meta = json.loads((out / "runmeta.json").read_text(encoding="utf-8"))
+        assert set(meta["missing_candidates"]) == {"units", "idioms"}
+        for system in systems:
+            with open(out / "translations" / f"{system}.jsonl", encoding="utf-8") as fh:
+                written = {json.loads(line)["case_id"]: json.loads(line)["translation"] for line in fh}
+            assert written == translations[system]
+
+
 class TestCompare:
     def test_table_output(self, workspace, tmp_path, capsys):
         prime(workspace)
@@ -758,6 +873,46 @@ class TestAnnotateAndApplyEdits:
         ) == 3
         err = capsys.readouterr().err
         assert f"{review_path}:2" in err and "'pass'" in err
+        assert candidates_path.read_bytes() == before
+        assert not (config.property_dir("names") / "candidates_audit.log").exists()
+
+    def test_annotation_is_stripped_and_case_folded(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        edits_path = tmp_path / "edits.jsonl"
+        edits_path.write_text(json.dumps({"value": "Rafael Ortega"}) + "\n", encoding="utf-8")
+        review_path = tmp_path / "review.jsonl"
+        review_path.write_text(
+            '{"pass": true, "annotation": "Incorrect "}\n{"pass": true, "annotation": "CORRECT"}\n'
+            '{"pass": false, "annotation": " incorrect"}\n{"pass": false, "annotation": " "}\n',
+            encoding="utf-8",
+        )
+        assert run_cli(
+            "apply-edits", "--config", str(workspace), "--property", "names",
+            "--edits", str(edits_path), "--review", str(review_path),
+        ) == 0
+        assert "FP 1/2 passes, FN 1/1 fails" in capsys.readouterr().out
+
+    def test_unknown_annotation_exit_3_before_any_edit(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        config = load_config(str(workspace))
+        candidates_path = config.property_dir("names") / "candidates.jsonl"
+        before = candidates_path.read_bytes()
+        edits_path = tmp_path / "edits.jsonl"
+        edits_path.write_text(
+            json.dumps({"value": "Rafael Ortega", "add": ["Señor Ortega"]}) + "\n",
+            encoding="utf-8",
+        )
+        review_path = tmp_path / "review.jsonl"
+        review_path.write_text(
+            '{"pass": true, "annotation": "correct"}\n{"pass": true, "annotation": "wrong"}\n',
+            encoding="utf-8",
+        )
+        assert run_cli(
+            "apply-edits", "--config", str(workspace), "--property", "names",
+            "--edits", str(edits_path), "--review", str(review_path),
+        ) == 3
+        err = capsys.readouterr().err
+        assert f"{review_path}:2" in err and "'wrong'" in err
         assert candidates_path.read_bytes() == before
         assert not (config.property_dir("names") / "candidates_audit.log").exists()
 

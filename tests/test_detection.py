@@ -16,13 +16,14 @@ from mtbehave.detection import (
     judge_contrastive,
     judge_contrastive_batch,
     match_exhaustive,
+    match_exhaustive_batch,
     max_sim,
     max_sims,
     ngrams,
     tokenize,
 )
 from mtbehave.errors import DataInvariantError, ProviderError
-from mtbehave.model import CandidateSet, ContrastivePair, TranslationRecord
+from mtbehave.model import CandidateSet, ContrastivePair
 from mtbehave.providers import HashEmbedder
 
 from conftest import (
@@ -124,6 +125,33 @@ class TestMatchExhaustive:
             == match_exhaustive(text.upper(), cset).passed
             == match_exhaustive(text.lower(), cset).passed
         )
+
+    @pytest.mark.parametrize("token_boundary", [False, True])
+    def test_table_equals_one_case_calls(self, token_boundary):
+        rng = random.Random(f"table-{token_boundary}")
+        words = ("mi", "Meilen", "Milch", "km", "MI.", "3")
+        sets = [CandidateSet("miles", ("Meilen", "mi")), CandidateSet("km", ("km",)), None]
+        entries = [rng.choice(sets) for _ in range(60)]
+        rows = [
+            [
+                None if rng.random() < 0.2 else " ".join(rng.choices(words, k=rng.randint(0, 4)))
+                for _ in entries
+            ]
+            for _ in range(3)
+        ]
+        table = [match_exhaustive_batch(entries, row, token_boundary=token_boundary) for row in rows]
+        for row, (bits, found) in zip(rows, table):
+            for entry, text, passed, candidate in zip(entries, row, bits, found, strict=True):
+                if entry is None or text is None:
+                    assert (passed, candidate) == (None, None)
+                    continue
+                verdict = match_exhaustive(text, entry, token_boundary=token_boundary)
+                assert (passed, candidate) == (verdict.passed, verdict.matched_candidate)
+        assert {True, False, None} <= {bit for bits, _ in table for bit in bits}
+
+    def test_table_row_of_another_length_rejected(self):
+        with pytest.raises(ValueError):
+            match_exhaustive_batch([CandidateSet("v", ("x",))] * 2, ["x"])
 
 
 class TestTokenizeAndNgrams:
@@ -456,13 +484,9 @@ class TestJudgeContrastiveBatch:
             ContrastivePair(value="b", correct=("schlafen",), foil=("den Sack", "Sack schlagen")),
         ]
         texts = ["ich wünsche dir viel Glück", "er will den Sack schlagen"]
-        records = [TranslationRecord(f"c{i}", "s", t) for i, t in enumerate(texts)]
-        batch = judge_contrastive_batch(records, pairs, hash_embedder)
-        single = [
-            judge_contrastive(t, p, hash_embedder, case_id=f"c{i}", system_id="s")
-            for i, (t, p) in enumerate(zip(texts, pairs))
-        ]
-        for b, s in zip(batch, single, strict=True):
-            assert (b.case_id, b.system_id, b.passed) == (s.case_id, s.system_id, s.passed)
-            assert b.scores == pytest.approx(s.scores, abs=1e-12)
-        assert [v.passed for v in batch] == [True, False]
+        batch = judge_contrastive_batch(texts, pairs, hash_embedder)
+        single = [judge_contrastive(t, p, hash_embedder) for t, p in zip(texts, pairs)]
+        for (sim_correct, sim_foil), s in zip(batch, single, strict=True):
+            assert (sim_correct >= sim_foil) == s.passed
+            assert (sim_correct, sim_foil) == pytest.approx(s.scores, abs=1e-12)
+        assert [v.passed for v in single] == [True, False]

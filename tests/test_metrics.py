@@ -23,7 +23,7 @@ from mtbehave.metrics import (
     resampled_mprs,
     trend_fit,
 )
-from mtbehave.model import TestCase, Verdict, parse_bracketed
+from mtbehave.model import TestCase, parse_bracketed
 from mtbehave.runner import build_report
 
 from conftest import make_spec
@@ -423,6 +423,20 @@ class TestResampleDraw:
                 resample_indices(resample_key(seed + 1), 0, 20, 50),
             )
 
+    def test_key_equals_numpy_seed_sequence(self):
+        rng = random.Random(2024)
+        edges = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**96, 2**128 + 1]
+        # Every word count from one to seven, so the pool of four fills, and overflows.
+        seeds = edges + [rng.getrandbits(rng.randint(1, 224)) for _ in range(10_000)]
+        got = [resample_key(seed) for seed in seeds]
+        assert all(isinstance(key, np.uint64) for key in got)
+        want = [np.random.SeedSequence(seed).generate_state(1, np.uint64)[0] for seed in seeds]
+        assert got == want
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            resample_key(-1)
+
     def test_k_must_fit_the_counter(self):
         ResampleConfig(k=2**32 - 1)
         with pytest.raises(DataInvariantError):
@@ -442,13 +456,9 @@ class TestBuildReportStatistics:
             ))
         system_ids = [f"sys{s}" for s in range(systems)]
         rows = [[int(rng.random() < 0.4 + 0.1 * s) for _ in range(n)] for s in range(systems)]
-        verdicts = [
-            Verdict(case_id=case.id, system_id=sid, passed=bool(p))
-            for sid, row in zip(system_ids, rows)
-            for case, p in zip(suite, row)
-        ]
+        passes = {sid: [bool(p) for p in row] for sid, row in zip(system_ids, rows)}
         cfg = ResampleConfig(k=200, alpha=0.05, seed=13)
-        report = build_report(make_spec(), suite, verdicts, cfg)
+        report = build_report(make_spec(), suite, passes, cfg)
 
         values = [case.value for case in suite]
         reference = scalar_mprs(values, rows, cfg)

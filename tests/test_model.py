@@ -366,7 +366,7 @@ class TestRowFormatters:
     @given(case_id=ROW_TEXT, system_id=ROW_TEXT, translation=ROW_TEXT)
     def test_translation_row(self, case_id, system_id, translation):
         row = {"case_id": case_id, "system_id": system_id, "translation": translation}
-        assert _translation_line(TranslationRecord(**row)) == dumps_line(row)
+        assert _translation_line(case_id, system_id, translation) == dumps_line(row)
 
     @given(key=ROW_TEXT, translation=ROW_TEXT)
     def test_cache_row(self, key, translation):
@@ -389,8 +389,7 @@ class TestRowFormatters:
             row["matched_candidate"] = matched
         if scores is not None:
             row["scores"] = list(scores)
-        verdict = Verdict(case_id, "sys", passed, matched_candidate=matched, scores=scores)
-        assert _verdict_line(verdict) == dumps_line(row)
+        assert _verdict_line(case_id, "sys", passed, matched, scores) == dumps_line(row)
 
 
 class TestJsonlDecoder:
@@ -545,8 +544,7 @@ class TestTranslationAndVerdictIO:
             load_verdicts(path)
 
     def test_verdict_json_uses_pass_key(self):
-        verdict = Verdict("c", "s", passed=True, matched_candidate="x")
-        assert json.loads(_verdict_line(verdict)) == {
+        assert json.loads(_verdict_line("c", "s", True, "x")) == {
             "case_id": "c",
             "system_id": "s",
             "pass": True,

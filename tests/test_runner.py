@@ -7,6 +7,7 @@ import math
 import random
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from mtbehave.runner import (
     translate_systems,
 )
 
-from conftest import CountingEmbedder, make_spec, reference_max_sim
+from conftest import CountingEmbedder, evaluate_records, make_spec, reference_max_sim
 from test_providers import StubResponse, StubSession
 
 
@@ -75,6 +76,23 @@ class CountingAdapter:
         return [self.fn(s) for s in sources]
 
 
+def split(suite, result):
+    """A `translate_all` result, (row, reason), as the records and failures it stands for."""
+    row, reason = result
+    pairs = list(zip(suite, row, strict=True))
+    return SimpleNamespace(
+        records=[TranslationRecord(c.id, "", t) for c, t in pairs if t is not None],
+        failures=[SimpleNamespace(case_id=c.id, reason=reason) for c, t in pairs if t is None],
+    )
+
+
+def per_suite(suites, result):
+    """One `translate_systems` result cut into each suite's `split`."""
+    row, reason = result
+    starts = [sum(map(len, suites[:j])) for j in range(len(suites))]
+    return [split(s, (row[lo : lo + len(s)], reason)) for s, lo in zip(suites, starts)]
+
+
 SUITE = make_suite(
     ["I ran 3 [miles] today.", "The bulb uses 60 [watts].", "It is 5 [inches] long."]
 )
@@ -96,7 +114,7 @@ class TestAdapterSpec:
 
 class TestTranslateAll:
     def test_identity_adapter_echoes_sources(self):
-        result = translate_all(SUITE, CountingAdapter())
+        result = split(SUITE, translate_all(SUITE, CountingAdapter()))
         assert [r.translation for r in result.records] == [c.source for c in SUITE]
         assert [r.case_id for r in result.records] == [c.id for c in SUITE]
         assert result.failures == []
@@ -118,19 +136,19 @@ class TestTranslateAll:
         translate_all(SUITE, adapter, cache)
         assert adapter.calls == 1
         again = CountingAdapter()
-        result = translate_all(SUITE, again, TranslationCache(tmp_path))
+        result = split(SUITE, translate_all(SUITE, again, TranslationCache(tmp_path)))
         assert again.calls == 0
         assert [r.translation for r in result.records] == [c.source for c in SUITE]
 
     def test_empty_translation_is_a_record_cached_and_served_warm(self, tmp_path):
         adapter = CountingAdapter(fn=lambda source: "")
-        result = translate_all(SUITE[:1], adapter, TranslationCache(tmp_path))
+        result = split(SUITE[:1], translate_all(SUITE[:1], adapter, TranslationCache(tmp_path)))
         assert [r.translation for r in result.records] == [""]
         assert result.failures == []
         [line] = (tmp_path / "fixture.jsonl").read_text(encoding="utf-8").splitlines()
         assert json.loads(line)["translation"] == ""
         again = CountingAdapter()
-        result = translate_all(SUITE[:1], again, TranslationCache(tmp_path))
+        result = split(SUITE[:1], translate_all(SUITE[:1], again, TranslationCache(tmp_path)))
         assert again.calls == 0
         assert [r.translation for r in result.records] == [""]
 
@@ -150,7 +168,7 @@ class TestTranslateAll:
         path = tmp_path / "fixture.jsonl"
         path.write_bytes(path.read_bytes()[:-cut])  # an append interrupted mid-entry
         adapter = CountingAdapter(fn=german)
-        result = translate_all(SUITE, adapter, TranslationCache(tmp_path))
+        result = split(SUITE, translate_all(SUITE, adapter, TranslationCache(tmp_path)))
         assert adapter.calls == 1 and result.failures == []
         assert "torn" in caplog.text
         fresh = TranslationCache(tmp_path)
@@ -165,7 +183,7 @@ class TestTranslateAll:
         assert "torn" in caplog.text
         assert path.read_bytes().count(b"\n") == len(SUITE)
         again = CountingAdapter()
-        result = translate_all(SUITE, again, TranslationCache(tmp_path))
+        result = split(SUITE, translate_all(SUITE, again, TranslationCache(tmp_path)))
         assert again.calls == 0
         assert [r.translation for r in result.records] == [c.source for c in SUITE]
 
@@ -213,7 +231,7 @@ class TestTranslateAll:
             def translate(self, sources):
                 raise AdapterError("boom")
 
-        result = translate_all(SUITE, Broken())
+        result = split(SUITE, translate_all(SUITE, Broken()))
         assert result.records == []
         assert len(result.failures) == len(SUITE)
 
@@ -222,9 +240,23 @@ class TestTranslateAll:
             def translate(self, sources):
                 return list(sources[:1])
 
-        result = translate_all(SUITE, Short())
+        result = split(SUITE, translate_all(SUITE, Short()))
         assert [r.case_id for r in result.records] == [SUITE[0].id]
         assert [f.case_id for f in result.failures] == [c.id for c in SUITE[1:]]
+
+    def test_long_adapter_output_fails_every_pending_case_uncached(self, tmp_path, caplog):
+        class Long(CountingAdapter):
+            def translate(self, sources):
+                return list(sources) + ["extra"]
+
+        cache = TranslationCache(tmp_path)
+        translate_all(SUITE[:1], CountingAdapter(), cache)  # the first case is cached
+        result = split(SUITE, translate_all(SUITE, Long(), cache))
+        assert [r.case_id for r in result.records] == [SUITE[0].id]
+        assert [f.case_id for f in result.failures] == [c.id for c in SUITE[1:]]
+        assert {f.reason for f in result.failures} == {"returned 3 translations for 2 inputs"}
+        assert "system fixture: returned 3 translations for 2 inputs" in caplog.text
+        assert len((tmp_path / "fixture.jsonl").read_text(encoding="utf-8").splitlines()) == 1
 
     def test_file_adapter_missing_case_recorded(self, tmp_path):
         path = tmp_path / "translations.jsonl"
@@ -232,7 +264,7 @@ class TestTranslateAll:
             [TranslationRecord(SUITE[0].id, "offline", "Ich lief 3 Meilen.")], path
         )
         adapter = FileMtAdapter(AdapterSpec(system_id="offline", kind="file", path=str(path)))
-        result = translate_all(SUITE, adapter)
+        result = split(SUITE, translate_all(SUITE, adapter))
         assert len(result.records) == 1
         failed = {f.case_id for f in result.failures}
         assert failed == {SUITE[1].id, SUITE[2].id}
@@ -257,7 +289,7 @@ class TestTranslateAll:
                 [TranslationRecord(c.id, "offline", t) for c, t in zip(SUITE[:2], texts)], path
             )
             cache = TranslationCache(tmp_path / "cache")
-            result = translate_all(SUITE[:2], FileMtAdapter(spec), cache)
+            result = split(SUITE[:2], translate_all(SUITE[:2], FileMtAdapter(spec), cache))
             assert [r.translation for r in result.records] == texts
         assert not (tmp_path / "cache").exists()
 
@@ -274,7 +306,7 @@ class TestTranslateAll:
         spec = AdapterSpec(system_id="offline", kind="file", path=str(path))
         for _ in range(2):
             cache = TranslationCache(tmp_path / "cache")
-            result = translate_all(suite, FileMtAdapter(spec), cache)
+            result = split(suite, translate_all(suite, FileMtAdapter(spec), cache))
             assert [r.translation for r in result.records] == [
                 "Ich lief 3 Meilen.",
                 "Ich bin 3 Meilen gelaufen.",
@@ -306,10 +338,10 @@ class TestTranslateSystems:
         adapters = [CountingAdapter("a"), CountingAdapter("b", fn=str.upper)]
         results = translate_systems(self.SUITES, adapters, TranslationCache(tmp_path / "c1"))
         assert [a.calls for a in adapters] == [1, 1]
-        for adapter, per_suite in zip(adapters, results):
-            for suite, result in zip(self.SUITES, per_suite):
+        for adapter, result in zip(adapters, results):
+            for suite, part in zip(self.SUITES, per_suite(self.SUITES, result)):
                 alone = translate_all(suite, CountingAdapter(adapter.system_id, adapter.fn))
-                assert result == alone
+                assert part == split(suite, alone)
 
     def test_cache_lines_follow_suite_then_case_order_in_one_append(self, tmp_path, monkeypatch):
         path = tmp_path / "a.jsonl"
@@ -334,7 +366,8 @@ class TestTranslateSystems:
             def translate(self, sources):
                 raise AdapterError("boom")
 
-        good, broken = translate_systems(self.SUITES, [CountingAdapter("good"), Broken("bad")])
+        results = translate_systems(self.SUITES, [CountingAdapter("good"), Broken("bad")])
+        good, broken = (per_suite(self.SUITES, result) for result in results)
         assert [len(r.records) for r in good] == [len(s) for s in self.SUITES]
         assert [r.records for r in broken] == [[], []]
         assert [[f.case_id for f in r.failures] for r in broken] == [
@@ -344,6 +377,14 @@ class TestTranslateSystems:
         # One failure line for the system, over both suites.
         [line] = [r.getMessage() for r in caplog.records if "failed translation" in r.getMessage()]
         assert line == "system bad: 5/5 cases failed translation and are excluded"
+
+    def test_lookup_equals_get_per_source(self, tmp_path):
+        cache = TranslationCache(tmp_path)
+        cache.put("a", [("one", "eins"), ("two", "")])
+        sources = ["two", "three", "one", "two"]
+        fresh = TranslationCache(tmp_path)
+        assert fresh.lookup("a", sources) == [fresh.get("a", s) for s in sources]
+        assert fresh.lookup("a", sources) == ["", None, "eins", ""]
 
     def test_any_empty_suite_rejected(self):
         with pytest.raises(DataInvariantError):
@@ -366,7 +407,7 @@ class TestCacheFingerprint:
         spec = AdapterSpec(system_id="sys", kind="command", command="cat")
         translate_all(SUITE, CommandMtAdapter(spec), TranslationCache(tmp_path))
         edited = dataclasses.replace(spec, command="tr a-z A-Z")
-        result = translate_all(SUITE, CommandMtAdapter(edited), TranslationCache(tmp_path))
+        result = split(SUITE, translate_all(SUITE, CommandMtAdapter(edited), TranslationCache(tmp_path)))
         assert [r.translation for r in result.records] == [c.source.upper() for c in SUITE]
 
     @pytest.mark.parametrize(
@@ -408,7 +449,7 @@ class TestCacheFingerprint:
         translate_all(SUITE, HttpMtAdapter(self.HTTP, session), TranslationCache(tmp_path))
         edited = dataclasses.replace(self.HTTP, batch_size=1)
         offline = StubSession([])  # any request would fail on the empty script
-        result = translate_all(SUITE, HttpMtAdapter(edited, offline), TranslationCache(tmp_path))
+        result = split(SUITE, translate_all(SUITE, HttpMtAdapter(edited, offline), TranslationCache(tmp_path)))
         assert offline.calls == []
         assert [r.translation for r in result.records] == ["eins", "zwei", "drei"]
 
@@ -507,7 +548,7 @@ class TestHttpAdapter:
         )
         spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=2)
         with caplog.at_level("WARNING", logger="mtbehave.runner"):
-            result = translate_all(SUITE, HttpMtAdapter(spec, session), TranslationCache(tmp_path))
+            result = split(SUITE, translate_all(SUITE, HttpMtAdapter(spec, session), TranslationCache(tmp_path)))
         assert [r.translation for r in result.records] == ["drei"]
         assert [f.case_id for f in result.failures] == [c.id for c in SUITE[:2]]
         assert "a translation is not a string" in caplog.text
@@ -540,19 +581,19 @@ class TestEvaluate:
             "Bob Lee": CandidateSet(value="Bob Lee", candidates=("Bob Lee",)),
         }
         translations = records_for(suite, [c.source for c in suite])
-        result = evaluate(spec, suite, candidates, translations)
+        result = evaluate_records(spec, suite, candidates, translations)
         assert all(v.passed for v in result.verdicts)
 
     def test_empty_translations_all_fail(self, units_spec):
         translations = records_for(SUITE, ["", "", ""])
-        result = evaluate(units_spec, SUITE, UNIT_CANDIDATES, translations)
+        result = evaluate_records(units_spec, SUITE, UNIT_CANDIDATES, translations)
         assert [v.passed for v in result.verdicts] == [False, False, False]
 
     def test_missing_candidates_reported_not_dropped(self, units_spec):
         candidates = dict(UNIT_CANDIDATES)
         del candidates["watts"]
         translations = records_for(SUITE, [c.source for c in SUITE])
-        result = evaluate(units_spec, SUITE, candidates, translations)
+        result = evaluate_records(units_spec, SUITE, candidates, translations)
         assert len(result.verdicts) == 2
         assert len(result.missing) == 1
         assert result.missing[0].value == "watts"
@@ -568,7 +609,7 @@ class TestEvaluate:
             )
         }
         translations = records_for(suite, ["ich wünsche dir viel Glück"])
-        result = evaluate(idioms_spec, suite, candidates, translations, embedder=hash_embedder)
+        result = evaluate_records(idioms_spec, suite, candidates, translations, embedder=hash_embedder)
         assert result.verdicts[0].scores is not None
         assert result.verdicts[0].passed
 
@@ -581,7 +622,7 @@ class TestEvaluate:
         }
         translations = records_for(suite, ["whatever"])
         with pytest.raises(ConfigError):
-            evaluate(idioms_spec, suite, candidates, translations)
+            evaluate_records(idioms_spec, suite, candidates, translations)
 
     def test_wrong_candidate_kind_rejected(self, units_spec):
         candidates = {
@@ -591,12 +632,19 @@ class TestEvaluate:
         }
         translations = records_for(SUITE, [c.source for c in SUITE])
         with pytest.raises(DataInvariantError, match="miles"):
-            evaluate(units_spec, SUITE, candidates, translations)
+            evaluate_records(units_spec, SUITE, candidates, translations)
 
-    def test_unknown_case_rejected(self, units_spec):
-        translations = [TranslationRecord("nope-00000", "sys", "x")]
-        with pytest.raises(DataInvariantError, match="nope-00000"):
-            evaluate(units_spec, SUITE, UNIT_CANDIDATES, translations)
+    def test_row_of_another_length_rejected(self, units_spec):
+        with pytest.raises(DataInvariantError, match="3 cases"):
+            evaluate(units_spec, SUITE, UNIT_CANDIDATES, [["x", "y"]])
+
+    def test_untranslated_case_is_neither_judged_nor_missing(self, units_spec):
+        candidates = {"miles": UNIT_CANDIDATES["miles"]}  # watts and inches have none
+        rows = [["Ich lief 3 Meilen.", None, "5 Zoll"], ["3 km", None, None]]
+        result = evaluate(units_spec, SUITE, candidates, rows)
+        assert result.passes == [[True, None, None], [False, None, None]]
+        assert result.details == [["Meilen", None, None], [None, None, None]]
+        assert [(m.value, m.case_ids) for m in result.missing] == [("inches", (SUITE[2].id,))]
 
 
 CFG = ResampleConfig(k=200, alpha=0.05, seed=11)
@@ -662,7 +710,7 @@ class TestContrastiveBatch:
         value_of = {case.id: case.value for case in suite}
         seen = {"tie": 0, "pass": 0, "fail": 0, "short": 0}
         for records in per_system:
-            result = evaluate(
+            result = evaluate_records(
                 idioms_spec, suite, candidates, records, embedder=embedder, tokenizer=tok
             )
             assert [v.case_id for v in result.verdicts] == [r.case_id for r in records]
@@ -695,7 +743,7 @@ class TestContrastiveBatch:
                     texts.update(ngrams(record.translation, len(tokenize(cand)) or 1))
             new = texts - stored
             before = len(counting.calls)
-            evaluate(idioms_spec, suite, candidates, records, embedder=store)
+            evaluate_records(idioms_spec, suite, candidates, records, embedder=store)
             calls = counting.calls[before:]
             assert sorted(t for call in calls for t in call) == sorted(new)
             assert len(calls) <= math.ceil(len(new) / EMBED_BATCH_SIZE)
@@ -704,10 +752,11 @@ class TestContrastiveBatch:
 
     def test_peak_memory_of_a_1000_case_evaluate(self, idioms_spec):
         suite, candidates, (records,) = contrastive_fixture(random.Random(9), 1000, ("a",))
+        rows = [[r.translation for r in records]]
         embedder = HashEmbedder(dim=32)
         tracemalloc.start()
         try:
-            evaluate(idioms_spec, suite, candidates, records, embedder=embedder)
+            evaluate(idioms_spec, suite, candidates, rows, embedder=embedder)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -718,10 +767,9 @@ class TestContrastiveBatch:
 
 
 def verdicts_for(suite, system_id, passes):
-    return [
-        Verdict(case_id=c.id, system_id=system_id, passed=bool(p))
-        for c, p in zip(suite, passes)
-    ]
+    """One system's pass row over SUITE: the bits of `suite`'s cases, None for the rest."""
+    bits = {c.id: bool(p) for c, p in zip(suite, passes)}
+    return {system_id: [bits.get(c.id) for c in SUITE]}
 
 
 class TestBuildReport:
@@ -734,7 +782,7 @@ class TestBuildReport:
         assert stat.n == 3 and stat.values == 3
 
     def test_identical_systems_tie(self, units_spec):
-        verdicts = verdicts_for(SUITE, "a", [1, 0, 1]) + verdicts_for(SUITE, "b", [1, 0, 1])
+        verdicts = verdicts_for(SUITE, "a", [1, 0, 1]) | verdicts_for(SUITE, "b", [1, 0, 1])
         report = build_report(units_spec, SUITE, verdicts, CFG)
         (comparison,) = report.comparisons
         assert comparison.p_value == 0.5
@@ -744,8 +792,8 @@ class TestBuildReport:
     def test_three_systems_three_comparisons(self, units_spec):
         verdicts = (
             verdicts_for(SUITE, "a", [1, 1, 1])
-            + verdicts_for(SUITE, "b", [1, 0, 1])
-            + verdicts_for(SUITE, "c", [0, 0, 0])
+            | verdicts_for(SUITE, "b", [1, 0, 1])
+            | verdicts_for(SUITE, "c", [0, 0, 0])
         )
         report = build_report(units_spec, SUITE, verdicts, CFG)
         assert len(report.comparisons) == 3
@@ -753,7 +801,7 @@ class TestBuildReport:
         assert pairs == {("a", "b"), ("a", "c"), ("b", "c")}
 
     def test_clear_winner(self, units_spec):
-        verdicts = verdicts_for(SUITE, "good", [1, 1, 1]) + verdicts_for(SUITE, "bad", [0, 0, 0])
+        verdicts = verdicts_for(SUITE, "good", [1, 1, 1]) | verdicts_for(SUITE, "bad", [0, 0, 0])
         report = build_report(units_spec, SUITE, verdicts, CFG)
         (comparison,) = report.comparisons
         assert comparison.winner == "good"
@@ -761,22 +809,33 @@ class TestBuildReport:
         assert comparison.significant
 
     def test_restricts_to_common_cases(self, units_spec):
-        verdicts = verdicts_for(SUITE, "a", [1, 1, 1]) + verdicts_for(SUITE[:2], "b", [1, 1])
+        verdicts = verdicts_for(SUITE, "a", [1, 1, 1]) | verdicts_for(SUITE[:2], "b", [1, 1])
         report = build_report(units_spec, SUITE, verdicts, CFG)
         assert all(s.n == 2 for s in report.systems)
         assert report.metadata["excluded_case_counts"] == {"a": 1}
 
     def test_zero_verdicts_rejected(self, units_spec):
         with pytest.raises(DataInvariantError):
-            build_report(units_spec, SUITE, [], CFG)
+            build_report(units_spec, SUITE, {}, CFG)
 
-    def test_duplicate_verdict_rejected(self, units_spec):
-        verdicts = verdicts_for(SUITE, "a", [1, 1, 1])
-        with pytest.raises(DataInvariantError):
-            build_report(units_spec, SUITE, verdicts + [verdicts[0]], CFG)
+    def test_system_without_a_pass_bit_is_left_out(self, units_spec):
+        verdicts = verdicts_for(SUITE, "a", [1, 0, 1]) | verdicts_for([], "failed", [])
+        report = build_report(units_spec, SUITE, verdicts, CFG)
+        assert [s.system_id for s in report.systems] == ["a"]
+        with pytest.raises(DataInvariantError, match="zero verdicts"):
+            build_report(units_spec, SUITE, verdicts_for([], "failed", []), CFG)
+
+    def test_row_of_another_length_rejected(self, units_spec):
+        with pytest.raises(DataInvariantError, match="3 cases"):
+            build_report(units_spec, SUITE, {"a": [True, False]}, CFG)
+
+    def test_no_common_case_rejected(self, units_spec):
+        verdicts = verdicts_for(SUITE[:1], "a", [1]) | {"b": [None, True, True]}
+        with pytest.raises(DataInvariantError, match="no case is covered"):
+            build_report(units_spec, SUITE, verdicts, CFG)
 
     def test_deterministic(self, units_spec):
-        verdicts = verdicts_for(SUITE, "a", [1, 0, 1]) + verdicts_for(SUITE, "b", [0, 1, 1])
+        verdicts = verdicts_for(SUITE, "a", [1, 0, 1]) | verdicts_for(SUITE, "b", [0, 1, 1])
         first = build_report(units_spec, SUITE, verdicts, CFG)
         second = build_report(units_spec, SUITE, verdicts, CFG)
         assert first.to_dict() == second.to_dict()
@@ -857,12 +916,12 @@ class TestApplyCandidateEdits:
         # 2 fails under the initial sets; adding the missing candidate flips
         # exactly the affected case and never un-passes another
         translations = records_for(SUITE, ["Ich lief 3 Meilen.", "Es sind 60 Watt.", "5 Teile."])
-        before = evaluate(units_spec, SUITE, UNIT_CANDIDATES, translations).verdicts
+        before = evaluate_records(units_spec, SUITE, UNIT_CANDIDATES, translations).verdicts
         assert [v.passed for v in before] == [True, True, False]
         updated, _ = apply_candidate_edits(
             UNIT_CANDIDATES, [CandidateEdit(value="inches", add=("Teile",))]
         )
-        after = evaluate(units_spec, SUITE, updated, translations).verdicts
+        after = evaluate_records(units_spec, SUITE, updated, translations).verdicts
         assert [v.passed for v in after] == [True, True, True]
         for old, new in zip(before, after):
             assert new.passed >= old.passed
