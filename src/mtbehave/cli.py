@@ -59,6 +59,7 @@ from .runner import (
     apply_candidate_edits,
     build_report,
     evaluate,
+    render_report,
     sample_for_annotation,
     translate_systems,
 )
@@ -205,11 +206,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     props = _select_properties(config, args.property)
     llm = config.build_llm()
     for spec in props:
-        cases, logbook = generate_suite(spec, config.target_count, llm)
+        cases, genlog = generate_suite(spec, config.target_count, llm)
         prop_dir = config.property_dir(spec.id)
         save_suite(cases, prop_dir / "suite.jsonl")
-        _write_json(logbook.to_dict(), prop_dir / "genlog.json")
-        kept_pct, unique_pct = generation_stats(logbook)
+        _write_json(genlog, prop_dir / "genlog.json")
+        kept_pct, unique_pct = generation_stats(genlog)
         print(
             f"{spec.id}: {len(cases)} cases "
             f"(kept {kept_pct:.1%} of emitted, {unique_pct:.1%} unique values) "
@@ -332,12 +333,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Dropped from `inputs`, so each property's suite and candidates are freed once judged.
         suite, suite_sha256, candidates, candidates_sha256 = inputs[j]
         inputs[j] = None
-        evaluation = evaluate(
+        passes, details, missing = evaluate(
             spec, suite, candidates, [row[lo:hi] for row in rows],
             embedder=embedder, tokenizer=config.tokenizer, token_boundary=config.token_boundary,
         )
-        if evaluation.missing:
-            missing_by_property[spec.id] = {m.value: len(m.case_ids) for m in evaluation.missing}
+        if missing:
+            missing_by_property[spec.id] = {value: len(ids) for value, ids in missing.items()}
         cfg = ResampleConfig(
             k=config.k, alpha=config.alpha, seed=derive_seed(config.seed, f"bootstrap:{spec.id}")
         )
@@ -350,20 +351,21 @@ def cmd_run(args: argparse.Namespace) -> int:
             },
             "token_boundary": config.token_boundary,
         }
-        report = build_report(spec, suite, dict(zip(system_ids, evaluation.passes)), cfg, metadata)
-        reports[spec.id] = report.to_dict()
-        report_texts.append(report.render_text())
+        report = build_report(spec, suite, dict(zip(system_ids, passes)), cfg, metadata)
+        reports[spec.id] = report
+        report_texts.append(render_report(report))
         exhaustive = spec.detector == "exhaustive"  # its detail is the matched candidate
-        for sid, bits, details in zip(system_ids, evaluation.passes, evaluation.details):
+        for sid, bits, found in zip(system_ids, passes, details):
             verdict_lines += [
                 _verdict_line(c, sid, p, d) if exhaustive else _verdict_line(c, sid, p, None, d)
-                for c, p, d in zip(case_ids[lo:hi], bits, details)
+                for c, p, d in zip(case_ids[lo:hi], bits, found)
                 if p is not None
             ]
-        for stat in report.systems:
+        for sid, stat in report["systems"].items():
+            lo_ci, hi_ci = stat["ci"]
             print(
-                f"{spec.id} / {stat.system_id}: MPR {stat.mpr:.3f} "
-                f"[{stat.ci.lo:.3f}, {stat.ci.hi:.3f}] over n={stat.n}"
+                f"{spec.id} / {sid}: MPR {stat['mpr']:.3f} "
+                f"[{lo_ci:.3f}, {hi_ci:.3f}] over n={stat['n']}"
             )
 
     for sid, row in zip(system_ids, rows):

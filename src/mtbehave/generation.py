@@ -10,7 +10,6 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -178,68 +177,6 @@ def filter_sentences(
     return accepted, rejections
 
 
-@dataclass
-class BatchStats:
-    """Filter outcome of one generation batch; emitted = kept + rejected."""
-
-    emitted: int
-    kept: int
-    rejected_by_reason: dict[str, int]
-    chatter: int = 0
-
-    def __post_init__(self) -> None:
-        rejected = sum(self.rejected_by_reason.values())
-        if self.emitted != self.kept + rejected:
-            raise DataInvariantError(
-                f"batch stats do not reconcile: {self.emitted} != {self.kept} + {rejected}"
-            )
-
-
-@dataclass
-class GenerationLog:
-    """Accounting for one property's generation run."""
-
-    property_id: str
-    batches: list[BatchStats] = field(default_factory=list)
-    accepted: list[dict] = field(default_factory=list)
-    value_counts: Counter[str] = field(default_factory=Counter)
-    truncated: int = 0
-
-    @property
-    def emitted(self) -> int:
-        return sum(b.emitted for b in self.batches)
-
-    @property
-    def kept(self) -> int:
-        return sum(b.kept for b in self.batches)
-
-    def rejected_totals(self) -> dict[str, int]:
-        totals: Counter[str] = Counter()
-        for batch in self.batches:
-            totals.update(batch.rejected_by_reason)
-        return dict(totals)
-
-    def to_dict(self) -> dict:
-        return {
-            "property_id": self.property_id,
-            "emitted": self.emitted,
-            "kept": self.kept,
-            "rejected_by_reason": self.rejected_totals(),
-            "truncated": self.truncated,
-            "batches": [
-                {
-                    "emitted": b.emitted,
-                    "kept": b.kept,
-                    "chatter": b.chatter,
-                    "rejected_by_reason": b.rejected_by_reason,
-                }
-                for b in self.batches
-            ],
-            "accepted": self.accepted,
-            "value_counts": self.value_counts,
-        }
-
-
 def default_max_batches(target_count: int) -> int:
     # Each batch nominally yields 10 items; the cap stops degenerate loops.
     return max(1, math.ceil(target_count / 2))
@@ -251,11 +188,13 @@ def generate_suite(
     llm: LlmProvider,
     *,
     max_batches: int | None = None,
-) -> tuple[list[TestCase], GenerationLog]:
+) -> tuple[list[TestCase], dict]:
     """Generate test cases for one property until `target_count` are kept.
 
-    The identical prompt is re-issued every batch. Deterministic given a
-    deterministic provider.
+    Returns the cases and the property's `genlog.json` mapping: the filter
+    outcome of every batch (emitted = kept + rejected), their totals, and the
+    accepted cases and value counts. The identical prompt is re-issued every
+    batch. Deterministic given a deterministic provider.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
@@ -264,22 +203,35 @@ def generate_suite(
     prompt = render_source_prompt(spec)
     seen: set[str] = set()
     cases: list[TestCase] = []
-    logbook = GenerationLog(property_id=spec.id)
+    genlog: dict = {
+        "property_id": spec.id,
+        "emitted": 0,
+        "kept": 0,
+        "rejected_by_reason": Counter(),
+        "truncated": 0,
+        "batches": [],
+        "accepted": [],
+        "value_counts": Counter(),
+    }
     for batch_index in range(max_batches):
         items, chatter = _split_items(llm.complete(prompt))
         accepted, rejections = filter_sentences(items, seen)
-        logbook.batches.append(
-            BatchStats(
-                emitted=len(items),
-                kept=len(accepted),
-                rejected_by_reason=dict(Counter(reason for _, reason in rejections)),
-                chatter=chatter,
-            )
+        by_reason = dict(Counter(reason for _, reason in rejections))
+        genlog["emitted"] += len(items)
+        genlog["kept"] += len(accepted)
+        genlog["rejected_by_reason"].update(by_reason)
+        genlog["batches"].append(
+            {
+                "emitted": len(items),
+                "kept": len(accepted),
+                "chatter": chatter,
+                "rejected_by_reason": by_reason,
+            }
         )
         for fragment in accepted:
-            logbook.value_counts[fragment.value] += 1
+            genlog["value_counts"][fragment.value] += 1
             if len(cases) >= target_count:
-                logbook.truncated += 1
+                genlog["truncated"] += 1
                 continue
             case = TestCase(
                 id=f"{spec.id}-{len(cases):05d}",
@@ -290,9 +242,9 @@ def generate_suite(
                 value_span=fragment.value_span,
             )
             cases.append(case)
-            logbook.accepted.append({"id": case.id, "batch": batch_index, "value": case.value})
+            genlog["accepted"].append({"id": case.id, "batch": batch_index, "value": case.value})
         if len(cases) >= target_count:
-            return cases, logbook
+            return cases, genlog
     raise MaxBatchesExceededError(
         f"property {spec.id}: {len(cases)}/{target_count} cases after {max_batches} batches"
     )
@@ -354,13 +306,11 @@ def generate_contrastive_pair(
     return ContrastivePair(value=value, correct=tuple(correct.values()), foil=tuple(foil))
 
 
-def generation_stats(logbook: GenerationLog) -> tuple[float, float]:
-    """(kept fraction of emitted, distinct-value fraction of kept)."""
-    if not logbook.batches:
+def generation_stats(genlog: Mapping) -> tuple[float, float]:
+    """(kept fraction of emitted, distinct-value fraction of kept) of a `genlog.json` mapping."""
+    if not genlog["batches"]:
         raise DataInvariantError("generation log has no batches")
-    emitted = logbook.emitted
+    emitted, kept = genlog["emitted"], genlog["kept"]
     if emitted == 0:
         raise DataInvariantError("no items were emitted")
-    kept = logbook.kept
-    unique = len(logbook.value_counts)
-    return kept / emitted, (unique / kept) if kept else 0.0
+    return kept / emitted, (len(genlog["value_counts"]) / kept) if kept else 0.0

@@ -12,7 +12,7 @@ import logging
 import re
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -28,7 +28,6 @@ from .detection import (
 )
 from .errors import AdapterError, ConfigError, DataInvariantError, ProviderError
 from .metrics import (
-    Interval,
     ResampleConfig,
     bootstrap_ci,
     macro_pass_rate,
@@ -379,22 +378,6 @@ _DETECTOR_ENTRY = {
 }
 
 
-@dataclass(frozen=True)
-class MissingCandidates:
-    value: str
-    case_ids: tuple[str, ...]
-
-
-@dataclass
-class EvaluationResult:
-    """Per system, over the suite's cases: pass bits, None where excluded, and details:
-    an exhaustive pass's matched candidate or a contrastive [sim_correct, sim_foil]."""
-
-    passes: list[list[bool | None]]
-    details: list[list]
-    missing: list[MissingCandidates] = field(default_factory=list)
-
-
 def evaluate(
     spec: PropertySpec,
     suite: Sequence[TestCase],
@@ -404,15 +387,20 @@ def evaluate(
     embedder: Embedder | CachedEmbedder | None = None,
     tokenizer: TokenizerConfig = TokenizerConfig(),
     token_boundary: bool = False,
-) -> EvaluationResult:
+) -> tuple[list[list[bool | None]], list[list], dict[str, list[str]]]:
     """Judge a (system x case) table with the property's detector.
 
     `rows` holds one translation row per system over the suite's cases, None
-    where the system has no translation. Each case's candidate entry is looked
-    up once for all systems. Contrastive cells are judged together in one
-    batch, system by system; a `CachedEmbedder` shares its store across calls,
-    a plain embedder gets one per call. Translated cases whose value has no
-    candidate entry are reported in the result, not silently dropped.
+    where the system has no translation. Returns, per system over the cases,
+    the pass bits (None where excluded) and the details: an exhaustive pass's
+    matched candidate or a contrastive [sim_correct, sim_foil]. The third item
+    maps each value that has no candidate entry to the ids of its translated
+    cases, which are reported there, not silently dropped.
+
+    Each case's candidate entry is looked up once for all systems. Contrastive
+    cells are judged together in one batch, system by system; a
+    `CachedEmbedder` shares its store across calls, a plain embedder gets one
+    per call.
     """
     kind, need = _DETECTOR_ENTRY[spec.detector]
     if any(len(row) != len(suite) for row in rows):
@@ -443,102 +431,12 @@ def evaluate(
         for (s, k), pair in zip(cells, scores):
             passes[s][k] = pair[0] >= pair[1]
             details[s][k] = pair
-    missing_list = [MissingCandidates(v, tuple(ids)) for v, ids in missing.items()]
-    if missing_list:
-        n_cases = sum(len(m.case_ids) for m in missing_list)
+    if missing:
         log.warning(
             "property %s: %d values (%d cases) have no candidates and were skipped",
-            spec.id,
-            len(missing_list),
-            n_cases,
+            spec.id, len(missing), sum(map(len, missing.values())),
         )
-    return EvaluationResult(passes, details, missing_list)
-
-
-@dataclass(frozen=True)
-class SystemStats:
-    system_id: str
-    mpr: float
-    ci: Interval
-    n: int
-    values: int
-    passes: int
-    fails: int
-
-
-@dataclass(frozen=True)
-class Comparison:
-    a: str
-    b: str
-    winner: str | None
-    p_value: float
-    significant: bool
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    """Per-property evaluation summary across systems."""
-
-    property_id: str
-    detector: str
-    k: int
-    alpha: float
-    seed: int
-    systems: tuple[SystemStats, ...]
-    comparisons: tuple[Comparison, ...]
-    metadata: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "property_id": self.property_id,
-            "detector": self.detector,
-            "k": self.k,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "systems": {
-                s.system_id: {
-                    "mpr": s.mpr,
-                    "ci": [s.ci.lo, s.ci.hi],
-                    "n": s.n,
-                    "values": s.values,
-                    "passes": s.passes,
-                    "fails": s.fails,
-                    "k": self.k,
-                    "alpha": self.alpha,
-                    "seed": self.seed,
-                }
-                for s in self.systems
-            },
-            "comparisons": [
-                {
-                    "a": c.a,
-                    "b": c.b,
-                    "winner": c.winner,
-                    "p_value": c.p_value,
-                    "significant": c.significant,
-                }
-                for c in self.comparisons
-            ],
-            "metadata": self.metadata,
-        }
-
-    def render_text(self) -> str:
-        lines = [
-            f"Property: {self.property_id}  "
-            f"(detector: {self.detector}, k={self.k}, alpha={self.alpha})",
-            "",
-            f"{'System':<24}{'MPR':>8}  {'95% CI':>18}  {'n':>6}  {'values':>7}",
-        ]
-        for s in self.systems:
-            ci = f"[{s.ci.lo:.3f}, {s.ci.hi:.3f}]"
-            lines.append(f"{s.system_id:<24}{s.mpr:>8.3f}  {ci:>18}  {s.n:>6}  {s.values:>7}")
-        if self.comparisons:
-            lines += ["", f"{'Model A':<20}{'Model B':<20}{'Winner':<20}{'p-value':>8}"]
-            for c in self.comparisons:
-                winner = c.winner if c.winner is not None else "(tie)"
-                mark = " *" if c.significant else ""
-                lines.append(f"{c.a:<20}{c.b:<20}{winner:<20}{c.p_value:>8.3f}{mark}")
-        return "\n".join(lines) + "\n"
+    return passes, details, missing
 
 
 def build_report(
@@ -547,8 +445,8 @@ def build_report(
     passes: Mapping[str, Sequence[bool | None]],
     cfg: ResampleConfig,
     metadata: dict | None = None,
-) -> SuiteReport:
-    """Aggregate pass rows into per-system MPR + CI and pairwise comparisons.
+) -> dict:
+    """One property's `report.json` entry: per-system MPR + CI and pairwise comparisons.
 
     `passes` maps each system to its pass bits over the suite's cases, None
     where a case is excluded; a system with no pass bit is left out. Statistics
@@ -576,37 +474,63 @@ def build_report(
     rows = [[row[k] for k in common] for row in judged.values()]
     mprs = resampled_mprs(values, rows, cfg)
     n_values = len(set(values))
-    stats = [
-        SystemStats(
-            system_id=system_id,
-            mpr=macro_pass_rate(values, row),
-            ci=bootstrap_ci(mprs[i], cfg),
-            n=len(row),
-            values=n_values,
-            passes=sum(row),
-            fails=row.count(0),
-        )
-        for i, (system_id, row) in enumerate(zip(judged, rows))
-    ]
+    systems = {}
+    for i, (system_id, row) in enumerate(zip(judged, rows)):
+        ci = bootstrap_ci(mprs[i], cfg)
+        systems[system_id] = {
+            "mpr": macro_pass_rate(values, row),
+            "ci": [ci.lo, ci.hi],
+            "n": len(row),
+            "values": n_values,
+            "passes": sum(row),
+            "fails": row.count(0),
+            "k": cfg.k,
+            "alpha": cfg.alpha,
+            "seed": cfg.seed,
+        }
     comparisons = []
     for (i, a), (j, b) in combinations(enumerate(judged), 2):
         result = paired_bootstrap(mprs[i], mprs[j], cfg)
-        winner = {"a": a, "b": b, None: None}[result.winner]
-        comparisons.append(Comparison(a, b, winner, result.p_value, result.significant))
-
+        comparisons.append({
+            "a": a,
+            "b": b,
+            "winner": {"a": a, "b": b, None: None}[result.winner],
+            "p_value": result.p_value,
+            "significant": result.significant,
+        })
     meta = dict(metadata or {})
     if dropped:
         meta["excluded_case_counts"] = dropped
-    return SuiteReport(
-        property_id=spec.id,
-        detector=spec.detector,
-        k=cfg.k,
-        alpha=cfg.alpha,
-        seed=cfg.seed,
-        systems=tuple(stats),
-        comparisons=tuple(comparisons),
-        metadata=meta,
-    )
+    return {
+        "property_id": spec.id,
+        "detector": spec.detector,
+        "k": cfg.k,
+        "alpha": cfg.alpha,
+        "seed": cfg.seed,
+        "systems": systems,
+        "comparisons": comparisons,
+        "metadata": meta,
+    }
+
+
+def render_report(report: Mapping) -> str:
+    """The `report.txt` table of one property's `build_report` entry."""
+    lines = [
+        f"Property: {report['property_id']}  "
+        f"(detector: {report['detector']}, k={report['k']}, alpha={report['alpha']})",
+        "",
+        f"{'System':<24}{'MPR':>8}  {'95% CI':>18}  {'n':>6}  {'values':>7}",
+    ]
+    for system_id, s in report["systems"].items():
+        ci = f"[{s['ci'][0]:.3f}, {s['ci'][1]:.3f}]"
+        lines.append(f"{system_id:<24}{s['mpr']:>8.3f}  {ci:>18}  {s['n']:>6}  {s['values']:>7}")
+    if report["comparisons"]:
+        lines += ["", f"{'Model A':<20}{'Model B':<20}{'Winner':<20}{'p-value':>8}"]
+        for c in report["comparisons"]:
+            winner = c["winner"] if c["winner"] is not None else "(tie)"
+            mark = " *" if c["significant"] else ""
+            lines.append(f"{c['a']:<20}{c['b']:<20}{winner:<20}{c['p_value']:>8.3f}{mark}")
+    return "\n".join(lines) + "\n"
 
 
 def sample_for_annotation(

@@ -113,14 +113,14 @@ def evaluate_records(spec, suite, candidates, records, **kwargs):
     rows: dict[str, list] = {}
     for r in records:
         rows.setdefault(r.system_id, [None] * len(suite))[index[r.case_id]] = r.translation
-    result = evaluate(spec, suite, candidates, list(rows.values()), **kwargs)
+    table, details, missing = evaluate(spec, suite, candidates, list(rows.values()), **kwargs)
     verdicts = [
         Verdict(case.id, system_id, passed, *((d, None) if isinstance(d, str) else (None, d)))
-        for system_id, passes, details in zip(rows, result.passes, result.details)
-        for case, passed, d in zip(suite, passes, details)
+        for system_id, passes, found in zip(rows, table, details)
+        for case, passed, d in zip(suite, passes, found)
         if passed is not None
     ]
-    return SimpleNamespace(verdicts=verdicts, missing=result.missing)
+    return SimpleNamespace(verdicts=verdicts, missing=missing)
 
 
 def make_spec(

@@ -354,12 +354,12 @@ def test_generation_statistics(units_spec):
         return "\n".join(f"- {s}" for s in uniques + dups + [multi])
 
     llm = ScriptedLlm([batch(0), batch(100), batch(200)])
-    cases, logbook = generate_suite(units_spec, 21, llm)
+    cases, genlog = generate_suite(units_spec, 21, llm)
     assert len(cases) == 21
-    kept_pct, _ = generation_stats(logbook)
+    kept_pct, _ = generation_stats(genlog)
     assert kept_pct == 0.7
-    rejected = logbook.rejected_totals()
+    rejected = genlog["rejected_by_reason"]
     assert rejected == {"duplicate": 6, "multi_value": 3}
-    assert logbook.emitted == logbook.kept + sum(rejected.values())
-    for stats in logbook.batches:
-        assert stats.emitted == stats.kept + sum(stats.rejected_by_reason.values())
+    assert genlog["emitted"] == genlog["kept"] + sum(rejected.values())
+    for stats in genlog["batches"]:
+        assert stats["emitted"] == stats["kept"] + sum(stats["rejected_by_reason"].values())

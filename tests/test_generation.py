@@ -18,8 +18,6 @@ from mtbehave.generation import (
     generate_exhaustive_candidates,
     generate_suite,
     generation_stats,
-    GenerationLog,
-    BatchStats,
     is_multi_sentence,
     normalize_sentence,
     parse_item_list,
@@ -150,9 +148,9 @@ def unique_batch(start: int, count: int = 10) -> str:
 class TestGenerateSuite:
     def test_ten_valid_items(self, units_spec):
         llm = ScriptedLlm([unique_batch(0, 10)])
-        cases, logbook = generate_suite(units_spec, 10, llm)
+        cases, genlog = generate_suite(units_spec, 10, llm)
         assert len(cases) == 10
-        kept_pct, _ = generation_stats(logbook)
+        kept_pct, _ = generation_stats(genlog)
         assert kept_pct == 1.0
         assert [c.id for c in cases] == [f"units-{i:05d}" for i in range(10)]
 
@@ -165,16 +163,16 @@ class TestGenerateSuite:
             return batch(*items)
 
         llm = ScriptedLlm([dup_batch(0), dup_batch(5)])
-        cases, logbook = generate_suite(units_spec, 10, llm)
+        cases, genlog = generate_suite(units_spec, 10, llm)
         assert len(cases) == 10
-        assert logbook.rejected_totals() == {"duplicate": logbook.kept}
+        assert genlog["rejected_by_reason"] == {"duplicate": genlog["kept"]}
 
     def test_deterministic_given_fixture(self, units_spec):
         responses = [unique_batch(0), unique_batch(7)]
         first = generate_suite(units_spec, 15, ScriptedLlm(list(responses)))
         second = generate_suite(units_spec, 15, ScriptedLlm(list(responses)))
         assert first[0] == second[0]
-        assert first[1].to_dict() == second[1].to_dict()
+        assert first[1] == second[1]
 
     def test_same_prompt_reissued_every_batch(self, units_spec):
         llm = ScriptedLlm([unique_batch(0), unique_batch(10), unique_batch(20)])
@@ -204,10 +202,10 @@ class TestGenerateSuite:
 
     def test_truncates_to_target(self, units_spec):
         llm = ScriptedLlm([unique_batch(0, 10)])
-        cases, logbook = generate_suite(units_spec, 7, llm)
+        cases, genlog = generate_suite(units_spec, 7, llm)
         assert len(cases) == 7
-        assert logbook.truncated == 3
-        assert logbook.kept == 10  # filter stats reflect the full batch
+        assert genlog["truncated"] == 3
+        assert genlog["kept"] == 10  # filter stats reflect the full batch
 
     def test_emitted_reconciles_per_batch(self, units_spec):
         mixed = batch(
@@ -218,9 +216,9 @@ class TestGenerateSuite:
             "Fine value [2] here.",
         )
         llm = ScriptedLlm([mixed, unique_batch(10)])
-        _, logbook = generate_suite(units_spec, 5, llm)
-        for stats in logbook.batches:
-            assert stats.emitted == stats.kept + sum(stats.rejected_by_reason.values())
+        _, genlog = generate_suite(units_spec, 5, llm)
+        for stats in genlog["batches"]:
+            assert stats["emitted"] == stats["kept"] + sum(stats["rejected_by_reason"].values())
 
     def test_cases_satisfy_invariants(self, units_spec):
         llm = ScriptedLlm([unique_batch(0, 10)])
@@ -306,43 +304,39 @@ class TestContrastivePairs:
             generate_contrastive_pair("x y", sentence, idioms_spec, llm)
 
 
+def make_genlog(batches, value_counts) -> dict:
+    """The `generation_stats` fields of a `genlog.json` mapping, from
+    (emitted, kept, rejected_by_reason) per batch."""
+    return {
+        "emitted": sum(emitted for emitted, _, _ in batches),
+        "kept": sum(kept for _, kept, _ in batches),
+        "batches": [
+            {"emitted": e, "kept": k, "chatter": 0, "rejected_by_reason": r} for e, k, r in batches
+        ],
+        "value_counts": value_counts,
+    }
+
+
 class TestGenerationStats:
     def test_worked_example(self):
-        logbook = GenerationLog(
-            property_id="p",
-            batches=[BatchStats(emitted=100, kept=80, rejected_by_reason={"duplicate": 20})],
-            value_counts={f"v{i}": 2 for i in range(40)},
-        )
-        kept_pct, unique_pct = generation_stats(logbook)
+        genlog = make_genlog([(100, 80, {"duplicate": 20})], {f"v{i}": 2 for i in range(40)})
+        kept_pct, unique_pct = generation_stats(genlog)
         assert kept_pct == 0.8
         assert unique_pct == 0.5
 
     def test_all_kept_all_distinct(self):
-        logbook = GenerationLog(
-            property_id="p",
-            batches=[BatchStats(emitted=10, kept=10, rejected_by_reason={})],
-            value_counts={f"v{i}": 1 for i in range(10)},
-        )
-        assert generation_stats(logbook) == (1.0, 1.0)
+        genlog = make_genlog([(10, 10, {})], {f"v{i}": 1 for i in range(10)})
+        assert generation_stats(genlog) == (1.0, 1.0)
 
     def test_currencies_like_ratios(self):
         # 5 distinct values over 96 kept of 144 emitted: kept ~66.8%, unique ~5.2%
-        logbook = GenerationLog(
-            property_id="currencies",
-            batches=[BatchStats(emitted=144, kept=96, rejected_by_reason={"duplicate": 48})],
-            value_counts={"EUR": 20, "USD": 20, "GBP": 20, "JPY": 20, "CHF": 16},
+        genlog = make_genlog(
+            [(144, 96, {"duplicate": 48})], {"EUR": 20, "USD": 20, "GBP": 20, "JPY": 20, "CHF": 16}
         )
-        kept_pct, unique_pct = generation_stats(logbook)
+        kept_pct, unique_pct = generation_stats(genlog)
         assert kept_pct == pytest.approx(0.668, abs=0.005)
         assert unique_pct == pytest.approx(0.052, abs=0.001)
 
     def test_zero_emitted_rejected(self):
-        logbook = GenerationLog(
-            property_id="p", batches=[BatchStats(emitted=0, kept=0, rejected_by_reason={})]
-        )
         with pytest.raises(DataInvariantError):
-            generation_stats(logbook)
-
-    def test_batch_stats_reconciliation_enforced(self):
-        with pytest.raises(DataInvariantError):
-            BatchStats(emitted=5, kept=3, rejected_by_reason={"duplicate": 1})
+            generation_stats(make_genlog([(0, 0, {})], {}))

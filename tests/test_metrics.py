@@ -462,8 +462,9 @@ class TestBuildReportStatistics:
 
         values = [case.value for case in suite]
         reference = scalar_mprs(values, rows, cfg)
-        assert [s.ci for s in report.systems] == [scalar_ci(r, cfg) for r in reference]
-        assert [s.ci for s in report.systems] == [ci_of(values, row, cfg) for row in rows]
+        cis = [Interval(*s["ci"]) for s in report["systems"].values()]
+        assert cis == [scalar_ci(r, cfg) for r in reference]
+        assert cis == [ci_of(values, row, cfg) for row in rows]
         expected = []
         for i in range(systems):
             for j in range(i + 1, systems):
@@ -472,7 +473,7 @@ class TestBuildReportStatistics:
                     system_ids[i], system_ids[j],
                     {"a": system_ids[i], "b": system_ids[j], None: None}[winner], p_value,
                 ))
-        got = [(c.a, c.b, c.winner, c.p_value) for c in report.comparisons]
+        got = [(c["a"], c["b"], c["winner"], c["p_value"]) for c in report["comparisons"]]
         assert got == expected
 
 

@@ -38,6 +38,7 @@ from mtbehave.runner import (
     apply_candidate_edits,
     build_report,
     evaluate,
+    render_report,
     sample_for_annotation,
     translate_all,
     translate_systems,
@@ -596,8 +597,8 @@ class TestEvaluate:
         result = evaluate_records(units_spec, SUITE, candidates, translations)
         assert len(result.verdicts) == 2
         assert len(result.missing) == 1
-        assert result.missing[0].value == "watts"
-        assert result.missing[0].case_ids == (SUITE[1].id,)
+        assert list(result.missing) == ["watts"]
+        assert result.missing["watts"] == [SUITE[1].id]
 
     def test_contrastive_routing_records_scores(self, idioms_spec, hash_embedder):
         suite = make_suite(["He said [break a leg] loudly."], "idioms")
@@ -641,10 +642,10 @@ class TestEvaluate:
     def test_untranslated_case_is_neither_judged_nor_missing(self, units_spec):
         candidates = {"miles": UNIT_CANDIDATES["miles"]}  # watts and inches have none
         rows = [["Ich lief 3 Meilen.", None, "5 Zoll"], ["3 km", None, None]]
-        result = evaluate(units_spec, SUITE, candidates, rows)
-        assert result.passes == [[True, None, None], [False, None, None]]
-        assert result.details == [["Meilen", None, None], [None, None, None]]
-        assert [(m.value, m.case_ids) for m in result.missing] == [("inches", (SUITE[2].id,))]
+        passes, details, missing = evaluate(units_spec, SUITE, candidates, rows)
+        assert passes == [[True, None, None], [False, None, None]]
+        assert details == [["Meilen", None, None], [None, None, None]]
+        assert list(missing.items()) == [("inches", [SUITE[2].id])]
 
 
 CFG = ResampleConfig(k=200, alpha=0.05, seed=11)
@@ -776,18 +777,18 @@ class TestBuildReport:
     def test_single_system_all_pass(self, units_spec):
         verdicts = verdicts_for(SUITE, "sys", [1, 1, 1])
         report = build_report(units_spec, SUITE, verdicts, CFG)
-        stat = report.systems[0]
-        assert stat.mpr == 1.0
-        assert (stat.ci.lo, stat.ci.hi) == (1.0, 1.0)
-        assert stat.n == 3 and stat.values == 3
+        stat = report["systems"]["sys"]
+        assert stat["mpr"] == 1.0
+        assert stat["ci"] == [1.0, 1.0]
+        assert stat["n"] == 3 and stat["values"] == 3
 
     def test_identical_systems_tie(self, units_spec):
         verdicts = verdicts_for(SUITE, "a", [1, 0, 1]) | verdicts_for(SUITE, "b", [1, 0, 1])
         report = build_report(units_spec, SUITE, verdicts, CFG)
-        (comparison,) = report.comparisons
-        assert comparison.p_value == 0.5
-        assert not comparison.significant
-        assert comparison.winner is None
+        (comparison,) = report["comparisons"]
+        assert comparison["p_value"] == 0.5
+        assert not comparison["significant"]
+        assert comparison["winner"] is None
 
     def test_three_systems_three_comparisons(self, units_spec):
         verdicts = (
@@ -796,23 +797,23 @@ class TestBuildReport:
             | verdicts_for(SUITE, "c", [0, 0, 0])
         )
         report = build_report(units_spec, SUITE, verdicts, CFG)
-        assert len(report.comparisons) == 3
-        pairs = {(c.a, c.b) for c in report.comparisons}
+        assert len(report["comparisons"]) == 3
+        pairs = {(c["a"], c["b"]) for c in report["comparisons"]}
         assert pairs == {("a", "b"), ("a", "c"), ("b", "c")}
 
     def test_clear_winner(self, units_spec):
         verdicts = verdicts_for(SUITE, "good", [1, 1, 1]) | verdicts_for(SUITE, "bad", [0, 0, 0])
         report = build_report(units_spec, SUITE, verdicts, CFG)
-        (comparison,) = report.comparisons
-        assert comparison.winner == "good"
-        assert comparison.p_value == 0.0
-        assert comparison.significant
+        (comparison,) = report["comparisons"]
+        assert comparison["winner"] == "good"
+        assert comparison["p_value"] == 0.0
+        assert comparison["significant"]
 
     def test_restricts_to_common_cases(self, units_spec):
         verdicts = verdicts_for(SUITE, "a", [1, 1, 1]) | verdicts_for(SUITE[:2], "b", [1, 1])
         report = build_report(units_spec, SUITE, verdicts, CFG)
-        assert all(s.n == 2 for s in report.systems)
-        assert report.metadata["excluded_case_counts"] == {"a": 1}
+        assert all(s["n"] == 2 for s in report["systems"].values())
+        assert report["metadata"]["excluded_case_counts"] == {"a": 1}
 
     def test_zero_verdicts_rejected(self, units_spec):
         with pytest.raises(DataInvariantError):
@@ -821,7 +822,7 @@ class TestBuildReport:
     def test_system_without_a_pass_bit_is_left_out(self, units_spec):
         verdicts = verdicts_for(SUITE, "a", [1, 0, 1]) | verdicts_for([], "failed", [])
         report = build_report(units_spec, SUITE, verdicts, CFG)
-        assert [s.system_id for s in report.systems] == ["a"]
+        assert list(report["systems"]) == ["a"]
         with pytest.raises(DataInvariantError, match="zero verdicts"):
             build_report(units_spec, SUITE, verdicts_for([], "failed", []), CFG)
 
@@ -838,11 +839,11 @@ class TestBuildReport:
         verdicts = verdicts_for(SUITE, "a", [1, 0, 1]) | verdicts_for(SUITE, "b", [0, 1, 1])
         first = build_report(units_spec, SUITE, verdicts, CFG)
         second = build_report(units_spec, SUITE, verdicts, CFG)
-        assert first.to_dict() == second.to_dict()
+        assert first == second
 
-    def test_render_text_three_decimals(self, units_spec):
+    def test_render_report_three_decimals(self, units_spec):
         verdicts = verdicts_for(SUITE, "sys", [1, 1, 0])
-        text = build_report(units_spec, SUITE, verdicts, CFG).render_text()
+        text = render_report(build_report(units_spec, SUITE, verdicts, CFG))
         assert "Property: units" in text
         assert "[0." in text and "]" in text
 
