@@ -152,7 +152,15 @@ def _overrides(args: argparse.Namespace) -> dict:
     }
 
 
+def _reject_repeats(flag: str, ids: list[str] | None) -> None:
+    """A repeated id would translate, judge and write its rows once per mention."""
+    repeated = next((i for k, i in enumerate(ids or ()) if i in ids[:k]), None)
+    if repeated is not None:
+        raise UsageError(f"{flag} {repeated!r} is given more than once")
+
+
 def _select_properties(config: RunConfig, ids: list[str] | None) -> list[PropertySpec]:
+    _reject_repeats("--property", ids)
     if ids:
         return [config.property_by_id(i) for i in ids]
     if not config.properties:
@@ -285,6 +293,7 @@ def _run_directory(config: RunConfig, out: str | None) -> Path:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config, _overrides(args))
     props = _select_properties(config, args.property)
+    _reject_repeats("--system", args.system)
     if args.system:
         systems = [config.system_by_id(i) for i in args.system]
     else:

@@ -153,6 +153,16 @@ def _expect_mapping(obj: Any, context: str) -> Mapping:
     return obj
 
 
+def _known_keys(d: Mapping, context: str, known: str) -> Mapping:
+    """`d`, whose every key is one of the space-separated `known`; a misspelt
+    key would otherwise leave its setting at the default without a word."""
+    names = known.split()
+    for key in d:
+        if key not in names:
+            raise ConfigError(f"{context}: unknown key {key!r}; known keys: {', '.join(names)}")
+    return d
+
+
 def _get(d: Mapping, key: str, context: str, default: Any = ..., kind: type = str) -> Any:
     """The value of `key`, or `default` when absent; a present value must be a `kind`.
 
@@ -185,6 +195,10 @@ def _parse_property(raw: Any, base_dir: Path) -> PropertySpec:
     d = _expect_mapping(raw, "properties entry")
     prop_id = _get(d, "id", "property")
     context = f"property {prop_id!r}"
+    _known_keys(
+        d, context,
+        "id name detector language_pair demos source_prompt candidate_prompt foil_prompt",
+    )
     detector = _get(d, "detector", context, "exhaustive")
     demos = _get(d, "demos", context, kind=list)
     if not all(isinstance(x, str) for x in demos):
@@ -223,6 +237,7 @@ def _parse_system(raw: Any) -> AdapterSpec:
     d = _expect_mapping(raw, "systems entry")
     system_id = _get(d, "id", "system")
     context = f"system {system_id!r}"
+    _known_keys(d, context, "id kind endpoint command path language_pair batch_size")
     return AdapterSpec(
         system_id=system_id,
         kind=_get(d, "kind", context),
@@ -272,13 +287,18 @@ def load_config(path_spec: str, overrides: Mapping[str, Any] | None = None) -> R
 
 def _run_config(raw: Any, path: Path, flags: Mapping[str, Any]) -> RunConfig:
     top = str(path)
-    d = {**_expect_mapping(raw if raw is not None else {}, top), **flags}
+    # Each of the file's own mappings is checked before any flag is merged into it.
+    own = _known_keys(
+        _expect_mapping(raw if raw is not None else {}, top), top,
+        "workspace seed target_count stats tokenizer detection providers properties systems",
+    )
+    d = {**own, **flags}
     base_dir = path.parent
 
-    stats = {**_get(d, "stats", top, {}, Mapping), **flags}
-    tok = _get(d, "tokenizer", top, {}, Mapping)
-    det = _get(d, "detection", top, {}, Mapping)
-    providers = _get(d, "providers", top, {}, Mapping)
+    stats = {**_known_keys(_get(d, "stats", top, {}, Mapping), "stats", "k alpha"), **flags}
+    tok = _known_keys(_get(d, "tokenizer", top, {}, Mapping), "tokenizer", "mode strip_edge_punct")
+    det = _known_keys(_get(d, "detection", top, {}, Mapping), "detection", "token_boundary")
+    providers = _known_keys(_get(d, "providers", top, {}, Mapping), "providers", "llm embedder")
 
     properties = tuple(_parse_property(p, base_dir) for p in _get(d, "properties", top, [], list))
     systems = tuple(_parse_system(s) for s in _get(d, "systems", top, [], list))
@@ -290,6 +310,9 @@ def _run_config(raw: Any, path: Path, flags: Mapping[str, Any]) -> RunConfig:
 
     context = "providers.llm"
     llm_map = _get(providers, "llm", top, {"kind": "replay", "replay_dir": "replays"}, Mapping)
+    _known_keys(
+        llm_map, context, "kind url model api_key_env temperature presence_penalty replay_dir"
+    )
     llm = LlmConfig(
         kind=_get(llm_map, "kind", context),
         url=_get(llm_map, "url", context, ""),
@@ -303,6 +326,7 @@ def _run_config(raw: Any, path: Path, flags: Mapping[str, Any]) -> RunConfig:
     )
     context = "providers.embedder"
     emb_map = _get(providers, "embedder", top, {"kind": "hash"}, Mapping)
+    _known_keys(emb_map, context, "kind url api_key_env dim")
     embedder = EmbedderConfig(
         kind=_get(emb_map, "kind", context),
         url=_get(emb_map, "url", context, ""),

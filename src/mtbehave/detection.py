@@ -105,9 +105,8 @@ def _is_word_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
 
-def _contains(haystack: str, needle: str, token_boundary: bool) -> bool:
-    if not token_boundary:
-        return needle in haystack
+def _contains(haystack: str, needle: str) -> bool:
+    """Whether `needle` occurs in `haystack` with a non-word character or an edge on each side."""
     start = 0
     while True:
         i = haystack.find(needle, start)
@@ -135,7 +134,7 @@ def match_exhaustive_batch(
             folded = text.casefold()
             passes[k] = False
             for i, key in enumerate(entry.folded):
-                if key in folded and (not token_boundary or _contains(folded, key, True)):
+                if key in folded and (not token_boundary or _contains(folded, key)):
                     passes[k], matched[k] = True, entry.candidates[i]
                     break
     return passes, matched

@@ -84,6 +84,12 @@ class TestGenerate:
         assert run_cli("generate", "--config", str(workspace), "--property", "nope") == 1
         assert "nope" in capsys.readouterr().err
 
+    def test_repeated_property_exit_1_before_any_call(self, workspace, capsys):
+        argv = ["generate", "--config", str(workspace), "--property", "names"]
+        assert run_cli(*argv, "--property", "idioms", "--property", "names") == 1
+        assert "--property 'names' is given more than once" in capsys.readouterr().err
+        assert not load_config(str(workspace)).workspace.exists()
+
     def test_missing_replay_exit_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.yaml"
         config_path.write_text(CONFIG_TEXT, encoding="utf-8")
@@ -231,6 +237,45 @@ class TestRun:
         for name in ("verdicts.jsonl", "report.json", "report.txt",
                      "translations/identity.jsonl", "translations/mangler.jsonl"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_artifact_key_order(self, workspace, tmp_path):
+        # Both files are written from dict literals, so key order is part of their bytes.
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        assert run_cli("run", "--config", str(workspace), "--out", str(out_dir)) == 0
+        config = load_config(str(workspace))
+        for prop_id in ("names", "idioms"):
+            genlog = json.loads(
+                (config.property_dir(prop_id) / "genlog.json").read_text(encoding="utf-8")
+            )
+            assert list(genlog) == [
+                "property_id", "emitted", "kept", "rejected_by_reason", "truncated",
+                "batches", "accepted", "value_counts",
+            ]
+            assert genlog["batches"] and genlog["accepted"]
+            for batch in genlog["batches"]:
+                assert list(batch) == ["emitted", "kept", "chatter", "rejected_by_reason"]
+            for accepted in genlog["accepted"]:
+                assert list(accepted) == ["id", "batch", "value"]
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert list(report) == ["properties"]
+        assert list(report["properties"]) == ["names", "idioms"]
+        for entry in report["properties"].values():
+            assert list(entry) == [
+                "property_id", "detector", "k", "alpha", "seed", "systems", "comparisons",
+                "metadata",
+            ]
+            assert list(entry["systems"]) == ["identity", "mangler"]
+            for stats in entry["systems"].values():
+                assert list(stats) == [
+                    "mpr", "ci", "n", "values", "passes", "fails", "k", "alpha", "seed",
+                ]
+            assert entry["comparisons"]
+            for comparison in entry["comparisons"]:
+                assert list(comparison) == ["a", "b", "winner", "p_value", "significant"]
+            assert list(entry["metadata"]) == [
+                "suite_sha256", "candidates_sha256", "tokenizer", "token_boundary",
+            ]
 
     def test_superseded_cache_files_named_in_one_warning(self, workspace, tmp_path, caplog):
         prime(workspace)
@@ -400,6 +445,16 @@ class TestRun:
         out = tmp_path / "run1"
         assert run_cli("run", "--config", str(workspace), "--k", str(2**32), "--out", str(out)) == 1
         assert "k must be in [1, 2**32)" in capsys.readouterr().err
+        assert not (load_config(str(workspace)).workspace / "cache").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, repeated", [("--property", "names"), ("--system", "identity")])
+    def test_repeated_id_exit_1_before_any_write(self, workspace, tmp_path, capsys, flag, repeated):
+        prime(workspace)
+        out = tmp_path / "run1"
+        argv = ["run", "--config", str(workspace), "--out", str(out), flag, repeated]
+        assert run_cli(*argv, flag, repeated) == 1
+        assert f"{flag} {repeated!r} is given more than once" in capsys.readouterr().err
         assert not (load_config(str(workspace)).workspace / "cache").exists()
         assert not out.exists()
 

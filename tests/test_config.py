@@ -187,6 +187,39 @@ systems:"""
         assert err.startswith(f"error: {path}: ") and reason in err
 
 
+    @pytest.mark.parametrize(
+        "old, new, section, key",
+        [
+            ("seed: 3", "sed: 3", None, "sed"),
+            ("seed: 3", "seed: 3\nk: 5", None, "k"),
+            ("stats: {k: 150, alpha: 0.1}", "stats: {k: 150, alpah: 0.01}", "stats", "alpah"),
+            ("seed: 3", "seed: 3\ntokenizer: {strip_punct: true}", "tokenizer", "strip_punct"),
+            ("seed: 3", "seed: 3\ndetection: {token_boundaries: true}", "detection",
+             "token_boundaries"),
+            ("providers:\n", "providers:\n  embeder: {kind: hash}\n", "providers", "embeder"),
+            ("replay_dir: replays}", "replay_dir: replays, temprature: 0.5}", "providers.llm",
+             "temprature"),
+            ("dim: 16", "dims: 16", "providers.embedder", "dims"),
+            ("detector: exhaustive", "detektor: exhaustive", "property 'names'", "detektor"),
+            ("command: cat", "command: cat\n    batchsize: 4", "system 'identity'", "batchsize"),
+        ],
+        ids=["top", "top_flag_name", "stats", "tokenizer", "detection", "providers", "llm",
+             "embedder", "property", "system"],
+    )
+    def test_unknown_key_exits_1_naming_section_and_key(
+        self, tmp_path, capsys, old, new, section, key
+    ):
+        path = write_config(tmp_path, MINIMAL.replace(old, new, 1))
+        assert main(["diversity", "--config", str(path)]) == 1
+        assert f"{section or path}: unknown key {key!r}" in capsys.readouterr().err
+
+    def test_flags_are_not_checked_as_file_keys(self, tmp_path):
+        config = load_config(
+            str(write_config(tmp_path)), {"seed": 9, "k": 300, "alpha": 0.2, "offline": True}
+        )
+        assert (config.seed, config.k, config.alpha, config.offline) == (9, 300, 0.2, True)
+
+
 class TestYamlLoader:
     def test_libyaml_used_when_pyyaml_has_it(self):
         assert config_module._YAML_LOADER is LOADERS[-1]
