@@ -213,12 +213,6 @@ systems:"""
         assert main(["diversity", "--config", str(path)]) == 1
         assert f"{section or path}: unknown key {key!r}" in capsys.readouterr().err
 
-    def test_flags_are_not_checked_as_file_keys(self, tmp_path):
-        config = load_config(
-            str(write_config(tmp_path)), {"seed": 9, "k": 300, "alpha": 0.2, "offline": True}
-        )
-        assert (config.seed, config.k, config.alpha, config.offline) == (9, 300, 0.2, True)
-
 
 class TestYamlLoader:
     def test_libyaml_used_when_pyyaml_has_it(self):
