@@ -41,8 +41,6 @@ from .model import (
     _make_dir,
     _read_bytes,
     _read_text,
-    _translation_line,
-    _verdict_line,
     _write_atomic,
     _write_json,
     _write_jsonl,
@@ -52,6 +50,8 @@ from .model import (
     load_verdicts,
     save_candidates,
     save_suite,
+    save_translations,
+    save_verdicts,
 )
 from .runner import (
     CandidateEdit,
@@ -333,7 +333,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     spans = pairwise(accumulate((len(suite) for suite, *_ in inputs), initial=0))  # per property
 
     # Judge: one table per property, every system's row over its cases.
-    verdict_lines: list[str] = []
+    verdicts: list[tuple] = []  # verdict rows, property by property and system by system
     reports: dict[str, dict] = {}
     report_texts: list[str] = []
     # Per property and value, how many cases some system lacked candidates for.
@@ -365,8 +365,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         report_texts.append(render_report(report))
         exhaustive = spec.detector == "exhaustive"  # its detail is the matched candidate
         for sid, bits, found in zip(system_ids, passes, details):
-            verdict_lines += [
-                _verdict_line(c, sid, p, d) if exhaustive else _verdict_line(c, sid, p, None, d)
+            verdicts += [
+                (c, sid, p, d, None) if exhaustive else (c, sid, p, None, d)
                 for c, p, d in zip(case_ids[lo:hi], bits, found)
                 if p is not None
             ]
@@ -378,11 +378,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
 
     for sid, row in zip(system_ids, rows):
-        _write_atomic(
+        save_translations(
+            ((cid, sid, t) for cid, t in zip(case_ids, row) if t is not None),
             run_dir / "translations" / f"{sid}.jsonl",
-            (_translation_line(cid, sid, t) for cid, t in zip(case_ids, row) if t is not None),
         )
-    _write_atomic(run_dir / "verdicts.jsonl", verdict_lines)
+    save_verdicts(verdicts, run_dir / "verdicts.jsonl")
     _write_json({"properties": reports}, run_dir / "report.json")
     _write_atomic(run_dir / "report.txt", ["\n".join(report_texts)])
     # Timestamps live here, apart from the report, so re-runs stay byte-identical.
@@ -469,6 +469,22 @@ def cmd_diversity(args: argparse.Namespace) -> int:
     return 0
 
 
+def _judged_hashes(run_dir: Path) -> dict[str, tuple[str, str]]:
+    """Per property of a run's report.json, the sha256 of the suite and of the
+    candidates file it judged."""
+    path = run_dir / "report.json"
+    if not path.exists():
+        raise ConfigError(f"{path} not found; point --run at a run directory")
+    try:
+        properties = json.loads(_read_text(path))["properties"]
+        return {
+            prop_id: (entry["metadata"]["suite_sha256"], entry["metadata"]["candidates_sha256"])
+            for prop_id, entry in properties.items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataInvariantError(f"{path}: malformed report ({exc!r})") from exc
+
+
 def cmd_annotate(args: argparse.Namespace) -> int:
     _require_at_least("--k", args.k, 1)
     config = load_config(args.config, _overrides(args))
@@ -478,12 +494,23 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     if not verdicts_path.exists():
         raise ConfigError(f"{verdicts_path} not found; point --run at a run directory")
     verdicts = load_verdicts(verdicts_path)
+    judged = _judged_hashes(run_dir)
+    # Every property is checked against the run before any review file is written.
+    selections = []
     for spec in props:
-        suite, _ = _load_property_suite(config, spec.id)
-        candidates, _ = _load_property_candidates(config, spec.id)
+        suite, suite_sha256 = _load_property_suite(config, spec.id)
+        candidates, candidates_sha256 = _load_property_candidates(config, spec.id)
+        # Each file's sha256 now and at the run; none for a property the run did not judge.
+        now, then = (suite_sha256, candidates_sha256), judged.get(spec.id, ())
+        for name, sha256, recorded in zip(("suite.jsonl", "candidates.jsonl"), now, then):
+            if sha256 != recorded:
+                raise DataInvariantError(
+                    f"property {spec.id!r}: {config.property_dir(spec.id) / name} has changed "
+                    f"since the run in {run_dir} judged it; run again before annotating"
+                )
         case_by_id = {c.id: c for c in suite}
-        prop_verdicts = [v for v in verdicts if v.case_id in case_by_id]
-        system_ids = sorted({v.system_id for v in prop_verdicts})
+        prop_verdicts = [v for v in verdicts if v[0] in case_by_id]
+        system_ids = sorted({v[1] for v in prop_verdicts})
         if args.system:
             if args.system not in system_ids:
                 raise ConfigError(
@@ -494,18 +521,20 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"property {spec.id!r} has verdicts for {system_ids}; pick one with --system"
             )
+        selections.append((spec, case_by_id, candidates, prop_verdicts, system_ids))
+
+    for spec, case_by_id, candidates, prop_verdicts, system_ids in selections:
         for system_id in system_ids:
-            translations = {
-                r.case_id: r.translation
-                for r in load_translations(run_dir / "translations" / f"{system_id}.jsonl")
-            }
-            selected = [v for v in prop_verdicts if v.system_id == system_id]
+            translated = load_translations(run_dir / "translations" / f"{system_id}.jsonl")
+            translations = {case_id: text for case_id, _, text in translated}
+            selected = [v for v in prop_verdicts if v[1] == system_id]
             passes, fails = sample_for_annotation(
-                selected, args.k, seed=derive_seed(config.seed, f"annotate:{spec.id}:{system_id}")
+                [v[2] for v in selected], args.k,
+                seed=derive_seed(config.seed, f"annotate:{spec.id}:{system_id}"),
             )
             rows = []
-            for verdict in passes + fails:
-                case = case_by_id[verdict.case_id]
+            for case_id, _, passed, matched, scores in map(selected.__getitem__, passes + fails):
+                case = case_by_id[case_id]
                 entry = candidates.get(case.value)
                 row = {
                     "case_id": case.id,
@@ -514,13 +543,13 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                     "source": case.source,
                     "value": case.value,
                     "translation": translations.get(case.id, ""),
-                    "pass": verdict.passed,
+                    "pass": passed,
                     "annotation": "",
                 }
-                if verdict.matched_candidate is not None:
-                    row["matched_candidate"] = verdict.matched_candidate
-                if verdict.scores is not None:
-                    row["scores"] = list(verdict.scores)
+                if matched is not None:
+                    row["matched_candidate"] = matched
+                if scores is not None:
+                    row["scores"] = list(scores)
                 if entry is not None:
                     row.update(entry.to_dict())
                 rows.append(row)

@@ -16,6 +16,7 @@ import yaml
 
 from .detection import TokenizerConfig
 from .errors import ConfigError, DataInvariantError
+from .generation import DEFAULT_TARGET_COUNT
 from .metrics import ResampleConfig
 from .model import PropertySpec, _read_text
 from .providers import (
@@ -245,7 +246,7 @@ def _parse_system(raw: Any) -> AdapterSpec:
         command=_get(d, "command", context, ""),
         path=_get(d, "path", context, ""),
         language_pair=_language_pair(d, context, ["", ""]),
-        batch_size=_get(d, "batch_size", context, 32, int),
+        batch_size=_get(d, "batch_size", context, AdapterSpec.batch_size, int),
     )
 
 
@@ -331,7 +332,7 @@ def _run_config(raw: Any, path: Path, flags: Mapping[str, Any]) -> RunConfig:
         kind=_get(emb_map, "kind", context),
         url=_get(emb_map, "url", context, ""),
         api_key_env=_get(emb_map, "api_key_env", context, ""),
-        dim=_get(emb_map, "dim", context, 32, int),
+        dim=_get(emb_map, "dim", context, EmbedderConfig.dim, int),
     )
 
     workspace = Path(_get(d, "workspace", top, "workspace"))
@@ -342,12 +343,14 @@ def _run_config(raw: Any, path: Path, flags: Mapping[str, Any]) -> RunConfig:
         base_dir=base_dir,
         workspace=workspace,
         seed=_get(d, "seed", top, 0, int),
-        target_count=_get(d, "target_count", top, 1000, int),
-        k=_get(stats, "k", "stats", 1000, int),
-        alpha=_get(stats, "alpha", "stats", 0.05, float),
+        target_count=_get(d, "target_count", top, DEFAULT_TARGET_COUNT, int),
+        k=_get(stats, "k", "stats", ResampleConfig.k, int),
+        alpha=_get(stats, "alpha", "stats", ResampleConfig.alpha, float),
         tokenizer=TokenizerConfig(
-            mode=_get(tok, "mode", "tokenizer", "whitespace"),
-            strip_edge_punct=_get(tok, "strip_edge_punct", "tokenizer", True, bool),
+            mode=_get(tok, "mode", "tokenizer", TokenizerConfig.mode),
+            strip_edge_punct=_get(
+                tok, "strip_edge_punct", "tokenizer", TokenizerConfig.strip_edge_punct, bool
+            ),
         ),
         token_boundary=_get(det, "token_boundary", "detection", False, bool),
         llm=llm,

@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import DataInvariantError, ProviderError
-from .model import CandidateSet, ContrastivePair, Verdict
+from .model import CandidateSet, ContrastivePair
 
 TOKENIZER_MODES = ("whitespace", "character")
 
@@ -145,10 +145,9 @@ def match_exhaustive(
     candidates: CandidateSet,
     *,
     token_boundary: bool = False,
-    case_id: str = "",
-    system_id: str = "",
-) -> Verdict:
-    """Pass iff some candidate occurs in the translation, case-folded.
+) -> tuple[bool, str | None]:
+    """(passed, matched candidate): pass iff some candidate occurs in the
+    translation, case-folded; the first such candidate is the match.
 
     Plain substring containment by default; `token_boundary=True` opts in to
     requiring non-word characters (or edges) around the match, for suites
@@ -157,7 +156,7 @@ def match_exhaustive(
     [passed], [matched] = match_exhaustive_batch(
         [candidates], [translation], token_boundary=token_boundary
     )
-    return Verdict(case_id, system_id, passed, matched_candidate=matched)
+    return passed, matched
 
 
 class CachedEmbedder:
@@ -308,11 +307,8 @@ def judge_contrastive(
     pair: ContrastivePair,
     embedder: Embedder | CachedEmbedder,
     tok: TokenizerConfig = TokenizerConfig(),
-    *,
-    case_id: str = "",
-    system_id: str = "",
-) -> Verdict:
-    """Pass iff the translation is at least as close to the correct
-    candidates as to the foils; ties pass."""
+) -> tuple[bool, tuple[float, float]]:
+    """(passed, (sim_correct, sim_foil)): pass iff the translation is at least
+    as close to the correct candidates as to the foils; ties pass."""
     [(sim_correct, sim_foil)] = judge_contrastive_batch([translation], [pair], embedder, tok)
-    return Verdict(case_id, system_id, sim_correct >= sim_foil, scores=(sim_correct, sim_foil))
+    return sim_correct >= sim_foil, (sim_correct, sim_foil)

@@ -250,54 +250,6 @@ class ContrastivePair:
 CandidateEntry = Union[CandidateSet, ContrastivePair]
 
 
-@dataclass(frozen=True)
-class TranslationRecord:
-    """One MT system's translation of one test case."""
-
-    case_id: str
-    system_id: str
-    translation: str
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TranslationRecord":
-        return cls(
-            case_id=_str_field(d, "case_id"),
-            system_id=_str_field(d, "system_id"),
-            translation=_str_field(d, "translation"),
-        )
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Pass/fail decision for one (test case, system).
-
-    Exhaustive passes carry the matching candidate; contrastive verdicts
-    carry the (sim_correct, sim_foil) score pair.
-    """
-
-    case_id: str
-    system_id: str
-    passed: bool
-    matched_candidate: str | None = None
-    scores: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.scores is not None:
-            object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Verdict":
-        scores = d.get("scores")
-        passed = _bool_field(d, "pass")
-        return cls(
-            case_id=d["case_id"],
-            system_id=d["system_id"],
-            passed=passed,
-            matched_candidate=d.get("matched_candidate"),
-            scores=tuple(scores) if scores is not None else None,
-        )
-
-
 # ---------------------------------------------------------------------------
 # The file boundary: the package reads and writes files only through these, and
 # only here does an OSError or UnicodeDecodeError become an error naming the path:
@@ -531,19 +483,30 @@ def load_candidates(path: Path | str, data: bytes | None = None) -> dict[str, Ca
     return out
 
 
-def save_translations(records: Iterable[TranslationRecord], path: Path | str) -> None:
-    rows = ((r.case_id, r.system_id, r.translation) for r in records)
+# A translation row is (case_id, system_id, translation) and a verdict row
+# (case_id, system_id, passed, matched_candidate, scores): the parameters of
+# _translation_line and _verdict_line.
+
+
+def save_translations(rows: Iterable[tuple], path: Path | str) -> None:
     _write_atomic(Path(path), itertools.starmap(_translation_line, rows))
 
 
-def load_translations(path: Path | str) -> list[TranslationRecord]:
-    return [record for _, record in _load_records(path, TranslationRecord.from_dict)]
+def load_translations(path: Path | str) -> list[tuple[str, str, str]]:
+    keys = ("case_id", "system_id", "translation")  # each a JSON string
+    return [row for _, row in _load_records(path, lambda d: tuple(_str_field(d, k) for k in keys))]
 
 
-def save_verdicts(verdicts: Iterable[Verdict], path: Path | str) -> None:
-    rows = ((v.case_id, v.system_id, v.passed, v.matched_candidate, v.scores) for v in verdicts)
+def save_verdicts(rows: Iterable[tuple], path: Path | str) -> None:
     _write_atomic(Path(path), itertools.starmap(_verdict_line, rows))
 
 
-def load_verdicts(path: Path | str) -> list[Verdict]:
-    return [verdict for _, verdict in _load_records(path, Verdict.from_dict)]
+def _verdict_row(d: Mapping) -> tuple:
+    scores = d.get("scores")
+    scores = None if scores is None else tuple(map(float, scores))
+    return d["case_id"], d["system_id"], _bool_field(d, "pass"), d.get("matched_candidate"), scores
+
+
+def load_verdicts(path: Path | str) -> list[tuple]:
+    """Verdict rows; save/load round-trips to equal rows, scores as a tuple of floats."""
+    return [row for _, row in _load_records(path, _verdict_row)]

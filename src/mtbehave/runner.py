@@ -40,7 +40,6 @@ from .model import (
     ContrastivePair,
     PropertySpec,
     TestCase,
-    Verdict,
     _append,
     _cache_line,
     _list_dir,
@@ -188,15 +187,15 @@ class FileMtAdapter:
     def __init__(self, spec: AdapterSpec) -> None:
         self.system_id = spec.system_id
         self._by_case: dict[str, str] = {}
-        for r in load_translations(spec.path):
-            if r.system_id != self.system_id:
+        for case_id, system_id, translation in load_translations(spec.path):
+            if system_id != self.system_id:
                 continue
-            if r.case_id in self._by_case:
+            if case_id in self._by_case:
                 raise DataInvariantError(
-                    f"{spec.path}: duplicate translation of case {r.case_id!r} "
+                    f"{spec.path}: duplicate translation of case {case_id!r} "
                     f"for system {self.system_id!r}"
                 )
-            self._by_case[r.case_id] = r.translation
+            self._by_case[case_id] = translation
 
     def translate_cases(self, cases: Sequence[TestCase]) -> list[str | None]:
         return [self._by_case.get(case.id) for case in cases]
@@ -534,22 +533,23 @@ def render_report(report: Mapping) -> str:
 
 
 def sample_for_annotation(
-    verdicts: Sequence[Verdict], k: int, seed: int = 0
-) -> tuple[list[Verdict], list[Verdict]]:
-    """Uniform samples (without replacement) of k passes and k fails.
+    passed: Sequence[bool], k: int, seed: int = 0
+) -> tuple[list[int], list[int]]:
+    """Uniform samples (without replacement) of k passes and k fails of one
+    system's verdicts: the indices into `passed`, in order, of each stratum.
 
     A stratum smaller than k is returned whole, with a warning.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    passes = [v for v in verdicts if v.passed]
-    fails = [v for v in verdicts if not v.passed]
+    passes = [i for i, p in enumerate(passed) if p]
+    fails = [i for i, p in enumerate(passed) if not p]
     rng = np.random.default_rng(seed)
 
-    def pick(stratum: list[Verdict], label: str) -> list[Verdict]:
+    def pick(stratum: list[int], label: str) -> list[int]:
         if len(stratum) < k:
             log.warning("only %d %s verdicts available (asked for %d)", len(stratum), label, k)
-            return list(stratum)
+            return stratum
         idx = sorted(rng.choice(len(stratum), size=k, replace=False).tolist())
         return [stratum[i] for i in idx]
 

@@ -10,7 +10,7 @@ import pytest
 
 from mtbehave.config import packaged_template
 from mtbehave.detection import TokenizerConfig, ngrams, tokenize
-from mtbehave.model import PropertySpec, Verdict
+from mtbehave.model import PropertySpec
 from mtbehave.providers import HashEmbedder
 from mtbehave.runner import evaluate
 
@@ -107,15 +107,17 @@ def reference_max_sim(translation, candidate, embedder, tok=TokenizerConfig()) -
 
 
 def evaluate_records(spec, suite, candidates, records, **kwargs):
-    """`evaluate` on TranslationRecords: one row per system, in order of first
-    appearance, and the table's judged cells as Verdicts, system by system."""
+    """`evaluate` on translation rows (case_id, system_id, translation): one row
+    per system, in order of first appearance. Returns the table's judged cells
+    as verdict rows, system by system, in the shape `load_verdicts` returns."""
     index = {case.id: k for k, case in enumerate(suite)}
     rows: dict[str, list] = {}
-    for r in records:
-        rows.setdefault(r.system_id, [None] * len(suite))[index[r.case_id]] = r.translation
+    for case_id, system_id, translation in records:
+        rows.setdefault(system_id, [None] * len(suite))[index[case_id]] = translation
     table, details, missing = evaluate(spec, suite, candidates, list(rows.values()), **kwargs)
+    exhaustive = spec.detector == "exhaustive"  # its detail is the matched candidate
     verdicts = [
-        Verdict(case.id, system_id, passed, *((d, None) if isinstance(d, str) else (None, d)))
+        (case.id, system_id, passed, *((d, None) if exhaustive else (None, tuple(d))))
         for system_id, passes, found in zip(rows, table, details)
         for case, passed, d in zip(suite, passes, found)
         if passed is not None

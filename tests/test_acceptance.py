@@ -25,7 +25,7 @@ from mtbehave.metrics import (
     paired_bootstrap,
     resampled_mprs,
 )
-from mtbehave.model import CandidateSet, ContrastivePair, TestCase, TranslationRecord, parse_bracketed
+from mtbehave.model import CandidateSet, ContrastivePair, TestCase, parse_bracketed
 from mtbehave.providers import HashEmbedder
 from mtbehave.runner import CandidateEdit, apply_candidate_edits
 
@@ -88,7 +88,7 @@ def test_detector_oracle_equivalence():
         instances.append((translation, CandidateSet(value="v", candidates=tuple(unique))))
 
     start = time.perf_counter()
-    outcomes = [match_exhaustive(t, cs).passed for t, cs in instances]
+    outcomes = [match_exhaustive(t, cs)[0] for t, cs in instances]
     elapsed = time.perf_counter() - start
     expected = [any(c.casefold() in t.casefold() for c in cs.candidates) for t, cs in instances]
     assert outcomes == expected
@@ -124,11 +124,11 @@ def test_algorithm_equivalence():
         sim_foil = reference_max_sim(translation, foil, embedder, tok)
         assert max_sim(translation, correct, embedder, tok) == pytest.approx(sim_correct, abs=1e-12)
         assert max_sim(translation, foil, embedder, tok) == pytest.approx(sim_foil, abs=1e-12)
-        verdict = judge_contrastive(translation, pair, embedder, tok)
-        assert verdict.passed == (sim_correct >= sim_foil)
-        assert verdict.scores == pytest.approx((sim_correct, sim_foil), abs=1e-12)
-        checked_pass += verdict.passed
-        checked_fail += not verdict.passed
+        passed, scores = judge_contrastive(translation, pair, embedder, tok)
+        assert passed == (sim_correct >= sim_foil)
+        assert scores == pytest.approx((sim_correct, sim_foil), abs=1e-12)
+        checked_pass += passed
+        checked_fail += not passed
     assert checked_pass and checked_fail, "fixture must exercise both verdicts"
 
 
@@ -138,12 +138,12 @@ def test_algorithm_equivalence():
 @criterion(3, "worked examples: unit matching, decimal formats, 2-gram")
 def test_worked_paper_examples():
     cset = CandidateSet(value="miles", candidates=("Meilen", "mi"))
-    assert match_exhaustive("Ich lief 3 Meilen.", cset).passed
-    assert not match_exhaustive("Ich lief 3 km.", cset).passed
+    assert match_exhaustive("Ich lief 3 Meilen.", cset)[0]
+    assert not match_exhaustive("Ich lief 3 km.", cset)[0]
 
     decimals = CandidateSet(value="4200.4", candidates=("4200,4", "4.200,4"))
-    assert match_exhaustive("Das Unternehmen erhielt 4200,4€.", decimals).passed
-    assert match_exhaustive("Das Unternehmen erhielt 4.200,4€.", decimals).passed
+    assert match_exhaustive("Das Unternehmen erhielt 4200,4€.", decimals)[0]
+    assert match_exhaustive("Das Unternehmen erhielt 4.200,4€.", decimals)[0]
 
     grams = ngrams("Estoy muy emocionado por el concierto", 2, TokenizerConfig())
     assert "muy emocionado" in grams
@@ -307,10 +307,10 @@ def test_annotation_monotonicity(units_spec):
     translations = {}
     for system, hit_rate in (("good", 0.8), ("poor", 0.4)):
         translations[system] = [
-            TranslationRecord(
-                case_id=c.id,
-                system_id=system,
-                translation=(
+            (
+                c.id,
+                system,
+                (
                     f"Der Wert war Einheit{c.value[4:]}."
                     if rng.random() < hit_rate
                     else "Der Wert fehlt."
@@ -322,7 +322,7 @@ def test_annotation_monotonicity(units_spec):
     def pass_counts(cands):
         return {
             system: sum(
-                v.passed for v in evaluate_records(units_spec, suite, cands, recs).verdicts
+                v[2] for v in evaluate_records(units_spec, suite, cands, recs).verdicts
             )
             for system, recs in translations.items()
         }

@@ -30,7 +30,6 @@ from mtbehave.model import (
     CandidateSet,
     ContrastivePair,
     TestCase,
-    TranslationRecord,
     load_candidates,
     load_suite,
     load_translations,
@@ -212,10 +211,10 @@ class TestRun:
         out_dir = tmp_path / "run1"
         run_cli("run", "--config", str(workspace), "--out", str(out_dir))
         verdicts = load_verdicts(out_dir / "verdicts.jsonl")
-        keys = [(v.case_id, v.system_id) for v in verdicts]
+        keys = [(case_id, system_id) for case_id, system_id, *_ in verdicts]
         assert len(keys) == len(set(keys)) == 24  # 12 cases x 2 systems
-        contrastive = [v for v in verdicts if v.case_id.startswith("idioms")]
-        assert all(v.scores is not None for v in contrastive)
+        contrastive = [v for v in verdicts if v[0].startswith("idioms")]
+        assert all(scores is not None for *_, scores in contrastive)
 
     def test_two_systems_comparisons_present(self, workspace, tmp_path):
         prime(workspace)
@@ -325,7 +324,7 @@ class TestRun:
         config = load_config(str(workspace))
         save_translations(
             (
-                TranslationRecord(case_id=case.id, system_id="stored", translation=case.source)
+                (case.id, "stored", case.source)
                 for spec in config.properties
                 for case in load_suite(config.property_dir(spec.id) / "suite.jsonl")
             ),
@@ -416,7 +415,7 @@ class TestRun:
         for system in ("full", "partial"):
             save_translations(
                 (
-                    TranslationRecord(case_id=c.id, system_id=system, translation=c.source)
+                    (c.id, system, c.source)
                     for c in suite
                     if system == "full" or c.id != skipped
                 ),
@@ -673,7 +672,7 @@ class TestRunTable:
         }
         for system, texts in translations.items():
             save_translations(
-                [TranslationRecord(cid, system, t) for cid, t in texts.items()],
+                [(cid, system, t) for cid, t in texts.items()],
                 tmp_path / f"{system}.jsonl",
             )
 
@@ -690,15 +689,17 @@ class TestRunTable:
                     if text is None or entry is None:
                         continue
                     if spec.detector == "exhaustive":
-                        verdict = match_exhaustive(text, entry, token_boundary=token_boundary,
-                                                   case_id=case.id, system_id=system)
+                        passed, matched = match_exhaustive(
+                            text, entry, token_boundary=token_boundary
+                        )
+                        expected.append((case.id, system, passed, matched, None))
                     else:
-                        verdict = judge_contrastive(text, entry, embedder, config.tokenizer,
-                                                    case_id=case.id, system_id=system)
-                    expected.append(verdict)
+                        passed, scores = judge_contrastive(text, entry, embedder, config.tokenizer)
+                        expected.append((case.id, system, passed, None, scores))
         save_verdicts(expected, tmp_path / "expected.jsonl")
         assert (out / "verdicts.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
-        passes = {v.passed for v in expected}
+        assert load_verdicts(out / "verdicts.jsonl") == expected
+        passes = {passed for _, _, passed, _, _ in expected}
         assert passes == {True, False}
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert list(report["properties"]["idioms"]["systems"]) == systems[:3]
@@ -859,6 +860,103 @@ class TestAnnotateAndApplyEdits:
         run_cli("annotate", "--config", str(workspace), "--run", str(out_dir),
                 "--property", "names", "--system", "identity", "--k", "3")
         assert review_path.read_bytes() == first
+
+    def test_contrastive_review_rows_carry_the_run_scores(self, workspace, tmp_path):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity", "--out", str(out_dir))
+        assert run_cli(
+            "annotate", "--config", str(workspace), "--run", str(out_dir),
+            "--property", "idioms", "--system", "identity", "--k", "2",
+        ) == 0
+        review = out_dir / "review_idioms_identity.jsonl"
+        rows = [json.loads(line) for line in review.read_text(encoding="utf-8").splitlines()]
+        verdicts = (out_dir / "verdicts.jsonl").read_text(encoding="utf-8").splitlines()
+        scores = {v["case_id"]: v.get("scores") for v in map(json.loads, verdicts)}
+        assert len(rows) == 2
+        for row in rows:
+            assert row["scores"] == scores[row["case_id"]]
+            assert {"correct", "foil"} <= set(row) and "matched_candidate" not in row
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--system", "nope"], "no verdicts for system 'nope'"), ([], "pick one with --system")],
+    )
+    def test_system_not_in_the_run_or_not_picked_exit_1(
+        self, workspace, tmp_path, capsys, flags, message
+    ):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--out", str(out_dir))
+        capsys.readouterr()
+        assert run_cli(
+            "annotate", "--config", str(workspace), "--run", str(out_dir),
+            "--property", "names", *flags,
+        ) == 1
+        assert message in capsys.readouterr().err
+        assert not list(out_dir.glob("review_*"))
+
+    def test_candidates_edited_after_the_run_exit_3(self, workspace, tmp_path, capsys):
+        # The run judged "Mina Park" without "Minx Pxrk"; pairing its verdicts with
+        # the edited list would show a fail row whose translation holds a candidate.
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--out", str(out_dir))
+        edits_path = tmp_path / "edits.jsonl"
+        edits_path.write_text(
+            json.dumps({"value": "Mina Park", "add": ["Minx Pxrk"]}) + "\n", encoding="utf-8"
+        )
+        assert run_cli(
+            "apply-edits", "--config", str(workspace), "--property", "names",
+            "--edits", str(edits_path),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli(
+            "annotate", "--config", str(workspace), "--run", str(out_dir),
+            "--property", "names", "--system", "mangler",
+        ) == 3
+        err = capsys.readouterr().err
+        candidates_path = load_config(str(workspace)).property_dir("names") / "candidates.jsonl"
+        assert f"property 'names': {candidates_path} has changed since the run" in err
+        assert not list(out_dir.glob("review_*"))
+
+    def test_suite_changed_after_the_run_exit_3_before_any_review(
+        self, workspace, tmp_path, capsys
+    ):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity", "--out", str(out_dir))
+        suite_path = load_config(str(workspace)).property_dir("idioms") / "suite.jsonl"
+        save_suite(load_suite(suite_path)[:-1], suite_path)
+        capsys.readouterr()
+        # "names" is unchanged and comes first, but no review file is written for it.
+        assert run_cli(
+            "annotate", "--config", str(workspace), "--run", str(out_dir),
+            "--system", "identity",
+        ) == 3
+        assert f"property 'idioms': {suite_path} has changed" in capsys.readouterr().err
+        assert not list(out_dir.glob("review_*"))
+
+    @pytest.mark.parametrize(
+        "report, code, message",
+        [(None, 1, "report.json not found"), ("{bad", 3, "malformed report"),
+         ('{"properties": {"names": {}}}', 3, "malformed report")],
+    )
+    def test_run_report_missing_or_malformed(self, workspace, tmp_path, capsys, report, code, message):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity", "--out", str(out_dir))
+        report_path = out_dir / "report.json"
+        if report is None:
+            report_path.unlink()
+        else:
+            report_path.write_text(report, encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(
+            "annotate", "--config", str(workspace), "--run", str(out_dir), "--property", "names",
+        ) == code
+        assert message in capsys.readouterr().err
+        assert not list(out_dir.glob("review_*"))
 
     def test_missing_review_file_exit_1_before_any_edit(self, workspace, tmp_path, capsys):
         prime(workspace)

@@ -53,6 +53,14 @@ class TestLoadConfig:
         assert config.properties[0].id == "names"
         assert config.systems[0].system_id == "identity"
 
+    def test_absent_keys_take_the_documented_defaults(self, tmp_path):
+        text = "systems:\n  - {id: web, kind: http, endpoint: 'http://mt/x'}\n"
+        config = load_config(str(write_config(tmp_path, text)))
+        assert (config.seed, config.target_count, config.k, config.alpha) == (0, 1000, 1000, 0.05)
+        assert (config.tokenizer.mode, config.tokenizer.strip_edge_punct) == ("whitespace", True)
+        assert config.token_boundary is False
+        assert config.embedder.dim == 32 and config.systems[0].batch_size == 32
+
     def test_packaged_default_templates_used(self, tmp_path):
         config = load_config(str(write_config(tmp_path)))
         assert config.properties[0].source_prompt == packaged_template("source.txt")

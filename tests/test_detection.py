@@ -47,16 +47,16 @@ def naive_match(translation: str, candidates: CandidateSet) -> bool:
 class TestMatchExhaustive:
     def test_miles_pass(self):
         cset = CandidateSet(value="miles", candidates=("Meilen", "mi"))
-        verdict = match_exhaustive("Ich lief 3 Meilen.", cset)
-        assert verdict.passed
-        assert verdict.matched_candidate == "Meilen"
+        passed, matched = match_exhaustive("Ich lief 3 Meilen.", cset)
+        assert passed
+        assert matched == "Meilen"
 
     def test_km_fails(self):
         cset = CandidateSet(value="miles", candidates=("Meilen", "mi"))
-        assert not match_exhaustive("Ich lief 3 km.", cset).passed
+        assert not match_exhaustive("Ich lief 3 km.", cset)[0]
 
     def test_empty_translation_fails(self):
-        assert not match_exhaustive("", CandidateSet(value="x", candidates=("x",))).passed
+        assert not match_exhaustive("", CandidateSet(value="x", candidates=("x",)))[0]
 
     def test_only_the_translation_is_folded_per_call(self):
         class Counted(str):
@@ -69,28 +69,28 @@ class TestMatchExhaustive:
         cset = CandidateSet(value="miles", candidates=(Counted("MEILEN"), Counted("Mi")))
         translation = Counted("Ich lief 3 km.")
         Counted.folds = 0
-        assert not match_exhaustive(translation, cset).passed
+        assert not match_exhaustive(translation, cset)[0]
         assert Counted.folds == 1
 
     def test_decimal_formats_both_pass(self):
         cset = CandidateSet(value="4200.4", candidates=("4200,4", "4.200,4"))
-        assert match_exhaustive("Das Unternehmen erhielt 4200,4€.", cset).passed
-        assert match_exhaustive("Das Unternehmen erhielt 4.200,4€.", cset).passed
+        assert match_exhaustive("Das Unternehmen erhielt 4200,4€.", cset)[0]
+        assert match_exhaustive("Das Unternehmen erhielt 4.200,4€.", cset)[0]
 
     def test_case_insensitive(self):
         cset = CandidateSet(value="miles", candidates=("MEILEN",))
-        assert match_exhaustive("ich lief drei meilen", cset).passed
+        assert match_exhaustive("ich lief drei meilen", cset)[0]
 
     def test_matched_candidate_is_first_in_set_order(self):
         cset = CandidateSet(value="miles", candidates=("eile", "Meilen"))
-        verdict = match_exhaustive("Ich lief 3 Meilen.", cset)
-        assert verdict.matched_candidate == "eile"  # occurs inside "Meilen"
+        _, matched = match_exhaustive("Ich lief 3 Meilen.", cset)
+        assert matched == "eile"  # occurs inside "Meilen"
 
     def test_token_boundary_mode_rejects_inner_match(self):
         cset = CandidateSet(value="miles", candidates=("mi",))
-        assert match_exhaustive("Ich trinke Milch.", cset).passed
-        assert not match_exhaustive("Ich trinke Milch.", cset, token_boundary=True).passed
-        assert match_exhaustive("Ich lief 3 mi.", cset, token_boundary=True).passed
+        assert match_exhaustive("Ich trinke Milch.", cset)[0]
+        assert not match_exhaustive("Ich trinke Milch.", cset, token_boundary=True)[0]
+        assert match_exhaustive("Ich lief 3 mi.", cset, token_boundary=True)[0]
 
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(20240817)
@@ -108,22 +108,22 @@ class TestMatchExhaustive:
                 cset = CandidateSet(value="v", candidates=tuple(cands))
             except DataInvariantError:
                 continue
-            assert match_exhaustive(translation, cset).passed == naive_match(translation, cset)
+            assert match_exhaustive(translation, cset)[0] == naive_match(translation, cset)
 
     def test_monotone_in_candidate_set(self):
         small = CandidateSet(value="v", candidates=("Meilen",))
         large = CandidateSet(value="v", candidates=("Meilen", "mi"))
         for text in ("Ich lief 3 Meilen.", "Ich lief 3 km.", "nur mi hier"):
-            if match_exhaustive(text, small).passed:
-                assert match_exhaustive(text, large).passed
+            if match_exhaustive(text, small)[0]:
+                assert match_exhaustive(text, large)[0]
 
     @given(st.text(max_size=40))
     def test_case_change_invariance(self, text):
         cset = CandidateSet(value="v", candidates=("Meilen", "mi"))
         assert (
-            match_exhaustive(text, cset).passed
-            == match_exhaustive(text.upper(), cset).passed
-            == match_exhaustive(text.lower(), cset).passed
+            match_exhaustive(text, cset)[0]
+            == match_exhaustive(text.upper(), cset)[0]
+            == match_exhaustive(text.lower(), cset)[0]
         )
 
     @pytest.mark.parametrize("token_boundary", [False, True])
@@ -145,8 +145,9 @@ class TestMatchExhaustive:
                 if entry is None or text is None:
                     assert (passed, candidate) == (None, None)
                     continue
-                verdict = match_exhaustive(text, entry, token_boundary=token_boundary)
-                assert (passed, candidate) == (verdict.passed, verdict.matched_candidate)
+                assert (passed, candidate) == match_exhaustive(
+                    text, entry, token_boundary=token_boundary
+                )
         assert {True, False, None} <= {bit for bits, _ in table for bit in bits}
 
     def test_table_row_of_another_length_rejected(self):
@@ -321,29 +322,29 @@ class TestJudgeContrastive:
         )
 
     def test_correct_verbatim_passes_with_one(self, hash_embedder):
-        verdict = judge_contrastive(
+        passed, scores = judge_contrastive(
             "ich wünsche dir viel Glück", self.pair(), hash_embedder
         )
-        assert verdict.passed
-        assert verdict.scores is not None
-        assert verdict.scores[0] == 1.0
+        assert passed
+        assert scores is not None
+        assert scores[0] == 1.0
 
     def test_foil_verbatim_fails(self, hash_embedder):
-        verdict = judge_contrastive(
+        passed, scores = judge_contrastive(
             "brich dir ein Bein auf der Bühne", self.pair(), hash_embedder
         )
-        assert verdict.scores[1] == 1.0
-        assert verdict.scores[0] < 1.0
-        assert not verdict.passed
+        assert scores[1] == 1.0
+        assert scores[0] < 1.0
+        assert not passed
 
     def test_exact_tie_passes(self):
-        verdict = judge_contrastive("was auch immer", self.pair(), ConstantEmbedder())
-        assert verdict.scores[0] == verdict.scores[1]
-        assert verdict.passed
+        passed, scores = judge_contrastive("was auch immer", self.pair(), ConstantEmbedder())
+        assert scores[0] == scores[1]
+        assert passed
 
     def test_verdict_invariant_scores_present(self, hash_embedder):
-        verdict = judge_contrastive("irgendein Text", self.pair(), hash_embedder)
-        assert verdict.scores is not None and len(verdict.scores) == 2
+        _, scores = judge_contrastive("irgendein Text", self.pair(), hash_embedder)
+        assert scores is not None and len(scores) == 2
 
     def test_candidate_permutation_invariance(self, hash_embedder):
         pair = self.pair()
@@ -353,7 +354,7 @@ class TestJudgeContrastive:
         for text in ("viel Glück", "brich dir ein Bein", "ganz anders"):
             a = judge_contrastive(text, pair, hash_embedder)
             b = judge_contrastive(text, flipped, hash_embedder)
-            assert a.passed == b.passed and a.scores == b.scores
+            assert a[0] == b[0] and a[1] == b[1]
 
     def test_pure_given_fixed_embedder(self, hash_embedder):
         first = judge_contrastive("viel Glück heute", self.pair(), hash_embedder)
@@ -487,6 +488,6 @@ class TestJudgeContrastiveBatch:
         batch = judge_contrastive_batch(texts, pairs, hash_embedder)
         single = [judge_contrastive(t, p, hash_embedder) for t, p in zip(texts, pairs)]
         for (sim_correct, sim_foil), s in zip(batch, single, strict=True):
-            assert (sim_correct >= sim_foil) == s.passed
-            assert (sim_correct, sim_foil) == pytest.approx(s.scores, abs=1e-12)
-        assert [v.passed for v in single] == [True, False]
+            assert (sim_correct >= sim_foil) == s[0]
+            assert (sim_correct, sim_foil) == pytest.approx(s[1], abs=1e-12)
+        assert [passed for passed, _ in single] == [True, False]

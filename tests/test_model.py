@@ -24,8 +24,6 @@ from mtbehave.model import (
     ContrastivePair,
     PropertySpec,
     TestCase,
-    TranslationRecord,
-    Verdict,
     _append,
     _cache_line,
     _iter_jsonl,
@@ -497,27 +495,27 @@ class TestAtomicWrite:
 
 class TestTranslationAndVerdictIO:
     def test_translation_roundtrip(self, tmp_path):
-        records = [TranslationRecord("units-00000", "sysa", "Ich lief 3 Meilen.")]
+        rows = [("units-00000", "sysa", "Ich lief 3 Meilen.")]
         path = tmp_path / "translations.jsonl"
-        save_translations(records, path)
-        assert load_translations(path) == records
+        save_translations(rows, path)
+        assert load_translations(path) == rows
 
     def test_verdict_roundtrip_exhaustive(self, tmp_path):
         verdicts = [
-            Verdict("units-00000", "sysa", passed=True, matched_candidate="Meilen"),
-            Verdict("units-00001", "sysa", passed=False),
+            ("units-00000", "sysa", True, "Meilen", None),
+            ("units-00001", "sysa", False, None, None),
         ]
         path = tmp_path / "verdicts.jsonl"
         save_verdicts(verdicts, path)
         assert load_verdicts(path) == verdicts
 
     def test_verdict_roundtrip_contrastive(self, tmp_path):
-        verdicts = [Verdict("idioms-00000", "sysa", passed=True, scores=(0.9, 0.4))]
+        verdicts = [("idioms-00000", "sysa", True, None, (0.9, 0.4))]
         path = tmp_path / "verdicts.jsonl"
         save_verdicts(verdicts, path)
         loaded = load_verdicts(path)
         assert loaded == verdicts
-        assert loaded[0].scores == (0.9, 0.4)
+        assert loaded[0][4] == (0.9, 0.4)
 
     @pytest.mark.parametrize("translation", ["3", "null", '["x"]', "{}"])
     def test_non_string_translation_is_a_load_error(self, tmp_path, translation):
@@ -541,6 +539,17 @@ class TestTranslationAndVerdictIO:
         )
         expected = re.escape(f"{path}:2: ") + ".*'pass' must be true or false"
         with pytest.raises(SuiteLoadError, match=expected):
+            load_verdicts(path)
+
+    @pytest.mark.parametrize("scores", ['["x", 0.5]', "3", "[null, 0.5]"])
+    def test_score_that_is_not_a_number_is_a_load_error(self, tmp_path, scores):
+        path = tmp_path / "verdicts.jsonl"
+        path.write_text(
+            '{"case_id": "a", "system_id": "s", "pass": true, "scores": [0.5, 0.25]}\n'
+            f'{{"case_id": "b", "system_id": "s", "pass": true, "scores": {scores}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(SuiteLoadError, match=re.escape(f"{path}:2: malformed record")):
             load_verdicts(path)
 
     def test_verdict_json_uses_pass_key(self):

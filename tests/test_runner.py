@@ -21,8 +21,6 @@ from mtbehave.model import (
     CandidateSet,
     ContrastivePair,
     TestCase,
-    TranslationRecord,
-    Verdict,
     parse_bracketed,
     save_translations,
 )
@@ -82,7 +80,7 @@ def split(suite, result):
     row, reason = result
     pairs = list(zip(suite, row, strict=True))
     return SimpleNamespace(
-        records=[TranslationRecord(c.id, "", t) for c, t in pairs if t is not None],
+        records=[SimpleNamespace(case_id=c.id, translation=t) for c, t in pairs if t is not None],
         failures=[SimpleNamespace(case_id=c.id, reason=reason) for c, t in pairs if t is None],
     )
 
@@ -261,9 +259,7 @@ class TestTranslateAll:
 
     def test_file_adapter_missing_case_recorded(self, tmp_path):
         path = tmp_path / "translations.jsonl"
-        save_translations(
-            [TranslationRecord(SUITE[0].id, "offline", "Ich lief 3 Meilen.")], path
-        )
+        save_translations([(SUITE[0].id, "offline", "Ich lief 3 Meilen.")], path)
         adapter = FileMtAdapter(AdapterSpec(system_id="offline", kind="file", path=str(path)))
         result = split(SUITE, translate_all(SUITE, adapter))
         assert len(result.records) == 1
@@ -287,7 +283,7 @@ class TestTranslateAll:
         spec = AdapterSpec(system_id="offline", kind="file", path=str(path))
         for texts in (["old A", "old B"], ["new A", "new B"]):
             save_translations(
-                [TranslationRecord(c.id, "offline", t) for c, t in zip(SUITE[:2], texts)], path
+                [(c.id, "offline", t) for c, t in zip(SUITE[:2], texts)], path
             )
             cache = TranslationCache(tmp_path / "cache")
             result = split(SUITE[:2], translate_all(SUITE[:2], FileMtAdapter(spec), cache))
@@ -299,8 +295,8 @@ class TestTranslateAll:
         path = tmp_path / "translations.jsonl"
         save_translations(
             [
-                TranslationRecord(suite[0].id, "offline", "Ich lief 3 Meilen."),
-                TranslationRecord(suite[1].id, "offline", "Ich bin 3 Meilen gelaufen."),
+                (suite[0].id, "offline", "Ich lief 3 Meilen."),
+                (suite[1].id, "offline", "Ich bin 3 Meilen gelaufen."),
             ],
             path,
         )
@@ -317,9 +313,9 @@ class TestTranslateAll:
         path = tmp_path / "translations.jsonl"
         save_translations(
             [
-                TranslationRecord(SUITE[0].id, "offline", "Ich lief 3 Meilen."),
-                TranslationRecord(SUITE[0].id, "other", "Ich lief 3 km."),
-                TranslationRecord(SUITE[0].id, "offline", "Ich lief 3 km."),
+                (SUITE[0].id, "offline", "Ich lief 3 Meilen."),
+                (SUITE[0].id, "other", "Ich lief 3 km."),
+                (SUITE[0].id, "offline", "Ich lief 3 km."),
             ],
             path,
         )
@@ -501,6 +497,16 @@ class TestCommandAdapter:
         with pytest.raises(AdapterError):
             adapter.translate(["x"])
 
+    def test_output_that_is_not_utf8_fails_every_case(self, caplog):
+        # tr writes the byte 0xff for each "a": not UTF-8, so no line can be trusted.
+        spec = AdapterSpec(system_id="bytes", kind="command", command="tr a '\\377'")
+        with caplog.at_level("WARNING", logger="mtbehave.runner"):
+            result = split(SUITE, translate_all(SUITE, CommandMtAdapter(spec)))
+        assert result.records == []
+        assert [f.case_id for f in result.failures] == [c.id for c in SUITE]
+        assert all("wrote invalid UTF-8" in f.reason for f in result.failures)
+        assert "system bytes: " in caplog.text
+
 
 class TestHttpAdapter:
     def test_contract_and_batching(self):
@@ -543,6 +549,19 @@ class TestHttpAdapter:
         assert adapter.translate(["one", "two", "three"]) == [None, None, "drei"]
         assert len(session.calls) == 2  # a malformed body is not retried
 
+    def test_wrong_translation_count_fails_its_batch_uncached(self, tmp_path, caplog):
+        session = StubSession(
+            [StubResponse({"translations": ["eins"]}), StubResponse({"translations": ["drei"]})]
+        )
+        spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=2)
+        with caplog.at_level("WARNING", logger="mtbehave.runner"):
+            result = split(SUITE, translate_all(SUITE, HttpMtAdapter(spec, session), TranslationCache(tmp_path)))
+        assert [r.translation for r in result.records] == ["drei"]
+        assert [f.case_id for f in result.failures] == [c.id for c in SUITE[:2]]
+        assert "http://mt/x returned 1 translations for 2 texts" in caplog.text
+        cache = TranslationCache(tmp_path)
+        assert [cache.get(spec.cache_name, c.source) for c in SUITE] == [None, None, "drei"]
+
     def test_non_string_translation_fails_its_batch_uncached(self, tmp_path, caplog):
         session = StubSession(
             [StubResponse({"translations": [None, 3]}), StubResponse({"translations": ["drei"]})]
@@ -565,10 +584,8 @@ UNIT_CANDIDATES = {
 
 
 def records_for(suite, texts, system_id="sys"):
-    return [
-        TranslationRecord(case_id=c.id, system_id=system_id, translation=t)
-        for c, t in zip(suite, texts)
-    ]
+    """Translation rows (case_id, system_id, translation) of `texts` over `suite`."""
+    return [(c.id, system_id, t) for c, t in zip(suite, texts)]
 
 
 class TestEvaluate:
@@ -583,12 +600,12 @@ class TestEvaluate:
         }
         translations = records_for(suite, [c.source for c in suite])
         result = evaluate_records(spec, suite, candidates, translations)
-        assert all(v.passed for v in result.verdicts)
+        assert all(passed for _, _, passed, _, _ in result.verdicts)
 
     def test_empty_translations_all_fail(self, units_spec):
         translations = records_for(SUITE, ["", "", ""])
         result = evaluate_records(units_spec, SUITE, UNIT_CANDIDATES, translations)
-        assert [v.passed for v in result.verdicts] == [False, False, False]
+        assert [passed for _, _, passed, _, _ in result.verdicts] == [False, False, False]
 
     def test_missing_candidates_reported_not_dropped(self, units_spec):
         candidates = dict(UNIT_CANDIDATES)
@@ -611,8 +628,9 @@ class TestEvaluate:
         }
         translations = records_for(suite, ["ich wünsche dir viel Glück"])
         result = evaluate_records(idioms_spec, suite, candidates, translations, embedder=hash_embedder)
-        assert result.verdicts[0].scores is not None
-        assert result.verdicts[0].passed
+        _, _, passed, _, scores = result.verdicts[0]
+        assert scores is not None
+        assert passed
 
     def test_contrastive_without_embedder_rejected(self, idioms_spec):
         suite = make_suite(["He said [break a leg] loudly."], "idioms")
@@ -714,19 +732,21 @@ class TestContrastiveBatch:
             result = evaluate_records(
                 idioms_spec, suite, candidates, records, embedder=embedder, tokenizer=tok
             )
-            assert [v.case_id for v in result.verdicts] == [r.case_id for r in records]
-            for verdict, record in zip(result.verdicts, records):
-                pair = candidates[value_of[record.case_id]]
+            assert [v[0] for v in result.verdicts] == [case_id for case_id, _, _ in records]
+            for (_, _, passed, _, scores), (case_id, _, translation) in zip(
+                result.verdicts, records
+            ):
+                pair = candidates[value_of[case_id]]
                 sim_correct, sim_foil = (
-                    max(reference_max_sim(record.translation, c, embedder, tok) for c in side)
+                    max(reference_max_sim(translation, c, embedder, tok) for c in side)
                     for side in (pair.correct, pair.foil)
                 )
-                assert verdict.passed == (sim_correct >= sim_foil)
-                assert verdict.scores == pytest.approx((sim_correct, sim_foil), abs=1e-12)
+                assert passed == (sim_correct >= sim_foil)
+                assert scores == pytest.approx((sim_correct, sim_foil), abs=1e-12)
                 seen["tie"] += sim_correct == sim_foil
-                seen["pass" if verdict.passed else "fail"] += 1
+                seen["pass" if passed else "fail"] += 1
                 n_max = max(len(tokenize(c, tok)) for c in pair.correct + pair.foil)
-                seen["short"] += len(tokenize(record.translation, tok)) < n_max
+                seen["short"] += len(tokenize(translation, tok)) < n_max
         assert all(seen.values()), seen
 
     def test_each_text_embedded_once_in_chunked_calls(self, idioms_spec):
@@ -737,11 +757,11 @@ class TestContrastiveBatch:
         stored: set[str] = set()
         for records in per_system:
             texts = set()
-            for record in records:
-                pair = candidates[value_of[record.case_id]]
+            for case_id, _, translation in records:
+                pair = candidates[value_of[case_id]]
                 for cand in pair.correct + pair.foil:
                     texts.add(cand)
-                    texts.update(ngrams(record.translation, len(tokenize(cand)) or 1))
+                    texts.update(ngrams(translation, len(tokenize(cand)) or 1))
             new = texts - stored
             before = len(counting.calls)
             evaluate_records(idioms_spec, suite, candidates, records, embedder=store)
@@ -753,7 +773,7 @@ class TestContrastiveBatch:
 
     def test_peak_memory_of_a_1000_case_evaluate(self, idioms_spec):
         suite, candidates, (records,) = contrastive_fixture(random.Random(9), 1000, ("a",))
-        rows = [[r.translation for r in records]]
+        rows = [[translation for _, _, translation in records]]
         embedder = HashEmbedder(dim=32)
         tracemalloc.start()
         try:
@@ -850,13 +870,15 @@ class TestBuildReport:
 
 class TestSampleForAnnotation:
     def make_verdicts(self, n_pass, n_fail):
-        return [Verdict(f"c{i:04d}", "s", passed=i < n_pass) for i in range(n_pass + n_fail)]
+        """One system's pass bits: n_pass passes, then n_fail fails."""
+        return [i < n_pass for i in range(n_pass + n_fail)]
 
     def test_full_strata(self):
-        passes, fails = sample_for_annotation(self.make_verdicts(300, 300), k=100, seed=1)
+        passed = self.make_verdicts(300, 300)
+        passes, fails = sample_for_annotation(passed, k=100, seed=1)
         assert len(passes) == 100 and len(fails) == 100
-        assert all(v.passed for v in passes)
-        assert not any(v.passed for v in fails)
+        assert all(passed[i] for i in passes)
+        assert not any(passed[i] for i in fails)
 
     def test_short_stratum_returned_whole(self, caplog):
         verdicts = self.make_verdicts(50, 3)
@@ -873,8 +895,8 @@ class TestSampleForAnnotation:
 
     def test_without_replacement(self):
         passes, fails = sample_for_annotation(self.make_verdicts(120, 120), k=100, seed=2)
-        assert len({v.case_id for v in passes}) == 100
-        assert len({v.case_id for v in fails}) == 100
+        assert len(set(passes)) == 100
+        assert len(set(fails)) == 100
 
 
 class TestApplyCandidateEdits:
@@ -918,11 +940,11 @@ class TestApplyCandidateEdits:
         # exactly the affected case and never un-passes another
         translations = records_for(SUITE, ["Ich lief 3 Meilen.", "Es sind 60 Watt.", "5 Teile."])
         before = evaluate_records(units_spec, SUITE, UNIT_CANDIDATES, translations).verdicts
-        assert [v.passed for v in before] == [True, True, False]
+        assert [v[2] for v in before] == [True, True, False]
         updated, _ = apply_candidate_edits(
             UNIT_CANDIDATES, [CandidateEdit(value="inches", add=("Teile",))]
         )
         after = evaluate_records(units_spec, SUITE, updated, translations).verdicts
-        assert [v.passed for v in after] == [True, True, True]
+        assert [v[2] for v in after] == [True, True, True]
         for old, new in zip(before, after):
-            assert new.passed >= old.passed
+            assert new[2] >= old[2]
