@@ -61,7 +61,7 @@ from .runner import (
     evaluate,
     render_report,
     sample_for_annotation,
-    translate_systems,
+    translate_all,
 )
 
 log = logging.getLogger(__name__)
@@ -326,7 +326,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     ]
 
     # Translate: one adapter call per system, covering every property.
-    rows = [row for row, _ in translate_systems([suite for suite, *_ in inputs], adapters, cache)]
+    rows = [row for row, _ in translate_all([suite for suite, *_ in inputs], adapters, cache)]
     system_ids = [s.system_id for s in systems]
     failure_counts = {sid: n for sid, row in zip(system_ids, rows) if (n := row.count(None))}
     case_ids = [case.id for suite, *_ in inputs for case in suite]
@@ -498,10 +498,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     # Every property is checked against the run before any review file is written.
     selections = []
     for spec in props:
+        if spec.id not in judged:
+            raise ConfigError(f"property {spec.id!r} was not judged by the run in {run_dir}")
         suite, suite_sha256 = _load_property_suite(config, spec.id)
         candidates, candidates_sha256 = _load_property_candidates(config, spec.id)
-        # Each file's sha256 now and at the run; none for a property the run did not judge.
-        now, then = (suite_sha256, candidates_sha256), judged.get(spec.id, ())
+        # Each file's sha256 now and at the run.
+        now, then = (suite_sha256, candidates_sha256), judged[spec.id]
         for name, sha256, recorded in zip(("suite.jsonl", "candidates.jsonl"), now, then):
             if sha256 != recorded:
                 raise DataInvariantError(
@@ -630,6 +632,9 @@ def main(argv: list[str] | None = None) -> int:
     except MtBehaveError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

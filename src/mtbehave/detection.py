@@ -12,8 +12,8 @@ distinct texts. `CachedEmbedder` embeds the texts it has not stored yet, in
 chunks of EMBED_BATCH_SIZE, into one array of L2-normalized rows. The
 score phase multiplies a case's gram rows by its candidate rows, one product
 per distinct n, and takes the max over grams. A gram whose vector equals the
-candidate's scores exactly 1.0, and scores are clipped to [-1, 1]. `max_sim`
-and `judge_contrastive` are one-case calls of the same kernel.
+candidate's scores exactly 1.0, and scores are clipped to [-1, 1]. Each
+detector takes a table; one case is a one-element table.
 """
 from __future__ import annotations
 
@@ -120,14 +120,17 @@ def _contains(haystack: str, needle: str) -> bool:
         start = i + 1
 
 
-def match_exhaustive_batch(
+def match_exhaustive(
     entries: Sequence[CandidateSet | None],
     translations: Sequence[str | None],
     *,
     token_boundary: bool = False,
 ) -> tuple[list[bool | None], list[str | None]]:
-    """`match_exhaustive` of one system's translations of the cases of `entries`:
-    each case's pass bit and matched candidate, None where either input is None."""
+    """Per case of one system's `translations`: its pass bit and matched
+    candidate, None where the case's entry or translation is None. A case
+    passes iff some candidate occurs in its translation, case-folded; the
+    first such candidate is the match. `token_boundary=True` also requires a
+    non-word character or an edge on each side of the match."""
     passes, matched = [None] * len(entries), [None] * len(entries)
     for k, (entry, text) in enumerate(zip(entries, translations, strict=True)):
         if entry is not None and text is not None:
@@ -138,25 +141,6 @@ def match_exhaustive_batch(
                     passes[k], matched[k] = True, entry.candidates[i]
                     break
     return passes, matched
-
-
-def match_exhaustive(
-    translation: str,
-    candidates: CandidateSet,
-    *,
-    token_boundary: bool = False,
-) -> tuple[bool, str | None]:
-    """(passed, matched candidate): pass iff some candidate occurs in the
-    translation, case-folded; the first such candidate is the match.
-
-    Plain substring containment by default; `token_boundary=True` opts in to
-    requiring non-word characters (or edges) around the match, for suites
-    where e.g. a short unit symbol matching inside a longer word is unwanted.
-    """
-    [passed], [matched] = match_exhaustive_batch(
-        [candidates], [translation], token_boundary=token_boundary
-    )
-    return passed, matched
 
 
 class CachedEmbedder:
@@ -223,18 +207,21 @@ class CachedEmbedder:
         self._row.update(zip(texts, range(m, m + len(texts))))
 
 
-def max_sims(
+def max_sim(
     translations: Sequence[str],
     candidates: Sequence[Sequence[str]],
     embedder: Embedder | CachedEmbedder,
     tok: TokenizerConfig = TokenizerConfig(),
 ) -> np.ndarray:
-    """`max_sim(translations[i], c)` for each i and each c in `candidates[i]`,
-    flattened in that order.
+    """For each i and each c in `candidates[i]`, flattened in that order: the
+    maximum cosine similarity between c and any n-gram of `translations[i]`,
+    with n equal to c's token count.
 
     The batch makes one `embed` call on the store; a plain embedder is
     wrapped in a store that lives for this call only.
     """
+    if isinstance(translations, str) or any(isinstance(c, str) for c in candidates):
+        raise TypeError("max_sim takes a list of translations and one list of candidates each")
     n_of: dict[str, int] = {}
     ids: dict[str, int] = {}  # distinct text -> its index in the store call
     grams: dict[tuple[str, int], list[int]] = {}  # (translation, n) -> gram ids; twins share
@@ -273,18 +260,7 @@ def max_sims(
     return np.clip(out, -1.0, 1.0, out=out)
 
 
-def max_sim(
-    translation: str,
-    candidate: str,
-    embedder: Embedder | CachedEmbedder,
-    tok: TokenizerConfig = TokenizerConfig(),
-) -> float:
-    """Maximum cosine similarity between the candidate and any n-gram of the
-    translation, with n equal to the candidate's token count."""
-    return float(max_sims([translation], [[candidate]], embedder, tok)[0])
-
-
-def judge_contrastive_batch(
+def judge_contrastive(
     translations: Sequence[str],
     pairs: Sequence[ContrastivePair],
     embedder: Embedder | CachedEmbedder,
@@ -295,20 +271,8 @@ def judge_contrastive_batch(
     foils. It passes iff sim_correct >= sim_foil; ties pass."""
     if not translations:
         return []
-    sims = max_sims(translations, [p.correct + p.foil for p in pairs], embedder, tok)
+    sims = max_sim(translations, [p.correct + p.foil for p in pairs], embedder, tok)
     # Where each pair's correct and foil scores start: the running sum of the list sizes.
     sizes = [n for pair in pairs for n in (len(pair.correct), len(pair.foil))]
     bounds = np.cumsum(sizes) - sizes
     return np.maximum.reduceat(sims, bounds).reshape(-1, 2).tolist()
-
-
-def judge_contrastive(
-    translation: str,
-    pair: ContrastivePair,
-    embedder: Embedder | CachedEmbedder,
-    tok: TokenizerConfig = TokenizerConfig(),
-) -> tuple[bool, tuple[float, float]]:
-    """(passed, (sim_correct, sim_foil)): pass iff the translation is at least
-    as close to the correct candidates as to the foils; ties pass."""
-    [(sim_correct, sim_foil)] = judge_contrastive_batch([translation], [pair], embedder, tok)
-    return sim_correct >= sim_foil, (sim_correct, sim_foil)

@@ -23,8 +23,8 @@ from .detection import (
     CachedEmbedder,
     Embedder,
     TokenizerConfig,
-    judge_contrastive_batch,
-    match_exhaustive_batch,
+    judge_contrastive,
+    match_exhaustive,
 )
 from .errors import AdapterError, ConfigError, DataInvariantError, ProviderError
 from .metrics import (
@@ -292,7 +292,7 @@ def _adapter_call(translate, inputs: list) -> list[str | None] | AdapterError:
         return exc
 
 
-def translate_systems(
+def translate_all(
     suites: Sequence[Sequence[TestCase]], adapters: Sequence, cache: TranslationCache | None = None
 ) -> list[tuple[list[str | None], str]]:
     """Translate every suite with every adapter: per adapter, its row of
@@ -360,14 +360,6 @@ def translate_systems(
     return results
 
 
-def translate_all(
-    suite: Sequence[TestCase], adapter, cache: TranslationCache | None = None
-) -> tuple[list[str | None], str]:
-    """Translate every case of one suite with one adapter, serving repeats from
-    the cache; `translate_systems` for one suite and one adapter."""
-    return translate_systems([suite], [adapter], cache)[0]
-
-
 # Per detector: the candidate entry kind it judges, and the error for another kind.
 _DETECTOR_ENTRY = {
     "exhaustive": (
@@ -416,7 +408,7 @@ def evaluate(
                 raise DataInvariantError(f"value {case.value!r}: {need}")
         entries.append(entry)
     if kind is CandidateSet:
-        table = [match_exhaustive_batch(entries, r, token_boundary=token_boundary) for r in rows]
+        table = [match_exhaustive(entries, r, token_boundary=token_boundary) for r in rows]
         passes, details = [hits for hits, _ in table], [found for _, found in table]
     else:
         passes, details = [[None] * len(suite) for _ in rows], [[None] * len(suite) for _ in rows]
@@ -424,7 +416,7 @@ def evaluate(
         cells = [(s, k) for s, row in enumerate(rows) for k in judged if row[k] is not None]
         if cells and embedder is None:
             raise ConfigError("contrastive detection requires an embedding provider")
-        scores = judge_contrastive_batch(
+        scores = judge_contrastive(
             [rows[s][k] for s, k in cells], [entries[k] for _, k in cells], embedder, tokenizer
         )
         for (s, k), pair in zip(cells, scores):

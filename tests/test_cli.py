@@ -626,7 +626,7 @@ def _table_config(token_boundary: bool, systems: list[str]) -> str:
 
 class TestRunTable:
     """`run` judges each property as one (system x case) table; its verdicts
-    equal the one-case detectors' run cell by cell, system by system."""
+    equal the detectors' run on one-element tables, cell by cell, system by system."""
 
     @pytest.mark.parametrize("token_boundary", [False, True])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -689,13 +689,14 @@ class TestRunTable:
                     if text is None or entry is None:
                         continue
                     if spec.detector == "exhaustive":
-                        passed, matched = match_exhaustive(
-                            text, entry, token_boundary=token_boundary
+                        [passed], [matched] = match_exhaustive(
+                            [entry], [text], token_boundary=token_boundary
                         )
                         expected.append((case.id, system, passed, matched, None))
                     else:
-                        passed, scores = judge_contrastive(text, entry, embedder, config.tokenizer)
-                        expected.append((case.id, system, passed, None, scores))
+                        [scores] = judge_contrastive([text], [entry], embedder, config.tokenizer)
+                        passed = scores[0] >= scores[1]
+                        expected.append((case.id, system, passed, None, tuple(scores)))
         save_verdicts(expected, tmp_path / "expected.jsonl")
         assert (out / "verdicts.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
         assert load_verdicts(out / "verdicts.jsonl") == expected
@@ -894,6 +895,20 @@ class TestAnnotateAndApplyEdits:
             "--property", "names", *flags,
         ) == 1
         assert message in capsys.readouterr().err
+        assert not list(out_dir.glob("review_*"))
+
+    def test_property_not_judged_by_the_run_exit_1(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        assert run_cli(
+            "run", "--config", str(workspace), "--property", "names", "--system", "identity",
+            "--out", str(out_dir),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli(
+            "annotate", "--config", str(workspace), "--run", str(out_dir), "--property", "idioms",
+        ) == 1
+        assert f"property 'idioms' was not judged by the run in {out_dir}" in capsys.readouterr().err
         assert not list(out_dir.glob("review_*"))
 
     def test_candidates_edited_after_the_run_exit_3(self, workspace, tmp_path, capsys):
@@ -1188,7 +1203,7 @@ class TestFileFailures:
         cache_dir = load_config(str(workspace)).workspace / "cache" / "translations"
         cache_dir.parent.mkdir()
         cache_dir.write_bytes(b"x")
-        monkeypatch.setattr(cli, "translate_systems", lambda *a, **k: pytest.fail("translated"))
+        monkeypatch.setattr(cli, "translate_all", lambda *a, **k: pytest.fail("translated"))
         assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "run1")) == 3
         assert f"data error: {cache_dir}: cannot read (Not a directory)" in capsys.readouterr().err
 
@@ -1291,6 +1306,27 @@ class TestExitCodes:
             expected = (3, "data error")
         err = capsys.readouterr().err
         assert (code, err) == (expected[0], f"{expected[1]}: {cls('boom')}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate"], ["candidates"], ["run"], ["compare", "a", "b"],
+            ["diversity", "--property", "names"], ["annotate", "--run", "run1"],
+            ["apply-edits", "--property", "names", "--edits", "edits.jsonl"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_ctrl_c_exit_130_with_one_line(self, argv, tmp_path, monkeypatch, capsys):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "load_config", interrupt)
+        monkeypatch.setattr(cli, "_read_text", interrupt)
+        report = tmp_path / "report.json"
+        report.write_text("{}", encoding="utf-8")
+        where = ["--report", str(report)] if argv[0] == "compare" else ["--config", "cfg.yaml"]
+        assert main([argv[0], *where, *argv[1:]]) == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
 
     def test_every_family_is_enumerated(self):
         names = {c.__name__ for c in _error_classes()}

@@ -14,11 +14,8 @@ from mtbehave.detection import (
     CachedEmbedder,
     TokenizerConfig,
     judge_contrastive,
-    judge_contrastive_batch,
     match_exhaustive,
-    match_exhaustive_batch,
     max_sim,
-    max_sims,
     ngrams,
     tokenize,
 )
@@ -47,16 +44,16 @@ def naive_match(translation: str, candidates: CandidateSet) -> bool:
 class TestMatchExhaustive:
     def test_miles_pass(self):
         cset = CandidateSet(value="miles", candidates=("Meilen", "mi"))
-        passed, matched = match_exhaustive("Ich lief 3 Meilen.", cset)
+        [passed], [matched] = match_exhaustive([cset], ["Ich lief 3 Meilen."])
         assert passed
         assert matched == "Meilen"
 
     def test_km_fails(self):
         cset = CandidateSet(value="miles", candidates=("Meilen", "mi"))
-        assert not match_exhaustive("Ich lief 3 km.", cset)[0]
+        assert match_exhaustive([cset], ["Ich lief 3 km."])[0] == [False]
 
     def test_empty_translation_fails(self):
-        assert not match_exhaustive("", CandidateSet(value="x", candidates=("x",)))[0]
+        assert match_exhaustive([CandidateSet(value="x", candidates=("x",))], [""])[0] == [False]
 
     def test_only_the_translation_is_folded_per_call(self):
         class Counted(str):
@@ -69,28 +66,28 @@ class TestMatchExhaustive:
         cset = CandidateSet(value="miles", candidates=(Counted("MEILEN"), Counted("Mi")))
         translation = Counted("Ich lief 3 km.")
         Counted.folds = 0
-        assert not match_exhaustive(translation, cset)[0]
+        assert match_exhaustive([cset], [translation])[0] == [False]
         assert Counted.folds == 1
 
     def test_decimal_formats_both_pass(self):
         cset = CandidateSet(value="4200.4", candidates=("4200,4", "4.200,4"))
-        assert match_exhaustive("Das Unternehmen erhielt 4200,4€.", cset)[0]
-        assert match_exhaustive("Das Unternehmen erhielt 4.200,4€.", cset)[0]
+        assert match_exhaustive([cset], ["Das Unternehmen erhielt 4200,4€."])[0] == [True]
+        assert match_exhaustive([cset], ["Das Unternehmen erhielt 4.200,4€."])[0] == [True]
 
     def test_case_insensitive(self):
         cset = CandidateSet(value="miles", candidates=("MEILEN",))
-        assert match_exhaustive("ich lief drei meilen", cset)[0]
+        assert match_exhaustive([cset], ["ich lief drei meilen"])[0] == [True]
 
     def test_matched_candidate_is_first_in_set_order(self):
         cset = CandidateSet(value="miles", candidates=("eile", "Meilen"))
-        _, matched = match_exhaustive("Ich lief 3 Meilen.", cset)
+        _, [matched] = match_exhaustive([cset], ["Ich lief 3 Meilen."])
         assert matched == "eile"  # occurs inside "Meilen"
 
     def test_token_boundary_mode_rejects_inner_match(self):
         cset = CandidateSet(value="miles", candidates=("mi",))
-        assert match_exhaustive("Ich trinke Milch.", cset)[0]
-        assert not match_exhaustive("Ich trinke Milch.", cset, token_boundary=True)[0]
-        assert match_exhaustive("Ich lief 3 mi.", cset, token_boundary=True)[0]
+        assert match_exhaustive([cset], ["Ich trinke Milch."])[0] == [True]
+        assert match_exhaustive([cset], ["Ich trinke Milch."], token_boundary=True)[0] == [False]
+        assert match_exhaustive([cset], ["Ich lief 3 mi."], token_boundary=True)[0] == [True]
 
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(20240817)
@@ -108,22 +105,22 @@ class TestMatchExhaustive:
                 cset = CandidateSet(value="v", candidates=tuple(cands))
             except DataInvariantError:
                 continue
-            assert match_exhaustive(translation, cset)[0] == naive_match(translation, cset)
+            assert match_exhaustive([cset], [translation])[0] == [naive_match(translation, cset)]
 
     def test_monotone_in_candidate_set(self):
         small = CandidateSet(value="v", candidates=("Meilen",))
         large = CandidateSet(value="v", candidates=("Meilen", "mi"))
         for text in ("Ich lief 3 Meilen.", "Ich lief 3 km.", "nur mi hier"):
-            if match_exhaustive(text, small)[0]:
-                assert match_exhaustive(text, large)[0]
+            if match_exhaustive([small], [text])[0] == [True]:
+                assert match_exhaustive([large], [text])[0] == [True]
 
     @given(st.text(max_size=40))
     def test_case_change_invariance(self, text):
         cset = CandidateSet(value="v", candidates=("Meilen", "mi"))
         assert (
-            match_exhaustive(text, cset)[0]
-            == match_exhaustive(text.upper(), cset)[0]
-            == match_exhaustive(text.lower(), cset)[0]
+            match_exhaustive([cset], [text])[0]
+            == match_exhaustive([cset], [text.upper()])[0]
+            == match_exhaustive([cset], [text.lower()])[0]
         )
 
     @pytest.mark.parametrize("token_boundary", [False, True])
@@ -139,20 +136,20 @@ class TestMatchExhaustive:
             ]
             for _ in range(3)
         ]
-        table = [match_exhaustive_batch(entries, row, token_boundary=token_boundary) for row in rows]
+        table = [match_exhaustive(entries, row, token_boundary=token_boundary) for row in rows]
         for row, (bits, found) in zip(rows, table):
             for entry, text, passed, candidate in zip(entries, row, bits, found, strict=True):
                 if entry is None or text is None:
                     assert (passed, candidate) == (None, None)
                     continue
-                assert (passed, candidate) == match_exhaustive(
-                    text, entry, token_boundary=token_boundary
+                assert ([passed], [candidate]) == match_exhaustive(
+                    [entry], [text], token_boundary=token_boundary
                 )
         assert {True, False, None} <= {bit for bits, _ in table for bit in bits}
 
     def test_table_row_of_another_length_rejected(self):
         with pytest.raises(ValueError):
-            match_exhaustive_batch([CandidateSet("v", ("x",))] * 2, ["x"])
+            match_exhaustive([CandidateSet("v", ("x",))] * 2, ["x"])
 
 
 class TestTokenizeAndNgrams:
@@ -239,14 +236,14 @@ class VectorEmbedder:
 def kernel_cosine(a, b) -> float:
     """Cosine of two vectors as the contrastive kernel computes it: the
     one-token translation "a" against the one-token candidate "b"."""
-    return max_sim("a", "b", VectorEmbedder({"a": a, "b": b}))
+    return max_sim(["a"], [["b"]], VectorEmbedder({"a": a, "b": b}))[0]
 
 
 class TestCosine:
     def test_identical_is_exactly_one(self):
         v = (0.3, -0.4, 0.5)
         assert kernel_cosine(v, v) == 1.0
-        assert max_sim("a", "a", VectorEmbedder({"a": v})) == 1.0
+        assert max_sim(["a"], [["a"]], VectorEmbedder({"a": v})).tolist() == [1.0]
 
     def test_orthogonal_is_zero(self):
         assert kernel_cosine((1.0, 0.0), (0.0, 1.0)) == 0.0
@@ -259,7 +256,7 @@ class TestCosine:
         store = CachedEmbedder(VectorEmbedder({"a": (1.0,), "b": (1.0, 2.0)}))
         store.embed(["a"])
         with pytest.raises(DataInvariantError, match="dim changed from 1 to 2"):
-            max_sim("a", "b", store)
+            max_sim(["a"], [["b"]], store)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ProviderError, match="all zero"):
@@ -280,17 +277,19 @@ class TestCosine:
 
 class TestMaxSim:
     def test_identical_single_token_is_one(self, hash_embedder):
-        assert max_sim("Glück", "glück", hash_embedder) == 1.0
+        assert max_sim(["Glück"], [["glück"]], hash_embedder).tolist() == [1.0]
 
     def test_contained_candidate_is_one(self, hash_embedder):
-        assert max_sim("ich wünsche dir viel Glück heute", "viel Glück", hash_embedder) == 1.0
+        sims = max_sim(["ich wünsche dir viel Glück heute"], [["viel Glück"]], hash_embedder)
+        assert sims.tolist() == [1.0]
 
     def test_short_translation_uses_whole_text(self, hash_embedder):
         brute = reference_cosine(
             hash_embedder.embed(["kurz"])[0],
             hash_embedder.embed(["drei lange Wörter"])[0],
         )
-        assert max_sim("kurz", "drei lange Wörter", hash_embedder) == pytest.approx(brute, abs=1e-12)
+        sims = max_sim(["kurz"], [["drei lange Wörter"]], hash_embedder)
+        assert sims.tolist() == pytest.approx([brute], abs=1e-12)
 
     def test_equals_brute_force_randomized(self, hash_embedder):
         rng = random.Random(7)
@@ -299,17 +298,22 @@ class TestMaxSim:
             translation = " ".join(rng.choice(words) for _ in range(rng.randint(0, 8)))
             candidate = " ".join(rng.choice(words) for _ in range(rng.randint(1, 4)))
             brute = reference_max_sim(translation, candidate, hash_embedder, WS)
-            assert max_sim(translation, candidate, hash_embedder) == pytest.approx(brute, abs=1e-12)
+            sims = max_sim([translation], [[candidate]], hash_embedder)
+            assert sims.tolist() == pytest.approx([brute], abs=1e-12)
 
     def test_empty_candidate_rejected(self, hash_embedder):
         with pytest.raises(ValueError):
-            max_sim("text", "", hash_embedder)
+            max_sim(["text"], [[""]], hash_embedder)
 
     def test_batch_equals_one_item_calls(self, hash_embedder):
         translations = ["viel Glück heute", "", "brich dir ein Bein", "Glück"]
         candidates = [["viel Glück", "Bein"], ["Glück"], ["dir ein Bein", "x"], ["a b c d"]]
-        batch = max_sims(translations, candidates, hash_embedder)
-        single = [max_sim(t, c, hash_embedder) for t, cs in zip(translations, candidates) for c in cs]
+        batch = max_sim(translations, candidates, hash_embedder)
+        single = [
+            max_sim([t], [[c]], hash_embedder)[0]
+            for t, cs in zip(translations, candidates)
+            for c in cs
+        ]
         assert batch.tolist() == pytest.approx(single, abs=1e-12)
 
 
@@ -322,28 +326,26 @@ class TestJudgeContrastive:
         )
 
     def test_correct_verbatim_passes_with_one(self, hash_embedder):
-        passed, scores = judge_contrastive(
-            "ich wünsche dir viel Glück", self.pair(), hash_embedder
-        )
-        assert passed
+        [scores] = judge_contrastive(["ich wünsche dir viel Glück"], [self.pair()], hash_embedder)
+        assert scores[0] >= scores[1]
         assert scores is not None
         assert scores[0] == 1.0
 
     def test_foil_verbatim_fails(self, hash_embedder):
-        passed, scores = judge_contrastive(
-            "brich dir ein Bein auf der Bühne", self.pair(), hash_embedder
+        [scores] = judge_contrastive(
+            ["brich dir ein Bein auf der Bühne"], [self.pair()], hash_embedder
         )
         assert scores[1] == 1.0
         assert scores[0] < 1.0
-        assert not passed
+        assert not scores[0] >= scores[1]
 
     def test_exact_tie_passes(self):
-        passed, scores = judge_contrastive("was auch immer", self.pair(), ConstantEmbedder())
+        [scores] = judge_contrastive(["was auch immer"], [self.pair()], ConstantEmbedder())
         assert scores[0] == scores[1]
-        assert passed
+        assert scores[0] >= scores[1]
 
     def test_verdict_invariant_scores_present(self, hash_embedder):
-        _, scores = judge_contrastive("irgendein Text", self.pair(), hash_embedder)
+        [scores] = judge_contrastive(["irgendein Text"], [self.pair()], hash_embedder)
         assert scores is not None and len(scores) == 2
 
     def test_candidate_permutation_invariance(self, hash_embedder):
@@ -352,13 +354,13 @@ class TestJudgeContrastive:
             value=pair.value, correct=tuple(reversed(pair.correct)), foil=pair.foil
         )
         for text in ("viel Glück", "brich dir ein Bein", "ganz anders"):
-            a = judge_contrastive(text, pair, hash_embedder)
-            b = judge_contrastive(text, flipped, hash_embedder)
+            [a] = judge_contrastive([text], [pair], hash_embedder)
+            [b] = judge_contrastive([text], [flipped], hash_embedder)
             assert a[0] == b[0] and a[1] == b[1]
 
     def test_pure_given_fixed_embedder(self, hash_embedder):
-        first = judge_contrastive("viel Glück heute", self.pair(), hash_embedder)
-        second = judge_contrastive("viel Glück heute", self.pair(), hash_embedder)
+        first = judge_contrastive(["viel Glück heute"], [self.pair()], hash_embedder)
+        second = judge_contrastive(["viel Glück heute"], [self.pair()], hash_embedder)
         assert first == second
 
 
@@ -472,12 +474,12 @@ class TestCachedEmbedder:
         )
         pair = ContrastivePair(value="break a leg", correct=("Glück",), foil=("Bein",))
         with pytest.raises(ProviderError, match=f"'Glück' is {problem}"):
-            judge_contrastive("viel Glück", pair, embedder)
+            judge_contrastive(["viel Glück"], [pair], embedder)
 
 
 class TestJudgeContrastiveBatch:
     def test_empty_batch(self, hash_embedder):
-        assert judge_contrastive_batch([], [], hash_embedder) == []
+        assert judge_contrastive([], [], hash_embedder) == []
 
     def test_equals_one_item_calls(self, hash_embedder):
         pairs = [
@@ -485,9 +487,9 @@ class TestJudgeContrastiveBatch:
             ContrastivePair(value="b", correct=("schlafen",), foil=("den Sack", "Sack schlagen")),
         ]
         texts = ["ich wünsche dir viel Glück", "er will den Sack schlagen"]
-        batch = judge_contrastive_batch(texts, pairs, hash_embedder)
-        single = [judge_contrastive(t, p, hash_embedder) for t, p in zip(texts, pairs)]
+        batch = judge_contrastive(texts, pairs, hash_embedder)
+        single = [judge_contrastive([t], [p], hash_embedder)[0] for t, p in zip(texts, pairs)]
         for (sim_correct, sim_foil), s in zip(batch, single, strict=True):
-            assert (sim_correct >= sim_foil) == s[0]
-            assert (sim_correct, sim_foil) == pytest.approx(s[1], abs=1e-12)
-        assert [passed for passed, _ in single] == [True, False]
+            assert (sim_correct >= sim_foil) == (s[0] >= s[1])
+            assert (sim_correct, sim_foil) == pytest.approx(tuple(s), abs=1e-12)
+        assert [c >= f for c, f in single] == [True, False]

@@ -1,7 +1,10 @@
-"""The package's public names: every export resolves."""
+"""The package's public names: every export resolves, and the table
+functions reject the argument shapes of a single case."""
 from __future__ import annotations
 
 import types
+
+import pytest
 
 import mtbehave
 
@@ -24,3 +27,35 @@ def test_public_names_equal_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(mtbehave.__all__)
+
+
+class _EchoAdapter:
+    system_id = cache_name = "echo"
+
+    def translate(self, sources):
+        return list(sources)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mtbehave.max_sim("ab", "cd", mtbehave.HashEmbedder(dim=4)),
+        lambda: mtbehave.match_exhaustive(
+            "Ich lief 3 Meilen.", mtbehave.CandidateSet("miles", ("Meilen",))
+        ),
+        lambda: mtbehave.judge_contrastive(
+            "viel Glück",
+            mtbehave.ContrastivePair("break a leg", ("viel Glück",), ("Bein",)),
+            mtbehave.HashEmbedder(dim=4),
+        ),
+        lambda: mtbehave.translate_all(
+            [mtbehave.TestCase("u-0", "units", "3 [miles]", "3 miles", "miles", (2, 7))],
+            _EchoAdapter(),
+        ),
+    ],
+    ids=["max_sim", "match_exhaustive", "judge_contrastive", "translate_all"],
+)
+def test_one_case_arguments_are_a_type_error(call):
+    # Each takes a table; one case is a one-element table, never bare arguments.
+    with pytest.raises(TypeError):
+        call()

@@ -39,7 +39,6 @@ from mtbehave.runner import (
     render_report,
     sample_for_annotation,
     translate_all,
-    translate_systems,
 )
 
 from conftest import CountingEmbedder, evaluate_records, make_spec, reference_max_sim
@@ -76,7 +75,7 @@ class CountingAdapter:
 
 
 def split(suite, result):
-    """A `translate_all` result, (row, reason), as the records and failures it stands for."""
+    """One system's `translate_all` result, (row, reason), as its records and failures."""
     row, reason = result
     pairs = list(zip(suite, row, strict=True))
     return SimpleNamespace(
@@ -86,7 +85,7 @@ def split(suite, result):
 
 
 def per_suite(suites, result):
-    """One `translate_systems` result cut into each suite's `split`."""
+    """One system's `translate_all` result over several suites, cut into each suite's `split`."""
     row, reason = result
     starts = [sum(map(len, suites[:j])) for j in range(len(suites))]
     return [split(s, (row[lo : lo + len(s)], reason)) for s, lo in zip(suites, starts)]
@@ -113,7 +112,7 @@ class TestAdapterSpec:
 
 class TestTranslateAll:
     def test_identity_adapter_echoes_sources(self):
-        result = split(SUITE, translate_all(SUITE, CountingAdapter()))
+        result = split(SUITE, translate_all([SUITE], [CountingAdapter()])[0])
         assert [r.translation for r in result.records] == [c.source for c in SUITE]
         assert [r.case_id for r in result.records] == [c.id for c in SUITE]
         assert result.failures == []
@@ -126,36 +125,38 @@ class TestTranslateAll:
                 seen.extend(sources)
                 return list(sources)
 
-        translate_all(SUITE, Spy())
+        translate_all([SUITE], [Spy()])
         assert all("[" not in s and "]" not in s for s in seen)
 
     def test_warm_cache_no_adapter_calls(self, tmp_path):
         cache = TranslationCache(tmp_path)
         adapter = CountingAdapter()
-        translate_all(SUITE, adapter, cache)
+        translate_all([SUITE], [adapter], cache)
         assert adapter.calls == 1
         again = CountingAdapter()
-        result = split(SUITE, translate_all(SUITE, again, TranslationCache(tmp_path)))
+        result = split(SUITE, translate_all([SUITE], [again], TranslationCache(tmp_path))[0])
         assert again.calls == 0
         assert [r.translation for r in result.records] == [c.source for c in SUITE]
 
     def test_empty_translation_is_a_record_cached_and_served_warm(self, tmp_path):
         adapter = CountingAdapter(fn=lambda source: "")
-        result = split(SUITE[:1], translate_all(SUITE[:1], adapter, TranslationCache(tmp_path)))
+        [translated] = translate_all([SUITE[:1]], [adapter], TranslationCache(tmp_path))
+        result = split(SUITE[:1], translated)
         assert [r.translation for r in result.records] == [""]
         assert result.failures == []
         [line] = (tmp_path / "fixture.jsonl").read_text(encoding="utf-8").splitlines()
         assert json.loads(line)["translation"] == ""
         again = CountingAdapter()
-        result = split(SUITE[:1], translate_all(SUITE[:1], again, TranslationCache(tmp_path)))
+        [translated] = translate_all([SUITE[:1]], [again], TranslationCache(tmp_path))
+        result = split(SUITE[:1], translated)
         assert again.calls == 0
         assert [r.translation for r in result.records] == [""]
 
     def test_cache_keyed_by_system(self, tmp_path):
         cache = TranslationCache(tmp_path)
-        translate_all(SUITE, CountingAdapter(system_id="a"), cache)
+        translate_all([SUITE], [CountingAdapter(system_id="a")], cache)
         other = CountingAdapter(system_id="b")
-        translate_all(SUITE, other, cache)
+        translate_all([SUITE], [other], cache)
         assert other.calls == 1
 
     @pytest.mark.parametrize("cut", [2, 12], ids=["mid-json", "mid-utf8"])
@@ -163,26 +164,26 @@ class TestTranslateAll:
         def german(source):
             return source + " übersetzt"
 
-        translate_all(SUITE, CountingAdapter(fn=german), TranslationCache(tmp_path))
+        translate_all([SUITE], [CountingAdapter(fn=german)], TranslationCache(tmp_path))
         path = tmp_path / "fixture.jsonl"
         path.write_bytes(path.read_bytes()[:-cut])  # an append interrupted mid-entry
         adapter = CountingAdapter(fn=german)
-        result = split(SUITE, translate_all(SUITE, adapter, TranslationCache(tmp_path)))
+        result = split(SUITE, translate_all([SUITE], [adapter], TranslationCache(tmp_path))[0])
         assert adapter.calls == 1 and result.failures == []
         assert "torn" in caplog.text
         fresh = TranslationCache(tmp_path)
         assert [fresh.get("fixture", c.source) for c in SUITE] == [german(c.source) for c in SUITE]
 
     def test_unterminated_last_line_is_torn_even_when_it_parses(self, tmp_path, caplog):
-        translate_all(SUITE[:2], CountingAdapter(), TranslationCache(tmp_path))
+        translate_all([SUITE[:2]], [CountingAdapter()], TranslationCache(tmp_path))
         path = tmp_path / "fixture.jsonl"
         path.write_bytes(path.read_bytes()[:-1])  # a complete entry whose LF was never written
         adapter = CountingAdapter()
-        translate_all(SUITE, adapter, TranslationCache(tmp_path))
+        translate_all([SUITE], [adapter], TranslationCache(tmp_path))
         assert "torn" in caplog.text
         assert path.read_bytes().count(b"\n") == len(SUITE)
         again = CountingAdapter()
-        result = split(SUITE, translate_all(SUITE, again, TranslationCache(tmp_path)))
+        result = split(SUITE, translate_all([SUITE], [again], TranslationCache(tmp_path))[0])
         assert again.calls == 0
         assert [r.translation for r in result.records] == [c.source for c in SUITE]
 
@@ -199,38 +200,38 @@ class TestTranslateAll:
             return real_open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr("builtins.open", counting_open)
-        translate_all(suite, CountingAdapter(), TranslationCache(tmp_path))
+        translate_all([suite], [CountingAdapter()], TranslationCache(tmp_path))
         assert opens == ["a"]
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 50
         assert [json.loads(line)["translation"] for line in lines] == [c.source for c in suite[:50]]
 
     def test_malformed_cache_line_is_a_load_error(self, tmp_path):
-        translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
+        translate_all([SUITE], [CountingAdapter()], TranslationCache(tmp_path))
         path = tmp_path / "fixture.jsonl"
         lines = path.read_bytes().split(b"\n")
         lines[0] = lines[0][:-3]
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(SuiteLoadError, match=":1"):
-            translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
+            translate_all([SUITE], [CountingAdapter()], TranslationCache(tmp_path))
 
     @pytest.mark.parametrize("translation", [3, None, ["x"]])
     def test_non_string_cached_translation_is_a_load_error(self, tmp_path, translation):
-        translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
+        translate_all([SUITE], [CountingAdapter()], TranslationCache(tmp_path))
         path = tmp_path / "fixture.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         row = json.loads(lines[1])
         lines[1] = json.dumps({**row, "translation": translation}) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(SuiteLoadError, match=re.escape(f"{path}:2: ")):
-            translate_all(SUITE, CountingAdapter(), TranslationCache(tmp_path))
+            translate_all([SUITE], [CountingAdapter()], TranslationCache(tmp_path))
 
     def test_adapter_error_records_all_pending(self):
         class Broken(CountingAdapter):
             def translate(self, sources):
                 raise AdapterError("boom")
 
-        result = split(SUITE, translate_all(SUITE, Broken()))
+        result = split(SUITE, translate_all([SUITE], [Broken()])[0])
         assert result.records == []
         assert len(result.failures) == len(SUITE)
 
@@ -239,7 +240,7 @@ class TestTranslateAll:
             def translate(self, sources):
                 return list(sources[:1])
 
-        result = split(SUITE, translate_all(SUITE, Short()))
+        result = split(SUITE, translate_all([SUITE], [Short()])[0])
         assert [r.case_id for r in result.records] == [SUITE[0].id]
         assert [f.case_id for f in result.failures] == [c.id for c in SUITE[1:]]
 
@@ -249,8 +250,8 @@ class TestTranslateAll:
                 return list(sources) + ["extra"]
 
         cache = TranslationCache(tmp_path)
-        translate_all(SUITE[:1], CountingAdapter(), cache)  # the first case is cached
-        result = split(SUITE, translate_all(SUITE, Long(), cache))
+        translate_all([SUITE[:1]], [CountingAdapter()], cache)  # the first case is cached
+        result = split(SUITE, translate_all([SUITE], [Long()], cache)[0])
         assert [r.case_id for r in result.records] == [SUITE[0].id]
         assert [f.case_id for f in result.failures] == [c.id for c in SUITE[1:]]
         assert {f.reason for f in result.failures} == {"returned 3 translations for 2 inputs"}
@@ -261,14 +262,14 @@ class TestTranslateAll:
         path = tmp_path / "translations.jsonl"
         save_translations([(SUITE[0].id, "offline", "Ich lief 3 Meilen.")], path)
         adapter = FileMtAdapter(AdapterSpec(system_id="offline", kind="file", path=str(path)))
-        result = split(SUITE, translate_all(SUITE, adapter))
+        result = split(SUITE, translate_all([SUITE], [adapter])[0])
         assert len(result.records) == 1
         failed = {f.case_id for f in result.failures}
         assert failed == {SUITE[1].id, SUITE[2].id}
 
     def test_empty_suite_rejected(self):
         with pytest.raises(DataInvariantError):
-            translate_all([], CountingAdapter())
+            translate_all([[]], [CountingAdapter()])
 
     @pytest.mark.parametrize("translation", [3, None])
     def test_file_adapter_non_string_translation_is_a_load_error(self, tmp_path, translation):
@@ -286,7 +287,7 @@ class TestTranslateAll:
                 [(c.id, "offline", t) for c, t in zip(SUITE[:2], texts)], path
             )
             cache = TranslationCache(tmp_path / "cache")
-            result = split(SUITE[:2], translate_all(SUITE[:2], FileMtAdapter(spec), cache))
+            result = split(SUITE[:2], translate_all([SUITE[:2]], [FileMtAdapter(spec)], cache)[0])
             assert [r.translation for r in result.records] == texts
         assert not (tmp_path / "cache").exists()
 
@@ -303,7 +304,7 @@ class TestTranslateAll:
         spec = AdapterSpec(system_id="offline", kind="file", path=str(path))
         for _ in range(2):
             cache = TranslationCache(tmp_path / "cache")
-            result = split(suite, translate_all(suite, FileMtAdapter(spec), cache))
+            result = split(suite, translate_all([suite], [FileMtAdapter(spec)], cache)[0])
             assert [r.translation for r in result.records] == [
                 "Ich lief 3 Meilen.",
                 "Ich bin 3 Meilen gelaufen.",
@@ -333,11 +334,11 @@ class TestTranslateSystems:
 
     def test_one_call_per_adapter_covers_every_suite(self, tmp_path):
         adapters = [CountingAdapter("a"), CountingAdapter("b", fn=str.upper)]
-        results = translate_systems(self.SUITES, adapters, TranslationCache(tmp_path / "c1"))
+        results = translate_all(self.SUITES, adapters, TranslationCache(tmp_path / "c1"))
         assert [a.calls for a in adapters] == [1, 1]
         for adapter, result in zip(adapters, results):
             for suite, part in zip(self.SUITES, per_suite(self.SUITES, result)):
-                alone = translate_all(suite, CountingAdapter(adapter.system_id, adapter.fn))
+                alone = translate_all([suite], [CountingAdapter(adapter.system_id, adapter.fn)])[0]
                 assert part == split(suite, alone)
 
     def test_cache_lines_follow_suite_then_case_order_in_one_append(self, tmp_path, monkeypatch):
@@ -351,7 +352,7 @@ class TestTranslateSystems:
             return real_open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr("builtins.open", counting_open)
-        translate_systems(self.SUITES, [CountingAdapter("a")], TranslationCache(tmp_path))
+        translate_all(self.SUITES, [CountingAdapter("a")], TranslationCache(tmp_path))
         assert opens == ["a"]
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["translation"] for line in lines] == [
@@ -363,7 +364,7 @@ class TestTranslateSystems:
             def translate(self, sources):
                 raise AdapterError("boom")
 
-        results = translate_systems(self.SUITES, [CountingAdapter("good"), Broken("bad")])
+        results = translate_all(self.SUITES, [CountingAdapter("good"), Broken("bad")])
         good, broken = (per_suite(self.SUITES, result) for result in results)
         assert [len(r.records) for r in good] == [len(s) for s in self.SUITES]
         assert [r.records for r in broken] == [[], []]
@@ -385,7 +386,7 @@ class TestTranslateSystems:
 
     def test_any_empty_suite_rejected(self):
         with pytest.raises(DataInvariantError):
-            translate_systems([SUITE, []], [CountingAdapter()])
+            translate_all([SUITE, []], [CountingAdapter()])
 
 
 class TestCacheFingerprint:
@@ -395,16 +396,17 @@ class TestCacheFingerprint:
 
     def test_cache_file_is_named_by_system_and_fingerprint(self, tmp_path):
         spec = AdapterSpec(system_id="sys", kind="command", command="cat")
-        translate_all(SUITE, CommandMtAdapter(spec), TranslationCache(tmp_path))
+        translate_all([SUITE], [CommandMtAdapter(spec)], TranslationCache(tmp_path))
         [path] = tmp_path.iterdir()
         assert re.fullmatch(r"sys\.[0-9a-f]{16}\.jsonl", path.name)
         assert path.name == f"{spec.cache_name}.jsonl"
 
     def test_editing_a_command_retranslates(self, tmp_path):
         spec = AdapterSpec(system_id="sys", kind="command", command="cat")
-        translate_all(SUITE, CommandMtAdapter(spec), TranslationCache(tmp_path))
+        translate_all([SUITE], [CommandMtAdapter(spec)], TranslationCache(tmp_path))
         edited = dataclasses.replace(spec, command="tr a-z A-Z")
-        result = split(SUITE, translate_all(SUITE, CommandMtAdapter(edited), TranslationCache(tmp_path)))
+        [translated] = translate_all([SUITE], [CommandMtAdapter(edited)], TranslationCache(tmp_path))
+        result = split(SUITE, translated)
         assert [r.translation for r in result.records] == [c.source.upper() for c in SUITE]
 
     @pytest.mark.parametrize(
@@ -443,10 +445,11 @@ class TestCacheFingerprint:
 
     def test_editing_batch_size_still_hits_the_cache(self, tmp_path):
         session = StubSession([StubResponse({"translations": ["eins", "zwei", "drei"]})])
-        translate_all(SUITE, HttpMtAdapter(self.HTTP, session), TranslationCache(tmp_path))
+        translate_all([SUITE], [HttpMtAdapter(self.HTTP, session)], TranslationCache(tmp_path))
         edited = dataclasses.replace(self.HTTP, batch_size=1)
         offline = StubSession([])  # any request would fail on the empty script
-        result = split(SUITE, translate_all(SUITE, HttpMtAdapter(edited, offline), TranslationCache(tmp_path)))
+        [translated] = translate_all([SUITE], [HttpMtAdapter(edited, offline)], TranslationCache(tmp_path))
+        result = split(SUITE, translated)
         assert offline.calls == []
         assert [r.translation for r in result.records] == ["eins", "zwei", "drei"]
 
@@ -501,7 +504,7 @@ class TestCommandAdapter:
         # tr writes the byte 0xff for each "a": not UTF-8, so no line can be trusted.
         spec = AdapterSpec(system_id="bytes", kind="command", command="tr a '\\377'")
         with caplog.at_level("WARNING", logger="mtbehave.runner"):
-            result = split(SUITE, translate_all(SUITE, CommandMtAdapter(spec)))
+            result = split(SUITE, translate_all([SUITE], [CommandMtAdapter(spec)])[0])
         assert result.records == []
         assert [f.case_id for f in result.failures] == [c.id for c in SUITE]
         assert all("wrote invalid UTF-8" in f.reason for f in result.failures)
@@ -555,7 +558,8 @@ class TestHttpAdapter:
         )
         spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=2)
         with caplog.at_level("WARNING", logger="mtbehave.runner"):
-            result = split(SUITE, translate_all(SUITE, HttpMtAdapter(spec, session), TranslationCache(tmp_path)))
+            [translated] = translate_all([SUITE], [HttpMtAdapter(spec, session)], TranslationCache(tmp_path))
+            result = split(SUITE, translated)
         assert [r.translation for r in result.records] == ["drei"]
         assert [f.case_id for f in result.failures] == [c.id for c in SUITE[:2]]
         assert "http://mt/x returned 1 translations for 2 texts" in caplog.text
@@ -568,7 +572,8 @@ class TestHttpAdapter:
         )
         spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=2)
         with caplog.at_level("WARNING", logger="mtbehave.runner"):
-            result = split(SUITE, translate_all(SUITE, HttpMtAdapter(spec, session), TranslationCache(tmp_path)))
+            [translated] = translate_all([SUITE], [HttpMtAdapter(spec, session)], TranslationCache(tmp_path))
+            result = split(SUITE, translated)
         assert [r.translation for r in result.records] == ["drei"]
         assert [f.case_id for f in result.failures] == [c.id for c in SUITE[:2]]
         assert "a translation is not a string" in caplog.text
