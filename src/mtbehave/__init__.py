@@ -27,8 +27,6 @@ from .generation import (
     render_source_prompt,
 )
 from .metrics import (
-    Interval,
-    PairedResult,
     ResampleConfig,
     bootstrap_ci,
     diversity_series,
@@ -62,7 +60,6 @@ from .providers import (
 )
 from .runner import (
     AdapterSpec,
-    CandidateEdit,
     TranslationCache,
     apply_candidate_edits,
     build_report,
@@ -77,14 +74,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AdapterSpec",
     "CachedEmbedder",
-    "CandidateEdit",
     "CandidateSet",
     "ContrastivePair",
     "HashEmbedder",
     "HttpChatProvider",
     "HttpEmbedder",
-    "Interval",
-    "PairedResult",
     "PropertySpec",
     "ReplayProvider",
     "ResampleConfig",

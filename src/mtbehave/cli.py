@@ -37,6 +37,7 @@ from .model import (
     _append,
     _bool_field,
     _check_write_targets,
+    _edit_row,
     _load_records,
     _make_dir,
     _read_bytes,
@@ -54,7 +55,6 @@ from .model import (
     save_verdicts,
 )
 from .runner import (
-    CandidateEdit,
     TranslationCache,
     apply_candidate_edits,
     build_report,
@@ -300,6 +300,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         systems = list(config.systems)
     if not systems:
         raise ConfigError("no systems configured")
+    for system in systems:
+        for spec in props:
+            if any(system.language_pair) and system.language_pair != spec.language_pair:
+                raise ConfigError(
+                    f"system {system.system_id!r} translates {'-'.join(system.language_pair)}, "
+                    f"but property {spec.id!r} is {'-'.join(spec.language_pair)}"
+                )
     run_dir = _run_directory(config, args.out)
     # An output that cannot be written fails here, before any system is run.
     _make_dir(run_dir / "translations")
@@ -326,7 +333,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     ]
 
     # Translate: one adapter call per system, covering every property.
-    rows = [row for row, _ in translate_all([suite for suite, *_ in inputs], adapters, cache)]
+    rows = translate_all([suite for suite, *_ in inputs], adapters, cache)
     system_ids = [s.system_id for s in systems]
     failure_counts = {sid: n for sid, row in zip(system_ids, rows) if (n := row.count(None))}
     case_ids = [case.id for suite, *_ in inputs for case in suite]
@@ -563,10 +570,11 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_edits(path: Path) -> list[CandidateEdit]:
+def _load_edits(path: Path) -> list[tuple]:
+    """The (value, add, remove) edits of an edits file."""
     if not path.exists():
         raise ConfigError(f"edits file {path} not found")
-    return [edit for _, edit in _load_records(path, CandidateEdit.from_dict)]
+    return [edit for _, edit in _load_records(path, _edit_row)]
 
 
 # The annotations a review row may hold, after strip and case-fold; blank is unreviewed.
@@ -608,13 +616,11 @@ def cmd_apply_edits(args: argparse.Namespace) -> int:
     # Read the review before any edit is saved, so a bad --review changes nothing.
     tallies = _review_tallies(Path(args.review)) if args.review else None
     updated, audit = apply_candidate_edits(candidates, edits)
-    audit_path = prop_dir / "candidates_audit.log"
+    # The audit lines go first: a failed save then leaves candidates.jsonl as it
+    # was, and re-running the edits applies them and appends their lines again.
     if audit:
-        # An empty append first, so an audit log that cannot be written fails before the save.
-        _append(audit_path, "")
+        _append(prop_dir / "candidates_audit.log", "".join(line + "\n" for line in audit))
     save_candidates(updated.values(), prop_dir / "candidates.jsonl")
-    if audit:
-        _append(audit_path, "".join(line + "\n" for line in audit))
     print(f"{spec.id}: applied {len(edits)} edits ({len(audit)} changes)")
     if tallies is not None:
         print(

@@ -61,26 +61,13 @@ class SuiteLoadError(DataInvariantError):
 
 
 class BracketParseError(MtBehaveError, ValueError):
-    """A generated line could not be parsed into a single bracketed value."""
+    """A generated line could not be parsed into a single bracketed value.
 
-    reason = "parse_error"
+    `reason` is the `genlog.json` rejection key: "unbalanced", "no_value",
+    "multi_value" or "empty_value".
+    """
 
-    def __init__(self, raw: str) -> None:
+    def __init__(self, reason: str, raw: str) -> None:
+        self.reason = reason
         self.raw = raw
-        super().__init__(f"{self.reason}: {raw!r}")
-
-
-class NoValueError(BracketParseError):
-    reason = "no_value"
-
-
-class MultipleValuesError(BracketParseError):
-    reason = "multi_value"
-
-
-class UnbalancedBracketsError(BracketParseError):
-    reason = "unbalanced"
-
-
-class EmptyValueError(BracketParseError):
-    reason = "empty_value"
+        super().__init__(f"{reason}: {raw!r}")

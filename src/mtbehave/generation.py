@@ -20,7 +20,7 @@ from .errors import (
     MaxBatchesExceededError,
     UnanswerableValueError,
 )
-from .model import CandidateSet, ContrastivePair, ParsedSentence, PropertySpec, TestCase, parse_bracketed
+from .model import CandidateSet, ContrastivePair, PropertySpec, TestCase, parse_bracketed
 from .providers import LlmProvider
 
 log = logging.getLogger(__name__)
@@ -120,7 +120,7 @@ def render_contrastive_prompts(spec: PropertySpec, value: str, sentence: str) ->
     return correct, foil
 
 
-def _split_items(response: str) -> tuple[list[str], int]:
+def parse_item_list(response: str) -> tuple[list[str], int]:
     """The "- " items of a response and how many other nonblank (chatter) lines it has."""
     items = []
     chatter = 0
@@ -131,11 +131,6 @@ def _split_items(response: str) -> tuple[list[str], int]:
         elif stripped:
             chatter += 1
     return items, chatter
-
-
-def parse_item_list(response: str) -> list[str]:
-    """Extract "- " items from a response, dropping chatter and blank lines."""
-    return _split_items(response)[0]
 
 
 def normalize_sentence(text: str) -> str:
@@ -151,35 +146,31 @@ def is_multi_sentence(text: str) -> bool:
 
 def filter_sentences(
     parsed: Sequence[str], seen: set[str]
-) -> tuple[list[ParsedSentence], list[tuple[str, str]]]:
+) -> tuple[list[tuple[str, str, str, tuple[int, int]]], list[tuple[str, str]]]:
     """Apply the acceptance filters to a batch of generated lines.
 
     `seen` carries normalized sentences accepted so far and is updated in
-    place. Returns accepted fragments and (line, reason) rejections.
+    place. Returns the accepted lines as (raw, source, value, span) and the
+    rejections as (line, reason).
     """
-    accepted: list[ParsedSentence] = []
+    accepted: list[tuple[str, str, str, tuple[int, int]]] = []
     rejections: list[tuple[str, str]] = []
     for item in parsed:
         try:
-            fragment = parse_bracketed(item)
+            source, value, span = parse_bracketed(item)
         except BracketParseError as exc:
             rejections.append((item, exc.reason))
             continue
-        if is_multi_sentence(fragment.source):
+        if is_multi_sentence(source):
             rejections.append((item, "multi_sentence"))
             continue
-        key = normalize_sentence(fragment.source)
+        key = normalize_sentence(source)
         if key in seen:
             rejections.append((item, "duplicate"))
             continue
         seen.add(key)
-        accepted.append(fragment)
+        accepted.append((item, source, value, span))
     return accepted, rejections
-
-
-def default_max_batches(target_count: int) -> int:
-    # Each batch nominally yields 10 items; the cap stops degenerate loops.
-    return max(1, math.ceil(target_count / 2))
 
 
 def generate_suite(
@@ -199,7 +190,8 @@ def generate_suite(
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     if max_batches is None:
-        max_batches = default_max_batches(target_count)
+        # Each batch nominally yields 10 items; the cap stops degenerate loops.
+        max_batches = max(1, math.ceil(target_count / 2))
     prompt = render_source_prompt(spec)
     seen: set[str] = set()
     cases: list[TestCase] = []
@@ -214,7 +206,7 @@ def generate_suite(
         "value_counts": Counter(),
     }
     for batch_index in range(max_batches):
-        items, chatter = _split_items(llm.complete(prompt))
+        items, chatter = parse_item_list(llm.complete(prompt))
         accepted, rejections = filter_sentences(items, seen)
         by_reason = dict(Counter(reason for _, reason in rejections))
         genlog["emitted"] += len(items)
@@ -228,21 +220,14 @@ def generate_suite(
                 "rejected_by_reason": by_reason,
             }
         )
-        for fragment in accepted:
-            genlog["value_counts"][fragment.value] += 1
+        for raw, source, value, span in accepted:
+            genlog["value_counts"][value] += 1
             if len(cases) >= target_count:
                 genlog["truncated"] += 1
                 continue
-            case = TestCase(
-                id=f"{spec.id}-{len(cases):05d}",
-                property_id=spec.id,
-                raw=fragment.raw,
-                source=fragment.source,
-                value=fragment.value,
-                value_span=fragment.value_span,
-            )
-            cases.append(case)
-            genlog["accepted"].append({"id": case.id, "batch": batch_index, "value": case.value})
+            case_id = f"{spec.id}-{len(cases):05d}"
+            cases.append(TestCase(case_id, spec.id, raw, source, value, span))
+            genlog["accepted"].append({"id": case_id, "batch": batch_index, "value": value})
         if len(cases) >= target_count:
             return cases, genlog
     raise MaxBatchesExceededError(

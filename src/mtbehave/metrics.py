@@ -46,16 +46,6 @@ class ResampleConfig:
             raise DataInvariantError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise DataInvariantError(f"interval lo {self.lo} > hi {self.hi}")
-
-
 def resample_key(seed: int) -> np.uint64:
     """The 64-bit key of a seed's resamples; any seed >= 0 is accepted.
 
@@ -215,15 +205,15 @@ def macro_pass_rate(values: Sequence[str], passes: Sequence[int]) -> float:
     return sum((sums / np.bincount(codes, minlength=n_values)).tolist()) / n_values
 
 
-def bootstrap_ci(mprs: np.ndarray, cfg: ResampleConfig) -> Interval:
-    """Percentile bootstrap interval for the macro pass rate, from one row of
-    `resampled_mprs`.
+def bootstrap_ci(mprs: np.ndarray, cfg: ResampleConfig) -> tuple[float, float]:
+    """Percentile bootstrap interval (lo, hi) for the macro pass rate, from one
+    row of `resampled_mprs`.
 
     Quantiles interpolate linearly between order statistics, so the interval
     is deterministic given the row.
     """
     ordered = np.sort(mprs)
-    return Interval(
+    return (
         _linear_quantile(ordered, cfg.alpha / 2.0), _linear_quantile(ordered, 1.0 - cfg.alpha / 2.0)
     )
 
@@ -241,30 +231,22 @@ def _linear_quantile(ordered: np.ndarray, q: float) -> float:
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
-@dataclass(frozen=True)
-class PairedResult:
-    """Outcome of a paired bootstrap comparison.
+def paired_bootstrap(
+    mprs_a: np.ndarray, mprs_b: np.ndarray, cfg: ResampleConfig
+) -> tuple[str | None, float, bool]:
+    """Compare two systems from two rows of one `resampled_mprs` call, which
+    resampled them jointly over the same cases: (winner, p_value, significant).
 
     `winner` is "a", "b", or None when win counts tie exactly. The p-value is
-    one minus the winner's win fraction, with tied resamples split evenly.
+    one minus the winner's win fraction, with tied resamples split evenly, and
+    the difference is significant when it is below alpha.
     """
-
-    winner: str | None
-    p_value: float
-    wins_a: float
-    wins_b: float
-    significant: bool
-
-
-def paired_bootstrap(mprs_a: np.ndarray, mprs_b: np.ndarray, cfg: ResampleConfig) -> PairedResult:
-    """Compare two systems from two rows of one `resampled_mprs` call, which
-    resampled them jointly over the same cases."""
     ties = 0.5 * int(np.count_nonzero(mprs_a == mprs_b))
     wins_a = int(np.count_nonzero(mprs_a > mprs_b)) + ties
     wins_b = int(np.count_nonzero(mprs_b > mprs_a)) + ties
     winner = "a" if wins_a > wins_b else "b" if wins_b > wins_a else None
     p_value = 1.0 - max(wins_a, wins_b) / cfg.k
-    return PairedResult(winner, p_value, wins_a, wins_b, significant=p_value < cfg.alpha)
+    return winner, p_value, p_value < cfg.alpha
 
 
 def diversity_series(

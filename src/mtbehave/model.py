@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
-from .errors import (
-    DataInvariantError,
-    EmptyValueError,
-    MtBehaveError,
-    MultipleValuesError,
-    NoValueError,
-    SuiteLoadError,
-    UnbalancedBracketsError,
-)
+from .errors import BracketParseError, DataInvariantError, MtBehaveError, SuiteLoadError
 
 DETECTOR_KINDS = ("exhaustive", "contrastive")
 
@@ -61,17 +53,7 @@ class PropertySpec:
         object.__setattr__(self, "language_pair", tuple(self.language_pair))
 
 
-@dataclass(frozen=True)
-class ParsedSentence:
-    """A bracket-parsed line: the TestCase fragment before an id is assigned."""
-
-    raw: str
-    source: str
-    value: str
-    value_span: tuple[int, int]
-
-
-def parse_bracketed(raw: str) -> ParsedSentence:
+def parse_bracketed(raw: str) -> tuple[str, str, tuple[int, int]]:
     """Parse one generated line into (source, value, span).
 
     `raw` is the line with any leading "- " item marker already removed.
@@ -81,20 +63,19 @@ def parse_bracketed(raw: str) -> ParsedSentence:
     opens = raw.count("[")
     closes = raw.count("]")
     if opens != closes:
-        raise UnbalancedBracketsError(raw)
+        raise BracketParseError("unbalanced", raw)
     if opens == 0:
-        raise NoValueError(raw)
+        raise BracketParseError("no_value", raw)
     if opens > 1:
-        raise MultipleValuesError(raw)
+        raise BracketParseError("multi_value", raw)
     i = raw.index("[")
     j = raw.index("]")
     if j < i:
-        raise UnbalancedBracketsError(raw)
+        raise BracketParseError("unbalanced", raw)
     value = raw[i + 1 : j]
     if not value.strip():
-        raise EmptyValueError(raw)
-    source = raw[:i] + value + raw[j + 1 :]
-    return ParsedSentence(raw=raw, source=source, value=value, value_span=(i, i + len(value)))
+        raise BracketParseError("empty_value", raw)
+    return raw[:i] + value + raw[j + 1 :], value, (i, i + len(value))
 
 
 @dataclass(frozen=True)
@@ -510,3 +491,12 @@ def _verdict_row(d: Mapping) -> tuple:
 def load_verdicts(path: Path | str) -> list[tuple]:
     """Verdict rows; save/load round-trips to equal rows, scores as a tuple of floats."""
     return [row for _, row in _load_records(path, _verdict_row)]
+
+
+def _edit_row(d: Mapping) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """An edits-file line as (value, add, remove); add and remove default to empty."""
+    return (
+        _str_field(d, "value"),
+        _str_list(d.get("add", []), "add"),
+        _str_list(d.get("remove", []), "remove"),
+    )

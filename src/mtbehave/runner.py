@@ -46,7 +46,6 @@ from .model import (
     _load_records,
     _read_bytes,
     _str_field,
-    _str_list,
     _truncate,
     load_translations,
 )
@@ -294,10 +293,9 @@ def _adapter_call(translate, inputs: list) -> list[str | None] | AdapterError:
 
 def translate_all(
     suites: Sequence[Sequence[TestCase]], adapters: Sequence, cache: TranslationCache | None = None
-) -> list[tuple[list[str | None], str]]:
+) -> list[list[str | None]]:
     """Translate every suite with every adapter: per adapter, its row of
-    translations over the suites' cases in order, None where a case failed,
-    and the one reason all its failures share.
+    translations over the suites' cases in order, None where a case failed.
 
     Sources go out bracket-free (TestCase.source is already marker-stripped).
     Failed cases are recorded and excluded rather than counted as fails:
@@ -339,12 +337,11 @@ def translate_all(
     results = []
     for adapter, (store, row, pending) in zip(adapters, plans):
         output = next(called) if pending else []
-        reason = "no translation produced"  # every failure of one system has one reason
         if not isinstance(output, AdapterError) and len(output) > len(pending):
             output = AdapterError(f"returned {len(output)} translations for {len(pending)} inputs")
         if isinstance(output, AdapterError):
             log.warning("system %s: %s", adapter.system_id, output)
-            output, reason = [], str(output)
+            output = []
         for k, translation in zip(pending, output):
             row[k] = translation
         if store and pending:
@@ -356,7 +353,7 @@ def translate_all(
                 "system %s: %d/%d cases failed translation and are excluded",
                 adapter.system_id, n_failed, len(cases),
             )
-        results.append((row, reason))
+        results.append(row)
     return results
 
 
@@ -467,10 +464,9 @@ def build_report(
     n_values = len(set(values))
     systems = {}
     for i, (system_id, row) in enumerate(zip(judged, rows)):
-        ci = bootstrap_ci(mprs[i], cfg)
         systems[system_id] = {
             "mpr": macro_pass_rate(values, row),
-            "ci": [ci.lo, ci.hi],
+            "ci": list(bootstrap_ci(mprs[i], cfg)),
             "n": len(row),
             "values": n_values,
             "passes": sum(row),
@@ -481,13 +477,13 @@ def build_report(
         }
     comparisons = []
     for (i, a), (j, b) in combinations(enumerate(judged), 2):
-        result = paired_bootstrap(mprs[i], mprs[j], cfg)
+        winner, p_value, significant = paired_bootstrap(mprs[i], mprs[j], cfg)
         comparisons.append({
             "a": a,
             "b": b,
-            "winner": {"a": a, "b": b, None: None}[result.winner],
-            "p_value": result.p_value,
-            "significant": result.significant,
+            "winner": {"a": a, "b": b, None: None}[winner],
+            "p_value": p_value,
+            "significant": significant,
         })
     meta = dict(metadata or {})
     if dropped:
@@ -548,62 +544,45 @@ def sample_for_annotation(
     return pick(passes, "pass"), pick(fails, "fail")
 
 
-@dataclass(frozen=True)
-class CandidateEdit:
-    """One annotation-loop correction to an exhaustive candidate set."""
-
-    value: str
-    add: tuple[str, ...] = ()
-    remove: tuple[str, ...] = ()
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "CandidateEdit":
-        if not isinstance(d["value"], str):
-            raise TypeError("'value' must be a string")
-        return cls(
-            value=d["value"],
-            add=_str_list(d.get("add", []), "add"),
-            remove=_str_list(d.get("remove", []), "remove"),
-        )
-
-
 def apply_candidate_edits(
-    candidates: Mapping[str, CandidateEntry], edits: Sequence[CandidateEdit]
+    candidates: Mapping[str, CandidateEntry],
+    edits: Iterable[tuple[str, Sequence[str], Sequence[str]]],
 ) -> tuple[dict[str, CandidateEntry], list[str]]:
-    """Apply removals then additions; returns new candidates and audit lines."""
+    """Apply each (value, add, remove) edit, removals then additions; returns
+    new candidates and audit lines."""
     out: dict[str, CandidateEntry] = dict(candidates)
     audit: list[str] = []
-    for edit in edits:
-        entry = out.get(edit.value)
+    for value, add, remove in edits:
+        entry = out.get(value)
         if entry is None:
-            raise DataInvariantError(f"edit references unknown value {edit.value!r}")
+            raise DataInvariantError(f"edit references unknown value {value!r}")
         if isinstance(entry, ContrastivePair):
             raise DataInvariantError(
-                f"value {edit.value!r} has contrastive candidates; add/remove edits "
+                f"value {value!r} has contrastive candidates; add/remove edits "
                 f"apply to exhaustive sets only"
             )
         current = list(entry.candidates)
-        for cand in edit.remove:
+        for cand in remove:
             if cand not in current:
                 raise DataInvariantError(
-                    f"cannot remove {cand!r} from {edit.value!r}: not present"
+                    f"cannot remove {cand!r} from {value!r}: not present"
                 )
             if len(current) == 1:
                 raise DataInvariantError(
-                    f"cannot remove {cand!r}: it is the last candidate for {edit.value!r}"
+                    f"cannot remove {cand!r}: it is the last candidate for {value!r}"
                 )
             current.remove(cand)
-            audit.append(f"{edit.value}: removed {cand!r}")
+            audit.append(f"{value}: removed {cand!r}")
         folded = {c.casefold() for c in current}
-        for cand in edit.add:
+        for cand in add:
             if not cand or not cand.strip():
-                raise DataInvariantError(f"cannot add a blank candidate to {edit.value!r}")
+                raise DataInvariantError(f"cannot add a blank candidate to {value!r}")
             if cand.casefold() in folded:
-                audit.append(f"{edit.value}: skipped {cand!r} (already present)")
+                audit.append(f"{value}: skipped {cand!r} (already present)")
                 continue
             current.append(cand)
             folded.add(cand.casefold())
-            audit.append(f"{edit.value}: added {cand!r}")
-        out[edit.value] = CandidateSet(value=edit.value, candidates=tuple(current))
+            audit.append(f"{value}: added {cand!r}")
+        out[value] = CandidateSet(value=value, candidates=tuple(current))
     return out, audit
 

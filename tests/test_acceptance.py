@@ -17,7 +17,6 @@ from mtbehave.config import load_config
 from mtbehave.detection import TokenizerConfig, judge_contrastive, match_exhaustive, max_sim, ngrams
 from mtbehave.generation import generate_suite, generation_stats
 from mtbehave.metrics import (
-    Interval,
     ResampleConfig,
     bootstrap_ci,
     diversity_series,
@@ -27,7 +26,7 @@ from mtbehave.metrics import (
 )
 from mtbehave.model import CandidateSet, ContrastivePair, TestCase, parse_bracketed
 from mtbehave.providers import HashEmbedder
-from mtbehave.runner import CandidateEdit, apply_candidate_edits
+from mtbehave.runner import apply_candidate_edits
 
 from conftest import (
     ScriptedLlm,
@@ -181,8 +180,8 @@ def test_bootstrap_coverage():
             rng = random.Random(900_001 + 7919 * case_index + i)
             row = [1 if rng.random() < p else 0 for _ in range(n)]
             cfg = ResampleConfig(k=1000, alpha=0.05, seed=i)
-            ci = bootstrap_ci(resampled_mprs(["v"] * n, [row], cfg)[0], cfg)
-            hits += ci.lo <= p <= ci.hi
+            lo, hi = bootstrap_ci(resampled_mprs(["v"] * n, [row], cfg)[0], cfg)
+            hits += lo <= p <= hi
         coverage = hits / datasets
         assert 0.91 <= coverage <= 0.99, f"coverage {coverage:.3f} at p={p}"
     elapsed = time.perf_counter() - start
@@ -198,14 +197,14 @@ def test_paired_bootstrap_sanity():
     rng = random.Random(32452843)
     identical = [rng.randint(0, 1) for _ in range(200)]
     mprs = resampled_mprs(["v"] * 200, [identical, identical], cfg)
-    result = paired_bootstrap(mprs[0], mprs[1], cfg)
-    assert result.p_value == 0.5
-    assert result.winner is None
+    winner, p_value, _ = paired_bootstrap(mprs[0], mprs[1], cfg)
+    assert p_value == 0.5
+    assert winner is None
 
     n = 100
     all_pass, all_fail = resampled_mprs(["v"] * n, [[1] * n, [0] * n], cfg)
-    separated = paired_bootstrap(all_pass, all_fail, cfg)
-    assert separated.winner == "a" and separated.p_value == 0.0
+    winner, p_value, _ = paired_bootstrap(all_pass, all_fail, cfg)
+    assert winner == "a" and p_value == 0.0
 
     small = ResampleConfig(k=80, alpha=0.05, seed=5)
     for _ in range(100):
@@ -213,11 +212,10 @@ def test_paired_bootstrap_sanity():
         values = [rng.choice("abc") for _ in range(n)]
         rows = [[rng.randint(0, 1) for _ in values] for _ in range(2)]
         a, b = resampled_mprs(values, rows, small)
-        fwd = paired_bootstrap(a, b, small)
-        rev = paired_bootstrap(b, a, small)
-        assert fwd.p_value == rev.p_value
-        assert {"a": "b", "b": "a", None: None}[fwd.winner] == rev.winner
-        assert (fwd.wins_a, fwd.wins_b) == (rev.wins_b, rev.wins_a)
+        fwd_winner, fwd_p, _ = paired_bootstrap(a, b, small)
+        rev_winner, rev_p, _ = paired_bootstrap(b, a, small)
+        assert fwd_p == rev_p
+        assert {"a": "b", "b": "a", None: None}[fwd_winner] == rev_winner
 
 
 # -- 7 ----------------------------------------------------------------------
@@ -294,13 +292,7 @@ def test_annotation_monotonicity(units_spec):
     ]
     suite = []
     for i, raw in enumerate(raws):
-        parsed = parse_bracketed(raw)
-        suite.append(
-            TestCase(
-                id=f"units-{i:05d}", property_id="units", raw=parsed.raw,
-                source=parsed.source, value=parsed.value, value_span=parsed.value_span,
-            )
-        )
+        suite.append(TestCase(f"units-{i:05d}", "units", raw, *parse_bracketed(raw)))
     candidates = {
         name: CandidateSet(value=name, candidates=(f"Einheit{name[4:]}", name.upper()))
         for name in unit_names
@@ -329,14 +321,14 @@ def test_annotation_monotonicity(units_spec):
         }
 
     before = pass_counts(candidates)
-    additions = [CandidateEdit(value=name, add=("Wert",)) for name in unit_names[:4]]
+    additions = [(name, ("Wert",), ()) for name in unit_names[:4]]
     added, _ = apply_candidate_edits(candidates, additions)
     after_add = pass_counts(added)
     for system in translations:
         assert after_add[system] >= before[system]
     assert any(after_add[s] > before[s] for s in translations)
 
-    removals = [CandidateEdit(value=name, remove=(name.upper(),)) for name in unit_names]
+    removals = [(name, (), (name.upper(),)) for name in unit_names]
     removed, _ = apply_candidate_edits(candidates, removals)
     after_remove = pass_counts(removed)
     for system in translations:

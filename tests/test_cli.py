@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import concurrent.futures
+import errno
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import random
 import shutil
@@ -19,7 +21,13 @@ import mtbehave
 from mtbehave import cli, model, runner
 from mtbehave.cli import main
 from mtbehave.config import RunConfig, load_config
-from mtbehave.errors import ConfigError, MtBehaveError, ProviderError
+from mtbehave.errors import (
+    BracketParseError,
+    ConfigError,
+    MtBehaveError,
+    ProviderError,
+    SuiteLoadError,
+)
 from mtbehave.generation import (
     render_candidate_prompt,
     render_contrastive_prompts,
@@ -457,6 +465,29 @@ class TestRun:
         assert not (load_config(str(workspace)).workspace / "cache").exists()
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "pair, systems, code",
+        [("[en, ja]", [], 1), ("[en, ja]", ["--system", "mangler"], 0), ("[en, de]", [], 0)],
+    )
+    def test_system_of_another_language_pair_exit_1_before_any_call(
+        self, workspace, tmp_path, capsys, monkeypatch, pair, systems, code
+    ):
+        prime(workspace)
+        text = workspace.read_text(encoding="utf-8")
+        text = text.replace("command: cat\n", f"command: cat\n    language_pair: {pair}\n")
+        workspace.write_text(text, encoding="utf-8")
+        out = tmp_path / "run1"
+        argv = ["run", "--config", str(workspace), "--out", str(out), *systems]
+        if code == 0:  # a matching pair, or a selected system with no pair, is judged
+            assert run_cli(*argv) == 0
+            return
+        monkeypatch.setattr(cli, "translate_all", lambda *a, **k: pytest.fail("translated"))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            "error: system 'identity' translates en-ja, but property 'names' is en-de\n"
+        )
+        assert not out.exists()
+
     def test_runmeta_holds_timestamp_not_report(self, workspace, tmp_path):
         prime(workspace)
         out_dir = tmp_path / "run1"
@@ -644,10 +675,9 @@ class TestRunTable:
         for spec in config.properties:
             values = [f"v{i}" for i in range(8)]
             raws = [f"Case {i} is [{v}] here." for i, v in enumerate(rng.choices(values, k=40))]
-            parsed = [parse_bracketed(raw) for raw in raws]
             suite = [
-                TestCase(f"{spec.id}-{i:05d}", spec.id, p.raw, p.source, p.value, p.value_span)
-                for i, p in enumerate(parsed)
+                TestCase(f"{spec.id}-{i:05d}", spec.id, raw, *parse_bracketed(raw))
+                for i, raw in enumerate(raws)
             ]
             by_value = {}
             for value in values[:6]:  # the last two values have no candidates
@@ -1167,6 +1197,48 @@ class TestAnnotateAndApplyEdits:
         assert f"{edits_path}:2: malformed record" in capsys.readouterr().err
         assert [path.read_bytes() for path in files] == before
 
+    @pytest.mark.parametrize("fault", ["audit append", "candidates save"])
+    def test_edits_resume_after_a_failed_write(self, workspace, tmp_path, monkeypatch, capsys, fault):
+        """A disk-full audit append or candidates save exits 3 and leaves
+        candidates.jsonl as it was; re-running the edits then exits 0 with the
+        files an uninterrupted run writes, a failed save's audit lines twice."""
+        prime(workspace)
+        prop_dir = load_config(str(workspace)).property_dir("names")
+        candidates, audit = prop_dir / "candidates.jsonl", prop_dir / "candidates_audit.log"
+        first, second = list(load_candidates(candidates))[:2]
+        edits_path = tmp_path / "edits.jsonl"
+        args = ("apply-edits", "--config", str(workspace), "--property", "names",
+                "--edits", str(edits_path))
+        edits_path.write_text(
+            json.dumps({"value": second, "add": ["Zusatz"]}) + "\n", encoding="utf-8"
+        )
+        assert run_cli(*args) == 0
+        edits = [{"value": first, "add": ["Zusatz"]}, {"value": second, "remove": ["Zusatz"]}]
+        edits_path.write_text("".join(json.dumps(e) + "\n" for e in edits), encoding="utf-8")
+        before = candidates.read_bytes(), audit.read_bytes()
+        assert run_cli(*args) == 0
+        expected, lines = candidates.read_bytes(), audit.read_bytes()[len(before[1]):]
+        candidates.write_bytes(before[0])
+        audit.write_bytes(before[1])
+
+        def disk_full(path):
+            with model._file_errors(Path(path), "write", SuiteLoadError, ""):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        if fault == "audit append":
+            append = cli._append
+            monkeypatch.setattr(cli, "_append", lambda p, s: disk_full(p) if s else append(p, s))
+        else:
+            monkeypatch.setattr(cli, "save_candidates", lambda entries, path: disk_full(path))
+        capsys.readouterr()
+        assert run_cli(*args) == 3
+        assert "cannot write (No space left on device)" in capsys.readouterr().err
+        assert candidates.read_bytes() == before[0]
+        monkeypatch.undo()
+        assert run_cli(*args) == 0
+        assert candidates.read_bytes() == expected
+        assert audit.read_bytes() == before[1] + lines * (1 if fault == "audit append" else 2)
+
     def test_removal_of_last_candidate_exit_3(self, workspace, tmp_path):
         prime(workspace)
         edits_path = tmp_path / "edits.jsonl"
@@ -1291,8 +1363,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
     def test_every_error_class_is_mapped(self, cls, monkeypatch, capsys):
+        # BracketParseError alone takes a reason before its text.
+        error = cls("no_value", "boom") if cls is BracketParseError else cls("boom")
+
         def fail(args):
-            raise cls("boom")
+            raise error
 
         monkeypatch.setattr(cli, "cmd_compare", fail)
         code = main(["compare", "--report", "r.json", "a", "b"])
@@ -1305,7 +1380,7 @@ class TestExitCodes:
         else:
             expected = (3, "data error")
         err = capsys.readouterr().err
-        assert (code, err) == (expected[0], f"{expected[1]}: {cls('boom')}\n")
+        assert (code, err) == (expected[0], f"{expected[1]}: {error}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -1331,7 +1406,7 @@ class TestExitCodes:
     def test_every_family_is_enumerated(self):
         names = {c.__name__ for c in _error_classes()}
         assert {"UsageError", "ConfigError", "AdapterError", "SuiteLoadError",
-                "EmptyAfterParseError", "UnanswerableValueError", "NoValueError"} <= names
+                "EmptyAfterParseError", "UnanswerableValueError", "BracketParseError"} <= names
 
 
 class TestUsage:

@@ -60,16 +60,16 @@ class TestRenderSourcePrompt:
 
 class TestParseItemList:
     def test_basic(self):
-        assert parse_item_list("- A\n- B") == ["A", "B"]
+        assert parse_item_list("- A\n- B") == (["A", "B"], 0)
 
     def test_chatter_dropped(self):
-        assert parse_item_list("Sure! Here:\n- A") == ["A"]
+        assert parse_item_list("Sure! Here:\n- A") == (["A"], 1)
 
     def test_empty(self):
-        assert parse_item_list("") == []
+        assert parse_item_list("") == ([], 0)
 
     def test_indented_items_and_blanks(self):
-        assert parse_item_list("  - A\n\n- B\nnot an item\n-not one either") == ["A", "B"]
+        assert parse_item_list("  - A\n\n- B\nnot an item\n-not one either") == (["A", "B"], 2)
 
 
 class TestFilterSentences:
@@ -115,15 +115,15 @@ class TestFilterSentences:
     def test_refilter_against_fresh_state_accepts_everything(self):
         items = ["I ran 3 [miles] today.", "She lifted 40 [kilograms] yesterday."]
         accepted, _ = filter_sentences(list(items), set())
-        again, rejections = filter_sentences([f.raw for f in accepted], set())
-        assert [f.raw for f in again] == [f.raw for f in accepted]
+        again, rejections = filter_sentences([raw for raw, *_ in accepted], set())
+        assert [raw for raw, *_ in again] == [raw for raw, *_ in accepted]
         assert rejections == []
 
     def test_refilter_against_updated_state_rejects_only_duplicates(self):
         items = ["I ran 3 [miles] today.", "She lifted 40 [kilograms] yesterday."]
         seen: set[str] = set()
         accepted, _ = filter_sentences(items, seen)
-        again, rejections = filter_sentences([f.raw for f in accepted], seen)
+        again, rejections = filter_sentences([raw for raw, *_ in accepted], seen)
         assert again == []
         assert all(reason == "duplicate" for _, reason in rejections)
 

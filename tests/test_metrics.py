@@ -12,7 +12,6 @@ from mtbehave import metrics
 from mtbehave.detection import TokenizerConfig
 from mtbehave.errors import DataInvariantError
 from mtbehave.metrics import (
-    Interval,
     ResampleConfig,
     bootstrap_ci,
     diversity_series,
@@ -33,7 +32,7 @@ def bern_row(rng: random.Random, n: int, p: float) -> list[int]:
     return [1 if rng.random() < p else 0 for _ in range(n)]
 
 
-def ci_of(values, row, cfg: ResampleConfig) -> Interval:
+def ci_of(values, row, cfg: ResampleConfig) -> tuple[float, float]:
     return bootstrap_ci(resampled_mprs(values, [row], cfg)[0], cfg)
 
 
@@ -73,10 +72,10 @@ class TestPassRates:
 
 class TestBootstrapCi:
     def test_all_ones(self):
-        assert ci_of(["v"] * 20, [1] * 20, ResampleConfig(k=200, seed=1)) == Interval(1.0, 1.0)
+        assert ci_of(["v"] * 20, [1] * 20, ResampleConfig(k=200, seed=1)) == (1.0, 1.0)
 
     def test_all_zeros(self):
-        assert ci_of(["v"] * 20, [0] * 20, ResampleConfig(k=200, seed=1)) == Interval(0.0, 0.0)
+        assert ci_of(["v"] * 20, [0] * 20, ResampleConfig(k=200, seed=1)) == (0.0, 0.0)
 
     def test_deterministic_given_seed(self):
         rng = random.Random(11)
@@ -89,22 +88,22 @@ class TestBootstrapCi:
         row = bern_row(rng, 60, 0.6)
         a = ci_of(["v"] * 60, row, ResampleConfig(k=100, seed=1))
         b = ci_of(["v"] * 60, row, ResampleConfig(k=100, seed=2))
-        assert (a.lo, a.hi) != (b.lo, b.hi)
+        assert a != b
 
     def test_interval_within_unit_range_and_ordered(self):
         rng = random.Random(5)
         for _ in range(20):
             n = rng.randint(2, 40)
             values = [rng.choice("ab") for _ in range(n)]
-            ci = ci_of(values, [rng.randint(0, 1) for _ in range(n)], ResampleConfig(k=100, seed=7))
-            assert 0.0 <= ci.lo <= ci.hi <= 1.0
+            lo, hi = ci_of(values, [rng.randint(0, 1) for _ in range(n)], ResampleConfig(k=100, seed=7))
+            assert 0.0 <= lo <= hi <= 1.0
 
     def test_groups_absent_from_resample_are_excluded(self):
         # One dominant all-pass value plus one rare all-fail value: resamples
         # that miss the rare value have MPR 1.0, so the upper bound reaches 1.
-        ci = ci_of(["common"] * 30 + ["rare"], [1] * 30 + [0], ResampleConfig(k=500, seed=3))
-        assert ci.hi == 1.0
-        assert ci.lo < 1.0
+        lo, hi = ci_of(["common"] * 30 + ["rare"], [1] * 30 + [0], ResampleConfig(k=500, seed=3))
+        assert hi == 1.0
+        assert lo < 1.0
 
     def test_coverage_smoke(self):
         # Full 3-probability coverage study lives in the acceptance suite.
@@ -113,8 +112,8 @@ class TestBootstrapCi:
         trials = 40
         for _ in range(trials):
             row = bern_row(rng, 400, 0.7)
-            ci = ci_of(["v"] * 400, row, ResampleConfig(k=200, seed=rng.randrange(2**16)))
-            hits += ci.lo <= 0.7 <= ci.hi
+            lo, hi = ci_of(["v"] * 400, row, ResampleConfig(k=200, seed=rng.randrange(2**16)))
+            hits += lo <= 0.7 <= hi
         assert hits / trials >= 0.8
 
 
@@ -161,33 +160,34 @@ class TestQuantileParity:
     def test_bootstrap_ci_matches_numpy(self, pairs, k, alpha, seed):
         cfg = ResampleConfig(k=k, alpha=alpha, seed=seed)
         stats = resampled_mprs([v for v, _ in pairs], [[p for _, p in pairs]], cfg)[0]
-        ci = bootstrap_ci(stats, cfg)
-        assert [ci.lo.hex(), ci.hi.hex()] == [x.hex() for x in numpy_ci(stats, alpha)]
+        assert [x.hex() for x in bootstrap_ci(stats, cfg)] == [x.hex() for x in numpy_ci(stats, alpha)]
 
 
 class TestPairedBootstrap:
     def test_identical_samples_p_half(self):
         rng = random.Random(2)
         row = bern_row(rng, 50, 0.5)
-        result = compare(["v"] * 50, row, row, ResampleConfig(k=400, seed=9))
-        assert result.p_value == 0.5
-        assert result.winner is None
-        assert not result.significant
+        winner, p_value, significant = compare(["v"] * 50, row, row, ResampleConfig(k=400, seed=9))
+        assert p_value == 0.5
+        assert winner is None
+        assert not significant
 
     def test_all_pass_vs_all_fail(self):
-        result = compare(["v"] * 30, [1] * 30, [0] * 30, ResampleConfig(k=400, seed=9))
-        assert result.winner == "a"
-        assert result.p_value == 0.0
-        assert result.significant
+        winner, p_value, significant = compare(
+            ["v"] * 30, [1] * 30, [0] * 30, ResampleConfig(k=400, seed=9)
+        )
+        assert winner == "a"
+        assert p_value == 0.0
+        assert significant
 
     def test_large_gap_p_zero(self):
         rng = random.Random(13)
         values = [rng.choice("abcdefgh") for _ in range(1000)]
         a = [1 if rng.random() < 0.95 else 0 for _ in values]
         b = [1 if rng.random() < 0.55 else 0 for _ in values]
-        result = compare(values, a, b, ResampleConfig(k=300, seed=4))
-        assert result.winner == "a"
-        assert result.p_value == 0.0
+        winner, p_value, _ = compare(values, a, b, ResampleConfig(k=300, seed=4))
+        assert winner == "a"
+        assert p_value == 0.0
 
     def test_antisymmetry_random(self):
         rng = random.Random(17)
@@ -197,10 +197,10 @@ class TestPairedBootstrap:
             values = [rng.choice("abc") for _ in range(n)]
             rows = [[rng.randint(0, 1) for _ in values] for _ in range(2)]
             mprs = resampled_mprs(values, rows, cfg)
-            fwd = paired_bootstrap(mprs[0], mprs[1], cfg)
-            rev = paired_bootstrap(mprs[1], mprs[0], cfg)
-            assert fwd.p_value == rev.p_value
-            assert {"a": "b", "b": "a", None: None}[fwd.winner] == rev.winner
+            fwd_winner, fwd_p, _ = paired_bootstrap(mprs[0], mprs[1], cfg)
+            rev_winner, rev_p, _ = paired_bootstrap(mprs[1], mprs[0], cfg)
+            assert fwd_p == rev_p
+            assert {"a": "b", "b": "a", None: None}[fwd_winner] == rev_winner
 
     def test_deterministic(self):
         rng = random.Random(31)
@@ -232,9 +232,9 @@ def scalar_mprs(values, rows, cfg: ResampleConfig) -> np.ndarray:
     return out
 
 
-def scalar_ci(row: np.ndarray, cfg: ResampleConfig) -> Interval:
+def scalar_ci(row: np.ndarray, cfg: ResampleConfig) -> tuple[float, float]:
     lo, hi = np.quantile(row, [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0], method="linear")
-    return Interval(float(lo), float(hi))
+    return float(lo), float(hi)
 
 
 def scalar_comparison(row_a: np.ndarray, row_b: np.ndarray, cfg: ResampleConfig):
@@ -449,11 +449,8 @@ class TestBuildReportStatistics:
         n, systems = 120, 5
         suite = []
         for i in range(n):
-            parsed = parse_bracketed(f"It is {i} [u{rng.randrange(7)}] long.")
-            suite.append(TestCase(
-                id=f"units-{i:05d}", property_id="units", raw=parsed.raw,
-                source=parsed.source, value=parsed.value, value_span=parsed.value_span,
-            ))
+            raw = f"It is {i} [u{rng.randrange(7)}] long."
+            suite.append(TestCase(f"units-{i:05d}", "units", raw, *parse_bracketed(raw)))
         system_ids = [f"sys{s}" for s in range(systems)]
         rows = [[int(rng.random() < 0.4 + 0.1 * s) for _ in range(n)] for s in range(systems)]
         passes = {sid: [bool(p) for p in row] for sid, row in zip(system_ids, rows)}
@@ -462,7 +459,7 @@ class TestBuildReportStatistics:
 
         values = [case.value for case in suite]
         reference = scalar_mprs(values, rows, cfg)
-        cis = [Interval(*s["ci"]) for s in report["systems"].values()]
+        cis = [tuple(s["ci"]) for s in report["systems"].values()]
         assert cis == [scalar_ci(r, cfg) for r in reference]
         assert cis == [ci_of(values, row, cfg) for row in rows]
         expected = []
@@ -603,5 +600,6 @@ class TestConfigValidation:
             ResampleConfig(seed=-1)
 
     def test_interval_ordering_enforced(self):
-        with pytest.raises(DataInvariantError):
-            Interval(0.7, 0.3)
+        # The bounds are read from a sorted copy, so a descending row still gives lo <= hi.
+        lo, hi = bootstrap_ci(np.array([0.7, 0.3]), ResampleConfig(k=2, alpha=0.5))
+        assert lo <= hi

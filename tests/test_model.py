@@ -10,15 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import mtbehave
-from mtbehave.errors import (
-    ConfigError,
-    DataInvariantError,
-    EmptyValueError,
-    MultipleValuesError,
-    NoValueError,
-    SuiteLoadError,
-    UnbalancedBracketsError,
-)
+from mtbehave.errors import BracketParseError, ConfigError, DataInvariantError, SuiteLoadError
 from mtbehave.model import (
     CandidateSet,
     ContrastivePair,
@@ -47,45 +39,48 @@ from mtbehave.model import (
 from conftest import make_spec
 
 
+def parse_error(raw: str) -> BracketParseError:
+    """The error `parse_bracketed(raw)` raises, whose message leads with its reason."""
+    with pytest.raises(BracketParseError) as info:
+        parse_bracketed(raw)
+    assert (info.value.raw, str(info.value)) == (raw, f"{info.value.reason}: {raw!r}")
+    return info.value
+
+
 class TestParseBracketed:
     def test_decimal_example(self):
-        parsed = parse_bracketed("The company received [4200.4]€.")
-        assert parsed.source == "The company received 4200.4€."
-        assert parsed.value == "4200.4"
-        assert parsed.value_span == (21, 27)
-        assert parsed.source[21:27] == "4200.4"
+        source, value, span = parse_bracketed("The company received [4200.4]€.")
+        assert source == "The company received 4200.4€."
+        assert value == "4200.4"
+        assert span == (21, 27)
+        assert source[21:27] == "4200.4"
 
     def test_no_brackets(self):
-        with pytest.raises(NoValueError):
-            parse_bracketed("No brackets here.")
+        assert parse_error("No brackets here.").reason == "no_value"
 
     def test_two_values(self):
-        with pytest.raises(MultipleValuesError):
-            parse_bracketed("She paid [5] for [3] apples.")
+        assert parse_error("She paid [5] for [3] apples.").reason == "multi_value"
 
     @pytest.mark.parametrize(
         "raw",
         ["Unbalanced [only open.", "Unbalanced only close].", "Wrong ]order[ here."],
     )
     def test_unbalanced(self, raw):
-        with pytest.raises(UnbalancedBracketsError):
-            parse_bracketed(raw)
+        assert parse_error(raw).reason == "unbalanced"
 
     @pytest.mark.parametrize("raw", ["An [] empty value.", "A [  ] blank value."])
     def test_empty_value(self, raw):
-        with pytest.raises(EmptyValueError):
-            parse_bracketed(raw)
+        assert parse_error(raw).reason == "empty_value"
 
     def test_value_at_start_and_end(self):
-        parsed = parse_bracketed("[USD] is a currency")
-        assert parsed.value_span == (0, 3)
-        parsed = parse_bracketed("the price is 5 [EUR]")
-        assert parsed.source[parsed.value_span[0] :] == "EUR"
+        _, _, span = parse_bracketed("[USD] is a currency")
+        assert span == (0, 3)
+        source, _, (s, _) = parse_bracketed("the price is 5 [EUR]")
+        assert source[s:] == "EUR"
 
     def test_unicode_span_counts_scalars(self):
-        parsed = parse_bracketed("He sent 🎉 and [😊] to everyone.")
-        s, e = parsed.value_span
-        assert parsed.source[s:e] == "😊"
+        source, _, (s, e) = parse_bracketed("He sent 🎉 and [😊] to everyone.")
+        assert source[s:e] == "😊"
 
     @given(
         prefix=st.text(alphabet=st.characters(exclude_characters="[]"), max_size=30),
@@ -96,23 +91,14 @@ class TestParseBracketed:
         if not value.strip():
             return
         raw = f"{prefix}[{value}]{suffix}"
-        parsed = parse_bracketed(raw)
-        s, e = parsed.value_span
-        assert parsed.source[s:e] == parsed.value
-        assert parsed.source[:s] + "[" + parsed.value + "]" + parsed.source[e:] == raw
-        assert len(parsed.source) == len(raw) - 2
+        source, parsed_value, (s, e) = parse_bracketed(raw)
+        assert source[s:e] == parsed_value
+        assert source[:s] + "[" + parsed_value + "]" + source[e:] == raw
+        assert len(source) == len(raw) - 2
 
 
 def make_case(case_id="units-00000", raw="I ran 3 [miles] today.") -> TestCase:
-    parsed = parse_bracketed(raw)
-    return TestCase(
-        id=case_id,
-        property_id="units",
-        raw=parsed.raw,
-        source=parsed.source,
-        value=parsed.value,
-        value_span=parsed.value_span,
-    )
+    return TestCase(case_id, "units", raw, *parse_bracketed(raw))
 
 
 class TestInvariants:
