@@ -10,6 +10,7 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from itertools import accumulate, pairwise
 from pathlib import Path
@@ -29,7 +30,7 @@ from .generation import (
     generate_suite,
     generation_stats,
 )
-from .metrics import ResampleConfig, diversity_series, trend_fit
+from .metrics import diversity_series, trend_fit
 from .model import (
     CandidateEntry,
     PropertySpec,
@@ -355,16 +356,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         if missing:
             missing_by_property[spec.id] = {value: len(ids) for value, ids in missing.items()}
-        cfg = ResampleConfig(
-            k=config.k, alpha=config.alpha, seed=derive_seed(config.seed, f"bootstrap:{spec.id}")
-        )
+        cfg = replace(config.stats, seed=derive_seed(config.seed, f"bootstrap:{spec.id}"))
         metadata = {
             "suite_sha256": suite_sha256,
             "candidates_sha256": candidates_sha256,
-            "tokenizer": {
-                "mode": config.tokenizer.mode,
-                "strip_edge_punct": config.tokenizer.strip_edge_punct,
-            },
+            "tokenizer": asdict(config.tokenizer),
             "token_boundary": config.token_boundary,
         }
         report = build_report(spec, suite, dict(zip(system_ids, passes)), cfg, metadata)

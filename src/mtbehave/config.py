@@ -7,7 +7,8 @@ configuration shipped with the package.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+import math
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -18,7 +19,7 @@ from .detection import TokenizerConfig
 from .errors import ConfigError, DataInvariantError
 from .generation import DEFAULT_TARGET_COUNT
 from .metrics import ResampleConfig
-from .model import PropertySpec, _read_text
+from .model import PropertySpec, _check_spec, _read_text
 from .providers import (
     DEFAULT_PRESENCE_PENALTY,
     DEFAULT_TEMPERATURE,
@@ -32,9 +33,6 @@ from .runner import AdapterSpec, CommandMtAdapter, FileMtAdapter, HttpMtAdapter
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
 # both build the same safe types, but their error wording differs.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-LLM_KINDS = ("http", "replay")
-EMBEDDER_KINDS = ("http", "hash")
 
 
 def derive_seed(seed: int, purpose: str) -> int:
@@ -55,14 +53,7 @@ class LlmConfig:
     replay_dir: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in LLM_KINDS:
-            raise ConfigError(f"llm provider kind must be one of {LLM_KINDS}, got {self.kind!r}")
-        if self.kind == "http" and not self.url:
-            raise ConfigError("llm provider kind 'http' requires a url")
-        if self.kind == "replay" and not self.replay_dir:
-            raise ConfigError("llm provider kind 'replay' requires a replay_dir")
-        if self.temperature < 0:
-            raise ConfigError(f"providers.llm: 'temperature' must be >= 0, got {self.temperature}")
+        _check_spec(self, "providers.llm", {"http": "url", "replay": "replay_dir"}, temperature=0)
 
 
 @dataclass(frozen=True)
@@ -73,14 +64,7 @@ class EmbedderConfig:
     dim: int = 32
 
     def __post_init__(self) -> None:
-        if self.kind not in EMBEDDER_KINDS:
-            raise ConfigError(
-                f"embedder kind must be one of {EMBEDDER_KINDS}, got {self.kind!r}"
-            )
-        if self.kind == "http" and not self.url:
-            raise ConfigError("embedder kind 'http' requires a url")
-        if self.dim < 1:
-            raise ConfigError(f"providers.embedder: 'dim' must be >= 1, got {self.dim}")
+        _check_spec(self, "providers.embedder", {"http": "url", "hash": None}, dim=1)
 
 
 @dataclass(frozen=True)
@@ -89,8 +73,7 @@ class RunConfig:
     workspace: Path
     seed: int
     target_count: int
-    k: int
-    alpha: float
+    stats: ResampleConfig  # its seed is 0: `run` derives one per property
     tokenizer: TokenizerConfig
     token_boundary: bool
     llm: LlmConfig
@@ -164,24 +147,40 @@ def _known_keys(d: Mapping, context: str, known: str) -> Mapping:
     return d
 
 
-def _get(d: Mapping, key: str, context: str, default: Any = ..., kind: type = str) -> Any:
+def _get(d: Mapping, key: str, context: str, default: Any = MISSING, kind: type = str) -> Any:
     """The value of `key`, or `default` when absent; a present value must be a `kind`.
 
-    Integers are read as floats; YAML booleans are never numbers.
+    Integers are read as floats, which must be finite; YAML booleans are never numbers.
     """
     if key not in d:
-        if default is ...:
+        if default is MISSING:
             raise ConfigError(f"{context}: missing required key {key!r}")
         return default
     value = d[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond a float's range
+            value = math.inf
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{context}: {key!r} must be of type {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{context}: {key!r} must be a finite number, got {value!r}")
     return value
 
 
-def _language_pair(d: Mapping, context: str, default: Any = ...) -> tuple[str, str]:
+def _section(cls: type, d: Mapping, context: str, **given: Any) -> Any:
+    """A `cls` from config section `d`, whose keys are the fields not `given`: each
+    of its default's type, or a required `str` where it has none."""
+    own = [f for f in fields(cls) if f.name not in given]
+    _known_keys(d, context, " ".join(f.name for f in own))
+    for f in own:
+        given[f.name] = _get(d, f.name, context, f.default,
+                             str if f.default is MISSING else type(f.default))
+    return cls(**given)
+
+
+def _language_pair(d: Mapping, context: str, default: Any = MISSING) -> tuple[str, str]:
     pair = _get(d, "language_pair", context, default, list)
     if len(pair) != 2 or not all(isinstance(tag, str) for tag in pair):
         raise ConfigError(f"{context}: language_pair must be [source, target]")
@@ -196,10 +195,7 @@ def _parse_property(raw: Any, base_dir: Path) -> PropertySpec:
     d = _expect_mapping(raw, "properties entry")
     prop_id = _get(d, "id", "property")
     context = f"property {prop_id!r}"
-    _known_keys(
-        d, context,
-        "id name detector language_pair demos source_prompt candidate_prompt foil_prompt",
-    )
+    _known_keys(d, context, " ".join(f.name for f in fields(PropertySpec)))
     detector = _get(d, "detector", context, "exhaustive")
     demos = _get(d, "demos", context, kind=list)
     if not all(isinstance(x, str) for x in demos):
@@ -238,16 +234,9 @@ def _parse_system(raw: Any) -> AdapterSpec:
     d = _expect_mapping(raw, "systems entry")
     system_id = _get(d, "id", "system")
     context = f"system {system_id!r}"
-    _known_keys(d, context, "id kind endpoint command path language_pair batch_size")
-    return AdapterSpec(
-        system_id=system_id,
-        kind=_get(d, "kind", context),
-        endpoint=_get(d, "endpoint", context, ""),
-        command=_get(d, "command", context, ""),
-        path=_get(d, "path", context, ""),
-        language_pair=_language_pair(d, context, ["", ""]),
-        batch_size=_get(d, "batch_size", context, AdapterSpec.batch_size, int),
-    )
+    pair = _language_pair(d, context, ("", ""))
+    rest = {key: value for key, value in d.items() if key not in ("id", "language_pair")}
+    return _section(AdapterSpec, rest, context, system_id=system_id, language_pair=pair)
 
 
 def resolve_config_path(spec: str) -> Path:
@@ -277,8 +266,6 @@ def load_config(path_spec: str, overrides: Mapping[str, Any] | None = None) -> R
         raw = yaml.load(_read_text(path, ConfigError, "config file "), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
-    # Flag names never collide with other keys of the file's top level or
-    # its `stats` section, so merging them into both lets each flag win.
     flags = {key: value for key, value in (overrides or {}).items() if value is not None}
     try:
         return _run_config(raw, path, flags)
@@ -293,13 +280,16 @@ def _run_config(raw: Any, path: Path, flags: Mapping[str, Any]) -> RunConfig:
         _expect_mapping(raw if raw is not None else {}, top), top,
         "workspace seed target_count stats tokenizer detection providers properties systems",
     )
+    # --seed and --target win over the file's top level, --k and --alpha over its `stats`.
     d = {**own, **flags}
     base_dir = path.parent
 
-    stats = {**_known_keys(_get(d, "stats", top, {}, Mapping), "stats", "k alpha"), **flags}
-    tok = _known_keys(_get(d, "tokenizer", top, {}, Mapping), "tokenizer", "mode strip_edge_punct")
+    stats = dict(_get(d, "stats", top, {}, Mapping))
+    stats.update((key, flags[key]) for key in ("k", "alpha") if key in flags)
     det = _known_keys(_get(d, "detection", top, {}, Mapping), "detection", "token_boundary")
     providers = _known_keys(_get(d, "providers", top, {}, Mapping), "providers", "llm embedder")
+    llm = _get(providers, "llm", top, {"kind": "replay", "replay_dir": "replays"}, Mapping)
+    embedder = _get(providers, "embedder", top, {"kind": "hash"}, Mapping)
 
     properties = tuple(_parse_property(p, base_dir) for p in _get(d, "properties", top, [], list))
     systems = tuple(_parse_system(s) for s in _get(d, "systems", top, [], list))
@@ -308,32 +298,6 @@ def _run_config(raw: Any, path: Path, flags: Mapping[str, Any]) -> RunConfig:
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         if dupes:
             raise ConfigError(f"duplicate {what} ids: {dupes}")
-
-    context = "providers.llm"
-    llm_map = _get(providers, "llm", top, {"kind": "replay", "replay_dir": "replays"}, Mapping)
-    _known_keys(
-        llm_map, context, "kind url model api_key_env temperature presence_penalty replay_dir"
-    )
-    llm = LlmConfig(
-        kind=_get(llm_map, "kind", context),
-        url=_get(llm_map, "url", context, ""),
-        model=_get(llm_map, "model", context, ""),
-        api_key_env=_get(llm_map, "api_key_env", context, ""),
-        temperature=_get(llm_map, "temperature", context, DEFAULT_TEMPERATURE, float),
-        presence_penalty=_get(
-            llm_map, "presence_penalty", context, DEFAULT_PRESENCE_PENALTY, float
-        ),
-        replay_dir=_get(llm_map, "replay_dir", context, ""),
-    )
-    context = "providers.embedder"
-    emb_map = _get(providers, "embedder", top, {"kind": "hash"}, Mapping)
-    _known_keys(emb_map, context, "kind url api_key_env dim")
-    embedder = EmbedderConfig(
-        kind=_get(emb_map, "kind", context),
-        url=_get(emb_map, "url", context, ""),
-        api_key_env=_get(emb_map, "api_key_env", context, ""),
-        dim=_get(emb_map, "dim", context, EmbedderConfig.dim, int),
-    )
 
     workspace = Path(_get(d, "workspace", top, "workspace"))
     if not workspace.is_absolute():
@@ -344,17 +308,11 @@ def _run_config(raw: Any, path: Path, flags: Mapping[str, Any]) -> RunConfig:
         workspace=workspace,
         seed=_get(d, "seed", top, 0, int),
         target_count=_get(d, "target_count", top, DEFAULT_TARGET_COUNT, int),
-        k=_get(stats, "k", "stats", ResampleConfig.k, int),
-        alpha=_get(stats, "alpha", "stats", ResampleConfig.alpha, float),
-        tokenizer=TokenizerConfig(
-            mode=_get(tok, "mode", "tokenizer", TokenizerConfig.mode),
-            strip_edge_punct=_get(
-                tok, "strip_edge_punct", "tokenizer", TokenizerConfig.strip_edge_punct, bool
-            ),
-        ),
+        stats=_section(ResampleConfig, stats, "stats", seed=0),
+        tokenizer=_section(TokenizerConfig, _get(d, "tokenizer", top, {}, Mapping), "tokenizer"),
         token_boundary=_get(det, "token_boundary", "detection", False, bool),
-        llm=llm,
-        embedder=embedder,
+        llm=_section(LlmConfig, llm, "providers.llm"),
+        embedder=_section(EmbedderConfig, embedder, "providers.embedder"),
         properties=properties,
         systems=systems,
         offline=_get(flags, "offline", "flags", False, bool),
@@ -363,9 +321,4 @@ def _run_config(raw: Any, path: Path, flags: Mapping[str, Any]) -> RunConfig:
         raise ConfigError("seed must be >= 0")
     if config.target_count < 1:
         raise ConfigError("target_count must be >= 1")
-    if config.k < 1:
-        raise ConfigError(f"stats: 'k' must be >= 1, got {config.k}")
-    if not 0.0 < config.alpha < 1.0:
-        raise ConfigError(f"stats: 'alpha' must be in (0, 1), got {config.alpha}")
-    ResampleConfig(k=config.k, alpha=config.alpha)  # the bootstrap's own bounds on k
     return config

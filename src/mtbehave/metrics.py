@@ -39,9 +39,9 @@ class ResampleConfig:
     def __post_init__(self) -> None:
         # The resample index fills the top 32 bits of the draw's counter.
         if not 1 <= self.k < 2**32:
-            raise DataInvariantError("resample count k must be in [1, 2**32)")
+            raise DataInvariantError(f"'k': resample count k must be in [1, 2**32), got {self.k}")
         if not (0.0 < self.alpha < 1.0):
-            raise DataInvariantError("alpha must be in (0, 1)")
+            raise DataInvariantError(f"'alpha': alpha must be in (0, 1), got {self.alpha}")
         if self.seed < 0:
             raise DataInvariantError("seed must be >= 0")
 

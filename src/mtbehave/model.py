@@ -11,14 +11,24 @@ import itertools
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
-from .errors import BracketParseError, DataInvariantError, MtBehaveError, SuiteLoadError
+from .errors import (
+    BracketParseError,
+    ConfigError,
+    DataInvariantError,
+    MtBehaveError,
+    SuiteLoadError,
+)
 
 DETECTOR_KINDS = ("exhaustive", "contrastive")
+# Property and system ids name files and directories, so each must be a plain
+# file name: a letter, digit or "_", then those, "." or "-"; never "." or "..".
+_PLAIN_NAME = re.compile(r"\w[\w.-]*")
 
 T = TypeVar("T")
 
@@ -37,8 +47,8 @@ class PropertySpec:
     foil_prompt: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise DataInvariantError("property id must be nonempty")
+        if not _PLAIN_NAME.fullmatch(self.id):
+            raise DataInvariantError(f"property id {self.id!r} is not a plain file name")
         if self.detector not in DETECTOR_KINDS:
             raise DataInvariantError(
                 f"property {self.id}: unknown detector {self.detector!r}"
@@ -51,6 +61,18 @@ class PropertySpec:
             raise DataInvariantError(f"property {self.id}: at least one demo required")
         object.__setattr__(self, "demos", tuple(self.demos))
         object.__setattr__(self, "language_pair", tuple(self.language_pair))
+
+
+def _check_spec(obj, context: str, needs: Mapping[str, str | None], **at_least: float) -> None:
+    """`obj.kind` must be a key of `needs` and the field it maps to, if any, nonempty;
+    each field named in `at_least` must be at least its value there."""
+    if obj.kind not in needs:
+        raise ConfigError(f"{context}: kind must be one of {tuple(needs)}, got {obj.kind!r}")
+    if needs[obj.kind] and not getattr(obj, needs[obj.kind]):
+        raise ConfigError(f"{context}: kind {obj.kind!r} requires a {needs[obj.kind]}")
+    for name, low in at_least.items():
+        if getattr(obj, name) < low:
+            raise ConfigError(f"{context}: {name!r} must be >= {low}, got {getattr(obj, name)}")
 
 
 def parse_bracketed(raw: str) -> tuple[str, str, tuple[int, int]]:
@@ -368,21 +390,12 @@ def _load_records(
         yield lineno, record
 
 
-# One C encoder for every JSONL row, with json.dumps(row, ensure_ascii=False)'s
-# settings; JSONEncoder.encode would build a new one per row. markers=None skips
-# the cycle check: rows are acyclic to_dict output.
-_encode_row = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, json.encoder.encode_basestring, None,
-    ": ", ", ", False, False, True,
-)
-
-
 def _jsonl_line(row: dict) -> str:
-    return "".join(_encode_row(row, 0)) + "\n"
+    return json.dumps(row, ensure_ascii=False) + "\n"
 
 
 # Rows written once per (case, system) are formatted from their fields, with no
-# dict and no generic encoder. Strings and floats are written as _encode_row writes
+# dict and no generic encoder. Strings and floats are written as json.dumps writes
 # them, so a line is json.dumps(row, ensure_ascii=False) of a dict of its keys in order.
 _json_str = json.encoder.encode_basestring
 

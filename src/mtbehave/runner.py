@@ -40,8 +40,10 @@ from .model import (
     ContrastivePair,
     PropertySpec,
     TestCase,
+    _PLAIN_NAME,
     _append,
     _cache_line,
+    _check_spec,
     _list_dir,
     _load_records,
     _read_bytes,
@@ -56,8 +58,6 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-ADAPTER_KINDS = ("http", "command", "file")
-DEFAULT_HTTP_BATCH_SIZE = 32
 # Every character str.splitlines breaks on; each would desync the line protocol.
 _LINE_BREAKS = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -72,23 +72,16 @@ class AdapterSpec:
     command: str = ""
     path: str = ""
     language_pair: tuple[str, str] = ("", "")
-    batch_size: int = DEFAULT_HTTP_BATCH_SIZE
+    batch_size: int = 32
 
     def __post_init__(self) -> None:
-        if not self.system_id:
-            raise ConfigError("system_id must be nonempty")
-        if self.kind not in ADAPTER_KINDS:
-            raise ConfigError(f"system {self.system_id}: unknown adapter kind {self.kind!r}")
-        required = {"http": self.endpoint, "command": self.command, "file": self.path}[self.kind]
-        if not required:
-            raise ConfigError(
-                f"system {self.system_id}: adapter kind {self.kind!r} needs its "
-                f"{'endpoint' if self.kind == 'http' else self.kind} field"
-            )
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"system {self.system_id}: 'batch_size' must be >= 1, got {self.batch_size}"
-            )
+        if not _PLAIN_NAME.fullmatch(self.system_id):
+            raise ConfigError(f"system id {self.system_id!r} is not a plain file name")
+        context = f"system {self.system_id!r}"
+        needs = {"http": "endpoint", "command": "command", "file": "path"}
+        _check_spec(self, context, needs, batch_size=1)
+        if self.kind == "http" and not all(self.language_pair):
+            raise ConfigError(f"{context}: kind 'http' requires a language_pair")
         object.__setattr__(self, "language_pair", tuple(self.language_pair))
 
     @property

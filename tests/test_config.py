@@ -1,6 +1,7 @@
 """Run-configuration loading, presets, overrides, offline enforcement."""
 from __future__ import annotations
 
+import dataclasses
 from importlib import resources
 
 import pytest
@@ -8,9 +9,19 @@ import yaml
 
 from mtbehave import config as config_module
 from mtbehave.cli import main
-from mtbehave.config import derive_seed, load_config, packaged_template, resolve_config_path
+from mtbehave.config import (
+    EmbedderConfig,
+    LlmConfig,
+    derive_seed,
+    load_config,
+    packaged_template,
+    resolve_config_path,
+)
+from mtbehave.detection import TokenizerConfig
 from mtbehave.errors import ConfigError
+from mtbehave.metrics import ResampleConfig
 from mtbehave.providers import HashEmbedder, ReplayProvider
+from mtbehave.runner import AdapterSpec
 
 MINIMAL = """
 workspace: ws
@@ -48,15 +59,20 @@ class TestLoadConfig:
         config = load_config(str(write_config(tmp_path)))
         assert config.seed == 3
         assert config.target_count == 12
-        assert config.k == 150 and config.alpha == 0.1
+        assert config.stats.k == 150 and config.stats.alpha == 0.1
         assert config.workspace == tmp_path / "ws"
         assert config.properties[0].id == "names"
         assert config.systems[0].system_id == "identity"
 
     def test_absent_keys_take_the_documented_defaults(self, tmp_path):
-        text = "systems:\n  - {id: web, kind: http, endpoint: 'http://mt/x'}\n"
+        text = (
+            "systems:\n"
+            "  - {id: web, kind: http, endpoint: 'http://mt/x', language_pair: [en, de]}\n"
+        )
         config = load_config(str(write_config(tmp_path, text)))
-        assert (config.seed, config.target_count, config.k, config.alpha) == (0, 1000, 1000, 0.05)
+        assert (config.seed, config.target_count, config.stats.k, config.stats.alpha) == (
+            0, 1000, 1000, 0.05
+        )
         assert (config.tokenizer.mode, config.tokenizer.strip_edge_punct) == ("whitespace", True)
         assert config.token_boundary is False
         assert config.embedder.dim == 32 and config.systems[0].batch_size == 32
@@ -110,7 +126,9 @@ class TestLoadConfig:
             str(write_config(tmp_path)),
             {"seed": 99, "k": 42, "alpha": 0.2, "target_count": 5},
         )
-        assert (config.seed, config.k, config.alpha, config.target_count) == (99, 42, 0.2, 5)
+        assert (config.seed, config.stats.k, config.stats.alpha, config.target_count) == (
+            99, 42, 0.2, 5
+        )
 
     def test_duplicate_property_ids_rejected(self, tmp_path):
         duplicate = """  - id: names
@@ -171,8 +189,18 @@ systems:"""
             ("k: 150", "k: 0", "k"),
             ("alpha: 0.1", "alpha: 0", "alpha"),
             ("alpha: 0.1", "alpha: 1.5", "alpha"),
+            ("replay_dir: replays}", "replay_dir: replays, temperature: .nan}", "temperature"),
+            ("replay_dir: replays}", "replay_dir: replays, presence_penalty: .inf}",
+             "presence_penalty"),
+            ("replay_dir: replays}", "replay_dir: replays, presence_penalty: -.inf}",
+             "presence_penalty"),
+            ("replay_dir: replays}", f"replay_dir: replays, temperature: {'9' * 400}}}",
+             "temperature"),
+            ("alpha: 0.1", "alpha: .nan", "alpha"),
         ],
-        ids=["temperature", "batch_size", "dim", "k", "alpha_zero", "alpha_above_one"],
+        ids=["temperature", "batch_size", "dim", "k", "alpha_zero", "alpha_above_one",
+             "temperature_nan", "presence_penalty_inf", "presence_penalty_minus_inf",
+             "temperature_beyond_float", "alpha_nan"],
     )
     def test_out_of_range_exits_1_naming_the_key(self, tmp_path, capsys, old, new, key):
         path = write_config(tmp_path, MINIMAL.replace(old, new, 1))
@@ -221,6 +249,115 @@ systems:"""
         assert main(["diversity", "--config", str(path)]) == 1
         assert f"{section or path}: unknown key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, name",
+        [
+            ("  - id: names", '  - id: "../escaped"', "../escaped"),
+            ("  - id: names", "  - id: a/b", "a/b"),
+            ("  - id: names", '  - id: ".."', ".."),
+            ("  - id: identity", '  - id: "../../sys"', "../../sys"),
+            ("  - id: identity", '  - id: ".hidden"', ".hidden"),
+            ("  - id: identity", '  - id: ""', ""),
+        ],
+        ids=["property_parent", "property_separator", "property_dotdot", "system_parent",
+             "system_leading_dot", "system_empty"],
+    )
+    def test_id_that_is_not_a_plain_file_name_exits_1_writing_nothing(
+        self, tmp_path, capsys, old, new, name
+    ):
+        (tmp_path / "ws").mkdir()
+        (tmp_path / "ws" / "replays").mkdir()
+        text = MINIMAL.replace("workspace: ws", "workspace: ws/inner").replace(old, new, 1)
+        path = write_config(tmp_path / "ws", text)
+        assert main(["generate", "--config", str(path), "--offline"]) == 1
+        assert f"id {name!r} is not a plain file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.yaml", "replays", "ws"]
+
+    def test_plain_ids_with_dots_and_dashes_load(self, tmp_path):
+        text = MINIMAL.replace("id: names", "id: names.v2").replace("id: identity", "id: sys-1.b")
+        config = load_config(str(write_config(tmp_path, text)))
+        assert (config.properties[0].id, config.systems[0].system_id) == ("names.v2", "sys-1.b")
+
+    def test_http_system_without_language_pair_exits_1(self, tmp_path, capsys):
+        text = MINIMAL.replace(
+            "kind: command\n    command: cat", "kind: http\n    endpoint: http://mt/x"
+        )
+        path = write_config(tmp_path, text)
+        assert main(["diversity", "--config", str(path)]) == 1
+        assert "system 'identity': kind 'http' requires a language_pair" in capsys.readouterr().err
+        config = load_config(str(write_config(tmp_path, MINIMAL)))
+        assert config.systems[0].language_pair == ("", "")  # optional for a command system
+
+
+# Each typed section, the dataclass that declares it, how to reach it in the
+# YAML and in a loaded config, and two valid minimal mappings of different kinds.
+SECTIONS = {
+    "providers.llm": (
+        LlmConfig, ("providers", "llm"), lambda c: c.llm,
+        [{"kind": "replay", "replay_dir": "replays"}, {"kind": "http", "url": "http://llm"}],
+    ),
+    "providers.embedder": (
+        EmbedderConfig, ("providers", "embedder"), lambda c: c.embedder,
+        [{"kind": "hash"}, {"kind": "http", "url": "http://emb"}],
+    ),
+    "tokenizer": (TokenizerConfig, ("tokenizer",), lambda c: c.tokenizer, [{}, {}]),
+    "stats": (ResampleConfig, ("stats",), lambda c: c.stats, [{}, {}]),
+    "system 'identity'": (
+        AdapterSpec, ("systems", 0), lambda c: c.systems[0],
+        [{"id": "identity", "kind": "command", "command": "cat"},
+         {"id": "identity", "kind": "file", "path": "t.jsonl"}],
+    ),
+}
+# Fields whose config key has another name, and the one field no key sets.
+KEY_OF = {"system_id": "id"}
+NOT_A_KEY = {(ResampleConfig, "seed")}
+FIELDS = [
+    (context, f) for context, (cls, *_) in SECTIONS.items()
+    for f in dataclasses.fields(cls) if (cls, f.name) not in NOT_A_KEY
+]
+
+
+class TestSections:
+    """Every key of every typed section, read through the dataclass that declares it."""
+
+    @staticmethod
+    def write(tmp_path, context, section):
+        raw = yaml.safe_load(MINIMAL)
+        where = SECTIONS[context][1]
+        parent = raw
+        for step in where[:-1]:
+            parent = parent.setdefault(step, {})
+        parent[where[-1]] = section
+        return write_config(tmp_path, yaml.safe_dump(raw))
+
+    @pytest.mark.parametrize("context, field", FIELDS, ids=lambda x: getattr(x, "name", x))
+    def test_missing_key_takes_the_dataclass_default(self, tmp_path, capsys, context, field):
+        key = KEY_OF.get(field.name, field.name)
+        _, _, loaded, bases = SECTIONS[context]
+        base = next((b for b in bases if key not in b), None)
+        if base is None:  # required in every kind
+            path = self.write(tmp_path, context, {k: v for k, v in bases[0].items() if k != key})
+            assert main(["diversity", "--config", str(path)]) == 1
+            assert f"missing required key {key!r}" in capsys.readouterr().err
+            assert field.default is dataclasses.MISSING
+        else:
+            config = load_config(str(self.write(tmp_path, context, base)))
+            assert getattr(loaded(config), field.name) == field.default
+
+    @pytest.mark.parametrize("context, field", FIELDS, ids=lambda x: getattr(x, "name", x))
+    def test_wrong_type_exits_1_naming_the_key(self, tmp_path, capsys, context, field):
+        key = KEY_OF.get(field.name, field.name)
+        section = {**SECTIONS[context][3][0], key: {"not": "a setting"}}
+        assert main(["diversity", "--config", str(self.write(tmp_path, context, section))]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("context, field", FIELDS, ids=lambda x: getattr(x, "name", x))
+    def test_misspelt_key_exits_1_naming_the_section(self, tmp_path, capsys, context, field):
+        key = KEY_OF.get(field.name, field.name)
+        section = {**SECTIONS[context][3][0], f"{key}s": "x"}
+        assert main(["diversity", "--config", str(self.write(tmp_path, context, section))]) == 1
+        assert f"{context}: unknown key {key + 's'!r}" in capsys.readouterr().err
+
 
 class TestYamlLoader:
     def test_libyaml_used_when_pyyaml_has_it(self):
@@ -261,7 +398,7 @@ class TestProvidersFromConfig:
     def test_offline_forbids_http_adapter(self, tmp_path):
         text = MINIMAL.replace(
             "kind: command\n    command: cat",
-            "kind: http\n    endpoint: http://mt/translate",
+            "kind: http\n    endpoint: http://mt/translate\n    language_pair: [en, de]",
         )
         config = load_config(str(write_config(tmp_path, text)), {"offline": True})
         with pytest.raises(ConfigError, match="offline"):

@@ -552,6 +552,11 @@ class TestPropertySpecRoundtrip:
         with pytest.raises(AttributeError):
             units_spec.id = "other"
 
+    @pytest.mark.parametrize("prop_id", ["../escaped", "a/b", ".", "..", ".x", "-x", ""])
+    def test_id_must_be_a_plain_file_name(self, prop_id):
+        with pytest.raises(DataInvariantError, match="is not a plain file name"):
+            make_spec(prop_id=prop_id)
+
 
 # Calls that reach the filesystem: the `open` builtin, these methods on any
 # object but a packaged resource, these `os` functions and anything of `shutil`.

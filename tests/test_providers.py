@@ -333,7 +333,9 @@ class TestSharedTransport:
         ),
         "mt": (
             lambda session, key_env: HttpMtAdapter(
-                AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x"), session=session
+                AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x",
+                            language_pair=("en", "de")),
+                session=session,
             ),
             lambda client: client.translate(["a"]),
             {"translations": ["b"]},

@@ -96,6 +96,20 @@ class TestAdapterSpec:
         with pytest.raises(ConfigError):
             AdapterSpec(system_id="x", kind="carrier-pigeon", command="x")
 
+    def test_http_requires_a_language_pair(self):
+        with pytest.raises(ConfigError, match="kind 'http' requires a language_pair"):
+            AdapterSpec(system_id="x", kind="http", endpoint="http://mt/x")
+        with pytest.raises(ConfigError, match="kind 'http' requires a language_pair"):
+            AdapterSpec(
+                system_id="x", kind="http", endpoint="http://mt/x", language_pair=("en", "")
+            )
+        assert AdapterSpec(system_id="x", kind="command", command="cat").language_pair == ("", "")
+
+    @pytest.mark.parametrize("system_id", ["../sys", "a/b", ".", "..", ".x", "-x", "a b", ""])
+    def test_id_must_be_a_plain_file_name(self, system_id):
+        with pytest.raises(ConfigError, match="is not a plain file name"):
+            AdapterSpec(system_id=system_id, kind="command", command="cat")
+
 
 class TestTranslateAll:
     def test_identity_adapter_echoes_sources(self):
@@ -524,7 +538,10 @@ class TestHttpAdapter:
         delays = []
         monkeypatch.setattr(providers.time, "sleep", delays.append)
         session = StubSession([requests.ConnectionError("down")] * 3)
-        spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=8)
+        spec = AdapterSpec(
+            system_id="http", kind="http", endpoint="http://mt/x", language_pair=("en", "de"),
+            batch_size=8,
+        )
         adapter = HttpMtAdapter(spec, session=session)
         assert adapter.translate(["a", "b"]) == [None, None]
         assert delays == [0.5, 1.0]
@@ -533,7 +550,10 @@ class TestHttpAdapter:
         session = StubSession(
             [StubResponse({"error": "quota"}), StubResponse({"translations": ["drei"]})]
         )
-        spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=2)
+        spec = AdapterSpec(
+            system_id="http", kind="http", endpoint="http://mt/x", language_pair=("en", "de"),
+            batch_size=2,
+        )
         adapter = HttpMtAdapter(spec, session=session)
         assert adapter.translate(["one", "two", "three"]) == [None, None, "drei"]
         assert len(session.calls) == 2  # a malformed body is not retried
@@ -542,7 +562,10 @@ class TestHttpAdapter:
         session = StubSession(
             [StubResponse({"translations": ["eins"]}), StubResponse({"translations": ["drei"]})]
         )
-        spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=2)
+        spec = AdapterSpec(
+            system_id="http", kind="http", endpoint="http://mt/x", language_pair=("en", "de"),
+            batch_size=2,
+        )
         with caplog.at_level("WARNING", logger="mtbehave.runner"):
             [translated] = translate_all([SUITE], [HttpMtAdapter(spec, session)], TranslationCache(tmp_path))
             result = split(SUITE, translated)
@@ -556,7 +579,10 @@ class TestHttpAdapter:
         session = StubSession(
             [StubResponse({"translations": [None, 3]}), StubResponse({"translations": ["drei"]})]
         )
-        spec = AdapterSpec(system_id="http", kind="http", endpoint="http://mt/x", batch_size=2)
+        spec = AdapterSpec(
+            system_id="http", kind="http", endpoint="http://mt/x", language_pair=("en", "de"),
+            batch_size=2,
+        )
         with caplog.at_level("WARNING", logger="mtbehave.runner"):
             [translated] = translate_all([SUITE], [HttpMtAdapter(spec, session)], TranslationCache(tmp_path))
             result = split(SUITE, translated)
