@@ -390,8 +390,10 @@ def _load_records(
         yield lineno, record
 
 
-def _jsonl_line(row: dict) -> str:
-    return json.dumps(row, ensure_ascii=False) + "\n"
+# One encoder for every JSONL row: json.dumps(row, ensure_ascii=False) would
+# build a new one per row. Rows are trees of fresh dicts and lists, so the
+# circular-reference check has nothing to find.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
 
 
 # Rows written once per (case, system) are formatted from their fields, with no
@@ -435,7 +437,7 @@ def _cache_line(source_sha256: str, translation: str) -> str:
 
 
 def _write_jsonl(rows: Iterable[dict], path: Path) -> None:
-    _write_atomic(path, map(_jsonl_line, rows))
+    _write_atomic(path, (_ENCODER.encode(row) + "\n" for row in rows))
 
 
 def _write_json(obj, path: Path) -> None:

@@ -299,7 +299,7 @@ class TestJsonlEncoder:
     )
     def test_shared_encoder_matches_json_dumps(self, tmp_path, row):
         path = tmp_path / "rows.jsonl"
-        _write_jsonl([row, {"n": 1}, row], path)  # the bound encoder is reusable
+        _write_jsonl([row, {"n": 1}, row], path)  # model._ENCODER serves every row
         expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in [row, {"n": 1}, row])
         assert path.read_bytes() == expected.encode("utf-8")
 
