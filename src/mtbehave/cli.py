@@ -131,7 +131,8 @@ def build_parser() -> _Parser:
     _add_config_options(p)
     p.add_argument("--run", required=True, metavar="DIR", help="run directory to annotate")
     p.add_argument("--system", default=None, metavar="ID")
-    p.add_argument("--k", type=int, default=100, help="sample size per stratum (default 100)")
+    p.add_argument("--k", dest="sample_size", type=int, default=100,
+                   help="sample size per stratum (default 100)")
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("apply-edits", help="apply candidate edits; tally annotated FP/FN")
@@ -489,7 +490,7 @@ def _judged_hashes(run_dir: Path) -> dict[str, tuple[str, str]]:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    _require_at_least("--k", args.k, 1)
+    _require_at_least("--k", args.sample_size, 1)
     config = load_config(args.config, _overrides(args))
     props = _select_properties(config, args.property)
     run_dir = Path(args.run)
@@ -534,7 +535,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             translations = {case_id: text for case_id, _, text in translated}
             selected = [v for v in prop_verdicts if v[1] == system_id]
             passes, fails = sample_for_annotation(
-                [v[2] for v in selected], args.k,
+                [v[2] for v in selected], args.sample_size,
                 seed=derive_seed(config.seed, f"annotate:{spec.id}:{system_id}"),
             )
             rows = []

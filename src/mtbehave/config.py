@@ -19,13 +19,13 @@ from .detection import TokenizerConfig
 from .errors import ConfigError, DataInvariantError
 from .generation import DEFAULT_TARGET_COUNT
 from .metrics import ResampleConfig
-from .model import PropertySpec, _check_spec, _read_text
+from .model import PropertySpec, _read_text
 from .providers import (
-    DEFAULT_PRESENCE_PENALTY,
-    DEFAULT_TEMPERATURE,
+    EmbedderConfig,
     HashEmbedder,
     HttpChatProvider,
     HttpEmbedder,
+    LlmConfig,
     ReplayProvider,
 )
 from .runner import AdapterSpec, CommandMtAdapter, FileMtAdapter, HttpMtAdapter
@@ -40,31 +40,6 @@ def derive_seed(seed: int, purpose: str) -> int:
     reproducible from the single configured seed."""
     digest = hashlib.sha256(f"{seed}:{purpose}".encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
-
-
-@dataclass(frozen=True)
-class LlmConfig:
-    kind: str
-    url: str = ""
-    model: str = ""
-    api_key_env: str = ""
-    temperature: float = DEFAULT_TEMPERATURE
-    presence_penalty: float = DEFAULT_PRESENCE_PENALTY
-    replay_dir: str = ""
-
-    def __post_init__(self) -> None:
-        _check_spec(self, "providers.llm", {"http": "url", "replay": "replay_dir"}, temperature=0)
-
-
-@dataclass(frozen=True)
-class EmbedderConfig:
-    kind: str
-    url: str = ""
-    api_key_env: str = ""
-    dim: int = 32
-
-    def __post_init__(self) -> None:
-        _check_spec(self, "providers.embedder", {"http": "url", "hash": None}, dim=1)
 
 
 @dataclass(frozen=True)
@@ -102,20 +77,14 @@ class RunConfig:
             raise ConfigError("--offline forbids the http LLM provider")
         if self.llm.kind == "replay":
             return ReplayProvider(self._resolve(self.llm.replay_dir))
-        return HttpChatProvider(
-            url=self.llm.url,
-            model=self.llm.model,
-            api_key_env=self.llm.api_key_env,
-            temperature=self.llm.temperature,
-            presence_penalty=self.llm.presence_penalty,
-        )
+        return HttpChatProvider(self.llm)
 
     def build_embedder(self):
         if self.offline and self.embedder.kind == "http":
             raise ConfigError("--offline forbids the http embedding provider")
         if self.embedder.kind == "hash":
             return HashEmbedder(dim=self.embedder.dim)
-        return HttpEmbedder(url=self.embedder.url, api_key_env=self.embedder.api_key_env)
+        return HttpEmbedder(self.embedder)
 
     def build_adapter(self, spec: AdapterSpec):
         if self.offline and spec.kind == "http":

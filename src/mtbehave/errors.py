@@ -60,8 +60,8 @@ class SuiteLoadError(DataInvariantError):
     """A file could not be read, written or parsed; the message names the path."""
 
 
-class BracketParseError(MtBehaveError, ValueError):
-    """A generated line could not be parsed into a single bracketed value.
+class BracketParseError(DataInvariantError, ValueError):
+    """A generated line or a case's `raw` could not be parsed into one bracketed value.
 
     `reason` is the `genlog.json` rejection key: "unbalanced", "no_value",
     "multi_value" or "empty_value".

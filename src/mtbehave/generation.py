@@ -220,13 +220,13 @@ def generate_suite(
                 "rejected_by_reason": by_reason,
             }
         )
-        for raw, source, value, span in accepted:
+        for raw, _, value, _ in accepted:
             genlog["value_counts"][value] += 1
             if len(cases) >= target_count:
                 genlog["truncated"] += 1
                 continue
             case_id = f"{spec.id}-{len(cases):05d}"
-            cases.append(TestCase(case_id, spec.id, raw, source, value, span))
+            cases.append(TestCase(case_id, spec.id, raw))
             genlog["accepted"].append({"id": case_id, "batch": batch_index, "value": value})
         if len(cases) >= target_count:
             return cases, genlog

@@ -104,7 +104,9 @@ def parse_bracketed(raw: str) -> tuple[str, str, tuple[int, int]]:
 class TestCase:
     """One source sentence with a single tagged property value.
 
-    Spans are half-open [start, end) intervals in Unicode scalar values.
+    `source`, `value` and `value_span` are `parse_bracketed(raw)`, so a case
+    whose line does not parse cannot be built. Spans are half-open
+    [start, end) intervals in Unicode scalar values.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -112,29 +114,15 @@ class TestCase:
     id: str
     property_id: str
     raw: str
-    source: str
-    value: str
-    value_span: tuple[int, int]
+    source: str = field(init=False)
+    value: str = field(init=False)
+    value_span: tuple[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value_span", tuple(self.value_span))
-        s, e = self.value_span
-        if not self.value:
-            raise DataInvariantError(f"case {self.id}: empty value")
-        if not (0 <= s <= e <= len(self.source)):
-            raise DataInvariantError(f"case {self.id}: span {self.value_span} out of range")
-        if self.source[s:e] != self.value:
-            raise DataInvariantError(
-                f"case {self.id}: source[{s}:{e}] != value {self.value!r}"
-            )
-        if self.raw.count("[") != 1 or self.raw.count("]") != 1:
-            raise DataInvariantError(f"case {self.id}: raw must contain exactly one bracket pair")
-        if self.reconstruct_raw() != self.raw:
-            raise DataInvariantError(f"case {self.id}: source/span does not reconstruct raw")
-
-    def reconstruct_raw(self) -> str:
-        s, e = self.value_span
-        return self.source[:s] + "[" + self.value + "]" + self.source[e:]
+        source, value, span = parse_bracketed(self.raw)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value_span", span)
 
     def to_dict(self) -> dict:
         return {
@@ -148,14 +136,12 @@ class TestCase:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TestCase":
-        return cls(
-            id=_str_field(d, "id"),
-            property_id=d["property_id"],
-            raw=d["raw"],
-            source=d["source"],
-            value=d["value"],
-            value_span=tuple(d["value_span"]),
-        )
+        """A suite row's case; its stored source, value and span must be its raw's."""
+        case = cls(_str_field(d, "id"), d["property_id"], d["raw"])
+        stored = d["source"], d["value"], d["value_span"]
+        if stored != (case.source, case.value, [*case.value_span]):
+            raise ValueError(f"case {case.id}: source, value or value_span disagrees with raw")
+        return case
 
 
 def _str_field(d: Mapping, key: str) -> str:

@@ -11,22 +11,19 @@ import logging
 import os
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ProviderError
-from .model import _list_dir, _read_text, _write_atomic
+from .model import _check_spec, _list_dir, _read_text, _write_atomic
 
 if TYPE_CHECKING:
     import requests
 
 log = logging.getLogger(__name__)
-
-# Default sampling parameters of the HTTP LLM client, fixed for its lifetime.
-DEFAULT_TEMPERATURE = 0.9
-DEFAULT_PRESENCE_PENALTY = 2.0
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 0.5
@@ -87,40 +84,57 @@ def _json_list(body, key: str, url: str) -> list:
     return value
 
 
+@dataclass(frozen=True)
+class LlmConfig:
+    """The `providers.llm` config section; the sampling defaults are the paper's."""
+
+    kind: str
+    url: str = ""
+    model: str = ""
+    api_key_env: str = ""
+    temperature: float = 0.9
+    presence_penalty: float = 2.0
+    replay_dir: str = ""
+
+    def __post_init__(self) -> None:
+        _check_spec(self, "providers.llm", {"http": "url", "replay": "replay_dir"}, temperature=0)
+
+
+@dataclass(frozen=True)
+class EmbedderConfig:
+    """The `providers.embedder` config section."""
+
+    kind: str
+    url: str = ""
+    api_key_env: str = ""
+    dim: int = 32
+
+    def __post_init__(self) -> None:
+        _check_spec(self, "providers.embedder", {"http": "url", "hash": None}, dim=1)
+
+
 class HttpChatProvider:
-    """Chat-completion-style HTTP provider.
+    """Chat-completion-style HTTP provider for an `LlmConfig` of kind http.
 
     POSTs {"messages", "temperature", "presence_penalty", "model"} and reads
-    the completion text from the usual response shapes. The sampling
-    parameters are fixed for the client's lifetime.
+    the completion text from the usual response shapes.
     """
 
-    def __init__(
-        self,
-        url: str,
-        model: str = "",
-        api_key_env: str = "",
-        session: requests.Session | None = None,
-        temperature: float = DEFAULT_TEMPERATURE,
-        presence_penalty: float = DEFAULT_PRESENCE_PENALTY,
-    ) -> None:
-        self.url = url
-        self.model = model
-        self.api_key_env = api_key_env
-        self.temperature = temperature
-        self.presence_penalty = presence_penalty
+    def __init__(self, config: LlmConfig, session: requests.Session | None = None) -> None:
+        self.config = config
         self._session = session or _session()
 
     def complete(self, prompt: str) -> str:
+        config = self.config
         payload = {
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
-            "presence_penalty": self.presence_penalty,
+            "temperature": config.temperature,
+            "presence_penalty": config.presence_penalty,
         }
-        if self.model:
-            payload["model"] = self.model
-        body = _post_json(self._session, self.url, payload, "LLM request", self.api_key_env)
-        return _extract_text(body, self.url)
+        if config.model:
+            payload["model"] = config.model
+        body = _post_json(self._session, config.url, payload, "LLM request", config.api_key_env)
+        return _extract_text(body, config.url)
 
 
 def _extract_text(body, url: str) -> str:
@@ -198,29 +212,23 @@ def write_replay_responses(directory: Path | str, prompt: str, responses: Sequen
 
 
 class HttpEmbedder:
-    """Embedding service client: POST /embed {"texts": [...]}."""
+    """Embedding service client for an http `EmbedderConfig`: POST {"texts": [...]}."""
 
-    def __init__(
-        self,
-        url: str,
-        api_key_env: str = "",
-        session: requests.Session | None = None,
-    ) -> None:
-        self.url = url
-        self.api_key_env = api_key_env
+    def __init__(self, config: EmbedderConfig, session: requests.Session | None = None) -> None:
+        self.config = config
         self._session = session or _session()
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        body = _post_json(
-            self._session, self.url, {"texts": list(texts)}, "embedding request", self.api_key_env
-        )
-        vectors = _json_list(body, "vectors", self.url)
+        url = self.config.url
+        payload = {"texts": list(texts)}
+        body = _post_json(self._session, url, payload, "embedding request", self.config.api_key_env)
+        vectors = _json_list(body, "vectors", url)
         # Checked first: numpy reads true as 1.0, "1.5" as 1.5, ragged rows as a bare ValueError.
         for vec in vectors:
             if not isinstance(vec, list) or any(type(x) not in (int, float) for x in vec):
-                raise ProviderError(f"{self.url}: a vector is not a list of numbers: {vec!r:.80}")
+                raise ProviderError(f"{url}: a vector is not a list of numbers: {vec!r:.80}")
         if len(vectors) != len(texts):
-            raise ProviderError(f"{self.url}: {len(vectors)} vectors for {len(texts)} texts")
+            raise ProviderError(f"{url}: {len(vectors)} vectors for {len(texts)} texts")
         width = len(vectors[0]) if vectors else 0
         dim = body.get("dim", width)
         for vec in vectors:
@@ -229,7 +237,7 @@ class HttpEmbedder:
         try:
             return np.array(vectors, dtype=np.float64).reshape(len(vectors), width)
         except OverflowError as exc:  # an integer beyond the float range
-            raise ProviderError(f"{self.url}: a vector entry is out of range: {exc}") from exc
+            raise ProviderError(f"{url}: a vector entry is out of range: {exc}") from exc
 
 
 class HashEmbedder:

@@ -103,27 +103,26 @@ class HttpMtAdapter:
     """Batched POST {"texts": [...], "src", "tgt"} -> {"translations": [...]}."""
 
     def __init__(self, spec: AdapterSpec, session: requests.Session | None = None) -> None:
+        self.spec = spec
         self.system_id = spec.system_id
         self.cache_name = spec.cache_name
-        self.endpoint = spec.endpoint
-        self.language_pair = spec.language_pair
-        self.batch_size = spec.batch_size
         self._session = session or _session()
 
     def translate(self, sources: Sequence[str]) -> list[str | None]:
         out: list[str | None] = []
-        src, tgt = self.language_pair
-        for start in range(0, len(sources), self.batch_size):
-            batch = list(sources[start : start + self.batch_size])
+        spec = self.spec
+        src, tgt = spec.language_pair
+        for start in range(0, len(sources), spec.batch_size):
+            batch = list(sources[start : start + spec.batch_size])
             payload = {"texts": batch, "src": src, "tgt": tgt}
             try:
-                body = _post_json(self._session, self.endpoint, payload, "MT request")
-                translations = _json_list(body, "translations", self.endpoint)
+                body = _post_json(self._session, spec.endpoint, payload, "MT request")
+                translations = _json_list(body, "translations", spec.endpoint)
                 if not all(isinstance(t, str) for t in translations):
-                    raise AdapterError(f"{self.endpoint}: a translation is not a string")
+                    raise AdapterError(f"{spec.endpoint}: a translation is not a string")
                 if len(translations) != len(batch):
                     raise AdapterError(
-                        f"{self.endpoint} returned {len(translations)} translations "
+                        f"{spec.endpoint} returned {len(translations)} translations "
                         f"for {len(batch)} texts"
                     )
             except ProviderError as exc:

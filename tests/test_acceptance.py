@@ -24,7 +24,7 @@ from mtbehave.metrics import (
     paired_bootstrap,
     resampled_mprs,
 )
-from mtbehave.model import CandidateSet, ContrastivePair, TestCase, parse_bracketed
+from mtbehave.model import CandidateSet, ContrastivePair, TestCase
 from mtbehave.providers import HashEmbedder
 from mtbehave.runner import apply_candidate_edits
 
@@ -292,7 +292,7 @@ def test_annotation_monotonicity(units_spec):
     ]
     suite = []
     for i, raw in enumerate(raws):
-        suite.append(TestCase(f"units-{i:05d}", "units", raw, *parse_bracketed(raw)))
+        suite.append(TestCase(f"units-{i:05d}", "units", raw))
     candidates = {
         name: CandidateSet(value=name, candidates=(f"Einheit{name[4:]}", name.upper()))
         for name in unit_names

@@ -42,7 +42,6 @@ from mtbehave.model import (
     load_suite,
     load_translations,
     load_verdicts,
-    parse_bracketed,
     save_candidates,
     save_suite,
     save_translations,
@@ -675,10 +674,7 @@ class TestRunTable:
         for spec in config.properties:
             values = [f"v{i}" for i in range(8)]
             raws = [f"Case {i} is [{v}] here." for i, v in enumerate(rng.choices(values, k=40))]
-            suite = [
-                TestCase(f"{spec.id}-{i:05d}", spec.id, raw, *parse_bracketed(raw))
-                for i, raw in enumerate(raws)
-            ]
+            suite = [TestCase(f"{spec.id}-{i:05d}", spec.id, raw) for i, raw in enumerate(raws)]
             by_value = {}
             for value in values[:6]:  # the last two values have no candidates
                 if spec.detector == "exhaustive":
@@ -1124,6 +1120,15 @@ class TestAnnotateAndApplyEdits:
                        "--property", "names", "--system", "identity", "--k", "0") == 1
         assert capsys.readouterr().err.startswith("usage error: --k must be >= 1")
         assert not list(out_dir.glob("review_*"))
+
+    def test_annotate_k_leaves_the_bootstrap_k_alone(self, workspace, tmp_path, capsys):
+        # annotate's --k is its sample size per stratum; only run's --k sets stats.k.
+        missing = tmp_path / "nonexistent"
+        assert run_cli("annotate", "--config", str(workspace), "--run", str(missing),
+                       "--property", "names", "--k", str(2**32)) == 1
+        assert "point --run at a run directory" in capsys.readouterr().err
+        assert run_cli("run", "--config", str(workspace), "--k", str(2**32)) == 1
+        assert "k must be in [1, 2**32)" in capsys.readouterr().err
 
     def test_string_pass_in_verdicts_exit_3(self, workspace, tmp_path, capsys):
         prime(workspace)

@@ -49,7 +49,7 @@ class _EchoAdapter:
             mtbehave.HashEmbedder(dim=4),
         ),
         lambda: mtbehave.translate_all(
-            [mtbehave.TestCase("u-0", "units", "3 [miles]", "3 miles", "miles", (2, 7))],
+            [mtbehave.TestCase("u-0", "units", "3 [miles]")],
             _EchoAdapter(),
         ),
     ],

@@ -224,8 +224,9 @@ class TestGenerateSuite:
         llm = ScriptedLlm([unique_batch(0, 10)])
         cases, _ = generate_suite(units_spec, 10, llm)
         for case in cases:
-            assert case.reconstruct_raw() == case.raw
-            assert case.source[case.value_span[0] : case.value_span[1]] == case.value
+            s, e = case.value_span
+            assert case.source[:s] + "[" + case.value + "]" + case.source[e:] == case.raw
+            assert case.source[s:e] == case.value
 
     def test_default_production_target(self):
         assert DEFAULT_TARGET_COUNT == 1000

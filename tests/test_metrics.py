@@ -22,7 +22,7 @@ from mtbehave.metrics import (
     resampled_mprs,
     trend_fit,
 )
-from mtbehave.model import TestCase, parse_bracketed
+from mtbehave.model import TestCase
 from mtbehave.runner import build_report
 
 from conftest import make_spec
@@ -450,7 +450,7 @@ class TestBuildReportStatistics:
         suite = []
         for i in range(n):
             raw = f"It is {i} [u{rng.randrange(7)}] long."
-            suite.append(TestCase(f"units-{i:05d}", "units", raw, *parse_bracketed(raw)))
+            suite.append(TestCase(f"units-{i:05d}", "units", raw))
         system_ids = [f"sys{s}" for s in range(systems)]
         rows = [[int(rng.random() < 0.4 + 0.1 * s) for _ in range(n)] for s in range(systems)]
         passes = {sid: [bool(p) for p in row] for sid, row in zip(system_ids, rows)}

@@ -98,30 +98,54 @@ class TestParseBracketed:
 
 
 def make_case(case_id="units-00000", raw="I ran 3 [miles] today.") -> TestCase:
-    return TestCase(case_id, "units", raw, *parse_bracketed(raw))
+    return TestCase(case_id, "units", raw)
+
+
+BRACKET_FREE = st.characters(exclude_characters="[]")
 
 
 class TestInvariants:
     def test_reconstruction_holds(self):
         case = make_case()
-        assert case.reconstruct_raw() == case.raw
+        s, e = case.value_span
+        assert case.source[:s] + "[" + case.value + "]" + case.source[e:] == case.raw
 
     def test_span_mismatch_rejected(self):
-        with pytest.raises(DataInvariantError, match="units-00000"):
-            TestCase(
-                id="units-00000",
-                property_id="units",
-                raw="I ran 3 [miles] today.",
-                source="I ran 3 miles today.",
-                value="miles",
-                value_span=(0, 5),
-            )
+        # A case's span comes from its raw line, so a disagreeing one can only be read.
+        with pytest.raises(ValueError, match="units-00000"):
+            TestCase.from_dict({**make_case().to_dict(), "value_span": [0, 5]})
 
     def test_empty_value_rejected(self):
-        with pytest.raises(DataInvariantError):
-            TestCase(
-                id="x", property_id="p", raw="a [b] c", source="a b c", value="", value_span=(2, 2)
-            )
+        for raw in ("a [] c", "a [ ] c"):
+            with pytest.raises(DataInvariantError):
+                TestCase(id="x", property_id="p", raw=raw)
+
+    @given(
+        prefix=st.text(alphabet=BRACKET_FREE, max_size=30),
+        value=st.text(alphabet=BRACKET_FREE, min_size=1, max_size=10),
+        suffix=st.text(alphabet=BRACKET_FREE, max_size=30),
+    )
+    @example(prefix="a ", value=" ", suffix=" c")
+    def test_parts_derive_from_raw(self, prefix, value, suffix):
+        raw = f"{prefix}[{value}]{suffix}"
+        if not value.strip():
+            with pytest.raises(BracketParseError, match="empty_value"):
+                TestCase("p-00000", "p", raw)
+            return
+        case = TestCase("p-00000", "p", raw)
+        # Each stored part is the one raw parses to, so existing suites load unchanged.
+        assert case.to_dict() == {
+            "id": "p-00000",
+            "property_id": "p",
+            "raw": raw,
+            "source": prefix + value + suffix,
+            "value": value,
+            "value_span": [len(prefix), len(prefix) + len(value)],
+        }
+        assert TestCase.from_dict(case.to_dict()) == case
+        for bad in (prefix + value + suffix, raw + "]", f"{raw}[{value}]", f"]{raw}["):
+            with pytest.raises(BracketParseError):
+                TestCase("p-00000", "p", bad)
 
     def test_candidate_set_rejects_duplicates_after_folding(self):
         with pytest.raises(DataInvariantError):
@@ -192,21 +216,28 @@ class TestSuiteIO:
             json.dumps({**make_case().to_dict(), "value_span": [1]}).encode(),
             "{\"id\": \"f\u00fc".encode()[:-1],  # torn inside the two-byte "ü"
             json.dumps({**make_case().to_dict(), "id": 5}).encode(),
+            json.dumps({"id": "p-00000", "property_id": "p", "raw": "a [ ] c",
+                        "source": "a   c", "value": " ", "value_span": [2, 3]}).encode(),
+            json.dumps({**make_case().to_dict(), "value": "mile"}).encode(),
+            json.dumps({**make_case().to_dict(), "source": "I ran 3 km today."}).encode(),
         ],
-        ids=["span-not-a-list", "span-too-short", "torn-utf8", "id-not-a-string"],
+        ids=["span-not-a-list", "span-too-short", "torn-utf8", "id-not-a-string",
+             "blank-value", "value-disagrees-with-raw", "source-disagrees-with-raw"],
     )
     def test_malformed_record_is_a_load_error(self, tmp_path, line):
         path = tmp_path / "suite.jsonl"
         path.write_bytes(line + b"\n")
-        with pytest.raises(SuiteLoadError, match=":1"):
+        with pytest.raises(SuiteLoadError, match="suite.jsonl:1") as info:
             load_suite(path)
+        assert info.value.exit_code == 3
 
     def test_invariant_violation_names_case(self, tmp_path):
+        # The file-level form of test_span_mismatch_rejected.
         path = tmp_path / "suite.jsonl"
         row = make_case().to_dict()
         row["value_span"] = [0, 5]
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-        with pytest.raises(DataInvariantError, match="units-00000"):
+        with pytest.raises(SuiteLoadError, match="suite.jsonl:1: .*units-00000"):
             load_suite(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):

@@ -11,13 +11,14 @@ import pytest
 import requests
 
 import mtbehave.providers as providers
-from mtbehave.config import LlmConfig
 from mtbehave.detection import CachedEmbedder
 from mtbehave.errors import ConfigError, ProviderError
 from mtbehave.providers import (
+    EmbedderConfig,
     HashEmbedder,
     HttpChatProvider,
     HttpEmbedder,
+    LlmConfig,
     ReplayProvider,
     replay_key,
     write_replay_responses,
@@ -53,6 +54,13 @@ class StubSession:
         return outcome
 
 
+def chat_config(**settings) -> LlmConfig:
+    return LlmConfig(kind="http", url="http://llm/chat", **settings)
+
+
+EMBEDDER = EmbedderConfig(kind="http", url="http://emb/embed")
+
+
 @pytest.fixture(autouse=True)
 def no_sleep(monkeypatch):
     monkeypatch.setattr(providers.time, "sleep", lambda _: None)
@@ -62,7 +70,8 @@ class TestLlmRequest:
     """The sampling settings every LLM request carries, fixed per client."""
 
     def test_paper_sampling_defaults(self):
-        for holder in (HttpChatProvider("http://llm/chat"), LlmConfig(kind="http", url="u")):
+        config = LlmConfig(kind="http", url="u")
+        for holder in (HttpChatProvider(config).config, config):
             assert holder.temperature == 0.9
             assert holder.presence_penalty == 2.0
 
@@ -76,7 +85,7 @@ class TestHttpChatProvider:
         session = StubSession(
             [StubResponse({"choices": [{"message": {"content": "- A\n- B"}}]})]
         )
-        provider = HttpChatProvider("http://llm/chat", model="m1", session=session)
+        provider = HttpChatProvider(chat_config(model="m1"), session=session)
         text = provider.complete("write things")
         assert text == "- A\n- B"
         sent = session.calls[0]["json"]
@@ -88,7 +97,7 @@ class TestHttpChatProvider:
 
     def test_plain_text_response_shape(self):
         session = StubSession([StubResponse({"text": "hello"})])
-        provider = HttpChatProvider("http://llm/chat", session=session)
+        provider = HttpChatProvider(chat_config(), session=session)
         assert provider.complete("x") == "hello"
 
     def test_retries_then_succeeds(self):
@@ -98,13 +107,13 @@ class TestHttpChatProvider:
                 StubResponse({"text": "ok"}),
             ]
         )
-        provider = HttpChatProvider("http://llm/chat", session=session)
+        provider = HttpChatProvider(chat_config(), session=session)
         assert provider.complete("x") == "ok"
         assert len(session.calls) == 2
 
     def test_gives_up_after_three_attempts(self):
         session = StubSession([requests.ConnectionError("down")] * 3)
-        provider = HttpChatProvider("http://llm/chat", session=session)
+        provider = HttpChatProvider(chat_config(), session=session)
         with pytest.raises(ProviderError, match="3 attempts"):
             provider.complete("x")
         assert len(session.calls) == 3
@@ -112,20 +121,20 @@ class TestHttpChatProvider:
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sekrit")
         session = StubSession([StubResponse({"text": "ok"})])
-        provider = HttpChatProvider("http://llm/chat", api_key_env="TEST_LLM_KEY", session=session)
+        provider = HttpChatProvider(chat_config(api_key_env="TEST_LLM_KEY"), session=session)
         provider.complete("x")
         assert session.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
 
     def test_missing_api_key_env(self, monkeypatch):
         monkeypatch.delenv("TEST_LLM_KEY", raising=False)
-        provider = HttpChatProvider("http://llm/chat", api_key_env="TEST_LLM_KEY",
-                                    session=StubSession([]))
+        config = chat_config(api_key_env="TEST_LLM_KEY")
+        provider = HttpChatProvider(config, session=StubSession([]))
         with pytest.raises(ConfigError, match="TEST_LLM_KEY"):
             provider.complete("x")
 
     def test_unrecognized_body_rejected(self):
         session = StubSession([StubResponse({"unexpected": 1})])
-        provider = HttpChatProvider("http://llm/chat", session=session)
+        provider = HttpChatProvider(chat_config(), session=session)
         with pytest.raises(ProviderError, match="completion text"):
             provider.complete("x")
 
@@ -145,7 +154,7 @@ class TestHttpChatProvider:
     )
     def test_mistyped_body_rejected(self, body, match):
         session = StubSession([StubResponse(body)])
-        provider = HttpChatProvider("http://llm/chat", session=session)
+        provider = HttpChatProvider(chat_config(), session=session)
         with pytest.raises(ProviderError, match=match):
             provider.complete("x")
 
@@ -238,20 +247,20 @@ class TestHttpEmbedder:
         session = StubSession(
             [StubResponse({"vectors": [[1.0, 0.0], [0.0, 1.0]], "dim": 2})]
         )
-        embedder = HttpEmbedder("http://emb/embed", session=session)
+        embedder = HttpEmbedder(EMBEDDER, session=session)
         vectors = embedder.embed(["a", "b"])
         assert np.array_equal(vectors, [[1.0, 0.0], [0.0, 1.0]])
         assert session.calls[0]["json"] == {"texts": ["a", "b"]}
 
     def test_dim_mismatch_rejected(self):
         session = StubSession([StubResponse({"vectors": [[1.0, 0.0], [1.0]], "dim": 2})])
-        embedder = HttpEmbedder("http://emb/embed", session=session)
+        embedder = HttpEmbedder(EMBEDDER, session=session)
         with pytest.raises(ProviderError, match="dim"):
             embedder.embed(["a", "b"])
 
     def test_body_without_vectors_rejected(self):
         session = StubSession([StubResponse({"error": "quota"})])
-        embedder = HttpEmbedder("http://emb/embed", session=session)
+        embedder = HttpEmbedder(EMBEDDER, session=session)
         with pytest.raises(ProviderError, match="vectors"):
             embedder.embed(["a"])
 
@@ -259,7 +268,7 @@ class TestHttpEmbedder:
         session = StubSession(
             [requests.ConnectionError("down"), StubResponse({"vectors": [[1.0]], "dim": 1})]
         )
-        embedder = HttpEmbedder("http://emb/embed", session=session)
+        embedder = HttpEmbedder(EMBEDDER, session=session)
         assert np.array_equal(embedder.embed(["a"]), [[1.0]])
 
     @pytest.mark.parametrize(
@@ -268,37 +277,37 @@ class TestHttpEmbedder:
     )
     def test_mistyped_vectors_rejected(self, vectors):
         session = StubSession([StubResponse({"vectors": vectors})])
-        embedder = HttpEmbedder("http://emb/embed", session=session)
+        embedder = HttpEmbedder(EMBEDDER, session=session)
         with pytest.raises(ProviderError, match="not a list of numbers"):
             embedder.embed(["a"])
 
     @pytest.mark.parametrize("body", ['{"vectors": [[NaN, 1.0]]}', '{"vectors": [[0, 0]]}'])
     def test_nan_or_zero_vector_rejected_by_the_store(self, body):
         session = StubSession([StubResponse(json.loads(body))])
-        store = CachedEmbedder(HttpEmbedder("http://emb/embed", session=session))
+        store = CachedEmbedder(HttpEmbedder(EMBEDDER, session=session))
         with pytest.raises(ProviderError, match="'a' is"):
             store.embed(["a"])
 
     def test_integer_beyond_float_range_rejected(self):
         session = StubSession([StubResponse(json.loads('{"vectors": [[1' + "0" * 400 + "]]}"))])
-        embedder = HttpEmbedder("http://emb/embed", session=session)
+        embedder = HttpEmbedder(EMBEDDER, session=session)
         with pytest.raises(ProviderError, match="out of range"):
             embedder.embed(["a"])
 
     def test_vector_count_must_match_texts(self):
         session = StubSession([StubResponse({"vectors": [[1.0]], "dim": 1})])
-        embedder = HttpEmbedder("http://emb/embed", session=session)
+        embedder = HttpEmbedder(EMBEDDER, session=session)
         with pytest.raises(ProviderError, match="1 vectors for 2 texts"):
             embedder.embed(["a", "b"])
 
     def test_integer_entries_accepted(self):
         session = StubSession([StubResponse({"vectors": [[1, 0]], "dim": 2})])
-        embedder = HttpEmbedder("http://emb/embed", session=session)
+        embedder = HttpEmbedder(EMBEDDER, session=session)
         assert np.array_equal(embedder.embed(["a"]), [[1.0, 0.0]])
 
     def test_one_float64_row_per_text(self):
         session = StubSession([StubResponse({"vectors": [[1, 0, 2], [0.5, -1, 0]]})])
-        vectors = HttpEmbedder("http://emb/embed", session=session).embed(["a", "b"])
+        vectors = HttpEmbedder(EMBEDDER, session=session).embed(["a", "b"])
         assert isinstance(vectors, np.ndarray) and vectors.dtype == np.float64
         assert vectors.shape == (2, 3)
 
@@ -320,14 +329,14 @@ class TestSharedTransport:
 
     CLIENTS = {
         "llm": (
-            lambda session, key_env: HttpChatProvider("http://llm/chat", api_key_env=key_env,
-                                                      session=session),
+            lambda session, key_env: HttpChatProvider(chat_config(api_key_env=key_env), session),
             lambda client: client.complete("x"),
             {"text": "ok"},
         ),
         "embedder": (
-            lambda session, key_env: HttpEmbedder("http://emb/embed", api_key_env=key_env,
-                                                  session=session),
+            lambda session, key_env: HttpEmbedder(
+                EmbedderConfig(kind="http", url="http://emb/embed", api_key_env=key_env), session
+            ),
             lambda client: client.embed(["a"]),
             {"vectors": [[1.0]]},
         ),

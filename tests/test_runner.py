@@ -21,7 +21,6 @@ from mtbehave.model import (
     CandidateSet,
     ContrastivePair,
     TestCase,
-    parse_bracketed,
     save_translations,
 )
 from mtbehave.providers import HashEmbedder
@@ -45,10 +44,7 @@ from test_providers import StubResponse, StubSession
 
 
 def make_suite(raws: list[str], prop_id: str = "units") -> list[TestCase]:
-    return [
-        TestCase(f"{prop_id}-{i:05d}", prop_id, raw, *parse_bracketed(raw))
-        for i, raw in enumerate(raws)
-    ]
+    return [TestCase(f"{prop_id}-{i:05d}", prop_id, raw) for i, raw in enumerate(raws)]
 
 
 class CountingAdapter:
