@@ -51,9 +51,11 @@ from .model import (
     save_verdicts,
 )
 from .providers import (
+    EmbedderConfig,
     HashEmbedder,
     HttpChatProvider,
     HttpEmbedder,
+    LlmConfig,
     ReplayProvider,
     replay_key,
     write_replay_responses,
@@ -76,9 +78,11 @@ __all__ = [
     "CachedEmbedder",
     "CandidateSet",
     "ContrastivePair",
+    "EmbedderConfig",
     "HashEmbedder",
     "HttpChatProvider",
     "HttpEmbedder",
+    "LlmConfig",
     "PropertySpec",
     "ReplayProvider",
     "ResampleConfig",

@@ -1,9 +1,9 @@
 """Pass-fail detectors.
 
-Exhaustive properties use case-insensitive substring matching against the
-candidate set. Contrastive properties compare the translation's n-grams to
-correct and foil candidates via embedding cosine similarity, where n is the
-token count of the candidate under consideration.
+Exhaustive properties look for each candidate as a substring of the
+translation, both in `model.match_form`. Contrastive properties compare the
+translation's n-grams to correct and foil candidates via embedding cosine
+similarity, where n is the token count of the candidate under consideration.
 
 Contrastive scoring works on a batch of cases in two phases. The plan
 tokenizes each candidate once, builds each distinct translation's n-grams
@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import DataInvariantError, ProviderError
-from .model import CandidateSet, ContrastivePair
+from .model import CandidateSet, ContrastivePair, match_form
 
 TOKENIZER_MODES = ("whitespace", "character")
 
@@ -128,13 +128,13 @@ def match_exhaustive(
 ) -> tuple[list[bool | None], list[str | None]]:
     """Per case of one system's `translations`: its pass bit and matched
     candidate, None where the case's entry or translation is None. A case
-    passes iff some candidate occurs in its translation, case-folded; the
-    first such candidate is the match. `token_boundary=True` also requires a
+    passes iff some candidate occurs in its translation, both in match form;
+    the first such candidate is the match. `token_boundary=True` also requires a
     non-word character or an edge on each side of the match."""
     passes, matched = [None] * len(entries), [None] * len(entries)
     for k, (entry, text) in enumerate(zip(entries, translations, strict=True)):
         if entry is not None and text is not None:
-            folded = text.casefold()
+            folded = match_form(text)
             passes[k] = False
             for i, key in enumerate(entry.folded):
                 if key in folded and (not token_boundary or _contains(folded, key)):

@@ -20,7 +20,9 @@ from .errors import (
     MaxBatchesExceededError,
     UnanswerableValueError,
 )
-from .model import CandidateSet, ContrastivePair, PropertySpec, TestCase, parse_bracketed
+from .model import (
+    CandidateSet, ContrastivePair, PropertySpec, TestCase, match_form, parse_bracketed
+)
 from .providers import LlmProvider
 
 log = logging.getLogger(__name__)
@@ -43,7 +45,6 @@ LANGUAGE_NAMES = {
 _DEMO_SLOT = re.compile(r"\{demo_(\d+)\}")
 _KNOWN_SLOTS = ("{property}", "{src_lang}", "{tgt_lang}", "{value}", "{sentence}")
 _SENTENCE_BREAK = re.compile(r"[.!?]\s+[^\W\d_]")
-_WS = re.compile(r"\s+")
 
 
 def language_name(tag: str) -> str:
@@ -134,8 +135,8 @@ def parse_item_list(response: str) -> tuple[list[str], int]:
 
 
 def normalize_sentence(text: str) -> str:
-    """Duplicate-detection key: trimmed, whitespace-collapsed, case-folded."""
-    return _WS.sub(" ", text.strip()).casefold()
+    """Duplicate-detection key: the match form, trimmed and whitespace-collapsed."""
+    return " ".join(match_form(text).split())
 
 
 def is_multi_sentence(text: str) -> bool:
@@ -146,18 +147,18 @@ def is_multi_sentence(text: str) -> bool:
 
 def filter_sentences(
     parsed: Sequence[str], seen: set[str]
-) -> tuple[list[tuple[str, str, str, tuple[int, int]]], list[tuple[str, str]]]:
+) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """Apply the acceptance filters to a batch of generated lines.
 
     `seen` carries normalized sentences accepted so far and is updated in
-    place. Returns the accepted lines as (raw, source, value, span) and the
-    rejections as (line, reason).
+    place. Returns the accepted lines as (raw, value) and the rejections as
+    (line, reason).
     """
-    accepted: list[tuple[str, str, str, tuple[int, int]]] = []
+    accepted: list[tuple[str, str]] = []
     rejections: list[tuple[str, str]] = []
     for item in parsed:
         try:
-            source, value, span = parse_bracketed(item)
+            source, value, _ = parse_bracketed(item)
         except BracketParseError as exc:
             rejections.append((item, exc.reason))
             continue
@@ -169,7 +170,7 @@ def filter_sentences(
             rejections.append((item, "duplicate"))
             continue
         seen.add(key)
-        accepted.append((item, source, value, span))
+        accepted.append((item, value))
     return accepted, rejections
 
 
@@ -220,7 +221,7 @@ def generate_suite(
                 "rejected_by_reason": by_reason,
             }
         )
-        for raw, _, value, _ in accepted:
+        for raw, value in accepted:
             genlog["value_counts"][value] += 1
             if len(cases) >= target_count:
                 genlog["truncated"] += 1
@@ -236,14 +237,14 @@ def generate_suite(
 
 
 def _parse_pipe_list(response: str, value: str, side: str = "") -> dict[str, str]:
-    """The distinct entries of a "|"-separated response, keyed by their case
-    fold, each spelled as it first appears."""
+    """The distinct entries of a "|"-separated response, keyed by their match
+    form, each spelled as it first appears."""
     text = response.strip()
     if text == "NA":
         raise UnanswerableValueError(value, side)
     entries: dict[str, str] = {}
     for part in filter(None, (p.strip() for p in text.split("|"))):
-        entries.setdefault(part.casefold(), part)
+        entries.setdefault(match_form(part), part)
     if not entries:
         raise EmptyAfterParseError(
             f"candidate response for {value!r} parsed to an empty list: {response!r}"

@@ -238,15 +238,16 @@ def paired_bootstrap(
     resampled them jointly over the same cases: (winner, p_value, significant).
 
     `winner` is "a", "b", or None when win counts tie exactly. The p-value is
-    one minus the winner's win fraction, with tied resamples split evenly, and
-    the difference is significant when it is below alpha.
+    one minus the winner's win fraction, with tied resamples split evenly. It is
+    one-sided for a winner chosen after the fact, so the two-sided test at alpha
+    calls the difference significant when the p-value is below alpha / 2.
     """
     ties = 0.5 * int(np.count_nonzero(mprs_a == mprs_b))
     wins_a = int(np.count_nonzero(mprs_a > mprs_b)) + ties
     wins_b = int(np.count_nonzero(mprs_b > mprs_a)) + ties
     winner = "a" if wins_a > wins_b else "b" if wins_b > wins_a else None
     p_value = 1.0 - max(wins_a, wins_b) / cfg.k
-    return winner, p_value, p_value < cfg.alpha
+    return winner, p_value, p_value < cfg.alpha / 2
 
 
 def diversity_series(

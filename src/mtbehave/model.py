@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +30,7 @@ DETECTOR_KINDS = ("exhaustive", "contrastive")
 # Property and system ids name files and directories, so each must be a plain
 # file name: a letter, digit or "_", then those, "." or "-"; never "." or "..".
 _PLAIN_NAME = re.compile(r"\w[\w.-]*")
+_OTHER_SPACE = re.compile(r"[^\S\x00-\x7f]")  # U+00A0, U+202F, U+2000-U+200A, U+3000, ...
 
 T = TypeVar("T")
 
@@ -73,6 +75,14 @@ def _check_spec(obj, context: str, needs: Mapping[str, str | None], **at_least: 
     for name, low in at_least.items():
         if getattr(obj, name) < low:
             raise ConfigError(f"{context}: {name!r} must be >= {low}, got {getattr(obj, name)}")
+
+
+def match_form(text: str) -> str:
+    """NFC (Unicode UAX #15), each non-ASCII whitespace character as U+0020, case-folded:
+    two texts are the same text iff their forms are equal. ASCII needs only the fold."""
+    if text.isascii():
+        return text.casefold()
+    return _OTHER_SPACE.sub(" ", unicodedata.normalize("NFC", text)).casefold()
 
 
 def parse_bracketed(raw: str) -> tuple[str, str, tuple[int, int]]:
@@ -173,7 +183,7 @@ class CandidateSet:
 
     value: str
     candidates: tuple[str, ...]
-    # The candidates case-folded, in order; derived, so not saved or compared.
+    # The candidates' match forms, in order; derived, so not saved or compared.
     folded: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -184,7 +194,7 @@ class CandidateSet:
         for cand in self.candidates:
             if not cand or not cand.strip():
                 raise DataInvariantError(f"candidate set for {self.value!r} has a blank entry")
-            folded = cand.casefold()
+            folded = match_form(cand)
             if folded in seen:
                 raise DataInvariantError(
                     f"candidate set for {self.value!r} has duplicate entry {cand!r}"
@@ -217,8 +227,7 @@ class ContrastivePair:
             )
         if any(not c or not c.strip() for c in self.correct + self.foil):
             raise DataInvariantError(f"contrastive pair for {self.value!r} has a blank entry")
-        folded_correct = {c.casefold() for c in self.correct}
-        overlap = [f for f in self.foil if f.casefold() in folded_correct]
+        overlap = [f for f in self.foil if match_form(f) in map(match_form, self.correct)]
         if overlap:
             raise DataInvariantError(
                 f"contrastive pair for {self.value!r}: correct/foil overlap {overlap!r}"
@@ -362,8 +371,8 @@ def _load_records(
     parsed from `data` when given.
 
     A KeyError (missing field), AttributeError, TypeError or ValueError
-    (malformed field) from `from_dict` becomes a SuiteLoadError naming path
-    and line.
+    (malformed field), or a DataInvariantError (a broken record invariant),
+    from `from_dict` becomes a SuiteLoadError naming path and line.
     """
     path = Path(path)
     for lineno, obj in _iter_jsonl(path, data):
@@ -371,7 +380,7 @@ def _load_records(
             record = from_dict(obj)
         except KeyError as exc:
             raise SuiteLoadError(f"{path}:{lineno}: missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, DataInvariantError) as exc:
             raise SuiteLoadError(f"{path}:{lineno}: malformed record ({exc})") from exc
         yield lineno, record
 

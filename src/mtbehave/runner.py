@@ -50,6 +50,7 @@ from .model import (
     _str_field,
     _truncate,
     load_translations,
+    match_form,
 )
 from .providers import _json_list, _post_json, _session
 
@@ -540,8 +541,8 @@ def apply_candidate_edits(
     candidates: Mapping[str, CandidateEntry],
     edits: Iterable[tuple[str, Sequence[str], Sequence[str]]],
 ) -> tuple[dict[str, CandidateEntry], list[str]]:
-    """Apply each (value, add, remove) edit, removals then additions; returns
-    new candidates and audit lines."""
+    """Apply each (value, add, remove) edit, removals by exact spelling, then additions
+    but one whose match form is present; returns new candidates and audit lines."""
     out: dict[str, CandidateEntry] = dict(candidates)
     audit: list[str] = []
     for value, add, remove in edits:
@@ -565,15 +566,13 @@ def apply_candidate_edits(
                 )
             current.remove(cand)
             audit.append(f"{value}: removed {cand!r}")
-        folded = {c.casefold() for c in current}
         for cand in add:
             if not cand or not cand.strip():
                 raise DataInvariantError(f"cannot add a blank candidate to {value!r}")
-            if cand.casefold() in folded:
+            if match_form(cand) in map(match_form, current):
                 audit.append(f"{value}: skipped {cand!r} (already present)")
                 continue
             current.append(cand)
-            folded.add(cand.casefold())
             audit.append(f"{value}: added {cand!r}")
         out[value] = CandidateSet(value=value, candidates=tuple(current))
     return out, audit

@@ -496,6 +496,16 @@ class TestRun:
         report_text = (out_dir / "report.json").read_text(encoding="utf-8")
         assert "timestamp" not in report_text
 
+    def test_candidates_of_one_match_form_exit_3_naming_the_line(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        path = load_config(str(workspace)).property_dir("names") / "candidates.jsonl"
+        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        entry = {"value": json.loads(first)["value"], "candidates": ["5 km", "5\u00a0km"]}
+        path.write_text(json.dumps(entry) + "\n" + "".join(rest), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "run1")) == 3
+        assert f"{path}:1: malformed record" in capsys.readouterr().err
+
 
 def add_system(workspace, system_id: str, command: str) -> None:
     with open(workspace, "a", encoding="utf-8") as fh:
@@ -1201,6 +1211,22 @@ class TestAnnotateAndApplyEdits:
         assert run_cli(*args) == 3
         assert f"{edits_path}:2: malformed record" in capsys.readouterr().err
         assert [path.read_bytes() for path in files] == before
+
+    def test_add_in_another_unicode_form_is_skipped(self, workspace, tmp_path):
+        prime(workspace)
+        prop_dir = load_config(str(workspace)).property_dir("names")
+        before = load_candidates(prop_dir / "candidates.jsonl")["Rafael Ortega"].candidates
+        edits_path = tmp_path / "edits.jsonl"
+        lines = [{"value": "Rafael Ortega", "add": [name]} for name in ("Müller", "Mu\u0308ller")]
+        edits_path.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
+        assert run_cli(
+            "apply-edits", "--config", str(workspace), "--property", "names",
+            "--edits", str(edits_path),
+        ) == 0
+        after = load_candidates(prop_dir / "candidates.jsonl")["Rafael Ortega"].candidates
+        assert after == (*before, "Müller")
+        audit = (prop_dir / "candidates_audit.log").read_text(encoding="utf-8")
+        assert "Rafael Ortega: skipped 'Mu\u0308ller' (already present)" in audit
 
     @pytest.mark.parametrize("fault", ["audit append", "candidates save"])
     def test_edits_resume_after_a_failed_write(self, workspace, tmp_path, monkeypatch, capsys, fault):

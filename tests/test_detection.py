@@ -78,6 +78,33 @@ class TestMatchExhaustive:
         cset = CandidateSet(value="miles", candidates=("MEILEN",))
         assert match_exhaustive([cset], ["ich lief drei meilen"])[0] == [True]
 
+    @pytest.mark.parametrize("token_boundary", [False, True])
+    @pytest.mark.parametrize(
+        "candidate, translation",
+        [
+            ("Müller", "Herr Mu\u0308ller kam."),  # NFD: u + combining diaeresis
+            ("1 000", "Es kamen 1\u202f000 Gäste."),  # CLDR's thousands separator
+            ("5 km", "Noch 5\u00a0km bis Bonn."),  # no-break space
+        ],
+        ids=["nfd", "narrow-no-break-space", "no-break-space"],
+    )
+    def test_other_form_of_a_candidate_matches(self, candidate, translation, token_boundary):
+        cset = CandidateSet(value="v", candidates=(candidate,))
+        result = match_exhaustive([cset], [translation], token_boundary=token_boundary)
+        assert result == ([True], [candidate])  # the candidate keeps its own spelling
+
+    @pytest.mark.parametrize("token_boundary", [False, True])
+    def test_base_letter_does_not_match_its_decomposed_accent(self, token_boundary):
+        cset = CandidateSet(value="v", candidates=("Mu",))
+        result = match_exhaustive([cset], ["Mu\u0308ller"], token_boundary=token_boundary)
+        assert result[0] == [False]
+
+    def test_units_superscript_does_not_match_its_compatibility_form(self):
+        # NFKC would map "m²" to "m2"; a units property must tell them apart.
+        cset = CandidateSet(value="square meters", candidates=("m²",))
+        assert match_exhaustive([cset], ["Die Wohnung hat 80 m2."])[0] == [False]
+        assert match_exhaustive([cset], ["Die Wohnung hat 80 m²."])[0] == [True]
+
     def test_matched_candidate_is_first_in_set_order(self):
         cset = CandidateSet(value="miles", candidates=("eile", "Meilen"))
         _, [matched] = match_exhaustive([cset], ["Ich lief 3 Meilen."])

@@ -29,6 +29,13 @@ def test_public_names_equal_all():
     assert public == set(mtbehave.__all__)
 
 
+def test_http_clients_build_from_top_level_names():
+    chat = mtbehave.HttpChatProvider(mtbehave.LlmConfig(kind="http", url="http://llm/chat"))
+    embedder = mtbehave.HttpEmbedder(mtbehave.EmbedderConfig(kind="http", url="http://emb/embed"))
+    assert (chat.config.temperature, chat.config.presence_penalty) == (0.9, 2.0)
+    assert embedder.config.url == "http://emb/embed"
+
+
 class _EchoAdapter:
     system_id = cache_name = "echo"
 

@@ -99,6 +99,7 @@ class TestFilterSentences:
         seen: set[str] = set()
         accepted, rejections = filter_sentences(["I saved [USD] 40."], seen)
         assert len(accepted) == 1 and rejections == []
+        assert accepted == [("I saved [USD] 40.", "USD")]
 
     def test_parse_failures_become_reasons(self):
         seen: set[str] = set()
@@ -115,15 +116,15 @@ class TestFilterSentences:
     def test_refilter_against_fresh_state_accepts_everything(self):
         items = ["I ran 3 [miles] today.", "She lifted 40 [kilograms] yesterday."]
         accepted, _ = filter_sentences(list(items), set())
-        again, rejections = filter_sentences([raw for raw, *_ in accepted], set())
-        assert [raw for raw, *_ in again] == [raw for raw, *_ in accepted]
+        again, rejections = filter_sentences([raw for raw, _ in accepted], set())
+        assert [raw for raw, _ in again] == [raw for raw, _ in accepted]
         assert rejections == []
 
     def test_refilter_against_updated_state_rejects_only_duplicates(self):
         items = ["I ran 3 [miles] today.", "She lifted 40 [kilograms] yesterday."]
         seen: set[str] = set()
         accepted, _ = filter_sentences(items, seen)
-        again, rejections = filter_sentences([raw for raw, *_ in accepted], seen)
+        again, rejections = filter_sentences([raw for raw, _ in accepted], seen)
         assert again == []
         assert all(reason == "duplicate" for _, reason in rejections)
 
@@ -135,6 +136,16 @@ class TestFilterSentences:
 
     def test_normalize(self):
         assert normalize_sentence("  A   B ") == "a b"
+        assert normalize_sentence("\u00a0A\u202f\u3000B ") == "a b"
+        assert normalize_sentence("Mu\u0308ller kam.") == normalize_sentence("MÜLLER kam.")
+
+    def test_duplicate_in_another_unicode_form_rejected(self):
+        seen: set[str] = set()
+        accepted, rejections = filter_sentences(
+            ["Ask [Müller] today.", "Ask [Mu\u0308ller] today."], seen
+        )
+        assert accepted == [("Ask [Müller] today.", "Müller")]
+        assert rejections == [("Ask [Mu\u0308ller] today.", "duplicate")]
 
 
 def batch(*sentences: str) -> str:
@@ -251,6 +262,12 @@ class TestExhaustiveCandidates:
         cset = generate_exhaustive_candidates("x", units_spec, llm)
         assert cset.candidates == ("a",)
 
+    def test_entries_of_one_match_form_are_one_candidate(self, units_spec):
+        prompt = render_candidate_prompt(units_spec, "5 km")
+        llm = ScriptedLlm(by_prompt={prompt: "5 km | 5\u00a0km | 5\u202fKM | 5 Kilometer"})
+        cset = generate_exhaustive_candidates("5 km", units_spec, llm)
+        assert cset.candidates == ("5 km", "5 Kilometer")
+
     def test_empty_after_parse(self, units_spec):
         prompt = render_candidate_prompt(units_spec, "x")
         llm = ScriptedLlm(by_prompt={prompt: " | | "})
@@ -296,6 +313,15 @@ class TestContrastivePairs:
         pair = generate_contrastive_pair("x y", sentence, idioms_spec, llm)
         assert "X" in pair.correct
         assert all(f.casefold() != "x" for f in pair.foil)
+
+    def test_decomposed_foil_overlaps_its_composed_correct(self, idioms_spec):
+        sentence = "Some sentence."
+        correct_prompt, foil_prompt = render_contrastive_prompts(idioms_spec, "x y", sentence)
+        llm = ScriptedLlm(
+            by_prompt={correct_prompt: "Glück", foil_prompt: "Glu\u0308ck|literal one"}
+        )
+        pair = generate_contrastive_pair("x y", sentence, idioms_spec, llm)
+        assert (pair.correct, pair.foil) == (("Glück",), ("literal one",))
 
     def test_all_foils_overlapping_rejected(self, idioms_spec):
         sentence = "Some sentence."

@@ -180,6 +180,29 @@ class TestPairedBootstrap:
         assert p_value == 0.0
         assert significant
 
+    def test_null_comparisons_keep_their_level(self):
+        # Two systems with one true pass rate: a two-sided test at alpha = 0.05
+        # marks about 5% of comparisons significant; one-sided p < alpha, about 10%.
+        rng = random.Random(600)
+        values = [f"v{i % 30}" for i in range(300)]
+        trials = 600
+        marked = sum(
+            compare(values, bern_row(rng, 300, 0.7), bern_row(rng, 300, 0.7),
+                    ResampleConfig(k=1000, seed=t))[2]
+            for t in range(trials)
+        )
+        assert marked / trials <= 0.075
+
+    def test_clear_difference_stays_significant(self):
+        rng = random.Random(601)
+        values = [f"v{i % 30}" for i in range(300)]
+        marked = sum(
+            compare(values, bern_row(rng, 300, 0.85), bern_row(rng, 300, 0.7),
+                    ResampleConfig(k=1000, seed=t))[2]
+            for t in range(50)
+        )
+        assert marked >= 48
+
     def test_large_gap_p_zero(self):
         rng = random.Random(13)
         values = [rng.choice("abcdefgh") for _ in range(1000)]

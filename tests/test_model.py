@@ -29,6 +29,7 @@ from mtbehave.model import (
     load_suite,
     load_translations,
     load_verdicts,
+    match_form,
     parse_bracketed,
     save_candidates,
     save_suite,
@@ -158,6 +159,19 @@ class TestInvariants:
         assert "folded" not in repr(cset)
         assert cset.to_dict() == {"value": "street", "candidates": ["Straße", "STRASSE-Ecke", "ß"]}
 
+    @pytest.mark.parametrize(
+        "entries",
+        [("Müller", "Mu\u0308ller"), ("5 km", "5\u00a0km"), ("1 000", "1\u202f000")],
+        ids=["nfd", "no-break-space", "narrow-no-break-space"],
+    )
+    def test_candidate_set_rejects_duplicates_in_another_form(self, entries):
+        with pytest.raises(DataInvariantError, match="duplicate entry"):
+            CandidateSet(value="v", candidates=entries)
+
+    def test_contrastive_pair_rejects_overlap_in_another_form(self):
+        with pytest.raises(DataInvariantError, match="overlap"):
+            ContrastivePair(value="v", correct=("viel Glück",), foil=("viel\u00a0Glu\u0308ck",))
+
     def test_candidate_set_rejects_blank(self):
         with pytest.raises(DataInvariantError):
             CandidateSet(value="miles", candidates=("Meilen", "  "))
@@ -181,6 +195,24 @@ class TestInvariants:
     def test_property_spec_needs_demo(self):
         with pytest.raises(DataInvariantError):
             make_spec(demos=())
+
+
+class TestMatchForm:
+    @given(st.text(alphabet=st.characters(max_codepoint=0x7F)))
+    def test_ascii_is_only_case_folded(self, text):
+        assert match_form(text) == text.casefold()
+
+    @pytest.mark.parametrize(
+        "text, form",
+        [
+            ("Mu\u0308LLER", "müller"),  # NFD becomes NFC, then the fold
+            ("1\u202f000\u00a0€", "1 000 €"),  # each non-ASCII space becomes U+0020
+            ("a\u2003\u3000b", "a  b"),  # one for one: a run is not collapsed
+            ("80 m²", "80 m²"),  # NFC keeps compatibility characters
+        ],
+    )
+    def test_non_ascii(self, text, form):
+        assert match_form(text) == form
 
 
 class TestSuiteIO:
@@ -298,6 +330,22 @@ class TestCandidatesIO:
     )
     def test_string_in_place_of_a_list_is_a_load_error(self, tmp_path, line):
         # A string would otherwise be split into its characters.
+        path = tmp_path / "candidates.jsonl"
+        path.write_text('{"value": "m", "candidates": ["Meter"]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(SuiteLoadError, match=f"{path}:2: malformed record"):
+            load_candidates(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"value": "v", "candidates": ["km", "KM"]}',
+            '{"value": "v", "candidates": ["5 km", "5\\u00a0km"]}',
+            '{"value": "v", "candidates": ["km", " "]}',
+            '{"value": "v", "correct": ["fünf"], "foil": ["FÜNF"]}',
+        ],
+        ids=["case-fold-duplicate", "form-duplicate", "blank", "overlap"],
+    )
+    def test_broken_entry_invariant_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "candidates.jsonl"
         path.write_text('{"value": "m", "candidates": ["Meter"]}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(SuiteLoadError, match=f"{path}:2: malformed record"):
