@@ -407,6 +407,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _reject_repeats("--property", args.property)
     report_path = Path(args.report)
     if not report_path.exists():
         raise ConfigError(f"report file {report_path} not found")

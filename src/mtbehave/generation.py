@@ -42,8 +42,8 @@ LANGUAGE_NAMES = {
     "ko": "Korean",
 }
 
-_DEMO_SLOT = re.compile(r"\{demo_(\d+)\}")
-_KNOWN_SLOTS = ("{property}", "{src_lang}", "{tgt_lang}", "{value}", "{sentence}")
+# The slots a prompt template may hold; any other braced text is literal.
+_SLOT = re.compile(r"\{(property|src_lang|tgt_lang|value|sentence|demo_\d+)\}")
 _SENTENCE_BREAK = re.compile(r"[.!?]\s+[^\W\d_]")
 
 
@@ -51,56 +51,33 @@ def language_name(tag: str) -> str:
     return LANGUAGE_NAMES.get(tag.lower(), tag)
 
 
-def _render(template: str, mapping: Mapping[str, str]) -> str:
-    out = template
-    for key, val in mapping.items():
-        out = out.replace("{" + key + "}", val)
-    return out
-
-
-def _check_unfilled(text: str, context: str) -> None:
-    leftover = _DEMO_SLOT.search(text)
-    if leftover:
-        raise ConfigError(
-            f"{context}: demo slot {{demo_{leftover.group(1)}}} has no matching demo"
-        )
-    for slot in _KNOWN_SLOTS:
-        if slot in text:
-            raise ConfigError(f"{context}: placeholder {slot} was not filled")
-
-
-def _base_mapping(spec: PropertySpec) -> dict[str, str]:
+def _fill(spec: PropertySpec, template: str, what: str, **slots: str) -> str:
+    """`template` with every slot replaced in one pass, so inserted text is
+    never read as a slot. A slot the call gives no text for is a config error."""
     src, tgt = spec.language_pair
-    return {
-        "property": spec.name,
-        "src_lang": language_name(src),
-        "tgt_lang": language_name(tgt),
-    }
+    slots.update(property=spec.name, src_lang=language_name(src), tgt_lang=language_name(tgt))
+
+    def fill(match: re.Match) -> str:
+        name = match.group(1)
+        if name in slots:
+            return slots[name]
+        where = f"property {spec.id} {what}"
+        if name.startswith("demo_"):
+            raise ConfigError(f"{where}: demo slot {{{name}}} has no matching demo")
+        raise ConfigError(f"{where}: placeholder {{{name}}} was not filled")
+
+    return _SLOT.sub(fill, template)
 
 
 def render_source_prompt(spec: PropertySpec) -> str:
     """Fill the property's source-sentence template with its name and demos."""
-    mapping = _base_mapping(spec)
-    for match in _DEMO_SLOT.finditer(spec.source_prompt):
-        index = int(match.group(1))
-        if index < 1 or index > len(spec.demos):
-            raise ConfigError(
-                f"property {spec.id}: template needs demo #{index} but only "
-                f"{len(spec.demos)} demos are configured"
-            )
-        mapping[f"demo_{index}"] = spec.demos[index - 1]
-    rendered = _render(spec.source_prompt, mapping)
-    _check_unfilled(rendered, f"property {spec.id} source prompt")
-    return rendered
+    demos = {f"demo_{i}": demo for i, demo in enumerate(spec.demos, 1)}
+    return _fill(spec, spec.source_prompt, "source prompt", **demos)
 
 
 def render_candidate_prompt(spec: PropertySpec, value: str) -> str:
     """Fill the exhaustive-candidates template for one property value."""
-    mapping = _base_mapping(spec)
-    mapping["value"] = value
-    rendered = _render(spec.candidate_prompt, mapping)
-    _check_unfilled(rendered, f"property {spec.id} candidate prompt")
-    return rendered
+    return _fill(spec, spec.candidate_prompt, "candidate prompt", value=value)
 
 
 def render_contrastive_prompts(spec: PropertySpec, value: str, sentence: str) -> tuple[str, str]:
@@ -111,14 +88,10 @@ def render_contrastive_prompts(spec: PropertySpec, value: str, sentence: str) ->
     """
     if not spec.foil_prompt:
         raise ConfigError(f"property {spec.id}: no foil prompt configured")
-    mapping = _base_mapping(spec)
-    mapping["value"] = value
-    mapping["sentence"] = sentence
-    correct = _render(spec.candidate_prompt, mapping)
-    foil = _render(spec.foil_prompt, mapping)
-    _check_unfilled(correct, f"property {spec.id} correct prompt")
-    _check_unfilled(foil, f"property {spec.id} foil prompt")
-    return correct, foil
+    return (
+        _fill(spec, spec.candidate_prompt, "correct prompt", value=value, sentence=sentence),
+        _fill(spec, spec.foil_prompt, "foil prompt", value=value, sentence=sentence),
+    )
 
 
 def parse_item_list(response: str) -> tuple[list[str], int]:
@@ -178,8 +151,6 @@ def generate_suite(
     spec: PropertySpec,
     target_count: int,
     llm: LlmProvider,
-    *,
-    max_batches: int | None = None,
 ) -> tuple[list[TestCase], dict]:
     """Generate test cases for one property until `target_count` are kept.
 
@@ -190,9 +161,8 @@ def generate_suite(
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
-    if max_batches is None:
-        # Each batch nominally yields 10 items; the cap stops degenerate loops.
-        max_batches = max(1, math.ceil(target_count / 2))
+    # Each batch nominally yields 10 items; the cap stops degenerate loops.
+    max_batches = max(1, math.ceil(target_count / 2))
     prompt = render_source_prompt(spec)
     seen: set[str] = set()
     cases: list[TestCase] = []

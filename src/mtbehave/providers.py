@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigError, ProviderError
-from .model import _check_spec, _list_dir, _read_text, _write_atomic
+from .model import _check_spec, _list_dir, _read_text, _write_atomic, match_form
 
 if TYPE_CHECKING:
     import requests
@@ -243,9 +243,9 @@ class HttpEmbedder:
 class HashEmbedder:
     """Deterministic mock embedder for tests and offline runs.
 
-    Texts equal after case folding map to identical unit vectors; texts that
-    differ after folding map to (hash-)distinct vectors, so verdicts under
-    this embedder are exactly predictable.
+    Texts of one match form (`model.match_form`) map to identical unit
+    vectors; texts of different forms map to (hash-)distinct vectors, so
+    verdicts under this embedder are exactly predictable.
     """
 
     def __init__(self, dim: int = 32) -> None:
@@ -258,7 +258,7 @@ class HashEmbedder:
         blocks = [i.to_bytes(4, "big") for i in range(-(-self.dim // 4))]
         raw = b"".join(
             b"".join(hashlib.sha256(folded + b).digest() for b in blocks)[: 8 * self.dim]
-            for folded in (t.casefold().encode("utf-8") for t in texts)
+            for folded in (match_form(t).encode("utf-8") for t in texts)
         )
         values = np.frombuffer(raw, ">u8").reshape(len(texts), self.dim) / 2**63 - 1.0
         # Summed column by column, the order of a scalar sum, so the bits match it.

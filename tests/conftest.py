@@ -10,7 +10,7 @@ import pytest
 
 from mtbehave.config import packaged_template
 from mtbehave.detection import TokenizerConfig, ngrams, tokenize
-from mtbehave.model import PropertySpec
+from mtbehave.model import PropertySpec, match_form
 from mtbehave.providers import HashEmbedder
 from mtbehave.runner import evaluate
 
@@ -85,7 +85,7 @@ def reference_cosine(a, b) -> float:
 
 def reference_hash_vector(text: str, dim: int) -> tuple[float, ...]:
     """Scalar `HashEmbedder` vector: the reference its batch form must equal bit for bit."""
-    folded = text.casefold().encode("utf-8")
+    folded = match_form(text).encode("utf-8")
     raw = b""
     counter = 0
     while len(raw) < dim * 8:

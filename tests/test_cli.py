@@ -96,6 +96,17 @@ class TestGenerate:
         assert "--property 'names' is given more than once" in capsys.readouterr().err
         assert not load_config(str(workspace)).workspace.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--seed", "-1", "seed must be >= 0"), ("--target", "0", "target_count must be >= 1")],
+    )
+    def test_out_of_range_override_exit_1_before_any_write(
+        self, workspace, capsys, flag, value, message
+    ):
+        assert run_cli("generate", "--config", str(workspace), flag, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not load_config(str(workspace)).workspace.exists()
+
     def test_missing_replay_exit_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.yaml"
         config_path.write_text(CONFIG_TEXT, encoding="utf-8")
@@ -191,6 +202,36 @@ class TestCandidates:
     def test_requires_suite(self, workspace, capsys):
         assert run_cli("candidates", "--config", str(workspace)) == 1
         assert "generate" in capsys.readouterr().err
+
+    def test_value_holding_a_slot_name_gets_its_own_set(self, workspace, tmp_path):
+        config = load_config(str(workspace))
+        names = config.property_by_id("names")
+        raws = ["I ran [3 miles] today.", "She typed [{value}] twice."]
+        save_suite(
+            [TestCase(f"names-{i:05d}", "names", raw) for i, raw in enumerate(raws)],
+            config.property_dir("names") / "suite.jsonl",
+        )
+        for value, answer in [("3 miles", "3 Meilen|drei Meilen"), ("{value}", "{value}")]:
+            write_replay_responses(
+                tmp_path / "replays", render_candidate_prompt(names, value), [answer]
+            )
+        assert run_cli("candidates", "--config", str(workspace), "--property", "names") == 0
+        saved = load_candidates(config.property_dir("names") / "candidates.jsonl")
+        assert saved["3 miles"].candidates == ("3 Meilen", "drei Meilen")
+        assert saved["{value}"].candidates == ("{value}",)
+
+    def test_suite_row_of_another_property_exit_3(self, workspace, capsys):
+        run_cli("generate", "--config", str(workspace), "--property", "names")
+        path = load_config(str(workspace)).property_dir("names") / "suite.jsonl"
+        first, second, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = {**json.loads(second), "property_id": "idioms"}
+        path.write_text(first + json.dumps(row) + "\n" + "".join(rest), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("candidates", "--config", str(workspace), "--property", "names") == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: cases ['names-00001'] do not belong to property 'names'\n"
+        )
+        assert not (path.parent / "candidates.jsonl").exists()
 
 
 def prime(workspace) -> None:
@@ -506,6 +547,37 @@ class TestRun:
         assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "run1")) == 3
         assert f"{path}:1: malformed record" in capsys.readouterr().err
 
+    def test_empty_candidate_set_exit_3_naming_the_line(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        path = load_config(str(workspace)).property_dir("names") / "candidates.jsonl"
+        rest = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        path.write_text('{"value": "v", "candidates": []}\n' + "".join(rest), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(workspace), "--out", str(tmp_path / "run1")) == 3
+        assert f"{path}:1: malformed record (candidate set for 'v' is empty)" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "systems, flags, message",
+        [("systems: []\n", [], "no systems configured"),
+         (None, ["--system", "nope"], "unknown system id 'nope'")],
+        ids=["none-configured", "unknown"],
+    )
+    def test_no_system_to_run_exit_1_before_any_write(
+        self, workspace, tmp_path, capsys, systems, flags, message
+    ):
+        prime(workspace)
+        if systems is not None:
+            text = workspace.read_text(encoding="utf-8")
+            workspace.write_text(text[: text.index("systems:")] + systems, encoding="utf-8")
+        out = tmp_path / "run1"
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(workspace), "--out", str(out), *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (load_config(str(workspace)).workspace / "cache").exists()
+        assert not out.exists()
+
 
 def add_system(workspace, system_id: str, command: str) -> None:
     with open(workspace, "a", encoding="utf-8") as fh:
@@ -789,6 +861,23 @@ class TestCompare:
         ) == 1
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "properties, message",
+        [(["nope"], "error: report has no properties ['nope']"),
+         (["names", "names"], "usage error: --property 'names' is given more than once")],
+        ids=["unknown", "repeated"],
+    )
+    def test_unknown_or_repeated_property_exit_1(
+        self, workspace, tmp_path, capsys, properties, message
+    ):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--out", str(out_dir))
+        capsys.readouterr()
+        flags = [arg for p in properties for arg in ("--property", p)]
+        report = str(out_dir / "report.json")
+        assert run_cli("compare", "--report", report, *flags, "identity", "mangler") == 1
+        assert capsys.readouterr() == ("", message + "\n")
 
     @pytest.mark.parametrize(
         "body",
@@ -1211,6 +1300,26 @@ class TestAnnotateAndApplyEdits:
         assert run_cli(*args) == 3
         assert f"{edits_path}:2: malformed record" in capsys.readouterr().err
         assert [path.read_bytes() for path in files] == before
+
+    @pytest.mark.parametrize("blank", ["", "  "], ids=["empty", "spaces"])
+    def test_blank_add_exit_3_before_any_write(self, workspace, tmp_path, capsys, blank):
+        prime(workspace)
+        prop_dir = load_config(str(workspace)).property_dir("names")
+        before = (prop_dir / "candidates.jsonl").read_bytes()
+        edits_path = tmp_path / "edits.jsonl"
+        lines = [{"value": "Rafael Ortega", "add": ["R. Ortega"]},
+                 {"value": "Rafael Ortega", "add": [blank]}]
+        edits_path.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(
+            "apply-edits", "--config", str(workspace), "--property", "names",
+            "--edits", str(edits_path),
+        ) == 3
+        assert capsys.readouterr().err == (
+            "data error: cannot add a blank candidate to 'Rafael Ortega'\n"
+        )
+        assert (prop_dir / "candidates.jsonl").read_bytes() == before
+        assert not (prop_dir / "candidates_audit.log").exists()
 
     def test_add_in_another_unicode_form_is_skipped(self, workspace, tmp_path):
         prime(workspace)

@@ -224,6 +224,21 @@ systems:"""
 
 
     @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"g [h] i."]', '7]', "property 'names': demos must be a list of strings"),
+            ("language_pair: [en, de]", "language_pair: [en, de, fr]",
+             "property 'names': language_pair must be [source, target]"),
+            ("properties:\n", "properties:\n  - names\n", "properties entry must be a mapping"),
+        ],
+        ids=["non_string_demo", "three_tag_pair", "entry_not_a_mapping"],
+    )
+    def test_malformed_property_exits_1(self, tmp_path, capsys, old, new, message):
+        path = write_config(tmp_path, MINIMAL.replace(old, new, 1))
+        assert main(["diversity", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "old, new, section, key",
         [
             ("seed: 3", "sed: 3", None, "sed"),

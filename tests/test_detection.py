@@ -366,6 +366,14 @@ class TestJudgeContrastive:
         assert scores[0] < 1.0
         assert not scores[0] >= scores[1]
 
+    def test_decomposed_translation_scores_as_its_composed_form(self):
+        pair = ContrastivePair("break a leg", ("viel Glück",), ("Bein brechen",))
+        embedder = HashEmbedder(dim=32)
+        [nfd] = judge_contrastive(["viel Glu\u0308ck"], [pair], embedder)
+        [nfc] = judge_contrastive(["viel Glück"], [pair], embedder)
+        assert nfd[0] == 1.0
+        assert nfd == nfc
+
     def test_exact_tie_passes(self):
         [scores] = judge_contrastive(["was auch immer"], [self.pair()], ConstantEmbedder())
         assert scores[0] == scores[1]

@@ -57,6 +57,61 @@ class TestRenderSourcePrompt:
     def test_rendering_is_stable(self, units_spec):
         assert render_source_prompt(units_spec) == render_source_prompt(units_spec)
 
+    def test_demo_holding_a_slot_name_inserted_verbatim(self):
+        demos = ("I ran 3 [miles] {value}.", "A [b] {demo_3} c.", "D [e] {property} f.")
+        prompt = render_source_prompt(make_spec(demos=demos))
+        for demo in demos:
+            assert f"- {demo}\n" in prompt
+
+
+# Inserted texts that hold a slot name, a brace or a backslash.
+AWKWARD = ["{value}", "{property}", "a {tgt_lang} b", "{demo_1}", "{sentence}", "{x}",
+           "a } b {", "C:\\new", "\\1"]
+
+
+class TestFillOnce:
+    """Each slot is filled in one pass: inserted text is never read as a slot."""
+
+    @pytest.mark.parametrize("value", AWKWARD)
+    def test_candidate_value_inserted_verbatim(self, units_spec, value):
+        expected = render_candidate_prompt(units_spec, "\x00").replace("\x00", value)
+        assert render_candidate_prompt(units_spec, value) == expected
+
+    @pytest.mark.parametrize("text", AWKWARD)
+    def test_contrastive_value_and_sentence_inserted_verbatim(self, idioms_spec, text):
+        sentence = f"He said {text} today."
+        correct, foil = render_contrastive_prompts(idioms_spec, text, sentence)
+        expected = render_contrastive_prompts(idioms_spec, "\x00", "\x01")
+        assert correct == expected[0].replace("\x01", sentence).replace("\x00", text)
+        assert foil == expected[1].replace("\x00", text)
+
+    def test_value_named_sentence_is_not_the_sentence(self, idioms_spec):
+        sentence = "He kicked the bucket yesterday."
+        correct, foil = render_contrastive_prompts(idioms_spec, "{sentence}", sentence)
+        assert "figurative translation of: {sentence}" in correct
+        assert "{sentence}" in foil and sentence not in foil
+
+    @pytest.mark.parametrize(
+        "template, text, message",
+        [
+            ("candidate", "{value} in {sentence}", "placeholder {sentence} was not filled"),
+            ("candidate", "{value} like {demo_1}", "demo slot {demo_1} has no matching demo"),
+            ("source", "- {demo_1}\n- {demo_4}", "demo slot {demo_4} has no matching demo"),
+            ("source", "- {demo_0}\n- {demo_1}", "demo slot {demo_0} has no matching demo"),
+            ("source", "{property}: {value}", "placeholder {value} was not filled"),
+        ],
+        ids=["candidate-sentence", "candidate-demo", "source-demo-4", "source-demo-0",
+             "source-value"],
+    )
+    def test_slot_the_call_gives_no_text_is_a_config_error(self, template, text, message):
+        if template == "source":
+            with pytest.raises(ConfigError) as info:
+                render_source_prompt(make_spec(source_prompt=text))
+        else:
+            with pytest.raises(ConfigError) as info:
+                render_candidate_prompt(make_spec(candidate_prompt=text), "v")
+        assert str(info.value) == f"property units {template} prompt: {message}"
+
 
 class TestParseItemList:
     def test_basic(self):
