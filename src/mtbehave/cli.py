@@ -17,13 +17,7 @@ from pathlib import Path
 
 from .config import RunConfig, derive_seed, load_config
 from .detection import CachedEmbedder
-from .errors import (
-    ConfigError,
-    DataInvariantError,
-    EmptyAfterParseError,
-    MtBehaveError,
-    UnanswerableValueError,
-)
+from .errors import ConfigError, DataInvariantError, MtBehaveError, NoCandidatesError
 from .generation import (
     generate_contrastive_pair,
     generate_exhaustive_candidates,
@@ -241,8 +235,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
         first_sentence: dict[str, str] = {}  # per value, in suite order: its first source
         for case in suite:
             first_sentence.setdefault(case.value, case.source)
-        unanswerable: list[str] = []
-        empty: list[str] = []
+        skipped: dict[str, list[str]] = {"unanswerable": [], "empty_after_parse": []}
         entries: dict[str, CandidateEntry] = dict(existing)
         for value, sentence in first_sentence.items():
             if value in entries:
@@ -252,10 +245,8 @@ def cmd_candidates(args: argparse.Namespace) -> int:
                     entries[value] = generate_exhaustive_candidates(value, spec, llm)
                 else:
                     entries[value] = generate_contrastive_pair(value, sentence, spec, llm)
-            except UnanswerableValueError:
-                unanswerable.append(value)
-            except EmptyAfterParseError:
-                empty.append(value)
+            except NoCandidatesError as exc:
+                skipped[exc.reason].append(value)
         generated = len(entries) - len(existing)
         save_candidates(entries.values(), path)
         summary = {
@@ -263,18 +254,16 @@ def cmd_candidates(args: argparse.Namespace) -> int:
             "values_total": len(first_sentence),
             "already_present": len(existing),
             "generated": generated,
-            "unanswerable": unanswerable,
-            "empty_after_parse": empty,
+            **skipped,
         }
         _write_json(summary, prop_dir / "candidates_summary.json")
         line = (
             f"{spec.id}: {generated} new candidate sets "
             f"({len(existing)} kept, {len(first_sentence)} values) -> {path}"
         )
-        if unanswerable:
-            line += f"; NA for {len(unanswerable)} values: {', '.join(unanswerable)}"
-        if empty:
-            line += f"; empty after parse for {len(empty)} values: {', '.join(empty)}"
+        for label, values in zip(("NA", "empty after parse"), skipped.values()):
+            if values:
+                line += f"; {label} for {len(values)} values: {', '.join(values)}"
         print(line)
     return 0
 
@@ -416,7 +405,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # parse, a lookup or a format spec.
     try:
         report = json.loads(text)
-        properties = report.get("properties", {})
+        properties = report["properties"]
+        if not properties:
+            raise ValueError("no property")
         if args.property:
             missing = [p for p in args.property if p not in properties]
             if missing:
@@ -424,11 +415,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             properties = {p: properties[p] for p in args.property}
         lines = [f"{'Property':<18}{'Model A':<18}{'Model B':<18}{'Winner':<18}{'p-value':>8}"]
         for prop_id, prop_report in properties.items():
-            systems = prop_report.get("systems", {})
+            systems = prop_report["systems"]
             for sys_id in (args.a, args.b):
                 if sys_id not in systems:
                     raise ConfigError(f"property {prop_id!r}: unknown system id {sys_id!r}")
-            comps = prop_report.get("comparisons", [])
+            comps = prop_report["comparisons"]
             comp = next((c for c in comps if {c["a"], c["b"]} == {args.a, args.b}), None)
             if comp is None:
                 raise ConfigError(
@@ -518,61 +509,57 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         case_by_id = {c.id: c for c in suite}
         prop_verdicts = [v for v in verdicts if v[0] in case_by_id]
         system_ids = sorted({v[1] for v in prop_verdicts})
-        if args.system:
-            if args.system not in system_ids:
-                raise ConfigError(
-                    f"property {spec.id!r}: no verdicts for system {args.system!r}"
-                )
-            system_ids = [args.system]
-        elif len(system_ids) > 1:
+        if not system_ids:
+            raise DataInvariantError(f"{verdicts_path} holds no verdict of property {spec.id!r}")
+        if args.system and args.system not in system_ids:
+            raise ConfigError(f"property {spec.id!r}: no verdicts for system {args.system!r}")
+        if not args.system and len(system_ids) > 1:
             raise ConfigError(
                 f"property {spec.id!r} has verdicts for {system_ids}; pick one with --system"
             )
-        selections.append((spec, case_by_id, candidates, prop_verdicts, system_ids))
+        system_id = args.system or system_ids[0]
+        selected = [v for v in prop_verdicts if v[1] == system_id]
+        selections.append((spec, case_by_id, candidates, selected, system_id))
 
-    for spec, case_by_id, candidates, prop_verdicts, system_ids in selections:
-        for system_id in system_ids:
-            translated = load_translations(run_dir / "translations" / f"{system_id}.jsonl")
-            translations = {case_id: text for case_id, _, text in translated}
-            selected = [v for v in prop_verdicts if v[1] == system_id]
-            passes, fails = sample_for_annotation(
-                [v[2] for v in selected], args.sample_size,
-                seed=derive_seed(config.seed, f"annotate:{spec.id}:{system_id}"),
-            )
-            rows = []
-            for case_id, _, passed, matched, scores in map(selected.__getitem__, passes + fails):
-                case = case_by_id[case_id]
-                entry = candidates.get(case.value)
-                row = {
-                    "case_id": case.id,
-                    "system_id": system_id,
-                    "property_id": spec.id,
-                    "source": case.source,
-                    "value": case.value,
-                    "translation": translations.get(case.id, ""),
-                    "pass": passed,
-                    "annotation": "",
-                }
-                if matched is not None:
-                    row["matched_candidate"] = matched
-                if scores is not None:
-                    row["scores"] = list(scores)
-                if entry is not None:
-                    row.update(entry.to_dict())
-                rows.append(row)
-            path = run_dir / f"review_{spec.id}_{system_id}.jsonl"
-            _write_jsonl(rows, path)
-            print(
-                f"{spec.id} / {system_id}: {len(passes)} passes + {len(fails)} fails -> {path}"
-            )
+    for spec, case_by_id, candidates, selected, system_id in selections:
+        translated = load_translations(run_dir / "translations" / f"{system_id}.jsonl")
+        translations = {case_id: text for case_id, _, text in translated}
+        passes, fails = sample_for_annotation(
+            [v[2] for v in selected], args.sample_size,
+            seed=derive_seed(config.seed, f"annotate:{spec.id}:{system_id}"),
+        )
+        rows = []
+        for case_id, _, passed, matched, scores in map(selected.__getitem__, passes + fails):
+            case = case_by_id[case_id]
+            entry = candidates.get(case.value)
+            row = {
+                "case_id": case.id,
+                "system_id": system_id,
+                "property_id": spec.id,
+                "source": case.source,
+                "value": case.value,
+                "translation": translations.get(case.id, ""),
+                "pass": passed,
+                "annotation": "",
+            }
+            if matched is not None:
+                row["matched_candidate"] = matched
+            if scores is not None:
+                row["scores"] = list(scores)
+            if entry is not None:
+                row.update(entry.to_dict())
+            rows.append(row)
+        path = run_dir / f"review_{spec.id}_{system_id}.jsonl"
+        _write_jsonl(rows, path)
+        print(f"{spec.id} / {system_id}: {len(passes)} passes + {len(fails)} fails -> {path}")
     return 0
 
 
-def _load_edits(path: Path) -> list[tuple]:
-    """The (value, add, remove) edits of an edits file."""
+def _load_edits(path: Path) -> list[tuple[int, tuple]]:
+    """(line number, (value, add, remove)) for each edit of an edits file."""
     if not path.exists():
         raise ConfigError(f"edits file {path} not found")
-    return [edit for _, edit in _load_records(path, _edit_row)]
+    return list(_load_records(path, _edit_row))
 
 
 # The annotations a review row may hold, after strip and case-fold; blank is unreviewed.
@@ -610,10 +597,17 @@ def cmd_apply_edits(args: argparse.Namespace) -> int:
     spec = props[0]
     prop_dir = config.property_dir(spec.id)
     candidates, _ = _load_property_candidates(config, spec.id)
-    edits = _load_edits(Path(args.edits))
+    edits_path = Path(args.edits)
+    edits = _load_edits(edits_path)
     # Read the review before any edit is saved, so a bad --review changes nothing.
     tallies = _review_tallies(Path(args.review)) if args.review else None
-    updated, audit = apply_candidate_edits(candidates, edits)
+    updated, audit = candidates, []
+    for lineno, edit in edits:  # one at a time, so a failing edit names its line
+        try:
+            updated, lines = apply_candidate_edits(updated, [edit])
+        except DataInvariantError as exc:
+            raise DataInvariantError(f"{edits_path}:{lineno}: {exc}") from exc
+        audit += lines
     # The audit lines go first: a failed save then leaves candidates.jsonl as it
     # was, and re-running the edits applies them and appends their lines again.
     if audit:

@@ -1,10 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one class per way a failure is handled.
 
-Each class carries the CLI exit code and the stderr label it ends in:
-ConfigError -> 1, ProviderError (and subclasses) -> 2, every other error -> 3.
-A file that cannot be read or written is one of these, naming the path and the
-reason: the config file and prompt templates 1, replay files 2, every other read
-and every write 3 (see `model._file_errors`).
+Each class carries the CLI exit code and the stderr label it ends in: ConfigError -> 1,
+ProviderError -> 2 (but an MT adapter's excludes that adapter's cases in `translate_all`),
+every other error -> 3. A file that cannot be read or written is one of these, naming the path
+and the reason: the config file and prompt templates 1, replay files 2, every other read and
+every write 3 (see `model._file_errors`).
 """
 from __future__ import annotations
 
@@ -24,40 +24,23 @@ class ConfigError(MtBehaveError):
 
 
 class ProviderError(MtBehaveError):
-    """An LLM or embedding provider failed (after retries)."""
+    """An LLM, embedding provider or MT system adapter failed (after retries)."""
 
     exit_code = 2
     label = "provider error"
 
 
-class AdapterError(ProviderError):
-    """An MT system adapter failed (after retries)."""
+class NoCandidatesError(MtBehaveError):
+    """The LLM left a value without candidates. `reason` is the `candidates_summary.json`
+    key the value is listed under: "unanswerable" (an "NA") or "empty_after_parse"."""
 
-
-class MaxBatchesExceededError(ProviderError):
-    """Suite generation hit the batch safety cap before reaching its target."""
-
-
-class UnanswerableValueError(MtBehaveError):
-    """The LLM declined a candidate-generation request by answering "NA"."""
-
-    def __init__(self, value: str, side: str = "") -> None:
-        self.value = value
-        self.side = side
-        detail = f" ({side})" if side else ""
-        super().__init__(f"candidate generation for value {value!r} answered NA{detail}")
-
-
-class EmptyAfterParseError(MtBehaveError):
-    """A candidate response parsed to an empty set."""
+    def __init__(self, reason: str, message: str) -> None:
+        self.reason = reason
+        super().__init__(message)
 
 
 class DataInvariantError(MtBehaveError):
-    """A domain invariant was violated by loaded or constructed data."""
-
-
-class SuiteLoadError(DataInvariantError):
-    """A file could not be read, written or parsed; the message names the path."""
+    """Loaded or constructed data broke an invariant, or a file could not be read or written."""
 
 
 class BracketParseError(DataInvariantError, ValueError):

@@ -16,9 +16,8 @@ from .errors import (
     BracketParseError,
     ConfigError,
     DataInvariantError,
-    EmptyAfterParseError,
-    MaxBatchesExceededError,
-    UnanswerableValueError,
+    NoCandidatesError,
+    ProviderError,
 )
 from .model import (
     CandidateSet, ContrastivePair, PropertySpec, TestCase, match_form, parse_bracketed
@@ -201,7 +200,7 @@ def generate_suite(
             genlog["accepted"].append({"id": case_id, "batch": batch_index, "value": value})
         if len(cases) >= target_count:
             return cases, genlog
-    raise MaxBatchesExceededError(
+    raise ProviderError(
         f"property {spec.id}: {len(cases)}/{target_count} cases after {max_batches} batches"
     )
 
@@ -211,12 +210,16 @@ def _parse_pipe_list(response: str, value: str, side: str = "") -> dict[str, str
     form, each spelled as it first appears."""
     text = response.strip()
     if text == "NA":
-        raise UnanswerableValueError(value, side)
+        detail = f" ({side})" if side else ""
+        raise NoCandidatesError(
+            "unanswerable", f"candidate generation for value {value!r} answered NA{detail}"
+        )
     entries: dict[str, str] = {}
     for part in filter(None, (p.strip() for p in text.split("|"))):
         entries.setdefault(match_form(part), part)
     if not entries:
-        raise EmptyAfterParseError(
+        raise NoCandidatesError(
+            "empty_after_parse",
             f"candidate response for {value!r} parsed to an empty list: {response!r}"
         )
     return entries
@@ -255,7 +258,8 @@ def generate_contrastive_pair(
     foils = _parse_pipe_list(foil_resp, value, side="foil")
     foil = [f for key, f in foils.items() if key not in correct]
     if not foil:
-        raise EmptyAfterParseError(
+        raise NoCandidatesError(
+            "empty_after_parse",
             f"foil candidates for {value!r} parsed to an empty list: "
             f"every foil overlaps the correct list"
         )

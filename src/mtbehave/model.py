@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
-from .errors import (
-    BracketParseError,
-    ConfigError,
-    DataInvariantError,
-    MtBehaveError,
-    SuiteLoadError,
-)
+from .errors import BracketParseError, ConfigError, DataInvariantError, MtBehaveError
 
 DETECTOR_KINDS = ("exhaustive", "contrastive")
 # Property and system ids name files and directories, so each must be a plain
@@ -251,7 +245,7 @@ CandidateEntry = Union[CandidateSet, ContrastivePair]
 # ---------------------------------------------------------------------------
 # The file boundary: the package reads and writes files only through these, and
 # only here does an OSError or UnicodeDecodeError become an error naming the path:
-# a read raises the caller's `error`, a write always a SuiteLoadError (exit 3).
+# a read raises the caller's `error`, a write always a DataInvariantError (exit 3).
 
 
 @contextmanager
@@ -267,17 +261,19 @@ def _file_errors(path: Path, action: str, error: type[MtBehaveError], what: str)
 
 
 def _read_bytes(path: Path) -> bytes:
-    with _file_errors(path, "read", SuiteLoadError, ""), open(path, "rb") as fh:
+    with _file_errors(path, "read", DataInvariantError, ""), open(path, "rb") as fh:
         return fh.read()
 
 
-def _read_text(path: Path, error: type[MtBehaveError] = SuiteLoadError, what: str = "") -> str:
+def _read_text(path: Path, error: type[MtBehaveError] = DataInvariantError, what: str = "") -> str:
     """The UTF-8 text of `path`, CRLF and CR read as LF as `Path.read_text` does."""
     with _file_errors(path, "read", error, what):
         return path.read_text(encoding="utf-8")
 
 
-def _list_dir(path: Path, error: type[MtBehaveError] = SuiteLoadError, what: str = "") -> list[str]:
+def _list_dir(
+    path: Path, error: type[MtBehaveError] = DataInvariantError, what: str = ""
+) -> list[str]:
     """The names in directory `path`; a directory that does not exist has none."""
     with _file_errors(path, "read", error, what):
         try:
@@ -293,7 +289,7 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     once complete, so an interrupted write leaves the previous file intact.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with _file_errors(path, "write", SuiteLoadError, ""):
+    with _file_errors(path, "write", DataInvariantError, ""):
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -306,25 +302,25 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
 def _check_write_targets(paths: Iterable[Path]) -> None:
     """Fail now, as a later write would: a directory where one of `paths` goes."""
     for path in paths:
-        with _file_errors(path, "write", SuiteLoadError, ""):
+        with _file_errors(path, "write", DataInvariantError, ""):
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
 def _make_dir(path: Path) -> None:
-    with _file_errors(path, "write", SuiteLoadError, ""):
+    with _file_errors(path, "write", DataInvariantError, ""):
         path.mkdir(parents=True, exist_ok=True)
 
 
 def _append(path: Path, text: str) -> None:
-    with _file_errors(path, "write", SuiteLoadError, ""):
+    with _file_errors(path, "write", DataInvariantError, ""):
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "a", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
 def _truncate(path: Path, size: int) -> None:
-    with _file_errors(path, "write", SuiteLoadError, ""):
+    with _file_errors(path, "write", DataInvariantError, ""):
         os.truncate(path, size)
 
 
@@ -358,9 +354,9 @@ def _iter_jsonl(path: Path, data: bytes | None = None) -> Iterator[tuple[int, di
                 raise json.JSONDecodeError("Extra data", text, end)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "not UTF-8"
-            raise SuiteLoadError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
+            raise DataInvariantError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
         if not isinstance(obj, dict):
-            raise SuiteLoadError(f"{path}:{lineno}: expected a JSON object")
+            raise DataInvariantError(f"{path}:{lineno}: expected a JSON object")
         yield lineno, obj
 
 
@@ -370,18 +366,18 @@ def _load_records(
     """Yield (line number, from_dict(object)) for each record of a JSONL file,
     parsed from `data` when given.
 
-    A KeyError (missing field), AttributeError, TypeError or ValueError
-    (malformed field), or a DataInvariantError (a broken record invariant),
-    from `from_dict` becomes a SuiteLoadError naming path and line.
+    A KeyError (missing field), AttributeError, TypeError, ValueError or
+    OverflowError (malformed field), or a DataInvariantError (a broken record
+    invariant), from `from_dict` becomes a DataInvariantError naming path and line.
     """
     path = Path(path)
     for lineno, obj in _iter_jsonl(path, data):
         try:
             record = from_dict(obj)
         except KeyError as exc:
-            raise SuiteLoadError(f"{path}:{lineno}: missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError, DataInvariantError) as exc:
-            raise SuiteLoadError(f"{path}:{lineno}: malformed record ({exc})") from exc
+            raise DataInvariantError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError, OverflowError, DataInvariantError) as exc:
+            raise DataInvariantError(f"{path}:{lineno}: malformed record ({exc})") from exc
         yield lineno, record
 
 
@@ -493,9 +489,17 @@ def save_verdicts(rows: Iterable[tuple], path: Path | str) -> None:
 
 
 def _verdict_row(d: Mapping) -> tuple:
-    scores = d.get("scores")
-    scores = None if scores is None else tuple(map(float, scores))
-    return d["case_id"], d["system_id"], _bool_field(d, "pass"), d.get("matched_candidate"), scores
+    """A verdict row; "matched_candidate" and "scores" may be absent or null."""
+    matched, scores = d.get("matched_candidate"), d.get("scores")
+    if not (matched is None or isinstance(matched, str)):
+        raise TypeError("'matched_candidate' must be a string")
+    if scores is not None:
+        # A JSON number decodes to an int or a float; true and false to bools.
+        if not isinstance(scores, list) or len(scores) != 2 or {*map(type, scores)} - {int, float}:
+            raise TypeError("'scores' must be a list of two numbers")
+        scores = tuple(map(float, scores))
+    ids = _str_field(d, "case_id"), _str_field(d, "system_id")
+    return *ids, _bool_field(d, "pass"), matched, scores
 
 
 def load_verdicts(path: Path | str) -> list[tuple]:

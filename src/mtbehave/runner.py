@@ -26,7 +26,7 @@ from .detection import (
     judge_contrastive,
     match_exhaustive,
 )
-from .errors import AdapterError, ConfigError, DataInvariantError, ProviderError
+from .errors import ConfigError, DataInvariantError, ProviderError
 from .metrics import (
     ResampleConfig,
     bootstrap_ci,
@@ -120,9 +120,9 @@ class HttpMtAdapter:
                 body = _post_json(self._session, spec.endpoint, payload, "MT request")
                 translations = _json_list(body, "translations", spec.endpoint)
                 if not all(isinstance(t, str) for t in translations):
-                    raise AdapterError(f"{spec.endpoint}: a translation is not a string")
+                    raise ProviderError(f"{spec.endpoint}: a translation is not a string")
                 if len(translations) != len(batch):
-                    raise AdapterError(
+                    raise ProviderError(
                         f"{spec.endpoint} returned {len(translations)} translations "
                         f"for {len(batch)} texts"
                     )
@@ -153,21 +153,21 @@ class CommandMtAdapter:
                 check=False,
             )
         except OSError as exc:
-            raise AdapterError(f"command {self.argv!r} could not be run: {exc}") from exc
+            raise ProviderError(f"command {self.argv!r} could not be run: {exc}") from exc
         if proc.returncode != 0:
             stderr = proc.stderr.decode("utf-8", "replace").strip()[:200]
-            raise AdapterError(f"command {self.argv!r} exited {proc.returncode}: {stderr}")
+            raise ProviderError(f"command {self.argv!r} exited {proc.returncode}: {stderr}")
         out_lines = proc.stdout.split(b"\n")
         if out_lines[-1] == b"":
             out_lines.pop()
         if len(out_lines) != len(lines):
-            raise AdapterError(
+            raise ProviderError(
                 f"command {self.argv!r} returned {len(out_lines)} lines for {len(lines)} inputs"
             )
         try:
             return [line.decode("utf-8") for line in out_lines]
         except UnicodeDecodeError as exc:
-            raise AdapterError(f"command {self.argv!r} wrote invalid UTF-8: {exc}") from exc
+            raise ProviderError(f"command {self.argv!r} wrote invalid UTF-8: {exc}") from exc
 
 
 class FileMtAdapter:
@@ -276,11 +276,11 @@ def _read_cache(path: Path) -> dict[str, str]:
     return dict(pair for _, pair in pairs)
 
 
-def _adapter_call(translate, inputs: list) -> list[str | None] | AdapterError:
-    """`translate(inputs)`, or the AdapterError it raised."""
+def _adapter_call(translate, inputs: list) -> list[str | None] | ProviderError:
+    """`translate(inputs)`, or the ProviderError it raised."""
     try:
         return translate(inputs)
-    except AdapterError as exc:
+    except ProviderError as exc:
         return exc
 
 
@@ -330,9 +330,9 @@ def translate_all(
     results = []
     for adapter, (store, row, pending) in zip(adapters, plans):
         output = next(called) if pending else []
-        if not isinstance(output, AdapterError) and len(output) > len(pending):
-            output = AdapterError(f"returned {len(output)} translations for {len(pending)} inputs")
-        if isinstance(output, AdapterError):
+        if not isinstance(output, ProviderError) and len(output) > len(pending):
+            output = ProviderError(f"returned {len(output)} translations for {len(pending)} inputs")
+        if isinstance(output, ProviderError):
             log.warning("system %s: %s", adapter.system_id, output)
             output = []
         for k, translation in zip(pending, output):
@@ -567,8 +567,6 @@ def apply_candidate_edits(
             current.remove(cand)
             audit.append(f"{value}: removed {cand!r}")
         for cand in add:
-            if not cand or not cand.strip():
-                raise DataInvariantError(f"cannot add a blank candidate to {value!r}")
             if match_form(cand) in map(match_form, current):
                 audit.append(f"{value}: skipped {cand!r} (already present)")
                 continue

@@ -24,9 +24,10 @@ from mtbehave.config import RunConfig, load_config
 from mtbehave.errors import (
     BracketParseError,
     ConfigError,
+    DataInvariantError,
     MtBehaveError,
+    NoCandidatesError,
     ProviderError,
-    SuiteLoadError,
 )
 from mtbehave.generation import (
     render_candidate_prompt,
@@ -121,6 +122,15 @@ class TestGenerate:
         path.write_bytes(b"- [Anna \xff] kam.\n")
         assert run_cli("generate", "--config", str(workspace), "--property", "names") == 2
         assert f"{path} is not UTF-8" in capsys.readouterr().err
+
+    def test_batch_cap_exit_2_before_any_write(self, workspace, capsys):
+        # The replay holds 6 names and then repeats them, so 8 are never reached.
+        assert run_cli("generate", "--config", str(workspace), "--target", "8",
+                       "--property", "names") == 2
+        assert capsys.readouterr().err == (
+            "provider error: property names: 6/8 cases after 4 batches\n"
+        )
+        assert not load_config(str(workspace)).workspace.exists()
 
     def test_target_flag_override(self, workspace):
         assert run_cli("generate", "--config", str(workspace), "--target", "4",
@@ -889,6 +899,9 @@ class TestCompare:
             '{"properties": []}\n',
             '{"properties": {"p": {"systems": {"identity": {}, "mangler": {}}, '
             '"comparisons": [{"a": "identity"}]}}}\n',
+            "{}\n",
+            '{"properties": {}}\n',
+            '{"properties": {"p": {}}}\n',
         ],
     )
     def test_malformed_report_exit_3(self, tmp_path, capsys, body):
@@ -1245,6 +1258,41 @@ class TestAnnotateAndApplyEdits:
         assert f"{verdicts_path}:3: " in capsys.readouterr().err
         assert not list(out_dir.glob("review_*"))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scores", "12"), ("scores", [True, False]), ("scores", ["0.5", "0.25"]),
+         ("case_id", 7), ("system_id", None), ("matched_candidate", 3)],
+    )
+    def test_mistyped_verdict_field_exit_3(self, workspace, tmp_path, capsys, field, value):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity", "--out", str(out_dir))
+        verdicts_path = out_dir / "verdicts.jsonl"
+        lines = verdicts_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = json.dumps({**json.loads(lines[2]), field: value}) + "\n"
+        verdicts_path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("annotate", "--config", str(workspace), "--run", str(out_dir),
+                       "--property", "names", "--k", "2") == 3
+        assert f"data error: {verdicts_path}:3: malformed record ({field!r} must be" in (
+            capsys.readouterr().err
+        )
+        assert not list(out_dir.glob("review_*"))
+
+    def test_no_verdict_of_a_judged_property_exit_3(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity", "--out", str(out_dir))
+        verdicts_path = out_dir / "verdicts.jsonl"
+        verdicts_path.write_bytes(b"")
+        capsys.readouterr()
+        assert run_cli("annotate", "--config", str(workspace), "--run", str(out_dir),
+                       "--property", "names") == 3
+        assert capsys.readouterr().err == (
+            f"data error: {verdicts_path} holds no verdict of property 'names'\n"
+        )
+        assert not list(out_dir.glob("review_*"))
+
     def test_missing_translations_file_exit_3(self, workspace, tmp_path, capsys):
         prime(workspace)
         out_dir = tmp_path / "run1"
@@ -1301,23 +1349,32 @@ class TestAnnotateAndApplyEdits:
         assert f"{edits_path}:2: malformed record" in capsys.readouterr().err
         assert [path.read_bytes() for path in files] == before
 
-    @pytest.mark.parametrize("blank", ["", "  "], ids=["empty", "spaces"])
-    def test_blank_add_exit_3_before_any_write(self, workspace, tmp_path, capsys, blank):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"add": [""]}, "candidate set for 'Rafael Ortega' has a blank entry"),
+            ({"add": ["  "]}, "candidate set for 'Rafael Ortega' has a blank entry"),
+            ({"value": "nope"}, "edit references unknown value 'nope'"),
+            ({"remove": ["x"]}, "cannot remove 'x' from 'Rafael Ortega': not present"),
+            ({"remove": ["Rafael Ortega"]},
+             "cannot remove 'Rafael Ortega': it is the last candidate for 'Rafael Ortega'"),
+        ],
+        ids=["empty", "spaces", "unknown-value", "absent-removal", "last-removal"],
+    )
+    def test_blank_add_exit_3_before_any_write(self, workspace, tmp_path, capsys, edit, message):
+        """Every edit that cannot apply names its line, and nothing is written."""
         prime(workspace)
         prop_dir = load_config(str(workspace)).property_dir("names")
         before = (prop_dir / "candidates.jsonl").read_bytes()
         edits_path = tmp_path / "edits.jsonl"
-        lines = [{"value": "Rafael Ortega", "add": ["R. Ortega"]},
-                 {"value": "Rafael Ortega", "add": [blank]}]
+        lines = [{"value": "Mina Park", "add": ["M. Park"]}, {"value": "Rafael Ortega", **edit}]
         edits_path.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
         capsys.readouterr()
         assert run_cli(
             "apply-edits", "--config", str(workspace), "--property", "names",
             "--edits", str(edits_path),
         ) == 3
-        assert capsys.readouterr().err == (
-            "data error: cannot add a blank candidate to 'Rafael Ortega'\n"
-        )
+        assert capsys.readouterr().err == f"data error: {edits_path}:2: {message}\n"
         assert (prop_dir / "candidates.jsonl").read_bytes() == before
         assert not (prop_dir / "candidates_audit.log").exists()
 
@@ -1362,7 +1419,7 @@ class TestAnnotateAndApplyEdits:
         audit.write_bytes(before[1])
 
         def disk_full(path):
-            with model._file_errors(Path(path), "write", SuiteLoadError, ""):
+            with model._file_errors(Path(path), "write", DataInvariantError, ""):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         if fault == "audit append":
@@ -1503,8 +1560,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
     def test_every_error_class_is_mapped(self, cls, monkeypatch, capsys):
-        # BracketParseError alone takes a reason before its text.
-        error = cls("no_value", "boom") if cls is BracketParseError else cls("boom")
+        # BracketParseError and NoCandidatesError take a reason before their text.
+        reasons = {BracketParseError: "no_value", NoCandidatesError: "unanswerable"}
+        error = cls(reasons[cls], "boom") if cls in reasons else cls("boom")
 
         def fail(args):
             raise error
@@ -1545,8 +1603,8 @@ class TestExitCodes:
 
     def test_every_family_is_enumerated(self):
         names = {c.__name__ for c in _error_classes()}
-        assert {"UsageError", "ConfigError", "AdapterError", "SuiteLoadError",
-                "EmptyAfterParseError", "UnanswerableValueError", "BracketParseError"} <= names
+        assert names == {"MtBehaveError", "UsageError", "ConfigError", "ProviderError",
+                         "DataInvariantError", "BracketParseError", "NoCandidatesError"}
 
 
 class TestUsage:

@@ -2,7 +2,9 @@
 functions reject the argument shapes of a single case."""
 from __future__ import annotations
 
+import ast
 import types
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,24 @@ def test_public_names_equal_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(mtbehave.__all__)
+
+
+def test_every_imported_name_is_used():
+    """Each module but `__init__`, which re-exports through `__all__`, names
+    every name it imports."""
+    unused = []
+    for path in sorted(Path(mtbehave.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                getattr(node, "module", None) != "__future__"
+            ):
+                bound = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                unused += [f"{path.name}:{node.lineno}: {n}" for n in bound if n not in names]
+    assert unused == []
 
 
 def test_http_clients_build_from_top_level_names():

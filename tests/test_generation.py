@@ -4,13 +4,7 @@ from __future__ import annotations
 import pytest
 
 from mtbehave.config import load_config
-from mtbehave.errors import (
-    ConfigError,
-    DataInvariantError,
-    EmptyAfterParseError,
-    MaxBatchesExceededError,
-    UnanswerableValueError,
-)
+from mtbehave.errors import ConfigError, DataInvariantError, NoCandidatesError, ProviderError
 from mtbehave.generation import (
     DEFAULT_TARGET_COUNT,
     filter_sentences,
@@ -263,7 +257,7 @@ class TestGenerateSuite:
 
     def test_max_batches_exceeded(self, units_spec):
         llm = ScriptedLlm([unique_batch(0, 4)])  # sticks: later batches all duplicates
-        with pytest.raises(MaxBatchesExceededError):
+        with pytest.raises(ProviderError, match=r"^property units: 4/10 cases after 5 batches$"):
             generate_suite(units_spec, 10, llm)
 
     def test_truncates_to_target(self, units_spec):
@@ -308,8 +302,10 @@ class TestExhaustiveCandidates:
     def test_na_raises(self, units_spec):
         prompt = render_candidate_prompt(units_spec, "impossible")
         llm = ScriptedLlm(by_prompt={prompt: "NA"})
-        with pytest.raises(UnanswerableValueError):
+        with pytest.raises(NoCandidatesError) as info:
             generate_exhaustive_candidates("impossible", units_spec, llm)
+        assert info.value.reason == "unanswerable"
+        assert str(info.value) == "candidate generation for value 'impossible' answered NA"
 
     def test_trim_and_fold_dedupe(self, units_spec):
         prompt = render_candidate_prompt(units_spec, "x")
@@ -326,8 +322,9 @@ class TestExhaustiveCandidates:
     def test_empty_after_parse(self, units_spec):
         prompt = render_candidate_prompt(units_spec, "x")
         llm = ScriptedLlm(by_prompt={prompt: " | | "})
-        with pytest.raises(EmptyAfterParseError):
+        with pytest.raises(NoCandidatesError, match="parsed to an empty list") as info:
             generate_exhaustive_candidates("x", units_spec, llm)
+        assert info.value.reason == "empty_after_parse"
 
     def test_empty_value_rejected(self, units_spec):
         with pytest.raises(ValueError):
@@ -356,8 +353,10 @@ class TestContrastivePairs:
         sentence = "Some sentence."
         correct_prompt, foil_prompt = render_contrastive_prompts(idioms_spec, "x y", sentence)
         llm = ScriptedLlm(by_prompt={correct_prompt: "NA", foil_prompt: "whatever"})
-        with pytest.raises(UnanswerableValueError):
+        with pytest.raises(NoCandidatesError) as info:
             generate_contrastive_pair("x y", sentence, idioms_spec, llm)
+        assert info.value.reason == "unanswerable"
+        assert str(info.value) == "candidate generation for value 'x y' answered NA (correct)"
 
     def test_overlap_kept_only_in_correct(self, idioms_spec):
         sentence = "Some sentence."
@@ -382,8 +381,9 @@ class TestContrastivePairs:
         sentence = "Some sentence."
         correct_prompt, foil_prompt = render_contrastive_prompts(idioms_spec, "x y", sentence)
         llm = ScriptedLlm(by_prompt={correct_prompt: "same", foil_prompt: "SAME"})
-        with pytest.raises(EmptyAfterParseError):
+        with pytest.raises(NoCandidatesError, match="every foil overlaps") as info:
             generate_contrastive_pair("x y", sentence, idioms_spec, llm)
+        assert info.value.reason == "empty_after_parse"
 
 
 def make_genlog(batches, value_counts) -> dict:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import mtbehave
-from mtbehave.errors import BracketParseError, ConfigError, DataInvariantError, SuiteLoadError
+from mtbehave.errors import BracketParseError, ConfigError, DataInvariantError
 from mtbehave.model import (
     CandidateSet,
     ContrastivePair,
@@ -238,7 +238,7 @@ class TestSuiteIO:
         save_suite([make_case()], path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{not json\n")
-        with pytest.raises(SuiteLoadError, match=":2"):
+        with pytest.raises(DataInvariantError, match=":2"):
             load_suite(path)
 
     @pytest.mark.parametrize(
@@ -259,7 +259,7 @@ class TestSuiteIO:
     def test_malformed_record_is_a_load_error(self, tmp_path, line):
         path = tmp_path / "suite.jsonl"
         path.write_bytes(line + b"\n")
-        with pytest.raises(SuiteLoadError, match="suite.jsonl:1") as info:
+        with pytest.raises(DataInvariantError, match="suite.jsonl:1") as info:
             load_suite(path)
         assert info.value.exit_code == 3
 
@@ -269,7 +269,7 @@ class TestSuiteIO:
         row = make_case().to_dict()
         row["value_span"] = [0, 5]
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-        with pytest.raises(SuiteLoadError, match="suite.jsonl:1: .*units-00000"):
+        with pytest.raises(DataInvariantError, match="suite.jsonl:1: .*units-00000"):
             load_suite(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
@@ -311,13 +311,13 @@ class TestCandidatesIO:
     def test_unrecognized_shape_rejected(self, tmp_path):
         path = tmp_path / "candidates.jsonl"
         path.write_text('{"value": "x"}\n', encoding="utf-8")
-        with pytest.raises(SuiteLoadError, match=":1"):
+        with pytest.raises(DataInvariantError, match=":1"):
             load_candidates(path)
 
     def test_non_string_candidate_is_a_load_error(self, tmp_path):
         path = tmp_path / "candidates.jsonl"
         path.write_text('{"value": "x", "candidates": [1]}\n', encoding="utf-8")
-        with pytest.raises(SuiteLoadError, match=":1"):
+        with pytest.raises(DataInvariantError, match=":1"):
             load_candidates(path)
 
     @pytest.mark.parametrize(
@@ -332,7 +332,7 @@ class TestCandidatesIO:
         # A string would otherwise be split into its characters.
         path = tmp_path / "candidates.jsonl"
         path.write_text('{"value": "m", "candidates": ["Meter"]}\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(SuiteLoadError, match=f"{path}:2: malformed record"):
+        with pytest.raises(DataInvariantError, match=f"{path}:2: malformed record"):
             load_candidates(path)
 
     @pytest.mark.parametrize(
@@ -348,7 +348,7 @@ class TestCandidatesIO:
     def test_broken_entry_invariant_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "candidates.jsonl"
         path.write_text('{"value": "m", "candidates": ["Meter"]}\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(SuiteLoadError, match=f"{path}:2: malformed record"):
+        with pytest.raises(DataInvariantError, match=f"{path}:2: malformed record"):
             load_candidates(path)
 
     @pytest.mark.parametrize(
@@ -393,9 +393,9 @@ def reference_records(blob: bytes, path) -> list:
             obj = json.loads(line)
         except ValueError as exc:
             reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "not UTF-8"
-            raise SuiteLoadError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
+            raise DataInvariantError(f"{path}:{lineno}: invalid JSON ({reason})") from exc
         if not isinstance(obj, dict):
-            raise SuiteLoadError(f"{path}:{lineno}: expected a JSON object")
+            raise DataInvariantError(f"{path}:{lineno}: expected a JSON object")
         out.append((lineno, obj))
     return out
 
@@ -498,9 +498,9 @@ class TestJsonlDecoder:
     def test_errors_match_per_line_json_loads(self, tmp_path, blob):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(blob)
-        with pytest.raises(SuiteLoadError) as expected:
+        with pytest.raises(DataInvariantError) as expected:
             reference_records(blob, path)
-        with pytest.raises(SuiteLoadError) as info:
+        with pytest.raises(DataInvariantError) as info:
             list(_iter_jsonl(path))
         assert str(info.value) == str(expected.value)
 
@@ -509,7 +509,7 @@ class TestJsonlDecoder:
         # writer could save the string again.
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b'{"a": "\xed\xa0\x80"}\n')
-        with pytest.raises(SuiteLoadError, match=r"bad.jsonl:1: invalid JSON \(not UTF-8\)"):
+        with pytest.raises(DataInvariantError, match=r"bad.jsonl:1: invalid JSON \(not UTF-8\)"):
             list(_iter_jsonl(path))
 
     @pytest.mark.parametrize("make", ["missing", "directory"])
@@ -517,7 +517,7 @@ class TestJsonlDecoder:
         path = tmp_path / "suite.jsonl"
         if make == "directory":
             path.mkdir()
-        with pytest.raises(SuiteLoadError, match=rf"{path}: cannot read \(\w"):
+        with pytest.raises(DataInvariantError, match=rf"{path}: cannot read \(\w"):
             load_suite(path)
 
 
@@ -591,7 +591,7 @@ class TestTranslationAndVerdictIO:
             encoding="utf-8",
         )
         expected = re.escape(f"{path}:2: ") + ".*'translation' must be a string"
-        with pytest.raises(SuiteLoadError, match=expected):
+        with pytest.raises(DataInvariantError, match=expected):
             load_translations(path)
 
     @pytest.mark.parametrize("passed", ['"false"', '"true"', "0", "1", "null"])
@@ -603,10 +603,15 @@ class TestTranslationAndVerdictIO:
             encoding="utf-8",
         )
         expected = re.escape(f"{path}:2: ") + ".*'pass' must be true or false"
-        with pytest.raises(SuiteLoadError, match=expected):
+        with pytest.raises(DataInvariantError, match=expected):
             load_verdicts(path)
 
-    @pytest.mark.parametrize("scores", ['["x", 0.5]', "3", "[null, 0.5]"])
+    @pytest.mark.parametrize(
+        "scores",
+        ['["x", 0.5]', "3", "[null, 0.5]", '"12"', "[true, false]", '["0.5", "0.25"]',
+         "[0.5]", "[0.5, 0.25, 1]", f"[1{'0' * 400}, 0.5]"],
+        ids=lambda scores: scores[:20],
+    )
     def test_score_that_is_not_a_number_is_a_load_error(self, tmp_path, scores):
         path = tmp_path / "verdicts.jsonl"
         path.write_text(
@@ -614,7 +619,7 @@ class TestTranslationAndVerdictIO:
             f'{{"case_id": "b", "system_id": "s", "pass": true, "scores": {scores}}}\n',
             encoding="utf-8",
         )
-        with pytest.raises(SuiteLoadError, match=re.escape(f"{path}:2: malformed record")):
+        with pytest.raises(DataInvariantError, match=re.escape(f"{path}:2: malformed record")):
             load_verdicts(path)
 
     def test_verdict_json_uses_pass_key(self):
@@ -715,14 +720,14 @@ class TestFileBoundary:
             _read_text(tmp_path, ConfigError, "config file ")
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"ab\xff")
-        with pytest.raises(SuiteLoadError, match=rf"^{path} is not UTF-8 \(byte 2\)$"):
+        with pytest.raises(DataInvariantError, match=rf"^{path} is not UTF-8 \(byte 2\)$"):
             _read_text(path)
 
     def test_list_dir(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"")
         assert _list_dir(tmp_path) == ["a.txt"]
         assert _list_dir(tmp_path / "absent") == []
-        with pytest.raises(SuiteLoadError, match=r"a.txt: cannot read \(Not a directory\)"):
+        with pytest.raises(DataInvariantError, match=r"a.txt: cannot read \(Not a directory\)"):
             _list_dir(tmp_path / "a.txt")
 
     def test_append_to_a_directory_is_a_load_error(self, tmp_path):
@@ -730,14 +735,14 @@ class TestFileBoundary:
         _append(path, "one\n")
         _append(path, "two\n")
         assert path.read_bytes() == b"one\ntwo\n"
-        with pytest.raises(SuiteLoadError, match=rf"^{tmp_path}: cannot write \(Is a directory\)"):
+        with pytest.raises(DataInvariantError, match=rf"^{tmp_path}: cannot write \(Is a directory\)"):
             _append(tmp_path, "x\n")
 
     @pytest.mark.parametrize("parent", ["file", "file/sub"])
     def test_write_under_a_file_is_a_load_error(self, tmp_path, parent):
         (tmp_path / "file").write_bytes(b"keep")
         path = tmp_path / parent / "report.json"
-        with pytest.raises(SuiteLoadError, match=rf"^{path}: cannot write \("):
+        with pytest.raises(DataInvariantError, match=rf"^{path}: cannot write \("):
             _write_atomic(path, ["{}"])
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_bytes() == b"keep"

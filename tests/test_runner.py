@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import mtbehave.providers as providers
 from mtbehave.detection import EMBED_BATCH_SIZE, CachedEmbedder, TokenizerConfig, ngrams, tokenize
-from mtbehave.errors import AdapterError, ConfigError, DataInvariantError, SuiteLoadError
+from mtbehave.errors import ConfigError, DataInvariantError, ProviderError
 from mtbehave.metrics import ResampleConfig
 from mtbehave.model import (
     CandidateSet,
@@ -209,7 +209,7 @@ class TestTranslateAll:
         lines = path.read_bytes().split(b"\n")
         lines[0] = lines[0][:-3]
         path.write_bytes(b"\n".join(lines))
-        with pytest.raises(SuiteLoadError, match=":1"):
+        with pytest.raises(DataInvariantError, match=":1"):
             translate_all([SUITE], [CountingAdapter()], TranslationCache(tmp_path))
 
     @pytest.mark.parametrize("translation", [3, None, ["x"]])
@@ -220,13 +220,13 @@ class TestTranslateAll:
         row = json.loads(lines[1])
         lines[1] = json.dumps({**row, "translation": translation}) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(SuiteLoadError, match=re.escape(f"{path}:2: ")):
+        with pytest.raises(DataInvariantError, match=re.escape(f"{path}:2: ")):
             translate_all([SUITE], [CountingAdapter()], TranslationCache(tmp_path))
 
     def test_adapter_error_records_all_pending(self):
         class Broken(CountingAdapter):
             def translate(self, sources):
-                raise AdapterError("boom")
+                raise ProviderError("boom")
 
         result = split(SUITE, translate_all([SUITE], [Broken()])[0])
         assert result.records == []
@@ -273,7 +273,7 @@ class TestTranslateAll:
         path = tmp_path / "translations.jsonl"
         row = {"case_id": SUITE[0].id, "system_id": "offline", "translation": translation}
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-        with pytest.raises(SuiteLoadError, match=re.escape(f"{path}:1: ")):
+        with pytest.raises(DataInvariantError, match=re.escape(f"{path}:1: ")):
             FileMtAdapter(AdapterSpec(system_id="offline", kind="file", path=str(path)))
 
     def test_file_adapter_edit_is_read_despite_the_cache(self, tmp_path):
@@ -359,7 +359,7 @@ class TestTranslateSystems:
     def test_adapter_error_fails_that_system_in_every_suite(self, caplog):
         class Broken(CountingAdapter):
             def translate(self, sources):
-                raise AdapterError("boom")
+                raise ProviderError("boom")
 
         results = translate_all(self.SUITES, [CountingAdapter("good"), Broken("bad")])
         good, broken = (per_suite(self.SUITES, result) for result in results)
@@ -467,14 +467,14 @@ class TestCommandAdapter:
         adapter = CommandMtAdapter(
             AdapterSpec(system_id="bad", kind="command", command="false")
         )
-        with pytest.raises(AdapterError):
+        with pytest.raises(ProviderError):
             adapter.translate(["x"])
 
     def test_line_count_mismatch(self):
         adapter = CommandMtAdapter(
             AdapterSpec(system_id="swallow", kind="command", command="head -n 1")
         )
-        with pytest.raises(AdapterError, match="lines"):
+        with pytest.raises(ProviderError, match="lines"):
             adapter.translate(["a", "b", "c"])
 
     def test_line_breaks_inside_a_source_are_flattened(self):
@@ -494,7 +494,7 @@ class TestCommandAdapter:
         adapter = CommandMtAdapter(
             AdapterSpec(system_id="none", kind="command", command="definitely-not-a-binary-xyz")
         )
-        with pytest.raises(AdapterError):
+        with pytest.raises(ProviderError):
             adapter.translate(["x"])
 
     def test_output_that_is_not_utf8_fails_every_case(self, caplog):
