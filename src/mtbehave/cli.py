@@ -108,13 +108,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, metavar="DIR", help="run output directory")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("compare", help="print a paired-comparison table from a report")
-    p.add_argument("--report", required=True, help="report.json produced by `run`")
-    p.add_argument("--property", action="append", default=None, metavar="ID")
-    p.add_argument("a", help="system id of model A")
-    p.add_argument("b", help="system id of model B")
-    p.set_defaults(func=cmd_compare)
-
     p = sub.add_parser("diversity", help="per-sentence novel n-gram fraction of a suite")
     _add_config_options(p)
     p.add_argument("--n", type=int, default=3, help="n-gram order (default 3)")
@@ -322,6 +315,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         (*_load_property_suite(config, spec.id), *_load_property_candidates(config, spec.id))
         for spec in props
     ]
+    # A case id keys its translation and verdict rows, so no two properties may share one.
+    owner: dict[str, str] = {}
+    for spec, (suite, *_) in zip(props, inputs):
+        for case in suite:
+            if (first := owner.setdefault(case.id, spec.id)) != spec.id:
+                raise DataInvariantError(
+                    f"case id {case.id!r} is in both {config.property_dir(first) / 'suite.jsonl'} "
+                    f"and {config.property_dir(spec.id) / 'suite.jsonl'}"
+                )
 
     # Translate: one adapter call per system, covering every property.
     rows = translate_all([suite for suite, *_ in inputs], adapters, cache)
@@ -392,48 +394,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         run_dir / "runmeta.json",
     )
     print(f"report -> {run_dir / 'report.json'}")
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    _reject_repeats("--property", args.property)
-    report_path = Path(args.report)
-    if not report_path.exists():
-        raise ConfigError(f"report file {report_path} not found")
-    text = _read_text(report_path)
-    # Bad JSON and a report of the wrong shape both fail in here, on the
-    # parse, a lookup or a format spec.
-    try:
-        report = json.loads(text)
-        properties = report["properties"]
-        if not properties:
-            raise ValueError("no property")
-        if args.property:
-            missing = [p for p in args.property if p not in properties]
-            if missing:
-                raise ConfigError(f"report has no properties {missing}")
-            properties = {p: properties[p] for p in args.property}
-        lines = [f"{'Property':<18}{'Model A':<18}{'Model B':<18}{'Winner':<18}{'p-value':>8}"]
-        for prop_id, prop_report in properties.items():
-            systems = prop_report["systems"]
-            for sys_id in (args.a, args.b):
-                if sys_id not in systems:
-                    raise ConfigError(f"property {prop_id!r}: unknown system id {sys_id!r}")
-            comps = prop_report["comparisons"]
-            comp = next((c for c in comps if {c["a"], c["b"]} == {args.a, args.b}), None)
-            if comp is None:
-                raise ConfigError(
-                    f"property {prop_id!r}: no comparison between {args.a} and {args.b}"
-                )
-            winner = comp["winner"] if comp["winner"] is not None else "(tie)"
-            verdict = "significant" if comp["significant"] else "not significant"
-            lines.append(
-                f"{prop_id:<18}{comp['a']:<18}{comp['b']:<18}{winner:<18}"
-                f"{comp['p_value']:>8.3f}  {verdict}"
-            )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataInvariantError(f"{report_path}: malformed report ({exc!r})") from exc
-    print("\n".join(lines))
     return 0
 
 
@@ -519,9 +479,14 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             )
         system_id = args.system or system_ids[0]
         selected = [v for v in prop_verdicts if v[1] == system_id]
-        selections.append((spec, case_by_id, candidates, selected, system_id))
+        path = run_dir / f"review_{spec.id}_{system_id}.jsonl"
+        if path.exists() and (annotated := len(_annotated_rows(path))):
+            raise DataInvariantError(
+                f"{path} holds {annotated} annotated rows; move it away to sample again"
+            )
+        selections.append((spec, case_by_id, candidates, selected, system_id, path))
 
-    for spec, case_by_id, candidates, selected, system_id in selections:
+    for spec, case_by_id, candidates, selected, system_id, path in selections:
         translated = load_translations(run_dir / "translations" / f"{system_id}.jsonl")
         translations = {case_id: text for case_id, _, text in translated}
         passes, fails = sample_for_annotation(
@@ -549,7 +514,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             if entry is not None:
                 row.update(entry.to_dict())
             rows.append(row)
-        path = run_dir / f"review_{spec.id}_{system_id}.jsonl"
         _write_jsonl(rows, path)
         print(f"{spec.id} / {system_id}: {len(passes)} passes + {len(fails)} fails -> {path}")
     return 0
@@ -578,10 +542,15 @@ def _review_row(d: dict) -> tuple[bool, str]:
     return passed, annotation
 
 
+def _annotated_rows(path: Path) -> list[tuple[bool, str]]:
+    """The pass bit and annotation of each annotated row of a review file."""
+    return [row for _, row in _load_records(path, _review_row) if row[1]]
+
+
 def _review_tallies(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"review file {path} not found")
-    annotated = [row for _, row in _load_records(path, _review_row) if row[1]]
+    annotated = _annotated_rows(path)
     fp = sum(1 for passed, a in annotated if passed and a == "incorrect")
     fn = sum(1 for passed, a in annotated if not passed and a == "incorrect")
     n_pass = sum(1 for passed, _ in annotated if passed)

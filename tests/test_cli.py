@@ -1,6 +1,7 @@
 """End-to-end CLI: generate -> candidates -> run -> report, offline."""
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
 import errno
 import hashlib
@@ -249,6 +250,15 @@ def prime(workspace) -> None:
     assert run_cli("candidates", "--config", str(workspace)) == 0
 
 
+def comparison_rows(out_dir: Path, prop_id: str) -> list[list[str]]:
+    """The comparison rows of one property's table in a run's report.txt, split on blanks."""
+    text = (out_dir / "report.txt").read_text(encoding="utf-8")
+    [table] = [t for t in text.split("Property: ") if t.startswith(f"{prop_id} ")]
+    lines = table.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("Model A"))
+    return [line.split() for line in lines[header + 1:] if line]
+
+
 class TestRun:
     def test_identity_names_mpr_one(self, workspace, tmp_path):
         prime(workspace)
@@ -285,6 +295,46 @@ class TestRun:
         assert comparisons[0]["p_value"] == 0.0
         text = (out_dir / "report.txt").read_text(encoding="utf-8")
         assert "Model A" in text and "Winner" in text
+
+    def test_report_txt_marks_a_significant_pair(self, workspace, tmp_path):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        assert run_cli("run", "--config", str(workspace), "--out", str(out_dir)) == 0
+        assert comparison_rows(out_dir, "names") == [
+            ["identity", "mangler", "identity", "0.000", "*"]
+        ]
+
+    def test_report_txt_ties_identical_systems_unmarked(self, workspace, tmp_path):
+        prime(workspace)
+        twin_config = Path(str(workspace)).with_name("twins.yaml")
+        twin_config.write_text(
+            CONFIG_TEXT.replace('command: "sed -e s/a/x/g"', "command: cat"), encoding="utf-8"
+        )
+        out_dir = tmp_path / "run-twins"
+        assert run_cli("run", "--config", str(twin_config), "--out", str(out_dir)) == 0
+        assert comparison_rows(out_dir, "names") == [["identity", "mangler", "(tie)", "0.500"]]
+
+    def test_case_id_of_two_properties_exit_3_before_translating(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # Translation and verdict rows are keyed by case id, so one id in two
+        # suites would file one property's verdict under the other's case.
+        prime(workspace)
+        config = load_config(str(workspace))
+        names_path, idioms_path = (
+            config.property_dir(p) / "suite.jsonl" for p in ("names", "idioms")
+        )
+        shared = load_suite(names_path)[0].id
+        first, *rest = load_suite(idioms_path)
+        save_suite([TestCase(shared, "idioms", first.raw), *rest], idioms_path)
+        monkeypatch.setattr(cli, "translate_all", lambda *a, **k: pytest.fail("translated"))
+        capsys.readouterr()
+        out = tmp_path / "run1"
+        assert run_cli("run", "--config", str(workspace), "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            f"data error: case id {shared!r} is in both {names_path} and {idioms_path}\n"
+        )
+        assert [p.name for p in out.rglob("*")] == ["translations"]
 
     def test_byte_identical_runs(self, workspace, tmp_path):
         prime(workspace)
@@ -830,87 +880,6 @@ class TestRunTable:
             assert written == translations[system]
 
 
-class TestCompare:
-    def test_table_output(self, workspace, tmp_path, capsys):
-        prime(workspace)
-        out_dir = tmp_path / "run1"
-        run_cli("run", "--config", str(workspace), "--out", str(out_dir))
-        capsys.readouterr()
-        assert run_cli(
-            "compare", "--report", str(out_dir / "report.json"), "identity", "mangler",
-            "--property", "names",
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Model A" in out and "Model B" in out and "Winner" in out
-        assert "identity" in out and "0.000" in out and "significant" in out
-
-    def test_identical_systems_not_significant(self, workspace, tmp_path, capsys):
-        prime(workspace)
-        config_text = CONFIG_TEXT.replace(
-            'command: "sed -e s/a/x/g"', "command: cat"
-        )
-        twin_config = Path(str(workspace)).with_name("twins.yaml")
-        twin_config.write_text(config_text, encoding="utf-8")
-        out_dir = tmp_path / "run-twins"
-        run_cli("run", "--config", str(twin_config), "--out", str(out_dir))
-        capsys.readouterr()
-        run_cli(
-            "compare", "--report", str(out_dir / "report.json"), "identity", "mangler",
-            "--property", "names",
-        )
-        out = capsys.readouterr().out
-        assert "0.500" in out
-        assert "not significant" in out
-
-    def test_unknown_system_exit_1(self, workspace, tmp_path, capsys):
-        prime(workspace)
-        out_dir = tmp_path / "run1"
-        run_cli("run", "--config", str(workspace), "--out", str(out_dir))
-        assert run_cli(
-            "compare", "--report", str(out_dir / "report.json"), "identity", "ghost"
-        ) == 1
-        assert "ghost" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "properties, message",
-        [(["nope"], "error: report has no properties ['nope']"),
-         (["names", "names"], "usage error: --property 'names' is given more than once")],
-        ids=["unknown", "repeated"],
-    )
-    def test_unknown_or_repeated_property_exit_1(
-        self, workspace, tmp_path, capsys, properties, message
-    ):
-        prime(workspace)
-        out_dir = tmp_path / "run1"
-        run_cli("run", "--config", str(workspace), "--out", str(out_dir))
-        capsys.readouterr()
-        flags = [arg for p in properties for arg in ("--property", p)]
-        report = str(out_dir / "report.json")
-        assert run_cli("compare", "--report", report, *flags, "identity", "mangler") == 1
-        assert capsys.readouterr() == ("", message + "\n")
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "{bad\n",
-            "[1, 2]\n",
-            '"report"\n',
-            "\xff\n",
-            '{"properties": []}\n',
-            '{"properties": {"p": {"systems": {"identity": {}, "mangler": {}}, '
-            '"comparisons": [{"a": "identity"}]}}}\n',
-            "{}\n",
-            '{"properties": {}}\n',
-            '{"properties": {"p": {}}}\n',
-        ],
-    )
-    def test_malformed_report_exit_3(self, tmp_path, capsys, body):
-        report_path = tmp_path / "report.json"
-        report_path.write_bytes(body.encode("latin-1"))
-        assert run_cli("compare", "--report", str(report_path), "identity", "mangler") == 3
-        assert str(report_path) in capsys.readouterr().err
-
-
 class TestDiversity:
     def test_series_file(self, workspace, capsys):
         run_cli("generate", "--config", str(workspace))
@@ -986,6 +955,42 @@ class TestAnnotateAndApplyEdits:
         assert "Señor Ortega" in updated["Rafael Ortega"].candidates
         audit = (config.property_dir("names") / "candidates_audit.log").read_text()
         assert "Señor Ortega" in audit
+
+    def test_annotated_review_file_exit_3_before_any_write(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity", "--out", str(out_dir))
+        argv = ["annotate", "--config", str(workspace), "--run", str(out_dir),
+                "--system", "identity", "--k", "2"]
+        assert run_cli(*argv, "--property", "idioms") == 0
+        review = out_dir / "review_idioms_identity.jsonl"
+        rows = [json.loads(line) for line in review.read_text(encoding="utf-8").splitlines()]
+        rows[0]["annotation"] = "incorrect"
+        review.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8"
+        )
+        before = review.read_bytes()
+        capsys.readouterr()
+        # "names" comes first and has no review file, but none is written for it.
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {review} holds 1 annotated rows; move it away to sample again\n"
+        )
+        assert review.read_bytes() == before
+        assert [p.name for p in out_dir.glob("review_*")] == [review.name]
+
+    def test_malformed_review_file_exit_3_naming_the_line(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity", "--out", str(out_dir))
+        review = out_dir / "review_names_identity.jsonl"
+        review.write_text('{"pass": "yes", "annotation": ""}\n', encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(
+            "annotate", "--config", str(workspace), "--run", str(out_dir), "--property", "names",
+        ) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {review}:1: ")
+        assert review.read_text(encoding="utf-8") == '{"pass": "yes", "annotation": ""}\n'
 
     def test_fixed_seed_reproducible_review(self, workspace, tmp_path):
         prime(workspace)
@@ -1093,7 +1098,15 @@ class TestAnnotateAndApplyEdits:
     @pytest.mark.parametrize(
         "report, code, message",
         [(None, 1, "report.json not found"), ("{bad", 3, "malformed report"),
-         ('{"properties": {"names": {}}}', 3, "malformed report")],
+         ('{"properties": {"names": {}}}', 3, "malformed report"),
+         ("[1, 2]", 3, "malformed report"), ('"report"', 3, "malformed report"),
+         ("\xff", 3, "report.json is not UTF-8 (byte 0)"),
+         ('{"properties": []}', 3, "malformed report"),
+         ('{"properties": {"p": {"systems": {"identity": {}, "mangler": {}}, '
+          '"comparisons": [{"a": "identity"}]}}}', 3, "malformed report"),
+         ("{}", 3, "malformed report"),
+         ('{"properties": {}}', 1, "property 'names' was not judged by the run"),
+         ('{"properties": {"p": {}}}', 3, "malformed report")],
     )
     def test_run_report_missing_or_malformed(self, workspace, tmp_path, capsys, report, code, message):
         prime(workspace)
@@ -1103,7 +1116,7 @@ class TestAnnotateAndApplyEdits:
         if report is None:
             report_path.unlink()
         else:
-            report_path.write_text(report, encoding="utf-8")
+            report_path.write_bytes(report.encode("latin-1"))
         capsys.readouterr()
         assert run_cli(
             "annotate", "--config", str(workspace), "--run", str(out_dir), "--property", "names",
@@ -1533,9 +1546,18 @@ class TestFileFailures:
         err = capsys.readouterr().err
         assert err == f"error: config file {tmp_path}: cannot read (Is a directory)\n"
 
-    def test_compare_report_a_directory_exit_3(self, tmp_path, capsys):
-        assert run_cli("compare", "--report", str(tmp_path), "a", "b") == 3
-        assert capsys.readouterr().err == f"data error: {tmp_path}: cannot read (Is a directory)\n"
+    def test_annotate_report_a_directory_exit_3(self, workspace, tmp_path, capsys):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity", "--out", str(out_dir))
+        report = out_dir / "report.json"
+        report.unlink()
+        report.mkdir()
+        capsys.readouterr()
+        assert run_cli(
+            "annotate", "--config", str(workspace), "--run", str(out_dir), "--property", "names",
+        ) == 3
+        assert capsys.readouterr().err == f"data error: {report}: cannot read (Is a directory)\n"
 
     def test_audit_log_a_directory_exit_3(self, workspace, tmp_path, capsys):
         prime(workspace)
@@ -1567,8 +1589,8 @@ class TestExitCodes:
         def fail(args):
             raise error
 
-        monkeypatch.setattr(cli, "cmd_compare", fail)
-        code = main(["compare", "--report", "r.json", "a", "b"])
+        monkeypatch.setattr(cli, "cmd_diversity", fail)
+        code = main(["diversity", "--config", "cfg.yaml"])
         if issubclass(cls, cli.UsageError):
             expected = (1, "usage error")
         elif issubclass(cls, ConfigError):
@@ -1583,22 +1605,18 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["generate"], ["candidates"], ["run"], ["compare", "a", "b"],
+            ["generate"], ["candidates"], ["run"],
             ["diversity", "--property", "names"], ["annotate", "--run", "run1"],
             ["apply-edits", "--property", "names", "--edits", "edits.jsonl"],
         ],
         ids=lambda argv: argv[0],
     )
-    def test_ctrl_c_exit_130_with_one_line(self, argv, tmp_path, monkeypatch, capsys):
+    def test_ctrl_c_exit_130_with_one_line(self, argv, monkeypatch, capsys):
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "load_config", interrupt)
-        monkeypatch.setattr(cli, "_read_text", interrupt)
-        report = tmp_path / "report.json"
-        report.write_text("{}", encoding="utf-8")
-        where = ["--report", str(report)] if argv[0] == "compare" else ["--config", "cfg.yaml"]
-        assert main([argv[0], *where, *argv[1:]]) == 130
+        assert main([argv[0], "--config", "cfg.yaml", *argv[1:]]) == 130
         assert capsys.readouterr() == ("", "interrupted\n")
 
     def test_every_family_is_enumerated(self):
@@ -1620,6 +1638,22 @@ class TestUsage:
     def test_no_command_exit_1(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+    def test_removed_compare_command_exit_1(self, capsys):
+        assert main(["compare", "--report", "r.json", "a", "b"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument command: invalid choice: 'compare'")
+
+    def test_readme_pipeline_lists_every_command_in_order(self):
+        # A command added or removed without its README line fails here.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## Pipeline\n", 1)[1].split("```")[1]
+        documented = [line.split()[1] for line in block.splitlines() if line.startswith("mtbehave ")]
+        [commands] = [
+            a.choices for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert documented == list(commands)
 
     def test_unknown_flag_exit_1(self):
         assert main(["generate", "--config", "x", "--bogus"]) == 1
