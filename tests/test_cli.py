@@ -1099,14 +1099,7 @@ class TestAnnotateAndApplyEdits:
         "report, code, message",
         [(None, 1, "report.json not found"), ("{bad", 3, "malformed report"),
          ('{"properties": {"names": {}}}', 3, "malformed report"),
-         ("[1, 2]", 3, "malformed report"), ('"report"', 3, "malformed report"),
-         ("\xff", 3, "report.json is not UTF-8 (byte 0)"),
-         ('{"properties": []}', 3, "malformed report"),
-         ('{"properties": {"p": {"systems": {"identity": {}, "mangler": {}}, '
-          '"comparisons": [{"a": "identity"}]}}}', 3, "malformed report"),
-         ("{}", 3, "malformed report"),
-         ('{"properties": {}}', 1, "property 'names' was not judged by the run"),
-         ('{"properties": {"p": {}}}', 3, "malformed report")],
+         ('{"properties": {}}', 1, "property 'names' was not judged by the run")],
     )
     def test_run_report_missing_or_malformed(self, workspace, tmp_path, capsys, report, code, message):
         prime(workspace)
@@ -1116,12 +1109,39 @@ class TestAnnotateAndApplyEdits:
         if report is None:
             report_path.unlink()
         else:
-            report_path.write_bytes(report.encode("latin-1"))
+            report_path.write_text(report, encoding="utf-8")
         capsys.readouterr()
         assert run_cli(
             "annotate", "--config", str(workspace), "--run", str(out_dir), "--property", "names",
         ) == code
         assert message in capsys.readouterr().err
+        assert not list(out_dir.glob("review_*"))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "{bad\n",
+            "[1, 2]\n",
+            '"report"\n',
+            "\xff\n",
+            '{"properties": []}\n',
+            '{"properties": {"p": {"systems": {"identity": {}, "mangler": {}}, '
+            '"comparisons": [{"a": "identity"}]}}}\n',
+            "{}\n",
+            '{"properties": {"p": {}}}\n',
+        ],
+    )
+    def test_malformed_report_exit_3(self, workspace, tmp_path, capsys, body):
+        prime(workspace)
+        out_dir = tmp_path / "run1"
+        run_cli("run", "--config", str(workspace), "--system", "identity", "--out", str(out_dir))
+        report_path = out_dir / "report.json"
+        report_path.write_bytes(body.encode("latin-1"))
+        capsys.readouterr()
+        assert run_cli(
+            "annotate", "--config", str(workspace), "--run", str(out_dir), "--property", "names",
+        ) == 3
+        assert str(report_path) in capsys.readouterr().err
         assert not list(out_dir.glob("review_*"))
 
     def test_missing_review_file_exit_1_before_any_edit(self, workspace, tmp_path, capsys):
